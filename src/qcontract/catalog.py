@@ -25,7 +25,6 @@ from .errors import InputError, NotStandardMonotone
 __all__ = [
     "FDivergenceSpec",
     "SpectralWeight",
-    "StandardMonotoneFn",
     "fdivergence_spec",
     "standard_monotone",
     "f_catalog",
@@ -184,10 +183,6 @@ class SpectralWeight:
         c0, c1, c2 = self.series_at_one
         series = c0 + u * (c1 + u * c2)
         return np.where(near, series, direct)
-
-
-#: alias documenting intent at call sites that require the checked subset
-StandardMonotoneFn = SpectralWeight
 
 
 def standard_monotone(name, fn, series_at_one, series_window=0.0) -> SpectralWeight:

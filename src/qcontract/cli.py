@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .catalog import FAMILIES, f_catalog, g_catalog, gns_weight
 from .channels import QuantumChannel, fixed_point
 from .contraction import (
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .serialize import channel_from_json, load_json_arg, state_from_json
 
-__version__ = "0.1.0"
 
 DEFAULT_SEED = 1729
 

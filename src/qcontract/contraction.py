@@ -1,8 +1,8 @@
 """SDPI contraction machinery.
 
-* Omega operators: the weighted inversion X -> sum_ij w_ij <i|X|j> |i><j|
-  (sigma eigenbasis) with w_ij = g(mu_i/mu_j)/mu_j, plus inverse and
-  square roots.
+* Omega weights: Omega_sigma^g is the weighted inversion
+  X -> sum_ij w_ij <i|X|j> |i><j| in the sigma eigenbasis, with
+  w_ij = g(mu_i/mu_j)/mu_j, so the d x d weight matrix w determines it.
 * Exact chi-square SDPI constants via the Hermitized second-singular-value
   formula.
 * Variational lower-bound estimation of SDPI constants for general
@@ -14,8 +14,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,19 +32,22 @@ from .channels import (
     fixed_point,
     is_primitive,
 )
-from .divergences import chi2_quadratic_form, evaluate
+from .divergences import (
+    _require_full_rank,
+    _sigma_weights,
+    chi2_quadratic_form,
+    evaluate,
+)
 from .errors import (
     AllRestartsDegenerate,
     InputError,
     NotPrimitive,
     NumericalError,
     PreconditionError,
-    QcontractError,
     SingularReference,
 )
 from .linalg import (
     DensityMatrix,
-    Superoperator,
     devectorize,
     hermitianize,
     random_density,
@@ -55,7 +56,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "OmegaOperator",
     "SdpiEstimate",
     "VariationalOptions",
     "ExperimentOptions",
@@ -78,64 +78,35 @@ DB_TOL = 1e-9
 CSV_SCHEMA_VERSION = "v1"
 
 
-def _worker_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("QCONTRACT_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+def omega(sigma, g: SpectralWeight) -> np.ndarray:
+    """Read-only weight matrix w of Omega_sigma^g.
 
-
-@dataclass(frozen=True)
-class OmegaOperator:
-    """The four superoperators of a weighted inversion of sigma."""
-
-    sigma: DensityMatrix
-    g: SpectralWeight
-    forward: Superoperator
-    inverse: Superoperator
-    sqrt: Superoperator
-    inv_sqrt: Superoperator
-    weights: np.ndarray
-
-
-def omega(sigma, g: SpectralWeight) -> OmegaOperator:
-    """Build Omega_sigma^g with inverse and square roots.
-
-    All four maps are diagonal on the sigma-eigenbasis matrix units with
-    entries w_ij = g(mu_i/mu_j)/mu_j (and their reciprocals / roots),
-    rotated back to the computational basis.
+    Omega_sigma^g acts on the sigma-eigenbasis matrix units as
+    |i><j| -> w_ij |i><j| with w_ij = g(mu_i/mu_j)/mu_j (eigenvalues
+    ascending); its inverse and square roots have the entrywise
+    reciprocal and square-root weights.
     """
     s = validate_density(sigma)
-    if not s.full_rank:
-        raise SingularReference(
-            f"sigma must be full rank (min eigenvalue {s.min_eigenvalue:.3e})"
-        )
-    mu, v = s.eigenvalues, s.eigenvectors
-    ratio = mu[:, None] / mu[None, :]
-    w = np.asarray(g(ratio), float) / mu[None, :]
+    _require_full_rank(s, "sigma")
+    w = _sigma_weights(s, g)
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise InputError(f"weight function {g.name} produced nonpositive weights")
-    u = np.kron(v.conj(), v)
-    uh = u.conj().T
-    d = s.dim
-
-    def diag_op(wmat):
-        return Superoperator(u @ (wmat.ravel(order="F")[:, None] * uh), d)
-
-    w = w.copy()
     w.setflags(write=False)
-    return OmegaOperator(
-        sigma=s,
-        g=g,
-        forward=diag_op(w),
-        inverse=diag_op(1.0 / w),
-        sqrt=diag_op(np.sqrt(w)),
-        inv_sqrt=diag_op(1.0 / np.sqrt(w)),
-        weights=w,
-    )
+    return w
+
+
+def _eigenbasis(channel: QuantumChannel, sigma, g: SpectralWeight):
+    """sigma, the column-stacked Omega weights and the channel's
+    superoperator rotated into the sigma eigenbasis, Mt = U^dag M U with
+    U = kron(conj(V), V)."""
+    s = validate_density(sigma)
+    w = omega(s, g)
+    if channel.dim != s.dim:
+        raise InputError("channel and sigma dimensions differ")
+    v = s.eigenvectors
+    u = np.kron(v.conj(), v)
+    mt = u.conj().T @ channel.superop.matrix @ u
+    return s, w.ravel(order="F"), mt
 
 
 @dataclass(frozen=True)
@@ -153,26 +124,25 @@ class SdpiEstimate:
 def sdpi_chi2(channel: QuantumChannel, sigma, g: SpectralWeight) -> SdpiEstimate:
     """Exact chi-square SDPI constant via the Hermitized operator.
 
-    Forms N = sqrt(Omega) E inv_sqrt(Omega); eta is the square of the
+    Forms N = sqrt(Omega) E inv_sqrt(Omega) in the sigma eigenbasis, where
+    Omega is diagonal: the rotated superoperator with its rows scaled by
+    sqrt(w) and its columns by 1/sqrt(w).  eta is the square of the
     second-largest singular value.  When sigma is fixed by the channel the
-    top singular value must be 1 (witnessed by vec(sigma^(1/2))); for
-    non-fixed sigma the sanity check is skipped and a warning recorded.
+    top singular value must be 1 (witnessed by vec(sigma^(1/2)), which is
+    vec(diag(sqrt(mu))) in the eigenbasis); for non-fixed sigma the sanity
+    check is skipped and a warning recorded.
     """
-    om = omega(sigma, g)
-    s = om.sigma
-    if channel.dim != s.dim:
-        raise InputError("channel and sigma dimensions differ")
+    s, w, mt = _eigenbasis(channel, sigma, g)
     e_sig = channel.superop.apply(s.entries)
     fix_err = float(np.abs(np.linalg.eigvalsh(hermitianize(e_sig) - s.entries)).sum())
-    n_mat = om.sqrt.matrix @ channel.superop.matrix @ om.inv_sqrt.matrix
-    u_l, svals, v_r = np.linalg.svd(n_mat)
+    sw = np.sqrt(w)
+    u_l, svals, v_r = np.linalg.svd(sw[:, None] * mt / sw[None, :])
     top = float(svals[0])
     second = float(svals[1])
     diag = {"fixed_point_error": fix_err, "singular_values": svals.copy()}
     if fix_err <= 1e-7:
         # the fixed point must carry the top singular subspace
-        v, mu = s.eigenvectors, s.eigenvalues
-        target = vectorize((v * np.sqrt(mu)) @ v.conj().T)
+        target = vectorize(np.diag(np.sqrt(s.eigenvalues)))
         top_space = v_r.conj().T[:, svals >= svals[0] - 1e-7]
         overlap = float(np.linalg.norm(top_space.conj().T @ target))
         diag["top_overlap"] = overlap
@@ -208,7 +178,6 @@ class VariationalOptions:
     fd_step: float = 1e-6
     exclusion: float = 1e-6
     init_step: float = 0.25
-    threads: int | None = None
 
 
 def _seed_list(seed) -> list:
@@ -231,11 +200,11 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix,
     the exclusion ball or outside an evaluator's domain).
     """
     e_sigma = apply(channel, sigma)
-    m = channel.superop.matrix
-    d = channel.dim
 
     if isinstance(evaluator, SpectralWeight):
         g = evaluator
+        m = channel.superop.matrix
+        d = channel.dim
         if not e_sigma.full_rank:
             raise SingularReference(
                 "E(sigma) must be full rank for the chi-square objective"
@@ -256,48 +225,32 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix,
 
     if isinstance(evaluator, FDivergenceSpec):
         spec = evaluator
+        fn = lambda r, s: evaluate(spec, r, s).value
+        label = f"{spec.family}[{spec.name}]"
+    elif callable(evaluator):
+        fn, label = evaluator, "callable"
+    else:
+        raise InputError(
+            "evaluator must be a SpectralWeight, an FDivergenceSpec with family, "
+            "or a callable"
+        )
 
-        def ratio(rho_arr):
-            x = rho_arr - sigma.entries
-            td = 0.5 * _trace_norm_herm(x)
-            if td < exclusion:
+    def ratio(rho_arr):
+        x = rho_arr - sigma.entries
+        td = 0.5 * _trace_norm_herm(x)
+        if td < exclusion:
+            return None
+        try:
+            rho = validate_density(rho_arr)
+            den = float(fn(rho, sigma))
+            if not den > 0.0:
                 return None
-            try:
-                rho = validate_density(rho_arr)
-                den = evaluate(spec, rho, sigma).value
-                if not den > 0.0:
-                    return None
-                num = evaluate(spec, apply(channel, rho), e_sigma).value
-            except PreconditionError:
-                return None
-            return num / den
+            num = float(fn(apply(channel, rho), e_sigma))
+        except PreconditionError:
+            return None
+        return num / den
 
-        return ratio, f"{spec.family}[{spec.name}]"
-
-    if callable(evaluator):
-        fn = evaluator
-
-        def ratio(rho_arr):
-            x = rho_arr - sigma.entries
-            td = 0.5 * _trace_norm_herm(x)
-            if td < exclusion:
-                return None
-            try:
-                rho = validate_density(rho_arr)
-                den = float(fn(rho, sigma))
-                if not den > 0.0:
-                    return None
-                num = float(fn(apply(channel, rho), e_sigma))
-            except PreconditionError:
-                return None
-            return num / den
-
-        return ratio, "callable"
-
-    raise InputError(
-        "evaluator must be a SpectralWeight, an FDivergenceSpec with family, "
-        "or a callable"
-    )
+    return ratio, label
 
 
 def _rho_from_params(x: np.ndarray, d: int) -> np.ndarray:
@@ -370,15 +323,14 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     tr, with seeded multi-start gradient ascent (finite-difference
     gradients, backtracking line search).  States within trace distance
     ``opts.exclusion`` of sigma are excluded; if every restart lands
-    there, :class:`AllRestartsDegenerate` is raised.  Deterministic per
-    seed, including under parallel restarts.
+    there, :class:`AllRestartsDegenerate` is raised.  Restarts run
+    serially and the result is deterministic per seed.
     """
     opts = opts or VariationalOptions()
     s = validate_density(sigma)
-    if not s.full_rank:
-        raise SingularReference(
-            f"sigma must be full rank (min eigenvalue {s.min_eigenvalue:.3e})"
-        )
+    _require_full_rank(s, "sigma")
+    if channel.dim != s.dim:
+        raise InputError("channel and sigma dimensions differ")
     ratio, obj_label = _objective(evaluator, channel, s, opts.exclusion)
     d = channel.dim
     seed_base = _seed_list(opts.seed)
@@ -392,13 +344,7 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
                 return res
         return None
 
-    workers = _worker_count(opts.threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_restart, range(opts.restarts)))
-    else:
-        results = [run_restart(k) for k in range(opts.restarts)]
-
+    results = [run_restart(k) for k in range(opts.restarts)]
     valid = [r for r in results if r is not None]
     if not valid:
         raise AllRestartsDegenerate(
@@ -423,13 +369,17 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
 
 def detailed_balance_residual(channel: QuantumChannel, sigma, g: SpectralWeight) -> float:
     """Residual of the g-detailed-balance equation
-    Omega^{-1} E* = E Omega^{-1}, Frobenius-normalized by ||Omega^{-1}||."""
-    om = omega(sigma, g)
-    m = channel.superop.matrix
-    inv = om.inverse.matrix
-    lhs = inv @ m.conj().T
-    rhs = m @ inv
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(inv))
+    Omega^{-1} E* = E Omega^{-1}, Frobenius-normalized by ||Omega^{-1}||.
+
+    Evaluated in the sigma eigenbasis, where Omega^{-1} is the diagonal
+    D = diag(1/w): ||D Mt^dag - Mt D||_F / ||D||_F equals the
+    computational-basis residual because the Frobenius norm is unitarily
+    invariant.
+    """
+    _, w, mt = _eigenbasis(channel, sigma, g)
+    inv = 1.0 / w
+    resid = inv[:, None] * mt.conj().T - mt * inv[None, :]
+    return float(np.linalg.norm(resid) / np.linalg.norm(inv))
 
 
 def carlen_maas_check(channel: QuantumChannel, sigma) -> dict:
@@ -469,7 +419,6 @@ class ExperimentOptions:
     seed: int = 1729
     slack: float = 0.02
     n0_samples: int = 12
-    threads: int | None = None
 
 
 @dataclass(frozen=True)
@@ -568,7 +517,6 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
                 max_iters=opts.max_iters,
                 step_tol=opts.step_tol,
                 seed=(opts.seed, n, idx),
-                threads=opts.threads,
             )
             eta_f[label] = sdpi_variational(spec, e_n, pi, vopts).value
         row = {

@@ -33,7 +33,6 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     hermitianize,
-    schatten_norm,
     validate_density,
 )
 from .quadrature import integrate_piecewise

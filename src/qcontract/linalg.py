@@ -1,4 +1,4 @@
-"""Core linear-algebra layer: validated operator types and spectral utilities.
+"""Core linear-algebra layer: validated operator types, norms and vectorization.
 
 Conventions
 -----------
@@ -15,18 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DomainError,
     InputError,
     NotHermitian,
     NotPositive,
     NotSquare,
-    SingularReference,
     TraceZero,
     UnsupportedOrder,
 )
@@ -38,18 +35,13 @@ __all__ = [
     "INEQ_TOL",
     "HermitianMatrix",
     "DensityMatrix",
-    "EigenSystem",
     "Superoperator",
     "hermitianize",
     "validate_density",
-    "hermitian_eig",
-    "matrix_function",
-    "positive_part",
     "schatten_norm",
     "trace_distance",
     "vectorize",
     "devectorize",
-    "relative_modular",
     "random_hermitian",
     "random_density",
 ]
@@ -122,22 +114,6 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral decomposition H = V diag(values) V^dag.
-
-    ``values`` ascending, ``vectors`` orthonormal columns, ``residual`` the
-    relative Frobenius reconstruction error.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    residual: float
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-
 class DensityMatrix:
     """A validated density matrix (Hermitian, PSD, unit trace).
 
@@ -180,12 +156,6 @@ class DensityMatrix:
     @property
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
-
-    def eigensystem(self) -> EigenSystem:
-        recon = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        scale = max(1.0, float(np.linalg.norm(self.entries)))
-        res = float(np.linalg.norm(recon - self.entries)) / scale
-        return EigenSystem(self.eigenvalues, self.eigenvectors, res)
 
     def __repr__(self):
         return (
@@ -230,44 +200,6 @@ def validate_density(entries, tol: float = DEFAULT_VALIDATION_TOL) -> DensityMat
         clip_magnitude=clip_magnitude,
         trace_deviation=trace_deviation,
     )
-
-
-def hermitian_eig(h) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues."""
-    if isinstance(h, DensityMatrix):
-        return h.eigensystem()
-    arr = hermitianize(h)
-    vals, vecs = np.linalg.eigh(arr)
-    recon = (vecs * vals) @ vecs.conj().T
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    res = float(np.linalg.norm(recon - arr)) / scale
-    for a in (vals, vecs):
-        a.setflags(write=False)
-    return EigenSystem(vals, vecs, res)
-
-
-def matrix_function(h, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Raises :class:`DomainError` if ``phi`` produces a non-finite value on
-    any eigenvalue (e.g. log of a nonpositive spectrum).
-    """
-    eig = hermitian_eig(h)
-    with np.errstate(all="ignore"):
-        w = np.asarray(phi(eig.values), dtype=float)
-    if w.shape != eig.values.shape or not np.all(np.isfinite(w)):
-        raise DomainError(
-            "scalar function returned a non-finite value on the spectrum "
-            f"(eigenvalues in [{eig.values[0]:.3e}, {eig.values[-1]:.3e}])"
-        )
-    return hermitianize((eig.vectors * w) @ eig.vectors.conj().T)
-
-
-def positive_part(h) -> np.ndarray:
-    """Positive part (A)_+ = sum of positive-eigenvalue spectral blocks."""
-    eig = hermitian_eig(h)
-    w = np.clip(eig.values, 0.0, None)
-    return hermitianize((eig.vectors * w) @ eig.vectors.conj().T)
 
 
 def schatten_norm(a, order=2) -> float:
@@ -333,25 +265,6 @@ class Superoperator:
     def adjoint(self) -> "Superoperator":
         """Adjoint with respect to the Hilbert-Schmidt inner product."""
         return Superoperator(self.matrix.conj().T, self.dim)
-
-
-def relative_modular(p, q, tol: float = DEFAULT_VALIDATION_TOL) -> Superoperator:
-    """Relative modular operator X -> P X Q^{-1} as a superoperator.
-
-    Requires Q full rank; its spectrum is the set of eigenvalue ratios
-    lambda_i(P) / mu_j(Q).
-    """
-    p_arr = hermitianize(p)
-    q_eig = hermitian_eig(q)
-    if q_eig.values[0] <= tol:
-        raise SingularReference(
-            f"second argument has minimum eigenvalue {q_eig.values[0]:.3e}"
-        )
-    q_inv = (q_eig.vectors / q_eig.values) @ q_eig.vectors.conj().T
-    dim = p_arr.shape[0]
-    if q_inv.shape[0] != dim:
-        raise DimensionMismatch("operands have different dimensions")
-    return Superoperator(np.kron(q_inv.T, p_arr), dim)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -171,6 +171,15 @@ class TestDbCheck:
         assert "verdict: PASS" in out
         assert "residual[gns]" in out
 
+    def test_sigma_dimension_mismatch_is_input_error(self, capsys):
+        code = main([
+            "db-check", "--channel",
+            '{"kind": "depolarizing", "p": 0.5, "dim": 3}',
+            "--sigma", "[[0.5, 0], [0, 0.5]]",
+        ])
+        assert code == 2
+        assert "dimensions differ" in capsys.readouterr().err
+
 
 class TestExperiment:
     ARGS = [
@@ -292,6 +301,15 @@ class TestConsoleScript:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0
+        assert "families: ht, petz, matsumoto" in proc.stdout
+
+    def test_package_runs_as_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcontract", "catalog"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
         assert "families: ht, petz, matsumoto" in proc.stdout
 
     def test_qcontract_binary(self):

@@ -1,4 +1,4 @@
-"""Contraction: omega operators, exact and variational SDPI constants,
+"""Contraction: Omega weights, exact and variational SDPI constants,
 detailed balance, and the experiment harness."""
 
 import json
@@ -14,28 +14,32 @@ def gs():
     return qc.g_catalog()
 
 
-class TestOmega:
-    def test_inverse_and_sqrt_consistency(self, gs, rng):
-        sig = qc.random_density(3, rng)
-        for g in gs.values():
-            om = qc.omega(sig, g)
-            eye = np.eye(9)
-            np.testing.assert_allclose(
-                om.forward.matrix @ om.inverse.matrix, eye, atol=1e-8
-            )
-            np.testing.assert_allclose(
-                om.sqrt.matrix @ om.sqrt.matrix, om.forward.matrix, atol=1e-8
-            )
-            np.testing.assert_allclose(
-                om.sqrt.matrix @ om.inv_sqrt.matrix, eye, atol=1e-8
-            )
+def _apply_weights(sig, w, x):
+    """Omega_sigma(X) from the weight matrix: entrywise in the sigma eigenbasis."""
+    v = sig.eigenvectors
+    return v @ (w * (v.conj().T @ x @ v)) @ v.conj().T
 
-    def test_forward_is_positive_definite_hermitian(self, gs, rng):
+
+def _dense_omega(sig, g, power):
+    """Dense d^2 x d^2 superoperator of Omega_sigma^power, built independently
+    of the library as kron(conj(V), V) diag(w^power) kron(conj(V), V)^dag."""
+    mu, v = sig.eigenvalues, sig.eigenvectors
+    w = np.asarray(g(mu[:, None] / mu[None, :]), float) / mu[None, :]
+    u = np.kron(v.conj(), v)
+    return u @ np.diag((w**power).ravel(order="F")) @ u.conj().T
+
+
+class TestOmega:
+    def test_weights_are_positive_and_read_only(self, gs, rng):
         sig = qc.random_density(2, rng)
         for g in gs.values():
-            m = qc.omega(sig, g).forward.matrix
-            np.testing.assert_allclose(m, m.conj().T, atol=1e-10)
-            assert np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) > 0
+            w = qc.omega(sig, g)
+            assert w.shape == (2, 2)
+            assert np.isrealobj(w) and np.all(w > 0)
+            assert not w.flags.writeable
+        bad = qc.SpectralWeight("neg", lambda x: -np.ones_like(x))
+        with pytest.raises(qc.InputError):
+            qc.omega(sig, bad)
 
     def test_eigenbasis_action(self, gs):
         # on a diagonal sigma the action is entrywise w_ij = g(mu_i/mu_j)/mu_j
@@ -46,21 +50,60 @@ class TestOmega:
             w = np.array([[g(mu[i] / mu[j]) / mu[j] for j in range(2)]
                           for i in range(2)])
             np.testing.assert_allclose(
-                qc.omega(sig, g).forward.apply(x), w * x, atol=1e-12
+                _apply_weights(sig, qc.omega(sig, g), x), w * x, atol=1e-12
             )
 
     def test_gns_weight_is_right_division(self, rng):
         sig = qc.random_density(2, rng)
-        om = qc.omega(sig, qc.gns_weight())
+        w = qc.omega(sig, qc.gns_weight())
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         np.testing.assert_allclose(
-            om.forward.apply(x), x @ np.linalg.inv(sig.entries), atol=1e-9
+            _apply_weights(sig, w, x), x @ np.linalg.inv(sig.entries), atol=1e-9
         )
 
     def test_singular_sigma_rejected(self, gs):
         sig = qc.validate_density(np.diag([1.0, 0.0]))
         with pytest.raises(qc.SingularReference):
             qc.omega(sig, gs["max"])
+
+
+class TestDenseOmegaReference:
+    """The eigenbasis forms equal the dense-superoperator definitions."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sdpi_chi2_and_residual_match_dense_omega(self, gs, dim):
+        weights = list(gs.values()) + [qc.gns_weight()]
+        for seed in range(4):
+            ch = qc.random_channel(dim, seed=seed)
+            pi = qc.fixed_point(ch)
+            m = ch.superop.matrix
+            for g in weights:
+                n_mat = _dense_omega(pi, g, 0.5) @ m @ _dense_omega(pi, g, -0.5)
+                eta = np.linalg.svd(n_mat, compute_uv=False)[1] ** 2
+                assert qc.sdpi_chi2(ch, pi, g).value == pytest.approx(eta, abs=1e-12)
+                inv = _dense_omega(pi, g, -1.0)
+                res = np.linalg.norm(inv @ m.conj().T - m @ inv) / np.linalg.norm(inv)
+                assert qc.detailed_balance_residual(ch, pi, g) == \
+                    pytest.approx(res, abs=1e-12)
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("entry", [
+        "sdpi_chi2", "sdpi_variational", "detailed_balance_residual",
+        "carlen_maas_check",
+    ])
+    def test_channel_sigma_dimension_mismatch_is_input_error(self, gs, entry):
+        ch = qc.depolarizing(0.5, dim=3)
+        sig = qc.validate_density(np.eye(2) / 2)
+        calls = {
+            "sdpi_chi2": lambda: qc.sdpi_chi2(ch, sig, gs["max"]),
+            "sdpi_variational": lambda: qc.sdpi_variational(gs["max"], ch, sig),
+            "detailed_balance_residual":
+                lambda: qc.detailed_balance_residual(ch, sig, gs["max"]),
+            "carlen_maas_check": lambda: qc.carlen_maas_check(ch, sig),
+        }
+        with pytest.raises(qc.InputError, match="dimensions differ"):
+            calls[entry]()
 
 
 class TestExactSdpi:
@@ -189,19 +232,6 @@ class TestVariationalSdpi:
         np.testing.assert_array_equal(
             a.argmax_state.entries, b.argmax_state.entries
         )
-
-    def test_thread_parallelism_reproduces_serial_result(self, gs):
-        ch = qc.random_channel(2, seed=2)
-        pi = qc.fixed_point(ch)
-        serial = qc.sdpi_variational(
-            gs["max"], ch, pi,
-            qc.VariationalOptions(restarts=4, seed=77, threads=1),
-        )
-        parallel = qc.sdpi_variational(
-            gs["max"], ch, pi,
-            qc.VariationalOptions(restarts=4, seed=77, threads=4),
-        )
-        assert serial.value == parallel.value
 
     def test_all_restarts_degenerate(self, gs, rng):
         ch = qc.depolarizing(0.5)

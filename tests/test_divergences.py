@@ -227,18 +227,28 @@ class TestDataProcessing:
 
 class TestChi2:
     def test_eigenbasis_sum_equals_weighted_inner_product(self, g_cat):
+        # independent oracles: chi2_max = Tr sigma^-1 X^2 and
+        # chi2_kmb = int_0^inf Tr X (sigma+t)^-1 X (sigma+t)^-1 dt
         rng = np.random.default_rng(8)
+        eye = np.eye(3)
         for _ in range(5):
             rho = qc.random_density(3, rng)
             sig = qc.random_density(3, rng)
             x = rho.entries - sig.entries
-            for g in g_cat.values():
-                direct = qc.chi2_g(rho, sig, g).value
-                om = qc.omega(sig, g)
-                via_omega = float(np.real(
-                    np.vdot(qc.vectorize(x), om.forward.matrix @ qc.vectorize(x))
-                ))
-                assert direct == pytest.approx(via_omega, abs=1e-9)
+
+            def kmb_integrand(t):
+                r = inv(sig.entries + t * eye)
+                return float(np.trace(x @ r @ x @ r).real)
+
+            expect = {
+                "max": float(np.trace(inv(sig.entries) @ x @ x).real),
+                "kmb": integrate.quad(kmb_integrand, 0.0, np.inf,
+                                      epsabs=1e-13, epsrel=1e-12)[0],
+            }
+            assert set(expect) == set(g_cat)
+            for name, g in g_cat.items():
+                assert qc.chi2_g(rho, sig, g).value == \
+                    pytest.approx(expect[name], rel=1e-10, abs=1e-12)
 
     def test_max_weight_equals_trace_formula(self, g_cat, rng):
         rho = qc.random_density(3, rng)
