@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,17 @@ __all__ = [
 #: residual below which a channel is treated as g-detailed balanced
 DB_TOL = 1e-9
 
+#: central-difference step of the search, relative to max(1, |x_i|)
+FD_STEP = 1e-6
+#: states within this trace distance of sigma are excluded from the search
+EXCLUSION = 1e-6
+#: first line-search step of each restart
+INIT_STEP = 0.25
+#: line-search step floor of the experiment's searches
+EXPERIMENT_STEP_TOL = 1e-6
+#: random states propagated to estimate n0
+N0_SAMPLES = 12
+
 CSV_SCHEMA_VERSION = "v1"
 
 
@@ -95,18 +107,23 @@ def omega(sigma, g: SpectralWeight) -> np.ndarray:
     return w
 
 
-def _eigenbasis(channel: QuantumChannel, sigma, g: SpectralWeight):
-    """sigma, the column-stacked Omega weights and the channel's
-    superoperator rotated into the sigma eigenbasis, Mt = U^dag M U with
-    U = kron(conj(V), V)."""
+def _eigenbasis(channel: QuantumChannel, sigma):
+    """The validated full-rank sigma and the channel's superoperator rotated
+    into the sigma eigenbasis, Mt = U^dag M U with U = kron(conj(V), V)."""
     s = validate_density(sigma)
-    w = omega(s, g)
+    _require_full_rank(s, "sigma")
     if channel.dim != s.dim:
         raise InputError("channel and sigma dimensions differ")
     v = s.eigenvectors
     u = np.kron(v.conj(), v)
-    mt = u.conj().T @ channel.superop.matrix @ u
-    return s, w.ravel(order="F"), mt
+    return s, u.conj().T @ channel.superop.matrix @ u
+
+
+def _db_residual(s: DensityMatrix, mt: np.ndarray, g: SpectralWeight) -> float:
+    """||D Mt^dag - Mt D||_F / ||D||_F with D = diag(1/vec(w)), w = omega(s, g)."""
+    inv = 1.0 / omega(s, g).ravel(order="F")
+    resid = inv[:, None] * mt.conj().T - mt * inv[None, :]
+    return float(np.linalg.norm(resid) / np.linalg.norm(inv))
 
 
 @dataclass(frozen=True)
@@ -132,7 +149,8 @@ def sdpi_chi2(channel: QuantumChannel, sigma, g: SpectralWeight) -> SdpiEstimate
     vec(diag(sqrt(mu))) in the eigenbasis); for non-fixed sigma the sanity
     check is skipped and a warning recorded.
     """
-    s, w, mt = _eigenbasis(channel, sigma, g)
+    s, mt = _eigenbasis(channel, sigma)
+    w = omega(s, g).ravel(order="F")
     e_sig = channel.superop.apply(s.entries)
     fix_err = float(np.abs(np.linalg.eigvalsh(hermitianize(e_sig) - s.entries)).sum())
     sw = np.sqrt(w)
@@ -167,37 +185,44 @@ def sdpi_chi2(channel: QuantumChannel, sigma, g: SpectralWeight) -> SdpiEstimate
     )
 
 
+def _seed(x) -> int:
+    if not (isinstance(x, numbers.Integral) and x >= 0):
+        raise InputError(f"seed must be a nonnegative integer, got {x!r}")
+    return int(x)
+
+
+def _seed_list(seed) -> list:
+    return [_seed(x) for x in (seed if isinstance(seed, (tuple, list)) else [seed])]
+
+
 @dataclass(frozen=True)
 class VariationalOptions:
-    """Knobs for the multi-start variational SDPI search."""
+    """Settings of the multi-start variational SDPI search: restarts (>= 1),
+    max_iters and step_tol of each restart, and the seed (an integer >= 0
+    or a tuple of them)."""
 
     restarts: int = 32
     max_iters: int = 150
     step_tol: float = 1e-7
     seed: object = 1729
-    fd_step: float = 1e-6
-    exclusion: float = 1e-6
-    init_step: float = 0.25
 
-
-def _seed_list(seed) -> list:
-    if isinstance(seed, (tuple, list)):
-        return [int(x) for x in seed]
-    return [int(seed)]
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise InputError(f"restarts must be >= 1, got {self.restarts}")
+        _seed_list(self.seed)
 
 
 def _trace_norm_herm(x: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(x)).sum())
 
 
-def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix,
-               exclusion: float):
+def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     """Build ratio(rho_entries) -> float | None for the SDPI search.
 
     The evaluator may be a SpectralWeight (chi-square objective, computed
     on differences by linearity), an FDivergenceSpec with family set, or a
-    callable D(rho, sigma) -> float.  None marks an invalid point (inside
-    the exclusion ball or outside an evaluator's domain).
+    callable D(rho, sigma) -> float.  None marks an invalid point (within
+    trace distance EXCLUSION of sigma, or outside an evaluator's domain).
     """
     e_sigma = apply(channel, sigma)
 
@@ -213,7 +238,7 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix,
         def ratio(rho_arr):
             x = rho_arr - sigma.entries
             td = 0.5 * _trace_norm_herm(x)
-            if td < exclusion:
+            if td < EXCLUSION:
                 return None
             den = chi2_quadratic_form(x, sigma, g)
             if not den > 0.0:
@@ -238,7 +263,7 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix,
     def ratio(rho_arr):
         x = rho_arr - sigma.entries
         td = 0.5 * _trace_norm_herm(x)
-        if td < exclusion:
+        if td < EXCLUSION:
             return None
         try:
             rho = validate_density(rho_arr)
@@ -274,18 +299,20 @@ def _init_params(rng: np.random.Generator, sigma: DensityMatrix, kind: int) -> n
 
 
 def _ascend(ratio, x0: np.ndarray, d: int, opts: VariationalOptions):
-    """One gradient-ascent restart; returns (best value, best rho) or None."""
+    """One gradient-ascent restart; returns (value, rho) or None.
+
+    Only strict improvements are accepted, so the final point is the best.
+    """
     x = x0.copy()
     f0 = ratio(_rho_from_params(x, d))
     if f0 is None:
         return None
-    best_f, best_rho = f0, _rho_from_params(x, d)
-    step = opts.init_step
+    step = INIT_STEP
     n = x.size
     for _ in range(opts.max_iters):
         grad = np.zeros(n)
         for i in range(n):
-            h = opts.fd_step * max(1.0, abs(x[i]))
+            h = FD_STEP * max(1.0, abs(x[i]))
             xp = x.copy(); xp[i] += h
             xm = x.copy(); xm[i] -= h
             fp = ratio(_rho_from_params(xp, d))
@@ -310,9 +337,7 @@ def _ascend(ratio, x0: np.ndarray, d: int, opts: VariationalOptions):
             trial *= 0.5
         if not improved:
             break
-        if f0 > best_f:
-            best_f, best_rho = f0, _rho_from_params(x, d)
-    return best_f, best_rho
+    return f0, _rho_from_params(x, d)
 
 
 def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
@@ -322,8 +347,8 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     Maximizes D(E(rho) || E(sigma)) / D(rho || sigma) over rho = A A^dag /
     tr, with seeded multi-start gradient ascent (finite-difference
     gradients, backtracking line search).  States within trace distance
-    ``opts.exclusion`` of sigma are excluded; if every restart lands
-    there, :class:`AllRestartsDegenerate` is raised.  Restarts run
+    ``EXCLUSION`` of sigma are excluded; if every restart lands there,
+    :class:`AllRestartsDegenerate` is raised.  Restarts run
     serially and the result is deterministic per seed.
     """
     opts = opts or VariationalOptions()
@@ -331,7 +356,7 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     _require_full_rank(s, "sigma")
     if channel.dim != s.dim:
         raise InputError("channel and sigma dimensions differ")
-    ratio, obj_label = _objective(evaluator, channel, s, opts.exclusion)
+    ratio, obj_label = _objective(evaluator, channel, s)
     d = channel.dim
     seed_base = _seed_list(opts.seed)
 
@@ -349,7 +374,7 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     if not valid:
         raise AllRestartsDegenerate(
             f"all {opts.restarts} restarts collapsed into the excluded ball "
-            f"around sigma (radius {opts.exclusion:g})"
+            f"around sigma (radius {EXCLUSION:g})"
         )
     best_f, best_rho = max(valid, key=lambda r: r[0])
     return SdpiEstimate(
@@ -376,10 +401,8 @@ def detailed_balance_residual(channel: QuantumChannel, sigma, g: SpectralWeight)
     computational-basis residual because the Frobenius norm is unitarily
     invariant.
     """
-    _, w, mt = _eigenbasis(channel, sigma, g)
-    inv = 1.0 / w
-    resid = inv[:, None] * mt.conj().T - mt * inv[None, :]
-    return float(np.linalg.norm(resid) / np.linalg.norm(inv))
+    s, mt = _eigenbasis(channel, sigma)
+    return _db_residual(s, mt, g)
 
 
 def carlen_maas_check(channel: QuantumChannel, sigma) -> dict:
@@ -389,9 +412,9 @@ def carlen_maas_check(channel: QuantumChannel, sigma) -> dict:
     be <= 1e-7 (GNS detailed balance is the strongest); a violation would
     mean the Omega construction is broken, so it raises.
     """
-    residuals = {"gns": detailed_balance_residual(channel, sigma, gns_weight())}
-    for name, g in g_catalog().items():
-        residuals[name] = detailed_balance_residual(channel, sigma, g)
+    s, mt = _eigenbasis(channel, sigma)
+    weights = {"gns": gns_weight(), **g_catalog()}
+    residuals = {name: _db_residual(s, mt, g) for name, g in weights.items()}
     if residuals["gns"] <= DB_TOL:
         bad = {k: v for k, v in residuals.items() if k != "gns" and v > 1e-7}
         if bad:
@@ -411,14 +434,18 @@ def sdpi_submultiplicativity_check(channel: QuantumChannel, sigma,
 
 @dataclass(frozen=True)
 class ExperimentOptions:
-    """Configuration for the contraction-rate experiment."""
+    """Configuration for the contraction-rate experiment: restarts (>= 1),
+    max_iters and seed (an integer >= 0) of each search, slack of the verdicts."""
 
     restarts: int = 12
     max_iters: int = 100
-    step_tol: float = 1e-6
     seed: int = 1729
     slack: float = 0.02
-    n0_samples: int = 12
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise InputError(f"restarts must be >= 1, got {self.restarts}")
+        _seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -444,7 +471,7 @@ def _estimate_n0(channel: QuantumChannel, pi: DensityMatrix, n_max: int,
     rng = np.random.default_rng([opts.seed, 0xA0])
     d = channel.dim
     states = []
-    for i in range(opts.n0_samples):
+    for i in range(N0_SAMPLES):
         rank = 1 if i % 2 == 0 else d
         states.append(random_density(d, rng, rank=rank).entries)
     radius = pi.min_eigenvalue / 2.0
@@ -493,29 +520,31 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     family_labels = tuple(f"{spec.family}[{spec.name}]" for spec in families)
     g_names = tuple(g.name for g in gs)
 
-    base_eta = {g.name: sdpi_chi2(channel, pi, g).value for g in gs}
     kappas = {
         label: local_weight(spec.family, spec)
         for label, spec in zip(family_labels, families)
     }
-    kappa_res = {
-        label: detailed_balance_residual(channel, pi, k) for label, k in kappas.items()
-    }
-    kappa_base = {
-        label: sdpi_chi2(channel, pi, k).value for label, k in kappas.items()
-    }
+    powers = [channel_power(channel, n) for n in range(1, n_max + 1)]
+    # one exact constant and one residual per distinct weight and power:
+    # kappa_ht is the catalog kmb weight and kappa_matsumoto the max weight
+    weights = list(dict.fromkeys([*gs, *kappas.values()]))
+    chi2_eta = [{w: sdpi_chi2(e_n, pi, w).value for w in weights} for e_n in powers]
+    db_res = [
+        {w: detailed_balance_residual(e_n, pi, w) for w in weights} for e_n in powers
+    ]
+    # powers[0] is the channel itself
+    base_eta = {g.name: chi2_eta[0][g] for g in gs}
 
     n0, max_devs = _estimate_n0(channel, pi, n_max, opts)
 
     rows = []
-    for n in range(1, n_max + 1):
-        e_n = channel_power(channel, n)
+    for n, e_n in enumerate(powers, start=1):
         eta_f = {}
         for idx, (label, spec) in enumerate(zip(family_labels, families)):
             vopts = VariationalOptions(
                 restarts=opts.restarts,
                 max_iters=opts.max_iters,
-                step_tol=opts.step_tol,
+                step_tol=EXPERIMENT_STEP_TOL,
                 seed=(opts.seed, n, idx),
             )
             eta_f[label] = sdpi_variational(spec, e_n, pi, vopts).value
@@ -523,13 +552,11 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
             "n": n,
             "eta_f": eta_f,
             "eta_f_root": {k: v ** (1.0 / n) for k, v in eta_f.items()},
-            "chi2_eta_power": {g.name: sdpi_chi2(e_n, pi, g).value for g in gs},
+            "chi2_eta_power": {g.name: chi2_eta[n - 1][g] for g in gs},
             "chi2_eta_bound": dict(base_eta),
-            "db_residual": {
-                g.name: detailed_balance_residual(e_n, pi, g) for g in gs
-            },
+            "db_residual": {g.name: db_res[n - 1][g] for g in gs},
             "kappa_eta_power": {
-                label: sdpi_chi2(e_n, pi, k).value for label, k in kappas.items()
+                label: chi2_eta[n - 1][k] for label, k in kappas.items()
             },
             "sample_max_dev": max_devs[n - 1],
         }
@@ -562,14 +589,14 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     tightness = {"per_family": {}}
     tight_pass = True
     for label in family_labels:
-        res = kappa_res[label]
+        res = db_res[0][kappas[label]]
         entry = {
             "kappa": kappas[label].name,
             "db_residual": res,
             "applicable": bool(res <= DB_TOL),
         }
         if res <= DB_TOL:
-            base = kappa_base[label]
+            base = chi2_eta[0][kappas[label]]
             rel_err = 0.0
             margin = float("inf")
             for row in rows:
@@ -603,10 +630,10 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
         options={
             "restarts": opts.restarts,
             "max_iters": opts.max_iters,
-            "step_tol": opts.step_tol,
+            "step_tol": EXPERIMENT_STEP_TOL,
             "seed": opts.seed,
             "slack": opts.slack,
-            "n0_samples": opts.n0_samples,
+            "n0_samples": N0_SAMPLES,
         },
     )
 

@@ -7,8 +7,8 @@ Conventions
   (B.T kron A) vec(X)``, so a superoperator acting as ``X -> A X B`` has
   matrix ``np.kron(B.T, A)``.
 * Eigenvalues are always reported in ascending order (``numpy.linalg.eigh``).
-* All wrapper types are immutable after construction; their ndarrays are
-  marked read-only.
+* Validated states (:class:`DensityMatrix`) and superoperators are
+  immutable after construction; their ndarrays are marked read-only.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .errors import (
 __all__ = [
     "DEFAULT_VALIDATION_TOL",
     "HERMITICITY_REJECT_TOL",
-    "SPECTRAL_RESIDUAL_TOL",
-    "INEQ_TOL",
-    "HermitianMatrix",
     "DensityMatrix",
     "Superoperator",
     "hermitianize",
@@ -50,15 +47,11 @@ __all__ = [
 DEFAULT_VALIDATION_TOL = 1e-9
 #: inputs whose relative asymmetry exceeds this are rejected as non-Hermitian
 HERMITICITY_REJECT_TOL = 1e-6
-#: eigendecompositions must reconstruct their input this well
-SPECTRAL_RESIDUAL_TOL = 1e-10
-#: slack used when asserting analytic inequalities numerically
-INEQ_TOL = 1e-7
 
 
 def _as_matrix(a, *, name: str = "matrix") -> np.ndarray:
     """Coerce input to a square complex ndarray with d >= 2."""
-    if isinstance(a, (HermitianMatrix, DensityMatrix)):
+    if isinstance(a, DensityMatrix):
         return a.entries
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -74,44 +67,6 @@ def hermitianize(a) -> np.ndarray:
     """Return (A + A^dag)/2."""
     arr = _as_matrix(a)
     return 0.5 * (arr + arr.conj().T)
-
-
-def _asymmetry(arr: np.ndarray) -> float:
-    """Relative deviation of A from A^dag."""
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    return float(np.linalg.norm(arr - arr.conj().T)) / scale
-
-
-class HermitianMatrix:
-    """A validated Hermitian matrix.
-
-    The input is symmetrized on construction; inputs whose relative
-    asymmetry exceeds ``herm_tol`` are rejected with :class:`NotHermitian`.
-    """
-
-    __slots__ = ("entries", "dim", "asymmetry")
-
-    def __init__(self, entries, *, herm_tol: float = HERMITICITY_REJECT_TOL):
-        arr = _as_matrix(entries)
-        asym = _asymmetry(arr)
-        if asym > herm_tol:
-            raise NotHermitian(
-                f"matrix deviates from Hermitian by {asym:.3e} (> {herm_tol:.0e})"
-            )
-        herm = 0.5 * (arr + arr.conj().T)
-        herm.setflags(write=False)
-        object.__setattr__(self, "entries", herm)
-        object.__setattr__(self, "dim", herm.shape[0])
-        object.__setattr__(self, "asymmetry", asym)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianMatrix is immutable")
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-    def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim})"
 
 
 class DensityMatrix:
@@ -167,15 +122,25 @@ class DensityMatrix:
 def validate_density(entries, tol: float = DEFAULT_VALIDATION_TOL) -> DensityMatrix:
     """Validate raw entries as a density matrix.
 
-    Symmetrizes, clips eigenvalues at zero (rejecting anything below
-    ``-tol`` with :class:`NotPositive`), renormalizes the trace to one, and
-    caches the spectral decomposition.  Tiny negative eigenvalues from
+    Rejects inputs whose relative asymmetry exceeds
+    ``HERMITICITY_REJECT_TOL`` with :class:`NotHermitian`, symmetrizes,
+    clips eigenvalues at zero (rejecting anything below ``-tol`` with
+    :class:`NotPositive`), renormalizes the trace to one, and caches the
+    spectral decomposition.  Tiny negative eigenvalues from
     iterated channel application are the intended clients of the clipping.
     """
     if isinstance(entries, DensityMatrix):
         return entries
-    herm = HermitianMatrix(entries)
-    vals, vecs = np.linalg.eigh(herm.entries)
+    arr = _as_matrix(entries)
+    # relative deviation of the input from its adjoint
+    scale = max(1.0, float(np.linalg.norm(arr)))
+    asym = float(np.linalg.norm(arr - arr.conj().T)) / scale
+    if asym > HERMITICITY_REJECT_TOL:
+        raise NotHermitian(
+            f"matrix deviates from Hermitian by {asym:.3e} "
+            f"(> {HERMITICITY_REJECT_TOL:.0e})"
+        )
+    vals, vecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
     if vals[0] < -tol:
         raise NotPositive(
             f"minimum eigenvalue {vals[0]:.3e} below -{tol:.0e}"
@@ -192,7 +157,7 @@ def validate_density(entries, tol: float = DEFAULT_VALIDATION_TOL) -> DensityMat
         a.setflags(write=False)
     return DensityMatrix(
         entries=ents,
-        dim=herm.dim,
+        dim=arr.shape[0],
         eigenvalues=vals,
         eigenvectors=vecs,
         full_rank=bool(vals[0] > tol),
@@ -256,11 +221,6 @@ class Superoperator:
 
     def apply(self, x) -> np.ndarray:
         return devectorize(self.matrix @ vectorize(x), self.dim)
-
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise DimensionMismatch("superoperator dimensions differ")
-        return Superoperator(self.matrix @ other.matrix, self.dim)
 
     def adjoint(self) -> "Superoperator":
         """Adjoint with respect to the Hilbert-Schmidt inner product."""

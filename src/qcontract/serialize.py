@@ -91,6 +91,18 @@ def _number(obj: dict, key: str, kind: str) -> float:
     return float(v)
 
 
+def _integer(v, key: str, minimum: int) -> int:
+    """An integral JSON number (2 and 2.0, not 2.7, "2" or true) >= minimum."""
+    if (
+        isinstance(v, bool)
+        or not isinstance(v, (int, float))
+        or not float(v).is_integer()
+        or v < minimum
+    ):
+        raise InputError(f'channel field "{key}" must be an integer >= {minimum}, got {v!r}')
+    return int(v)
+
+
 def channel_from_json(obj) -> QuantumChannel:
     """Build a channel from a spec object.
 
@@ -109,7 +121,7 @@ def channel_from_json(obj) -> QuantumChannel:
         kraus = [matrix_from_json(k, f"operators[{i}]") for i, k in enumerate(ops)]
         return channel_from_kraus(kraus, label=obj.get("label", "kraus"))
     if kind == "depolarizing":
-        dim = int(obj.get("dim", 2))
+        dim = _integer(obj.get("dim", 2), "dim", 2)
         return depolarizing(_number(obj, "p", kind), dim=dim)
     if kind == "pauli":
         probs = _require(obj, "probs", kind)
@@ -126,10 +138,10 @@ def channel_from_json(obj) -> QuantumChannel:
             _number(obj, "gamma", kind), _number(obj, "excitation", kind)
         )
     if kind == "random":
-        dim = int(_number(obj, "dim", kind))
+        dim = _integer(_require(obj, "dim", kind), "dim", 2)
         env = obj.get("env")
-        env = int(env) if env is not None else None
-        seed = int(obj.get("seed", 0))
+        env = _integer(env, "env", 1) if env is not None else None
+        seed = _integer(obj.get("seed", 0), "seed", 0)
         return random_channel(dim, env=env, seed=seed)
     raise InputError(
         f"unknown channel kind {kind!r}; expected one of kraus, depolarizing, "

@@ -144,6 +144,22 @@ class TestSdpi:
     def test_channel_required(self, capsys):
         assert main(["sdpi"]) == 2
 
+    def test_negative_seed_is_input_error(self, capsys):
+        code = main(["sdpi", "--channel", DEPOL, "--family", "petz", "--seed", "-1"])
+        assert code == 2
+        assert "error[InputError]: seed must be a nonnegative integer" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "depolarizing", "p": 0.5, "dim": "x"}',
+        '{"kind": "depolarizing", "p": 0.5, "dim": 2.7}',
+        '{"kind": "random", "dim": 2, "env": 1.5}',
+        '{"kind": "random", "dim": 2, "seed": "a"}',
+    ])
+    def test_non_integer_channel_field_is_input_error(self, capsys, spec):
+        assert main(["sdpi", "--channel", spec]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
 
 class TestDbCheck:
     def test_pauli_passes(self, capsys):
@@ -212,6 +228,23 @@ class TestExperiment:
         code = main(["experiment", "--channel", DEPOL, "--n-max", "40"])
         assert code == 2
         assert "--n-max" in capsys.readouterr().err
+
+    def test_negative_seed_is_input_error(self, capsys):
+        code = main(["experiment", "--channel", DEPOL, "--n-max", "1", "--seed", "-3"])
+        assert code == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_payload_hash_pinned(self, capsys):
+        # a refactor must reproduce the depolarizing experiment bit for bit
+        code, env = run_json(
+            capsys,
+            ["experiment", "--channel", '{"kind":"depolarizing","p":0.5}',
+             "--n-max", "2", "--restarts", "2"],
+        )
+        assert code == 0
+        assert env["payload_sha256"] == (
+            "391d39fd52e4cd77f3fb985c09629e1b911d64f6a8917af57d12eb7229406705"
+        )
 
     def test_not_primitive_exit_code(self, capsys):
         code = main(

@@ -248,6 +248,16 @@ class TestVariationalSdpi:
         with pytest.raises(qc.SingularReference):
             qc.sdpi_variational(gs["max"], ch, sig)
 
+    @pytest.mark.parametrize("options, kwargs", [
+        *[(cls, kw) for cls in (qc.VariationalOptions, qc.ExperimentOptions)
+          for kw in ({"seed": -1}, {"seed": 1.5}, {"restarts": 0})],
+        (qc.VariationalOptions, {"seed": (1729, -2)}),
+        (qc.ExperimentOptions, {"seed": (1729, 2)}),
+    ])
+    def test_invalid_restarts_and_seeds_rejected(self, options, kwargs):
+        with pytest.raises(qc.InputError):
+            options(**kwargs)
+
 
 class TestDetailedBalance:
     def test_pauli_channel_balanced_for_all_weights(self, gs):
@@ -276,6 +286,17 @@ class TestDetailedBalance:
         assert res["gns"] > 1e-3
         assert res["max"] > 1e-3
         assert res["kmb"] > 1e-3
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_check_equals_single_residuals(self, gs, dim):
+        weights = {"gns": qc.gns_weight(), **gs}
+        for seed in range(3):
+            ch = qc.random_channel(dim, seed=seed)
+            pi = qc.fixed_point(ch)
+            res = qc.carlen_maas_check(ch, pi)
+            assert list(res) == list(weights)
+            for name, g in weights.items():
+                assert res[name] == qc.detailed_balance_residual(ch, pi, g)
 
     def test_residual_is_scale_free(self, gs, rng):
         # residual of the identity channel is exactly zero
@@ -374,6 +395,34 @@ class TestExperiment:
         b = qc.contraction_experiment(ch, families, [gs["max"]], **kwargs)
         assert json.dumps(qc.report_payload(a), sort_keys=True) == \
             json.dumps(qc.report_payload(b), sort_keys=True)
+
+    def test_chi2_quantities_equal_public_calls(self, f_cat, gs):
+        # each weight is asked once per power; the rows and verdicts must
+        # still hold exactly what the public functions return
+        ch = qc.random_channel(2, seed=1)
+        pi = qc.fixed_point(ch)
+        families = [f_cat["kl"].with_family(fam) for fam in qc.FAMILIES]
+        rep = qc.contraction_experiment(
+            ch, families, [gs["max"], gs["kmb"]], n_max=2,
+            opts=qc.ExperimentOptions(restarts=1, max_iters=2, seed=3),
+        )
+        kappas = {
+            lab: qc.local_weight(spec.family, spec)
+            for lab, spec in zip(rep.family_labels, families)
+        }
+        for row in rep.rows:
+            e_n = qc.channel_power(ch, row["n"])
+            for name in ("max", "kmb"):
+                g = gs[name]
+                assert row["chi2_eta_power"][name] == qc.sdpi_chi2(e_n, pi, g).value
+                assert row["chi2_eta_bound"][name] == qc.sdpi_chi2(ch, pi, g).value
+                assert row["db_residual"][name] == \
+                    qc.detailed_balance_residual(e_n, pi, g)
+            for lab, k in kappas.items():
+                assert row["kappa_eta_power"][lab] == qc.sdpi_chi2(e_n, pi, k).value
+        for lab, k in kappas.items():
+            entry = rep.verdicts["tightness"]["per_family"][lab]
+            assert entry["db_residual"] == qc.detailed_balance_residual(ch, pi, k)
 
     def test_not_primitive_rejected(self, f_cat, gs):
         u = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -125,6 +125,24 @@ class TestChannel:
         with pytest.raises(qc.InputError, match="must be a number"):
             qc.channel_from_json({"kind": "depolarizing", "p": "high"})
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "depolarizing", "p": 0.5, "dim": "x"}, "dim"),
+        ({"kind": "depolarizing", "p": 0.5, "dim": 2.7}, "dim"),
+        ({"kind": "depolarizing", "p": 0.5, "dim": 0}, "dim"),
+        ({"kind": "random", "dim": True}, "dim"),
+        ({"kind": "random", "dim": 2, "env": 1.5}, "env"),
+        ({"kind": "random", "dim": 2, "seed": "a"}, "seed"),
+        ({"kind": "random", "dim": 2, "seed": -1}, "seed"),
+    ])
+    def test_integer_fields_must_be_integers(self, spec, key):
+        with pytest.raises(qc.InputError, match=f'"{key}" must be an integer'):
+            qc.channel_from_json(spec)
+
+    def test_integral_float_fields_accepted(self):
+        a = qc.channel_from_json({"kind": "random", "dim": 2.0, "env": 4.0, "seed": 7.0})
+        b = qc.random_channel(2, env=4, seed=7)
+        np.testing.assert_array_equal(a.superop.matrix, b.superop.matrix)
+
     def test_non_object_spec(self):
         with pytest.raises(qc.InputError, match="JSON object"):
             qc.channel_from_json([[1, 0], [0, 1]])
