@@ -8,6 +8,7 @@ preservation are verified at construction through the Choi matrix.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from .errors import (
     TraceZeroEigenvector,
 )
 from .linalg import (
-    DEFAULT_VALIDATION_TOL,
     DensityMatrix,
     Superoperator,
     devectorize,
@@ -36,6 +36,7 @@ from .linalg import (
 
 __all__ = [
     "CPTP_TOL",
+    "SPECTRAL_TOL",
     "QuantumChannel",
     "PrimitivityReport",
     "kraus_to_superop",
@@ -56,6 +57,9 @@ __all__ = [
 
 #: tolerance for the CP (Choi PSD) and TP checks at construction
 CPTP_TOL = 1e-9
+#: distance from 1 (and from the unit circle) within which an eigenvalue of the
+#: superoperator counts as fixed (peripheral); also the fixed-point residual bound
+SPECTRAL_TOL = 1e-8
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -116,22 +120,22 @@ def choi_matrix(superop) -> np.ndarray:
     return m4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
-def _check_cptp(m: np.ndarray, d: int, atol: float) -> None:
+def _check_cptp(m: np.ndarray, d: int) -> None:
     j = choi_matrix(m)
     jmin = float(np.linalg.eigvalsh(hermitianize(j))[0])
     asym = float(np.linalg.norm(j - j.conj().T))
-    if asym > 1e-8 or jmin < -atol:
+    if asym > 1e-8 or jmin < -CPTP_TOL:
         raise NotCompletelyPositive(
             f"Choi matrix not PSD (min eigenvalue {jmin:.3e}, asymmetry {asym:.3e})"
         )
     # trace preservation: partial trace of Choi over the output factor is I
     ptr = np.einsum("iaja->ij", j.reshape(d, d, d, d))
     tp_err = float(np.linalg.norm(ptr - np.eye(d)))
-    if tp_err > atol * d:
+    if tp_err > CPTP_TOL * d:
         raise NotTracePreserving(f"partial trace of Choi deviates from I by {tp_err:.3e}")
 
 
-def channel_from_kraus(kraus, atol: float = CPTP_TOL, label: str = "kraus") -> QuantumChannel:
+def channel_from_kraus(kraus, label: str = "kraus") -> QuantumChannel:
     """Build a channel from Kraus operators, verifying sum K^dag K = I."""
     mats = []
     d = None
@@ -152,22 +156,22 @@ def channel_from_kraus(kraus, atol: float = CPTP_TOL, label: str = "kraus") -> Q
         raise DimensionMismatch(f"channel dimension must be >= 2, got {d}")
     acc = sum(k.conj().T @ k for k in mats)
     tp_err = float(np.linalg.norm(acc - np.eye(d)))
-    if tp_err > atol * d:
+    if tp_err > CPTP_TOL * d:
         raise NotTracePreserving(
-            f"sum K^dag K deviates from identity by {tp_err:.3e} (atol {atol:.0e})"
+            f"sum K^dag K deviates from identity by {tp_err:.3e} (atol {CPTP_TOL:.0e})"
         )
     m = kraus_to_superop(mats)
-    _check_cptp(m, d, atol)
+    _check_cptp(m, d)
     return QuantumChannel(dim=d, superop=Superoperator(m, d), kraus=tuple(mats), label=label)
 
 
-def channel_from_superop(matrix, atol: float = CPTP_TOL, label: str = "superop") -> QuantumChannel:
+def channel_from_superop(matrix, label: str = "superop") -> QuantumChannel:
     """Build a channel from a superoperator matrix, verifying CPTP."""
     m = np.asarray(matrix, dtype=complex)
     d = int(round(np.sqrt(m.shape[0])))
     if m.shape != (d * d, d * d):
         raise NotSquare(f"superoperator matrix has shape {m.shape}")
-    _check_cptp(m, d, atol)
+    _check_cptp(m, d)
     return QuantumChannel(dim=d, superop=Superoperator(m, d), kraus=None, label=label)
 
 
@@ -197,40 +201,42 @@ def channel_power(channel: QuantumChannel, n: int) -> QuantumChannel:
     )
 
 
-def fixed_point(channel: QuantumChannel, tol: float = 1e-8) -> DensityMatrix:
+def fixed_point(channel: QuantumChannel) -> DensityMatrix:
     """The invariant state of the channel.
 
     Takes the eigenvector of the superoperator with eigenvalue nearest 1,
     symmetrizes and trace-normalizes it, and verifies the residual
-    ||E(pi) - pi||_1 <= tol.  Raises :class:`DegenerateFixedSpace` if the
-    eigenvalue 1 has multiplicity > 1 within tol.
+    ||E(pi) - pi||_1 <= SPECTRAL_TOL.  Raises :class:`DegenerateFixedSpace`
+    if the eigenvalue 1 has multiplicity > 1 within SPECTRAL_TOL.
     """
     m = channel.superop.matrix
     vals, vecs = np.linalg.eig(m)
-    near_one = np.abs(vals - 1.0) <= tol
+    near_one = np.abs(vals - 1.0) <= SPECTRAL_TOL
     if int(near_one.sum()) > 1:
         raise DegenerateFixedSpace(
-            f"eigenvalue 1 has multiplicity {int(near_one.sum())} within {tol:.0e}"
+            f"eigenvalue 1 has multiplicity {int(near_one.sum())} "
+            f"within {SPECTRAL_TOL:.0e}"
         )
     idx = int(np.argmin(np.abs(vals - 1.0)))
     x = devectorize(vecs[:, idx], channel.dim)
     tr = np.trace(x)
-    if abs(tr) <= tol:
+    if abs(tr) <= SPECTRAL_TOL:
         raise TraceZeroEigenvector(
             f"fixed-space eigenvector has trace {abs(tr):.3e}"
         )
     x = hermitianize(x / tr)
-    pi = validate_density(x, tol=DEFAULT_VALIDATION_TOL)
+    pi = validate_density(x)
     residual = float(np.abs(np.linalg.eigvalsh(
         hermitianize(channel.superop.apply(pi.entries)) - pi.entries)).sum())
-    if residual > tol:
+    if residual > SPECTRAL_TOL:
         raise ConvergenceFailure(
-            f"fixed-point residual ||E(pi)-pi||_1 = {residual:.3e} exceeds {tol:.0e}"
+            f"fixed-point residual ||E(pi)-pi||_1 = {residual:.3e} "
+            f"exceeds {SPECTRAL_TOL:.0e}"
         )
     return pi
 
 
-def is_primitive(channel: QuantumChannel, tol: float = 1e-8) -> PrimitivityReport:
+def is_primitive(channel: QuantumChannel) -> PrimitivityReport:
     """Spectral primitivity test.
 
     Primitive means: eigenvalue 1 is simple, it is the only eigenvalue on
@@ -239,9 +245,9 @@ def is_primitive(channel: QuantumChannel, tol: float = 1e-8) -> PrimitivityRepor
     """
     vals = np.linalg.eigvals(channel.superop.matrix)
     mods = np.sort(np.abs(vals))[::-1]
-    peripheral = int(np.sum(mods >= 1.0 - tol))
+    peripheral = int(np.sum(mods >= 1.0 - SPECTRAL_TOL))
     gap = float(1.0 - mods[1]) if mods.size > 1 else 1.0
-    one_mult = int(np.sum(np.abs(vals - 1.0) <= tol))
+    one_mult = int(np.sum(np.abs(vals - 1.0) <= SPECTRAL_TOL))
     reasons = []
     if one_mult != 1:
         reasons.append(f"eigenvalue 1 has multiplicity {one_mult}")
@@ -250,9 +256,9 @@ def is_primitive(channel: QuantumChannel, tol: float = 1e-8) -> PrimitivityRepor
     min_eig = float("nan")
     if one_mult == 1:
         try:
-            pi = fixed_point(channel, tol=tol)
+            pi = fixed_point(channel)
             min_eig = pi.min_eigenvalue
-            if min_eig <= tol:
+            if min_eig <= SPECTRAL_TOL:
                 reasons.append(f"fixed point rank deficient (min eig {min_eig:.3e})")
         except (DegenerateFixedSpace, TraceZeroEigenvector) as exc:
             reasons.append(str(exc))
@@ -267,6 +273,15 @@ def is_primitive(channel: QuantumChannel, tol: float = 1e-8) -> PrimitivityRepor
 
 # -- constructors -----------------------------------------------------------
 
+def _integer(value, name: str, minimum: int, below: type = InputError) -> int:
+    """An integral constructor argument; one below ``minimum`` raises ``below``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise below(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def _weyl(dim: int, a: int, b: int) -> np.ndarray:
     """Discrete Weyl operator X^a Z^b on C^dim."""
     omega = np.exp(2j * np.pi / dim)
@@ -279,6 +294,7 @@ def depolarizing(p: float, dim: int = 2) -> QuantumChannel:
     """E(rho) = (1-p) rho + p tr(rho) I/dim, via a Weyl twirl Kraus set."""
     if not 0.0 <= p <= 1.0:
         raise ParameterOutOfRange(f"depolarizing parameter must be in [0, 1], got {p}")
+    dim = _integer(dim, "dim", 2, DimensionMismatch)
     w0 = 1.0 - p + p / dim**2
     kraus = [np.sqrt(w0) * np.eye(dim, dtype=complex)]
     for a in range(dim):
@@ -344,10 +360,9 @@ def amplitude_damping(gamma: float, excitation: float) -> QuantumChannel:
 def random_channel(dim: int, env: int | None = None, seed: int = 0) -> QuantumChannel:
     """Haar-ish random channel from a QR-orthonormalized Ginibre isometry
     into dim x env, traced over the environment."""
-    if env is None:
-        env = dim * dim
-    if dim < 2 or env < 1:
-        raise DimensionMismatch(f"need dim >= 2 and env >= 1, got {dim}, {env}")
+    dim = _integer(dim, "dim", 2, DimensionMismatch)
+    env = dim * dim if env is None else _integer(env, "env", 1, DimensionMismatch)
+    seed = _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim * env, dim)) + 1j * rng.normal(size=(dim * env, dim))
     q, r = np.linalg.qr(g)

@@ -1,8 +1,10 @@
 """qcontract command-line interface.
 
-Subcommands: divergence, sdpi, db-check, experiment, catalog.  Every run
-emits a ReportEnvelope; the results payload is deterministic for a given
-config (timestamps live outside the payload hash).
+Subcommands: divergence, sdpi, db-check, experiment, catalog.  Each is one
+entry of ``_COMMANDS``, which names the flags it reads, the function that
+runs it and its text and CSV renderers; a subcommand accepts no other flag.
+Every run emits a ReportEnvelope; the results payload is deterministic for
+a given config (timestamps live outside the payload hash).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
@@ -51,20 +54,23 @@ __all__ = ["main", "RunConfig", "ReportEnvelope", "DEFAULT_SEED"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Echoable run configuration; reproduces the run bit-identically."""
+    """Echoable run configuration; reproduces the run bit-identically.
+
+    A field whose flag the command does not take keeps its default here.
+    """
 
     command: str
-    channel: str | None
-    rho: str | None
-    sigma: str | None
-    f_names: tuple
-    g_names: tuple
-    families: tuple
-    n_max: int
-    seed: int
-    restarts: int
-    fmt: str
-    out: str | None
+    channel: str | None = None
+    rho: str | None = None
+    sigma: str | None = None
+    f_names: tuple = ()
+    g_names: tuple = ()
+    families: tuple = ()
+    n_max: int = 6
+    seed: int = DEFAULT_SEED
+    restarts: int = 32
+    fmt: str = "text"
+    out: str | None = None
 
 
 @dataclass(frozen=True)
@@ -142,28 +148,14 @@ def _reference_state(config: RunConfig, channel: QuantumChannel):
         ) from exc
 
 
-def _resolve_f(names) -> dict:
-    cat = f_catalog()
-    out = {}
+def _resolve(kind: str, names, catalog: dict) -> dict:
+    """The named entries of an f or g catalog, in order of first mention."""
     for name in names:
-        if name not in cat:
+        if name not in catalog:
             raise InputError(
-                f"unknown f name {name!r}; available: {', '.join(sorted(cat))}"
+                f"unknown {kind} name {name!r}; available: {', '.join(sorted(catalog))}"
             )
-        out[name] = cat[name]
-    return out
-
-
-def _resolve_g(names) -> dict:
-    cat = g_catalog()
-    out = {}
-    for name in names:
-        if name not in cat:
-            raise InputError(
-                f"unknown g name {name!r}; available: {', '.join(sorted(cat))}"
-            )
-        out[name] = cat[name]
-    return out
+    return {name: catalog[name] for name in names}
 
 
 def _check_families(families):
@@ -174,11 +166,17 @@ def _check_families(families):
             )
 
 
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def cmd_divergence(config: RunConfig) -> dict:
     rho = _load_state(config.rho, "rho")
     sigma = _load_state(config.sigma, "sigma")
     _check_families(config.families)
-    specs = _resolve_f(config.f_names)
+    specs = _resolve("f", config.f_names, f_catalog())
     if not config.families or not specs:
         raise InputError("need at least one --family and one --f")
     records = []
@@ -196,10 +194,25 @@ def cmd_divergence(config: RunConfig) -> dict:
     return {"results": records}
 
 
+def _divergence_text(payload: dict) -> list:
+    lines = [f"{'family':<12}{'f':<12}{'value':>20}"]
+    for rec in payload["results"]:
+        lines.append(f"{rec['family']:<12}{rec['f_name']:<12}{rec['value']:>20.12g}")
+    return lines
+
+
+def _divergence_csv(payload: dict) -> str:
+    return _csv(
+        [["family", "f_name", "value"]]
+        + [[rec["family"], rec["f_name"], f"{rec['value']:.12g}"]
+           for rec in payload["results"]]
+    )
+
+
 def cmd_sdpi(config: RunConfig) -> dict:
     channel = _load_channel(config)
     sigma, sigma_source = _reference_state(config, channel)
-    gs = _resolve_g(config.g_names)
+    gs = _resolve("g", config.g_names, g_catalog())
     records = []
     for gname, g in gs.items():
         est = sdpi_chi2(channel, sigma, g)
@@ -221,7 +234,7 @@ def cmd_sdpi(config: RunConfig) -> dict:
         )
     if config.families:
         _check_families(config.families)
-        specs = _resolve_f(config.f_names)
+        specs = _resolve("f", config.f_names, f_catalog())
         opts = VariationalOptions(restarts=config.restarts, seed=config.seed)
         for fname, spec in specs.items():
             for fam in config.families:
@@ -245,6 +258,27 @@ def cmd_sdpi(config: RunConfig) -> dict:
     }
 
 
+def _sdpi_text(payload: dict) -> list:
+    lines = [
+        f"channel: {payload['channel']}  (sigma: {payload['sigma_source']})",
+        f"{'kind':<12}{'name':<14}{'method':<16}{'eta':>18}",
+    ]
+    for rec in payload["results"]:
+        name = rec.get("g_name") or f"{rec['family']}[{rec['f_name']}]"
+        kind = "chi2_g" if "g_name" in rec else "f-divergence"
+        lines.append(f"{kind:<12}{name:<14}{rec['method']:<16}{rec['value']:>18.12g}")
+    return lines
+
+
+def _sdpi_csv(payload: dict) -> str:
+    return _csv(
+        [["family", "name", "method", "value"]]
+        + [[rec["family"], rec.get("g_name") or rec.get("f_name", ""), rec["method"],
+            f"{rec['value']:.12g}"]
+           for rec in payload["results"]]
+    )
+
+
 def cmd_db_check(config: RunConfig) -> dict:
     channel = _load_channel(config)
     sigma, sigma_source = _reference_state(config, channel)
@@ -262,16 +296,34 @@ def cmd_db_check(config: RunConfig) -> dict:
     }
 
 
+def _db_check_text(payload: dict) -> list:
+    return [
+        f"channel: {payload['channel']}  (sigma: {payload['sigma_source']})",
+        *(f"  residual[{name}] = {value:.12g}"
+          for name, value in payload["residuals"].items()),
+        f"verdict: {payload['verdict']}  "
+        f"(max residual {payload['max_residual']:.12g}, tol {payload['tolerance']:g})",
+    ]
+
+
+def _db_check_csv(payload: dict) -> str:
+    return _csv(
+        [["g_name", "residual"]]
+        + [[name, f"{value:.12g}"] for name, value in payload["residuals"].items()]
+        + [["verdict", payload["verdict"]]]
+    )
+
+
 def cmd_experiment(config: RunConfig) -> dict:
     channel = _load_channel(config)
     _check_families(config.families)
-    specs = _resolve_f(config.f_names)
+    specs = _resolve("f", config.f_names, f_catalog())
     if not config.families or not specs:
         raise InputError("need at least one --family and one --f")
     families = [
         spec.with_family(fam) for spec in specs.values() for fam in config.families
     ]
-    gs = list(_resolve_g(config.g_names).values())
+    gs = list(_resolve("g", config.g_names, g_catalog()).values())
     opts = ExperimentOptions(restarts=config.restarts, seed=config.seed)
     report = contraction_experiment(
         channel, families, gs, n_max=config.n_max, opts=opts
@@ -279,6 +331,28 @@ def cmd_experiment(config: RunConfig) -> dict:
     payload = report_payload(report)
     payload["csv"] = report_csv(report)
     return payload
+
+
+def _experiment_text(payload: dict) -> list:
+    rate = payload["verdicts"]["theorem_rate"]
+    tight = payload["verdicts"]["tightness"]
+    rate_word = "PASS" if rate["pass"] else "FAIL"
+    if rate.get("vacuous"):
+        rate_word += " (vacuous: convergence radius not reached)"
+    return [
+        f"channel: {payload['channel']}  dim={payload['dim']}",
+        f"n_max={payload['n_max']}  n0={payload['n0']}  "
+        f"csv_schema={payload['csv_schema']}",
+        payload["csv"].rstrip("\n"),
+        f"verdict rate-bound: {rate_word}",
+        f"verdict tightness: {'PASS' if tight['pass'] else 'FAIL'}",
+        *(f"  {label}: db_residual={entry['db_residual']:.3e} -> {entry['pass']}"
+          for label, entry in tight["per_family"].items()),
+    ]
+
+
+def _experiment_csv(payload: dict) -> str:
+    return payload["csv"]
 
 
 def cmd_catalog(config: RunConfig) -> dict:
@@ -314,112 +388,105 @@ def cmd_catalog(config: RunConfig) -> dict:
     return {"f": f_records, "g": g_records, "families": list(FAMILIES)}
 
 
-_COMMANDS = {
-    "divergence": cmd_divergence,
-    "sdpi": cmd_sdpi,
-    "db-check": cmd_db_check,
-    "experiment": cmd_experiment,
-    "catalog": cmd_catalog,
+def _catalog_text(payload: dict) -> list:
+    return [
+        "f-divergence generators:",
+        *(f"  {rec['name']:<12} operator_convex={rec['operator_convex']} "
+          f"pinsker_constant={rec['pinsker_constant']}" for rec in payload["f"]),
+        "spectral weight functions:",
+        *(f"  {rec['name']:<12} standard_monotone={rec['standard_monotone']} "
+          f"({rec['symmetry_convention']})" for rec in payload["g"]),
+        f"families: {', '.join(payload['families'])}",
+    ]
+
+
+def _catalog_csv(payload: dict) -> str:
+    return _csv(
+        [["kind", "name", "flag"]]
+        + [["f", rec["name"], f"operator_convex={rec['operator_convex']}"]
+           for rec in payload["f"]]
+        + [["g", rec["name"], f"standard_monotone={rec['standard_monotone']}"]
+           for rec in payload["g"]]
+    )
+
+
+def _catalog_g_names() -> tuple:
+    """Every catalog g, looked up when a command runs (import builds no catalog)."""
+    return tuple(sorted(g_catalog()))
+
+
+#: argparse settings of every flag a command may read; dest is its RunConfig field
+_FLAGS = {
+    "channel": {"dest": "channel", "help": "channel spec: JSON file path or inline JSON"},
+    "rho": {"dest": "rho", "help": "state: JSON file path or inline JSON"},
+    "sigma": {"dest": "sigma", "help": "reference state: JSON file path or inline JSON"},
+    "f": {"dest": "f_names", "action": "append", "metavar": "NAME",
+          "help": "f-divergence generator name (repeatable)"},
+    "g": {"dest": "g_names", "action": "append", "metavar": "NAME",
+          "help": "spectral weight name (repeatable)"},
+    "family": {"dest": "families", "action": "append", "metavar": "NAME",
+               "help": "divergence family: ht, petz, matsumoto (repeatable)"},
+    "n-max": {"dest": "n_max", "type": int, "help": "largest channel power (1..32)"},
+    "seed": {"dest": "seed", "type": int,
+             "help": "seed for variational restarts and sampling"},
+    "restarts": {"dest": "restarts", "type": int,
+                 "help": "variational restarts per estimate"},
 }
 
 
-def _render_text(command: str, payload: dict) -> str:
-    lines = []
-    if command == "divergence":
-        lines.append(f"{'family':<12}{'f':<12}{'value':>20}")
-        for rec in payload["results"]:
-            lines.append(
-                f"{rec['family']:<12}{rec['f_name']:<12}{rec['value']:>20.12g}"
-            )
-    elif command == "sdpi":
-        lines.append(f"channel: {payload['channel']}  (sigma: {payload['sigma_source']})")
-        lines.append(f"{'kind':<12}{'name':<14}{'method':<16}{'eta':>18}")
-        for rec in payload["results"]:
-            name = rec.get("g_name") or f"{rec['family']}[{rec['f_name']}]"
-            kind = "chi2_g" if "g_name" in rec else "f-divergence"
-            lines.append(
-                f"{kind:<12}{name:<14}{rec['method']:<16}{rec['value']:>18.12g}"
-            )
-    elif command == "db-check":
-        lines.append(f"channel: {payload['channel']}  (sigma: {payload['sigma_source']})")
-        for name, value in payload["residuals"].items():
-            lines.append(f"  residual[{name}] = {value:.12g}")
-        lines.append(
-            f"verdict: {payload['verdict']}  "
-            f"(max residual {payload['max_residual']:.12g}, tol {payload['tolerance']:g})"
-        )
-    elif command == "experiment":
-        lines.append(f"channel: {payload['channel']}  dim={payload['dim']}")
-        lines.append(
-            f"n_max={payload['n_max']}  n0={payload['n0']}  "
-            f"csv_schema={payload['csv_schema']}"
-        )
-        lines.append(payload["csv"].rstrip("\n"))
-        rate = payload["verdicts"]["theorem_rate"]
-        tight = payload["verdicts"]["tightness"]
-        rate_word = "PASS" if rate["pass"] else "FAIL"
-        if rate.get("vacuous"):
-            rate_word += " (vacuous: convergence radius not reached)"
-        lines.append(f"verdict rate-bound: {rate_word}")
-        lines.append(f"verdict tightness: {'PASS' if tight['pass'] else 'FAIL'}")
-        for label, entry in tight["per_family"].items():
-            lines.append(
-                f"  {label}: db_residual={entry['db_residual']:.3e} -> {entry['pass']}"
-            )
-    elif command == "catalog":
-        lines.append("f-divergence generators:")
-        for rec in payload["f"]:
-            lines.append(
-                f"  {rec['name']:<12} operator_convex={rec['operator_convex']} "
-                f"pinsker_constant={rec['pinsker_constant']}"
-            )
-        lines.append("spectral weight functions:")
-        for rec in payload["g"]:
-            lines.append(
-                f"  {rec['name']:<12} standard_monotone={rec['standard_monotone']} "
-                f"({rec['symmetry_convention']})"
-            )
-        lines.append(f"families: {', '.join(payload['families'])}")
-    return "\n".join(lines) + "\n"
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand.  ``flags`` maps each flag it reads to the value used
+    when the flag is not given: None keeps the RunConfig default, a callable
+    is called when the command runs.  ``text`` renders the payload as lines,
+    ``csv`` as a CSV document."""
+
+    help: str
+    flags: dict
+    run: Callable[[RunConfig], dict]
+    text: Callable[[dict], list]
+    csv: Callable[[dict], str]
 
 
-def _render_csv(command: str, payload: dict) -> str:
-    if command == "experiment":
-        return payload["csv"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if command == "divergence":
-        writer.writerow(["family", "f_name", "value"])
-        for rec in payload["results"]:
-            writer.writerow([rec["family"], rec["f_name"], f"{rec['value']:.12g}"])
-    elif command == "sdpi":
-        writer.writerow(["family", "name", "method", "value"])
-        for rec in payload["results"]:
-            name = rec.get("g_name") or rec.get("f_name", "")
-            writer.writerow(
-                [rec["family"], name, rec["method"], f"{rec['value']:.12g}"]
-            )
-    elif command == "db-check":
-        writer.writerow(["g_name", "residual"])
-        for name, value in payload["residuals"].items():
-            writer.writerow([name, f"{value:.12g}"])
-        writer.writerow(["verdict", payload["verdict"]])
-    elif command == "catalog":
-        writer.writerow(["kind", "name", "flag"])
-        for rec in payload["f"]:
-            writer.writerow(["f", rec["name"], f"operator_convex={rec['operator_convex']}"])
-        for rec in payload["g"]:
-            writer.writerow(["g", rec["name"], f"standard_monotone={rec['standard_monotone']}"])
-    return buf.getvalue()
+_COMMANDS = {
+    "divergence": _Command(
+        "evaluate f-divergence families on a pair of states",
+        {"rho": None, "sigma": None, "f": ("kl",), "family": FAMILIES},
+        cmd_divergence, _divergence_text, _divergence_csv,
+    ),
+    "sdpi": _Command(
+        "exact chi-square and variational SDPI constants of a channel",
+        {"channel": None, "sigma": None, "f": ("kl",), "g": _catalog_g_names,
+         "family": None, "seed": None, "restarts": None},
+        cmd_sdpi, _sdpi_text, _sdpi_csv,
+    ),
+    "db-check": _Command(
+        "detailed-balance residuals per weight function",
+        {"channel": None, "sigma": None},
+        cmd_db_check, _db_check_text, _db_check_csv,
+    ),
+    "experiment": _Command(
+        "contraction-rate experiment over channel powers, at the fixed point",
+        {"channel": None, "f": ("kl",), "g": _catalog_g_names, "family": FAMILIES,
+         "n-max": None, "seed": None, "restarts": None},
+        cmd_experiment, _experiment_text, _experiment_csv,
+    ),
+    "catalog": _Command(
+        "list shipped f generators and weight functions",
+        {"f": None, "g": None},
+        cmd_catalog, _catalog_text, _catalog_csv,
+    ),
+}
 
 
 def _emit(envelope: ReportEnvelope, config: RunConfig) -> None:
+    command = _COMMANDS[config.command]
     if config.fmt == "json":
         text = json.dumps(asdict(envelope), indent=2, sort_keys=True) + "\n"
     elif config.fmt == "csv":
-        text = _render_csv(config.command, envelope.payload)
+        text = command.csv(envelope.payload)
     else:
-        text = _render_text(config.command, envelope.payload)
+        text = "\n".join(command.text(envelope.payload)) + "\n"
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -437,29 +504,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("divergence", "evaluate f-divergence families on a pair of states"),
-        ("sdpi", "exact chi-square and variational SDPI constants of a channel"),
-        ("db-check", "detailed-balance residuals per weight function"),
-        ("experiment", "contraction-rate experiment over channel powers"),
-        ("catalog", "list shipped f generators and weight functions"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--channel", help="channel spec: JSON file path or inline JSON")
-        p.add_argument("--rho", help="state: JSON file path or inline JSON")
-        p.add_argument("--sigma", help="reference state: JSON file path or inline JSON")
-        p.add_argument("--f", action="append", default=None, metavar="NAME",
-                       help="f-divergence generator name (repeatable)")
-        p.add_argument("--g", action="append", default=None, metavar="NAME",
-                       help="spectral weight name (repeatable)")
-        p.add_argument("--family", action="append", default=None, metavar="NAME",
-                       help="divergence family: ht, petz, matsumoto (repeatable)")
-        p.add_argument("--n-max", type=int, default=6, dest="n_max",
-                       help="largest channel power for experiments (1..32)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for variational restarts and sampling")
-        p.add_argument("--restarts", type=int, default=32,
-                       help="variational restarts per estimate")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--format", choices=("json", "csv", "text"), default="text",
                        dest="fmt", help="output format")
         p.add_argument("--out", help="write output to this path instead of stdout")
@@ -467,38 +515,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if not 1 <= args.n_max <= 32:
-        raise InputError(f"--n-max must be in [1, 32], got {args.n_max}")
-    if args.restarts < 1:
-        raise InputError(f"--restarts must be >= 1, got {args.restarts}")
-    defaults = {
-        "divergence": {"f": ("kl",), "family": FAMILIES, "g": ()},
-        "sdpi": {"f": ("kl",), "family": (), "g": tuple(sorted(g_catalog()))},
-        "db-check": {"f": (), "family": (), "g": ()},
-        "experiment": {"f": ("kl",), "family": FAMILIES,
-                       "g": tuple(sorted(g_catalog()))},
-        "catalog": {"f": None, "family": (), "g": None},
-    }[args.command]
-
-    def pick(value, default):
-        return tuple(value) if value is not None else (
-            tuple(default) if default is not None else ()
-        )
-
-    return RunConfig(
-        command=args.command,
-        channel=args.channel,
-        rho=args.rho,
-        sigma=args.sigma,
-        f_names=pick(args.f, defaults["f"]),
-        g_names=pick(args.g, defaults["g"]),
-        families=pick(args.family, defaults["family"]),
-        n_max=args.n_max,
-        seed=args.seed,
-        restarts=args.restarts,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    values = {}
+    for flag, default in _COMMANDS[args.command].flags.items():
+        field = _FLAGS[flag]["dest"]
+        value = getattr(args, field)
+        if value is None:
+            value = default() if callable(default) else default
+        if value is not None:
+            values[field] = tuple(value) if isinstance(value, list) else value
+    config = RunConfig(command=args.command, fmt=args.fmt, out=args.out, **values)
+    if not 1 <= config.n_max <= 32:
+        raise InputError(f"--n-max must be in [1, 32], got {config.n_max}")
+    if config.restarts < 1:
+        raise InputError(f"--restarts must be >= 1, got {config.restarts}")
+    return config
 
 
 def main(argv=None) -> int:
@@ -507,7 +537,7 @@ def main(argv=None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         config = _config_from_args(args)
-        payload = _COMMANDS[args.command](config)
+        payload = _COMMANDS[args.command].run(config)
         diagnostics = {"db_tolerance": DB_TOL, "csv_schema": CSV_SCHEMA_VERSION}
         envelope = _build_envelope(config, payload, diagnostics, started)
         _emit(envelope, config)

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass, field
 
@@ -138,18 +139,9 @@ class SdpiEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def sdpi_chi2(channel: QuantumChannel, sigma, g: SpectralWeight) -> SdpiEstimate:
-    """Exact chi-square SDPI constant via the Hermitized operator.
-
-    Forms N = sqrt(Omega) E inv_sqrt(Omega) in the sigma eigenbasis, where
-    Omega is diagonal: the rotated superoperator with its rows scaled by
-    sqrt(w) and its columns by 1/sqrt(w).  eta is the square of the
-    second-largest singular value.  When sigma is fixed by the channel the
-    top singular value must be 1 (witnessed by vec(sigma^(1/2)), which is
-    vec(diag(sqrt(mu))) in the eigenbasis); for non-fixed sigma the sanity
-    check is skipped and a warning recorded.
-    """
-    s, mt = _eigenbasis(channel, sigma)
+def _sdpi_chi2(channel: QuantumChannel, s: DensityMatrix, mt: np.ndarray,
+               g: SpectralWeight) -> SdpiEstimate:
+    """sdpi_chi2 for the validated sigma ``s`` and ``mt`` from ``_eigenbasis``."""
     w = omega(s, g).ravel(order="F")
     e_sig = channel.superop.apply(s.entries)
     fix_err = float(np.abs(np.linalg.eigvalsh(hermitianize(e_sig) - s.entries)).sum())
@@ -183,6 +175,21 @@ def sdpi_chi2(channel: QuantumChannel, sigma, g: SpectralWeight) -> SdpiEstimate
         restarts_used=0,
         diagnostics=diag,
     )
+
+
+def sdpi_chi2(channel: QuantumChannel, sigma, g: SpectralWeight) -> SdpiEstimate:
+    """Exact chi-square SDPI constant via the Hermitized operator.
+
+    Forms N = sqrt(Omega) E inv_sqrt(Omega) in the sigma eigenbasis, where
+    Omega is diagonal: the rotated superoperator with its rows scaled by
+    sqrt(w) and its columns by 1/sqrt(w).  eta is the square of the
+    second-largest singular value.  When sigma is fixed by the channel the
+    top singular value must be 1 (witnessed by vec(sigma^(1/2)), which is
+    vec(diag(sqrt(mu))) in the eigenbasis); for non-fixed sigma the sanity
+    check is skipped and a warning recorded.
+    """
+    s, mt = _eigenbasis(channel, sigma)
+    return _sdpi_chi2(channel, s, mt, g)
 
 
 def _seed(x) -> int:
@@ -528,10 +535,11 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     # one exact constant and one residual per distinct weight and power:
     # kappa_ht is the catalog kmb weight and kappa_matsumoto the max weight
     weights = list(dict.fromkeys([*gs, *kappas.values()]))
-    chi2_eta = [{w: sdpi_chi2(e_n, pi, w).value for w in weights} for e_n in powers]
-    db_res = [
-        {w: detailed_balance_residual(e_n, pi, w) for w in weights} for e_n in powers
-    ]
+    chi2_eta, db_res = [], []
+    for e_n in powers:
+        s, mt = _eigenbasis(e_n, pi)
+        chi2_eta.append({w: _sdpi_chi2(e_n, s, mt, w).value for w in weights})
+        db_res.append({w: _db_residual(s, mt, w) for w in weights})
     # powers[0] is the channel itself
     base_eta = {g.name: chi2_eta[0][g] for g in gs}
 
@@ -648,20 +656,8 @@ def report_payload(report: ExperimentReport) -> dict:
         "g_names": list(report.g_names),
         "n_max": report.n_max,
         "n0": report.n0,
-        "base_eta": {k: float(v) for k, v in report.base_eta.items()},
-        "rows": [
-            {
-                "n": row["n"],
-                "eta_f": {k: float(v) for k, v in row["eta_f"].items()},
-                "eta_f_root": {k: float(v) for k, v in row["eta_f_root"].items()},
-                "chi2_eta_power": {k: float(v) for k, v in row["chi2_eta_power"].items()},
-                "chi2_eta_bound": {k: float(v) for k, v in row["chi2_eta_bound"].items()},
-                "db_residual": {k: float(v) for k, v in row["db_residual"].items()},
-                "kappa_eta_power": {k: float(v) for k, v in row["kappa_eta_power"].items()},
-                "sample_max_dev": float(row["sample_max_dev"]),
-            }
-            for row in report.rows
-        ],
+        "base_eta": dict(report.base_eta),
+        "rows": copy.deepcopy(list(report.rows)),
         "verdicts": report.verdicts,
         "options": report.options,
         "csv_schema": CSV_SCHEMA_VERSION,

@@ -13,17 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import (
-    FAMILIES,
-    FDivergenceSpec,
-    SpectralWeight,
-    f_catalog,
-    g_catalog,
-    gns_weight,
-    kappa_for_petz,
-    local_weight,
-    standard_monotone,
-)
+from .catalog import FAMILIES, FDivergenceSpec, SpectralWeight
 from .errors import (
     DomainError,
     InputError,
@@ -39,15 +29,6 @@ from .quadrature import integrate_piecewise
 
 __all__ = [
     "DivergenceValue",
-    "FDivergenceSpec",
-    "SpectralWeight",
-    "FAMILIES",
-    "f_catalog",
-    "g_catalog",
-    "gns_weight",
-    "kappa_for_petz",
-    "local_weight",
-    "standard_monotone",
     "epsilon_regularize",
     "chi2_g",
     "chi2_max",
@@ -270,7 +251,11 @@ def petz_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     return DivergenceValue(value, {"family": "petz", "f": spec.name})
 
 
-_FAMILY_FN = {}
+_FAMILY_FN = {
+    "ht": ht_divergence,
+    "petz": petz_divergence,
+    "matsumoto": matsumoto_divergence,
+}
 
 
 def evaluate(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
@@ -280,10 +265,6 @@ def evaluate(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
             f"spec {spec.name!r} has family {spec.family!r}; set one of {FAMILIES}"
         )
     return _FAMILY_FN[spec.family](spec, rho, sigma)
-
-
-_FAMILY_FN.update(ht=ht_divergence, petz=petz_divergence,
-                  matsumoto=matsumoto_divergence)
 
 
 def reverse_pinsker_bound(spec: FDivergenceSpec, rho, sigma):

@@ -43,7 +43,7 @@ __all__ = [
     "random_density",
 ]
 
-#: default tolerance for state validation (PSD slack, rank decisions)
+#: tolerance of state validation (PSD slack, rank decisions)
 DEFAULT_VALIDATION_TOL = 1e-9
 #: inputs whose relative asymmetry exceeds this are rejected as non-Hermitian
 HERMITICITY_REJECT_TOL = 1e-6
@@ -83,22 +83,15 @@ class DensityMatrix:
         "eigenvalues",
         "eigenvectors",
         "full_rank",
-        "validation_tol",
-        "clip_magnitude",
-        "trace_deviation",
     )
 
-    def __init__(self, entries, dim, eigenvalues, eigenvectors, full_rank,
-                 validation_tol, clip_magnitude, trace_deviation):
+    def __init__(self, entries, dim, eigenvalues, eigenvectors, full_rank):
         for name, value in (
             ("entries", entries),
             ("dim", dim),
             ("eigenvalues", eigenvalues),
             ("eigenvectors", eigenvectors),
             ("full_rank", full_rank),
-            ("validation_tol", validation_tol),
-            ("clip_magnitude", clip_magnitude),
-            ("trace_deviation", trace_deviation),
         ):
             object.__setattr__(self, name, value)
 
@@ -119,15 +112,16 @@ class DensityMatrix:
         )
 
 
-def validate_density(entries, tol: float = DEFAULT_VALIDATION_TOL) -> DensityMatrix:
+def validate_density(entries) -> DensityMatrix:
     """Validate raw entries as a density matrix.
 
     Rejects inputs whose relative asymmetry exceeds
     ``HERMITICITY_REJECT_TOL`` with :class:`NotHermitian`, symmetrizes,
-    clips eigenvalues at zero (rejecting anything below ``-tol`` with
-    :class:`NotPositive`), renormalizes the trace to one, and caches the
-    spectral decomposition.  Tiny negative eigenvalues from
-    iterated channel application are the intended clients of the clipping.
+    clips eigenvalues at zero (rejecting anything below
+    ``-DEFAULT_VALIDATION_TOL`` with :class:`NotPositive`), renormalizes
+    the trace to one, and caches the spectral decomposition.  Tiny negative
+    eigenvalues from iterated channel application are the intended clients
+    of the clipping.
     """
     if isinstance(entries, DensityMatrix):
         return entries
@@ -141,16 +135,14 @@ def validate_density(entries, tol: float = DEFAULT_VALIDATION_TOL) -> DensityMat
             f"(> {HERMITICITY_REJECT_TOL:.0e})"
         )
     vals, vecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
-    if vals[0] < -tol:
+    if vals[0] < -DEFAULT_VALIDATION_TOL:
         raise NotPositive(
-            f"minimum eigenvalue {vals[0]:.3e} below -{tol:.0e}"
+            f"minimum eigenvalue {vals[0]:.3e} below -{DEFAULT_VALIDATION_TOL:.0e}"
         )
-    clip_magnitude = float(max(0.0, -vals[0]))
     vals = np.clip(vals, 0.0, None)
     trace = float(vals.sum())
-    if trace <= tol:
+    if trace <= DEFAULT_VALIDATION_TOL:
         raise TraceZero(f"trace {trace:.3e} too small to normalize")
-    trace_deviation = abs(trace - 1.0)
     vals = vals / trace
     ents = hermitianize((vecs * vals) @ vecs.conj().T)
     for a in (ents, vals, vecs):
@@ -160,10 +152,7 @@ def validate_density(entries, tol: float = DEFAULT_VALIDATION_TOL) -> DensityMat
         dim=arr.shape[0],
         eigenvalues=vals,
         eigenvectors=vecs,
-        full_rank=bool(vals[0] > tol),
-        validation_tol=tol,
-        clip_magnitude=clip_magnitude,
-        trace_deviation=trace_deviation,
+        full_rank=bool(vals[0] > DEFAULT_VALIDATION_TOL),
     )
 
 

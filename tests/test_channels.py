@@ -121,6 +121,22 @@ class TestNamedChannels:
         with pytest.raises(qc.ParameterOutOfRange):
             qc.depolarizing(1.5)
 
+    @pytest.mark.parametrize("make, error", [
+        (lambda: qc.depolarizing(0.5, dim=0), qc.DimensionMismatch),
+        (lambda: qc.depolarizing(0.5, dim=-2), qc.DimensionMismatch),
+        (lambda: qc.depolarizing(0.5, dim=2.0), qc.InputError),
+        (lambda: qc.random_channel(2, seed=-1), qc.InputError),
+        (lambda: qc.random_channel(2.5), qc.InputError),
+        (lambda: qc.random_channel(1), qc.DimensionMismatch),
+        (lambda: qc.random_channel(2, env=0), qc.DimensionMismatch),
+    ], ids=["depolarizing-dim-0", "depolarizing-dim-neg", "depolarizing-dim-float",
+            "random-seed-neg", "random-dim-float", "random-dim-1", "random-env-0"])
+    def test_bad_integer_argument_is_input_error(self, make, error):
+        with pytest.raises(qc.InputError) as info:
+            make()
+        assert type(info.value) is error
+        assert info.value.exit_code == 2
+
     def test_pauli_channel_action(self, rng):
         probs = [0.6, 0.2, 0.1, 0.1]
         ch = qc.pauli_channel(probs)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import qcontract as qc
-from qcontract.cli import main
+from qcontract.cli import _build_parser, main
 
 GOLDEN_RHO = (
     '[[[0.65, 0.0], [0.15, 0.1]], [[0.15, -0.1], [0.35, 0.0]]]'
@@ -309,6 +309,20 @@ class TestEnvelope:
         assert set(env["timestamps"]) == {"started", "finished"}
         assert env["diagnostics"]["db_tolerance"] == qc.DB_TOL
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["divergence", "--rho", GOLDEN_RHO, "--sigma", GOLDEN_SIGMA],
+         "de34fb47f3208a749060c89fe282b069f2401fa566fa7754c0962085712adf59"),
+        (["sdpi", "--channel", DEPOL],
+         "878b6f875466671d6b688204a44d792399b1c83e0aec55bcaa230719c2bbc068"),
+        (["db-check", "--channel", PAULI],
+         "3894e2031e5c8cb92410ef74c6c656823ce66f1d54921da9e7fd30320f7d5d86"),
+    ], ids=["divergence", "sdpi", "db-check"])
+    def test_payload_hash_pinned(self, capsys, argv, digest):
+        # a refactor must reproduce each command's payload bit for bit
+        code, env = run_json(capsys, argv)
+        assert code == 0
+        assert env["payload_sha256"] == digest
+
     def test_out_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = main(
@@ -325,6 +339,55 @@ class TestEnvelope:
         )
         assert code == 2
         assert "error[io]" in capsys.readouterr().err
+
+
+#: the flags each subcommand reads; every subcommand also takes --format and --out
+FLAGS = {
+    "divergence": {"--rho", "--sigma", "--f", "--family"},
+    "sdpi": {"--channel", "--sigma", "--g", "--f", "--family", "--seed", "--restarts"},
+    "db-check": {"--channel", "--sigma"},
+    "experiment": {"--channel", "--f", "--g", "--family", "--n-max", "--seed",
+                   "--restarts"},
+    "catalog": {"--f", "--g"},
+}
+ALL_FLAGS = set().union(*FLAGS.values()) | {"--format", "--out"}
+
+
+def taken_flags(command):
+    """The flags of ALL_FLAGS that the parser accepts after ``command``."""
+    parser = _build_parser()
+    taken = set()
+    for flag in ALL_FLAGS:
+        value = "json" if flag == "--format" else "1"
+        try:
+            parser.parse_args([command, flag, value])
+        except SystemExit as exc:
+            assert exc.code == 2
+            continue
+        taken.add(flag)
+    return taken
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_subcommand_takes_exactly_its_flags(self, capsys, command):
+        assert taken_flags(command) == FLAGS[command] | {"--format", "--out"}
+
+    def test_settable_value_count(self, capsys):
+        assert sum(len(taken_flags(command)) for command in FLAGS) == 32
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--channel", DEPOL, "--sigma", "[[0.9, 0], [0, 0.1]]"],
+        ["divergence", "--rho", GOLDEN_RHO, "--sigma", GOLDEN_SIGMA,
+         "--channel", DEPOL],
+        ["db-check", "--channel", PAULI, "--seed", "3"],
+        ["catalog", "--n-max", "40"],
+    ], ids=["experiment-sigma", "divergence-channel", "db-check-seed", "catalog-n-max"])
+    def test_unread_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConsoleScript:
