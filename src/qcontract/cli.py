@@ -439,13 +439,16 @@ class _Command:
     """One subcommand.  ``flags`` maps each flag it reads to the value used
     when the flag is not given: None keeps the RunConfig default, a callable
     is called when the command runs.  ``text`` renders the payload as lines,
-    ``csv`` as a CSV document."""
+    ``csv`` as a CSV document.  ``family_only`` names the flags the command
+    reads only when --family is given; any of them without it is an
+    InputError."""
 
     help: str
     flags: dict
     run: Callable[[RunConfig], dict]
     text: Callable[[dict], list]
     csv: Callable[[dict], str]
+    family_only: tuple = ()
 
 
 _COMMANDS = {
@@ -459,6 +462,7 @@ _COMMANDS = {
         {"channel": None, "sigma": None, "f": ("kl",), "g": _catalog_g_names,
          "family": None, "seed": None, "restarts": None},
         cmd_sdpi, _sdpi_text, _sdpi_csv,
+        family_only=("f", "seed", "restarts"),
     ),
     "db-check": _Command(
         "detailed-balance residuals per weight function",
@@ -515,8 +519,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    command = _COMMANDS[args.command]
+    unread = [f"--{flag}" for flag in command.family_only
+              if getattr(args, _FLAGS[flag]["dest"]) is not None]
+    if unread and not args.families:
+        raise InputError(
+            f"{args.command} reads {', '.join(unread)} only together with --family"
+        )
     values = {}
-    for flag, default in _COMMANDS[args.command].flags.items():
+    for flag, default in command.flags.items():
         field = _FLAGS[flag]["dest"]
         value = getattr(args, field)
         if value is None:

@@ -146,29 +146,22 @@ def _pencil_spectrum(r: DensityMatrix, s: DensityMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(hermitianize(s_mh @ r.entries @ s_mh))
 
 
-def _batch_hockey(r: np.ndarray, s: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """E_gamma for a whole gamma grid at once (batched eigensolve)."""
-    a = r[None, :, :] - gammas[:, None, None] * s[None, :, :]
-    w = np.linalg.eigvalsh(a)
-    return np.clip(w, 0.0, None).sum(axis=1)
-
-
-def _edges(points: np.ndarray, top: float) -> list:
-    """Panel edges [1, interior kinks, top] for the hockey-stick integral."""
-    if top <= 1.0 + 1e-14:
-        return []
-    interior = [float(t) for t in points if 1.0 + 1e-12 < t < top - 1e-12]
-    return [1.0] + sorted(set(interior)) + [float(top)]
-
-
 def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     """f-divergence built from the hockey-stick integral representation
 
-        int_1^inf  f''(g) E_g(rho||sigma) + g^-3 f''(1/g) E_g(sigma||rho) dg.
+        int_1^inf  f''(g) E_g(rho||sigma) + g^-3 f''(1/g) E_g(sigma||rho) dg
 
-    The integrand is piecewise smooth with kinks exactly at the
-    generalized eigenvalues of the pencil (rho, sigma), so those (and
-    their reciprocals for the second term) delimit the quadrature panels.
+    (Hirche & Tomamichel, CMP 2024).  Substituting u = 1/g in the second
+    term turns it into int_{t_min}^1 f''(u) tr(rho - u sigma)_- du, so the
+    whole divergence is one integral over the pencil spectrum
+    [t_min, t_max] of (rho, sigma) (Frenkel, Quantum 7, 1102, 2023):
+
+        int_{t_min}^{t_max} f''(g) N(g) dg,
+        N(g) = tr(rho - g sigma)_+ for g >= 1, tr(rho - g sigma)_- below 1.
+
+    It is evaluated in s = log g, with integrand f''(e^s) e^s N(e^s).  The
+    integrand is smooth except at the logarithms of the pencil eigenvalues
+    and at s = 0, which delimit the quadrature panels.
     """
     r = _density(rho, "rho")
     s = _density(sigma, "sigma")
@@ -176,28 +169,27 @@ def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     _require_full_rank(r, "rho")
     t = _pencil_spectrum(r, s)
     f2 = spec.f2
+    log_t = np.log(t)
+    lo, hi = float(log_t[0]), float(log_t[-1])
 
-    def term1(g):
-        return np.asarray(f2(g), float) * _batch_hockey(r.entries, s.entries, g)
+    def integrand(x):
+        g = np.exp(x)
+        w = np.linalg.eigvalsh(r.entries[None, :, :]
+                               - g[:, None, None] * s.entries[None, :, :])
+        # the positive part above g = 1, the negative part below
+        n_g = np.clip(np.where(g[:, None] >= 1.0, w, -w), 0.0, None).sum(axis=1)
+        return np.asarray(f2(g), float) * g * n_g
 
-    def term2(g):
-        return g**-3 * np.asarray(f2(1.0 / g), float) * _batch_hockey(
-            s.entries, r.entries, g
-        )
-
-    res1 = integrate_piecewise(term1, _edges(t, float(t[-1])), epsrel=HT_QUAD_RTOL)
-    recip = 1.0 / t[t > 1e-300]
-    res2 = integrate_piecewise(term2, _edges(recip, float(1.0 / t[0])),
-                               epsrel=HT_QUAD_RTOL)
-    value = res1.value + res2.value
+    edges = [x for x in (*log_t, 0.0) if lo <= x <= hi]
+    res = integrate_piecewise(integrand, edges, epsrel=HT_QUAD_RTOL)
     diag = {
         "family": "ht",
         "f": spec.name,
-        "quad_error": res1.error_estimate + res2.error_estimate,
-        "quad_evals": res1.n_evals + res2.n_evals,
+        "quad_error": res.error_estimate,
+        "quad_evals": res.n_evals,
         "pencil_range": (float(t[0]), float(t[-1])),
     }
-    return DivergenceValue(value, diag)
+    return DivergenceValue(res.value, diag)
 
 
 def matsumoto_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:

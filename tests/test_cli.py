@@ -243,7 +243,7 @@ class TestExperiment:
         )
         assert code == 0
         assert env["payload_sha256"] == (
-            "391d39fd52e4cd77f3fb985c09629e1b911d64f6a8917af57d12eb7229406705"
+            "f50d3f35bcafdb30f77617fc5164007448fccfcb12f5bac59fb1ceb7d8236b5d"
         )
 
     def test_not_primitive_exit_code(self, capsys):
@@ -286,7 +286,8 @@ class TestCatalog:
 
 class TestEnvelope:
     def test_payload_hash_reproducible_across_runs(self, capsys):
-        argv = ["sdpi", "--channel", DEPOL, "--seed", "7"]
+        argv = ["sdpi", "--channel", DEPOL, "--seed", "7", "--family", "petz",
+                "--restarts", "2"]
         _, a = run_json(capsys, argv)
         _, b = run_json(capsys, argv)
         assert a["payload_sha256"] == b["payload_sha256"]
@@ -311,7 +312,7 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("argv, digest", [
         (["divergence", "--rho", GOLDEN_RHO, "--sigma", GOLDEN_SIGMA],
-         "de34fb47f3208a749060c89fe282b069f2401fa566fa7754c0962085712adf59"),
+         "17ffdf199e8596562fa274986bb1b93e975ee3628c87f10d838ef3c0842260bb"),
         (["sdpi", "--channel", DEPOL],
          "878b6f875466671d6b688204a44d792399b1c83e0aec55bcaa230719c2bbc068"),
         (["db-check", "--channel", PAULI],
@@ -388,6 +389,19 @@ class TestFlags:
             main(argv)
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("extra", [
+        ["--f", "bogus"], ["--seed", "5"], ["--restarts", "3"],
+        ["--f", "bogus", "--seed", "5", "--restarts", "3"],
+    ], ids=["f", "seed", "restarts", "all"])
+    def test_sdpi_search_flag_without_family_is_input_error(self, capsys, extra):
+        # sdpi reads --f, --seed and --restarts only for a variational search
+        code = main(["sdpi", "--channel", DEPOL] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[InputError]: sdpi reads --")
+        assert "only together with --family" in err
 
 
 class TestConsoleScript:

@@ -116,6 +116,24 @@ class TestHtIntegral:
                     expect, rel=1e-7, abs=1e-10
                 ), spec.name
 
+    def test_kl_equals_umegaki_on_random_pairs(self, f_cat):
+        # the single log-gamma integral against Tr rho (log rho - log sigma),
+        # including sigma with an eigenvalue near 1e-4
+        rng = np.random.default_rng(7)
+        spec = f_cat["kl"].with_family("ht")
+        for trial in range(40):
+            d = 2 + trial % 2
+            rho = qc.random_density(d, rng)
+            sig = qc.random_density(d, rng)
+            if trial % 4 == 3:
+                mu = np.concatenate([[10 ** rng.uniform(-4.5, -3.5)],
+                                     rng.dirichlet(np.ones(d - 1))])
+                v = sig.eigenvectors
+                sig = qc.validate_density((v * (mu / mu.sum())) @ v.conj().T)
+                assert sig.min_eigenvalue < 1e-3
+            got = qc.ht_divergence(spec, rho, sig).value
+            assert got == pytest.approx(umegaki(rho, sig), rel=1e-10), trial
+
     def test_diagnostics_present(self, f_cat, golden_pair):
         rho, sig = golden_pair
         got = qc.ht_divergence(f_cat["kl"].with_family("ht"), rho, sig)

@@ -1,10 +1,55 @@
-"""Adaptive piecewise Gauss-Legendre integrator."""
+"""Adaptive piecewise Gauss-Kronrod (7, 15) integrator."""
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import qcontract as qc
+from qcontract import quadrature
+
+
+def recording(fn):
+    """fn plus the list of abscissa arrays it was called with."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.array(x))
+        return fn(x)
+
+    return wrapped, calls
+
+
+def test_kronrod_table_integrates_monomials_exactly():
+    nodes = quadrature._NODES
+    for k in range(23):
+        exact = (1 - (-1) ** (k + 1)) / (k + 1)
+        assert quadrature._K15 @ nodes**k == pytest.approx(exact, abs=1e-14), k
+        if k <= 13:
+            assert quadrature._G7 @ nodes**k == pytest.approx(exact, abs=1e-14), k
+    # the embedded rule is a 7-point rule, so degree 14 is beyond it
+    assert np.count_nonzero(quadrature._G7) == 7
+    assert abs(quadrature._G7 @ nodes**14 - 2 / 15) > 1e-6
+
+
+def test_smooth_panel_takes_one_call_of_fifteen_nodes():
+    fn, calls = recording(np.exp)
+    res = qc.integrate_piecewise(fn, [0.0, 1.0])
+    assert [c.size for c in calls] == [15]
+    assert res.n_evals == 15 and res.n_intervals == 1
+    assert res.value == pytest.approx(np.e - 1.0, rel=1e-14)
+
+
+def test_one_call_per_refinement_round():
+    # an undeclared kink forces bisection; round k evaluates panels of
+    # width 2^-k only, all in one call
+    fn, calls = recording(lambda x: np.abs(x - np.pi / 6))
+    res = qc.integrate_piecewise(fn, [0.0, 1.0], epsrel=1e-10)
+    assert len(calls) > 3
+    for k, x in enumerate(calls):
+        panels = x.reshape(-1, 15)
+        widths = (panels[:, -1] - panels[:, 0]) / quadrature._NODES[-1]
+        np.testing.assert_allclose(widths, 2.0**-k, rtol=1e-6)
+    assert res.n_evals == sum(c.size for c in calls)
 
 
 def test_polynomial_is_exact():
