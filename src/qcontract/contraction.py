@@ -6,7 +6,10 @@
 * Exact chi-square SDPI constants via the Hermitized second-singular-value
   formula.
 * Variational lower-bound estimation of SDPI constants for general
-  f-divergence families (seeded multi-start gradient ascent).
+  f-divergence families (seeded multi-start gradient ascent; each
+  central-difference gradient is one stacked evaluation of the ratio at
+  all of its 2n perturbed points, with sigma's and E(sigma)'s eigen-data
+  computed once per search).
 * Detailed-balance residuals and the GNS implies-all-g check.
 * The contraction-rate experiment harness with rate-bound and
   tightness verdicts.
@@ -35,25 +38,35 @@ from .channels import (
     is_primitive,
 )
 from .divergences import (
+    _divergence_stack,
+    _quadratic_forms,
+    _reference,
+    _require_family,
     _require_full_rank,
+    _require_operator_convex,
     _sigma_weights,
-    chi2_quadratic_form,
-    evaluate,
+    # not called here: the benchmark's tracer patches both names on this module
+    chi2_quadratic_form,  # noqa: F401
+    evaluate,  # noqa: F401
 )
 from .errors import (
     AllRestartsDegenerate,
     InputError,
+    NotHermitian,
+    NotPositive,
     NotPrimitive,
     NumericalError,
     PreconditionError,
     SingularReference,
+    TraceZero,
 )
 from .linalg import (
     DensityMatrix,
-    devectorize,
     hermitianize,
     random_density,
+    stack_valid,
     validate_density,
+    validate_stack,
     vectorize,
 )
 
@@ -219,79 +232,116 @@ class VariationalOptions:
         _seed_list(self.seed)
 
 
-def _trace_norm_herm(x: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(x)).sum())
+def _channel_stack(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """E(X) for each X of a (B, d, d) stack, with superoperator matrix m in
+    the column-stacking convention."""
+    b, d = x.shape[0], x.shape[1]
+    # one matrix-vector product per point, as Superoperator.apply makes it
+    vecs = x.transpose(0, 2, 1).reshape(b, d * d, 1)
+    return (m @ vecs).reshape(b, d, d).transpose(0, 2, 1)
 
 
 def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
-    """Build ratio(rho_entries) -> float | None for the SDPI search.
+    """Build ratios(rho_stack) -> ndarray for the SDPI search.
 
-    The evaluator may be a SpectralWeight (chi-square objective, computed
-    on differences by linearity), an FDivergenceSpec with family set, or a
-    callable D(rho, sigma) -> float.  None marks an invalid point (within
-    trace distance EXCLUSION of sigma, or outside an evaluator's domain).
+    ``ratios`` maps a (B, d, d) stack of states rho to the B values
+    D(E(rho) || E(sigma)) / D(rho || sigma).  The evaluator may be a
+    SpectralWeight (chi-square objective, computed on differences by
+    linearity), an FDivergenceSpec with family set, or a callable
+    D(rho, sigma) -> float.  NaN marks an invalid point: within trace
+    distance EXCLUSION of sigma, a denominator that is not positive, rho or
+    E(rho) rejected by state validation, or outside an evaluator's domain.
+
+    The built-in objectives evaluate the whole stack at once: sigma's and
+    E(sigma)'s eigen-data are computed here, once per search, and rho and
+    E(rho) go through the stacked validation arithmetic, not through
+    validate_density.  A callable is called point by point on validated
+    states.
     """
+    m = channel.superop.matrix
     e_sigma = apply(channel, sigma)
-
-    if isinstance(evaluator, SpectralWeight):
-        g = evaluator
-        m = channel.superop.matrix
-        d = channel.dim
-        if not e_sigma.full_rank:
-            raise SingularReference(
-                "E(sigma) must be full rank for the chi-square objective"
-            )
-
-        def ratio(rho_arr):
-            x = rho_arr - sigma.entries
-            td = 0.5 * _trace_norm_herm(x)
-            if td < EXCLUSION:
-                return None
-            den = chi2_quadratic_form(x, sigma, g)
-            if not den > 0.0:
-                return None
-            ex = hermitianize(devectorize(m @ vectorize(x), d))
-            return chi2_quadratic_form(ex, e_sigma, g) / den
-
-        return ratio, f"chi2[{g.name}]"
-
-    if isinstance(evaluator, FDivergenceSpec):
-        spec = evaluator
-        fn = lambda r, s: evaluate(spec, r, s).value
-        label = f"{spec.family}[{spec.name}]"
-    elif callable(evaluator):
-        fn, label = evaluator, "callable"
-    else:
+    builtin = isinstance(evaluator, (SpectralWeight, FDivergenceSpec))
+    if not (builtin or callable(evaluator)):
         raise InputError(
             "evaluator must be a SpectralWeight, an FDivergenceSpec with family, "
             "or a callable"
         )
+    if builtin and not e_sigma.full_rank:
+        raise SingularReference("E(sigma) must be full rank for the search objective")
 
-    def ratio(rho_arr):
-        x = rho_arr - sigma.entries
-        td = 0.5 * _trace_norm_herm(x)
-        if td < EXCLUSION:
-            return None
-        try:
-            rho = validate_density(rho_arr)
-            den = float(fn(rho, sigma))
-            if not den > 0.0:
-                return None
-            num = float(fn(apply(channel, rho), e_sigma))
-        except PreconditionError:
-            return None
-        return num / den
+    def outside_ball(rho):
+        x = rho - sigma.entries
+        return 0.5 * np.abs(np.linalg.eigvalsh(x)).sum(axis=1) >= EXCLUSION, x
 
-    return ratio, label
+    if isinstance(evaluator, SpectralWeight):
+        v_s, w_s = sigma.eigenvectors, _sigma_weights(sigma, evaluator)
+        v_e, w_e = e_sigma.eigenvectors, _sigma_weights(e_sigma, evaluator)
+
+        def ratios(rho):
+            out = np.full(len(rho), np.nan)
+            keep, x = outside_ball(rho)
+            idx = np.flatnonzero(keep)
+            den = _quadratic_forms(x[idx], v_s, w_s)
+            ok = den > 0.0
+            ex = _channel_stack(m, x[idx[ok]])
+            ex = 0.5 * (ex + ex.conj().transpose(0, 2, 1))
+            out[idx[ok]] = _quadratic_forms(ex, v_e, w_e) / den[ok]
+            return out
+
+        return ratios, f"chi2[{evaluator.name}]"
+
+    if isinstance(evaluator, FDivergenceSpec):
+        spec = evaluator
+        _require_family(spec)
+        if spec.family == "petz":
+            _require_operator_convex(spec)
+        ref_s, ref_e = _reference(sigma), _reference(e_sigma)
+
+        def ratios(rho):
+            out = np.full(len(rho), np.nan)
+            keep, _ = outside_ball(rho)
+            ents, lam, phi, *checks = validate_stack(rho)
+            idx = np.flatnonzero(keep & stack_valid(*checks))
+            den = _divergence_stack(spec, ents[idx], lam[idx], phi[idx], ref_s)
+            ok = den > 0.0
+            idx, den = idx[ok], den[ok]
+            e_ents, e_lam, e_phi, *e_checks = validate_stack(_channel_stack(m, ents[idx]))
+            ok = stack_valid(*e_checks)
+            num = _divergence_stack(spec, e_ents[ok], e_lam[ok], e_phi[ok], ref_e)
+            out[idx[ok]] = num / den[ok]
+            return out
+
+        return ratios, f"{spec.family}[{spec.name}]"
+
+    def ratios(rho):
+        out = np.full(len(rho), np.nan)
+        for k in np.flatnonzero(outside_ball(rho)[0]):
+            try:
+                r = validate_density(rho[k])
+                e_r = apply(channel, r)
+            except (NotHermitian, NotPositive, TraceZero):
+                continue
+            try:
+                den = float(evaluator(r, sigma))
+                if den > 0.0:
+                    out[k] = float(evaluator(e_r, e_sigma)) / den
+            except PreconditionError:
+                pass
+        return out
+
+    return ratios, "callable"
 
 
 def _rho_from_params(x: np.ndarray, d: int) -> np.ndarray:
-    a = (x[: d * d] + 1j * x[d * d:]).reshape(d, d)
-    m = a @ a.conj().T
-    tr = float(np.trace(m).real)
-    if tr <= 0.0:
-        return np.eye(d) / d
-    return m / tr
+    """States A A^dag / tr for a (B, 2 d^2) stack of parameter vectors, the
+    real then the imaginary parts of A; I/d where the trace vanishes."""
+    a = (x[:, : d * d] + 1j * x[:, d * d:]).reshape(-1, d, d)
+    m = a @ a.conj().transpose(0, 2, 1)
+    tr = np.trace(m, axis1=1, axis2=2).real
+    zero = tr <= 0.0
+    m[zero] = np.eye(d)
+    tr[zero] = d
+    return m / tr[:, None, None]
 
 
 def _init_params(rng: np.random.Generator, sigma: DensityMatrix, kind: int) -> np.ndarray:
@@ -305,28 +355,38 @@ def _init_params(rng: np.random.Generator, sigma: DensityMatrix, kind: int) -> n
     return np.concatenate([a.real.ravel(), a.imag.ravel()])
 
 
-def _ascend(ratio, x0: np.ndarray, d: int, opts: VariationalOptions):
+def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: dict):
     """One gradient-ascent restart; returns (value, rho) or None.
 
-    Only strict improvements are accepted, so the final point is the best.
+    Each central-difference gradient is one ``ratios`` call on the stack of
+    all 2n perturbed points (x + h e_i, then x - h e_i); a coordinate whose
+    +h or -h point is invalid (not finite) gets gradient 0 and is counted in
+    ``counts["skipped_coordinates"]``.  The line search calls ``ratios`` on
+    a stack of one.  Every evaluated point adds to
+    ``counts["ratio_evaluations"]``.  Only strict improvements are
+    accepted, so the final point is the best.
     """
+    def values(params):
+        counts["ratio_evaluations"] += len(params)
+        return ratios(_rho_from_params(params, d))
+
     x = x0.copy()
-    f0 = ratio(_rho_from_params(x, d))
-    if f0 is None:
+    f0 = values(x[None])[0]
+    if not np.isfinite(f0):
         return None
     step = INIT_STEP
     n = x.size
+    coords = np.arange(n)
     for _ in range(opts.max_iters):
+        h = FD_STEP * np.maximum(1.0, np.abs(x))
+        pts = np.tile(x, (2 * n, 1))
+        pts[coords, coords] += h
+        pts[n + coords, coords] -= h
+        f = values(pts)
+        ok = np.isfinite(f[:n]) & np.isfinite(f[n:])
+        counts["skipped_coordinates"] += int(n - ok.sum())
         grad = np.zeros(n)
-        for i in range(n):
-            h = FD_STEP * max(1.0, abs(x[i]))
-            xp = x.copy(); xp[i] += h
-            xm = x.copy(); xm[i] -= h
-            fp = ratio(_rho_from_params(xp, d))
-            fm = ratio(_rho_from_params(xm, d))
-            if fp is None or fm is None:
-                continue
-            grad[i] = (fp - fm) / (2 * h)
+        grad[ok] = (f[:n][ok] - f[n:][ok]) / (2 * h[ok])
         gn = float(np.linalg.norm(grad))
         if gn < 1e-12:
             break
@@ -335,8 +395,8 @@ def _ascend(ratio, x0: np.ndarray, d: int, opts: VariationalOptions):
         improved = False
         while trial >= opts.step_tol:
             x_new = x + trial * direction
-            f_new = ratio(_rho_from_params(x_new, d))
-            if f_new is not None and f_new > f0 + 1e-15:
+            f_new = values(x_new[None])[0]
+            if np.isfinite(f_new) and f_new > f0 + 1e-15:
                 x, f0 = x_new, f_new
                 step = min(2.0 * trial, 1.0)
                 improved = True
@@ -344,7 +404,7 @@ def _ascend(ratio, x0: np.ndarray, d: int, opts: VariationalOptions):
             trial *= 0.5
         if not improved:
             break
-    return f0, _rho_from_params(x, d)
+    return float(f0), _rho_from_params(x[None], d)[0]
 
 
 def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
@@ -352,26 +412,35 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     """Variational lower-bound estimate of the SDPI constant.
 
     Maximizes D(E(rho) || E(sigma)) / D(rho || sigma) over rho = A A^dag /
-    tr, with seeded multi-start gradient ascent (finite-difference
-    gradients, backtracking line search).  States within trace distance
-    ``EXCLUSION`` of sigma are excluded; if every restart lands there,
-    :class:`AllRestartsDegenerate` is raised.  Restarts run
-    serially and the result is deterministic per seed.
+    tr, with seeded multi-start gradient ascent (central-difference
+    gradients, backtracking line search).  Each gradient is one stacked
+    evaluation of the ratio at all of its 2n perturbed points.  States
+    within trace distance ``EXCLUSION`` of sigma are excluded, as are points
+    whose ratio is not finite or whose states the evaluator rejects; if no
+    restart finds a valid starting point, :class:`AllRestartsDegenerate` is
+    raised.  Restarts
+    run serially and the result is deterministic per seed.
+
+    ``diagnostics`` counts, summed over restarts, the ratio evaluations
+    (points), the gradient coordinates set to 0 because a perturbed point
+    was invalid, and the extra starting points tried after an invalid one.
     """
     opts = opts or VariationalOptions()
     s = validate_density(sigma)
     _require_full_rank(s, "sigma")
     if channel.dim != s.dim:
         raise InputError("channel and sigma dimensions differ")
-    ratio, obj_label = _objective(evaluator, channel, s)
+    ratios, obj_label = _objective(evaluator, channel, s)
     d = channel.dim
     seed_base = _seed_list(opts.seed)
+    counts = {"ratio_evaluations": 0, "skipped_coordinates": 0, "reinits": 0}
 
     def run_restart(k: int):
         rng = np.random.default_rng(seed_base + [k])
-        for _ in range(4):
+        for attempt in range(4):
+            counts["reinits"] += attempt > 0
             x0 = _init_params(rng, s, k)
-            res = _ascend(ratio, x0, d, opts)
+            res = _ascend(ratios, x0, d, opts, counts)
             if res is not None:
                 return res
         return None
@@ -380,8 +449,11 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     valid = [r for r in results if r is not None]
     if not valid:
         raise AllRestartsDegenerate(
-            f"all {opts.restarts} restarts collapsed into the excluded ball "
-            f"around sigma (radius {EXCLUSION:g})"
+            f"no restart of {opts.restarts} found a valid starting point "
+            f"(outside the ball of radius {EXCLUSION:g} around sigma, with a "
+            f"finite ratio of positive denominator); "
+            f"{counts['reinits']} reinits, "
+            f"{counts['ratio_evaluations']} ratio evaluations"
         )
     best_f, best_rho = max(valid, key=lambda r: r[0])
     return SdpiEstimate(
@@ -395,6 +467,7 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
             "raw_best": float(best_f),
             "valid_restarts": len(valid),
             "restart_values": [float(r[0]) for r in valid],
+            **counts,
         },
     )
 

@@ -10,6 +10,7 @@ evaluation apply :func:`epsilon_regularize` explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
-    hermitianize,
+    stack_full_rank,
     validate_density,
 )
 from .quadrature import integrate_piecewise
@@ -90,12 +91,16 @@ def _sigma_weights(sigma: DensityMatrix, g: SpectralWeight) -> np.ndarray:
     return np.asarray(g(ratio), float) / mu[None, :]
 
 
+def _quadratic_forms(x: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_ij w_ij |(V^dag X V)_ij|^2 for each X of a Hermitian (B, d, d) stack."""
+    xt = v.conj().T @ x @ v
+    return np.sum(w * (xt.real**2 + xt.imag**2), axis=(1, 2))
+
+
 def chi2_quadratic_form(x: np.ndarray, sigma: DensityMatrix, g: SpectralWeight) -> float:
     """<X, Omega_sigma^g(X)> for Hermitian X, via the sigma eigenbasis."""
-    v = sigma.eigenvectors
-    xt = v.conj().T @ x @ v
     w = _sigma_weights(sigma, g)
-    return float(np.sum(w * (xt.real**2 + xt.imag**2)))
+    return float(_quadratic_forms(np.asarray(x)[None], sigma.eigenvectors, w)[0])
 
 
 def chi2_g(rho, sigma, g: SpectralWeight) -> DivergenceValue:
@@ -129,21 +134,120 @@ def _positive_eig_sum(a: np.ndarray) -> float:
 
 
 def hockey_stick(rho, sigma, gamma: float) -> float:
-    """Hockey-stick divergence E_gamma = tr[(rho - gamma sigma)_+], gamma >= 1."""
+    """Hockey-stick divergence E_gamma = tr[(rho - gamma sigma)_+], gamma >= 1.
+
+    Defined for every state rho; sigma must be full rank.
+    """
     if gamma < 1.0:
         raise InputError(f"gamma must be >= 1, got {gamma}")
     r = _density(rho, "rho")
     s = _density(sigma, "sigma")
     _require_full_rank(s, "sigma")
-    _require_full_rank(r, "rho")
     return _positive_eig_sum(r.entries - gamma * s.entries)
 
 
-def _pencil_spectrum(r: DensityMatrix, s: DensityMatrix) -> np.ndarray:
-    """Generalized eigenvalues of (rho, sigma): spec(sigma^-1/2 rho sigma^-1/2)."""
-    v, mu = s.eigenvectors, s.eigenvalues
-    s_mh = (v / np.sqrt(mu)) @ v.conj().T
-    return np.linalg.eigvalsh(hermitianize(s_mh @ r.entries @ s_mh))
+class _Reference(NamedTuple):
+    """What the family kernels read of a full-rank reference state sigma:
+    its entries, eigenvalues mu, eigenvectors psi and sigma^-1/2."""
+
+    entries: np.ndarray
+    mu: np.ndarray
+    psi: np.ndarray
+    s_mh: np.ndarray
+
+
+def _reference(s: DensityMatrix) -> _Reference:
+    mu, psi = s.eigenvalues, s.eigenvectors
+    return _Reference(s.entries, mu, psi, (psi / np.sqrt(mu)) @ psi.conj().T)
+
+
+def _pencil(rho: np.ndarray, ref: _Reference) -> np.ndarray:
+    """sigma^-1/2 rho sigma^-1/2, Hermitized, for a (B, d, d) stack of rho;
+    its eigenvalues are the generalized eigenvalues of (rho, sigma)."""
+    t = ref.s_mh @ rho @ ref.s_mh
+    return 0.5 * (t + t.conj().transpose(0, 2, 1))
+
+
+def _ht_integrals(f2, rho: np.ndarray, ref: _Reference, t: np.ndarray) -> list:
+    """One integrate_piecewise result per full-rank rho of the stack, given
+    the ascending pencil spectra ``t`` (eigenvalues of :func:`_pencil`)."""
+    sig = ref.entries[None, :, :]
+    results = []
+    for r, ti in zip(rho, t):
+        log_t = np.log(ti)
+        lo, hi = float(log_t[0]), float(log_t[-1])
+
+        def integrand(x, r=r[None, :, :]):
+            g = np.exp(x)
+            w = np.linalg.eigvalsh(r - g[:, None, None] * sig)
+            # the positive part above g = 1, the negative part below
+            n_g = np.clip(np.where(g[:, None] >= 1.0, w, -w), 0.0, None).sum(axis=1)
+            return np.asarray(f2(g), float) * g * n_g
+
+        edges = [x for x in (*log_t, 0.0) if lo <= x <= hi]
+        results.append(integrate_piecewise(integrand, edges, epsrel=HT_QUAD_RTOL))
+    return results
+
+
+def _matsumoto_values(f, rho: np.ndarray, ref: _Reference):
+    """tr[sigma f(sigma^-1/2 rho sigma^-1/2)] for each rho of a (B, d, d)
+    stack, NaN where f is not finite on the pencil spectrum; also returns
+    the pencil spectra."""
+    tvals, tvecs = np.linalg.eigh(_pencil(rho, ref))
+    with np.errstate(all="ignore"):
+        fv = np.asarray(f(np.clip(tvals, 0.0, None)), float)
+        f_t = (tvecs * fv[:, None, :]) @ tvecs.conj().transpose(0, 2, 1)
+        values = np.trace(ref.entries @ f_t, axis1=1, axis2=2).real
+    values[~np.isfinite(fv).all(axis=1)] = np.nan
+    return values, tvals
+
+
+def _petz_values(f, lam: np.ndarray, phi: np.ndarray, mu: np.ndarray,
+                 psi: np.ndarray) -> np.ndarray:
+    """The double sum sum_ij f(lambda_i/mu_j) mu_j |<phi_i|psi_j>|^2 for a
+    stack of eigenvalues lam (B, d) and eigenvectors phi (B, d, d) of rho."""
+    overlap = np.abs(phi.conj().transpose(0, 2, 1) @ psi) ** 2
+    fv = np.asarray(f(lam[:, :, None] / mu), float)
+    return np.sum(fv * mu * overlap, axis=(1, 2))
+
+
+def _divergence_stack(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
+                      phi: np.ndarray, ref: _Reference) -> np.ndarray:
+    """Values of spec's family on a stack of validated states (entries, and
+    eigenvalues and eigenvectors as :func:`validate_stack` gives them)
+    against one full-rank reference.
+
+    NaN marks the points where the public evaluator raises a
+    :class:`PreconditionError`: a rank-deficient rho for petz and ht, f not
+    finite on the pencil spectrum for matsumoto.  The spec must have a
+    family, and an operator convex generator for petz.
+    """
+    if spec.family == "matsumoto":
+        return _matsumoto_values(spec.f, ents, ref)[0]
+    full = stack_full_rank(lam)
+    values = np.full(len(ents), np.nan)
+    if spec.family == "petz":
+        values[full] = _petz_values(spec.f, lam[full], phi[full], ref.mu, ref.psi)
+    else:
+        rho = ents[full]
+        results = _ht_integrals(spec.f2, rho, ref, np.linalg.eigvalsh(_pencil(rho, ref)))
+        values[full] = [res.value for res in results]
+    return values
+
+
+def _require_family(spec: FDivergenceSpec) -> None:
+    if spec.family not in FAMILIES:
+        raise InputError(
+            f"spec {spec.name!r} has family {spec.family!r}; set one of {FAMILIES}"
+        )
+
+
+def _require_operator_convex(spec: FDivergenceSpec) -> None:
+    if not spec.operator_convex:
+        raise NotOperatorConvex(
+            f"{spec.name} is not flagged operator convex; the Petz evaluator "
+            "requires it"
+        )
 
 
 def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
@@ -167,27 +271,16 @@ def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     s = _density(sigma, "sigma")
     _require_full_rank(s, "sigma")
     _require_full_rank(r, "rho")
-    t = _pencil_spectrum(r, s)
-    f2 = spec.f2
-    log_t = np.log(t)
-    lo, hi = float(log_t[0]), float(log_t[-1])
-
-    def integrand(x):
-        g = np.exp(x)
-        w = np.linalg.eigvalsh(r.entries[None, :, :]
-                               - g[:, None, None] * s.entries[None, :, :])
-        # the positive part above g = 1, the negative part below
-        n_g = np.clip(np.where(g[:, None] >= 1.0, w, -w), 0.0, None).sum(axis=1)
-        return np.asarray(f2(g), float) * g * n_g
-
-    edges = [x for x in (*log_t, 0.0) if lo <= x <= hi]
-    res = integrate_piecewise(integrand, edges, epsrel=HT_QUAD_RTOL)
+    ref = _reference(s)
+    rho1 = r.entries[None]
+    t = np.linalg.eigvalsh(_pencil(rho1, ref))
+    res = _ht_integrals(spec.f2, rho1, ref, t)[0]
     diag = {
         "family": "ht",
         "f": spec.name,
         "quad_error": res.error_estimate,
         "quad_evals": res.n_evals,
-        "pencil_range": (float(t[0]), float(t[-1])),
+        "pencil_range": (float(t[0, 0]), float(t[0, -1])),
     }
     return DivergenceValue(res.value, diag)
 
@@ -201,21 +294,14 @@ def matsumoto_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     r = _density(rho, "rho")
     s = _density(sigma, "sigma")
     _require_full_rank(s, "sigma")
-    v, mu = s.eigenvectors, s.eigenvalues
-    s_mh = (v / np.sqrt(mu)) @ v.conj().T
-    t_mat = hermitianize(s_mh @ r.entries @ s_mh)
-    tvals, tvecs = np.linalg.eigh(t_mat)
-    with np.errstate(all="ignore"):
-        fv = np.asarray(spec.f(np.clip(tvals, 0.0, None)), float)
-    if not np.all(np.isfinite(fv)):
+    values, tvals = _matsumoto_values(spec.f, r.entries[None], _reference(s))
+    lo, hi = float(tvals[0, 0]), float(tvals[0, -1])
+    if np.isnan(values[0]):
         raise DomainError(
-            f"f({spec.name}) not finite on the pencil spectrum "
-            f"[{tvals[0]:.3e}, {tvals[-1]:.3e}]"
+            f"f({spec.name}) not finite on the pencil spectrum [{lo:.3e}, {hi:.3e}]"
         )
-    f_t = (tvecs * fv) @ tvecs.conj().T
-    value = float(np.trace(s.entries @ f_t).real)
-    return DivergenceValue(value, {"family": "matsumoto", "f": spec.name,
-                                   "pencil_range": (float(tvals[0]), float(tvals[-1]))})
+    return DivergenceValue(float(values[0]), {"family": "matsumoto", "f": spec.name,
+                                              "pencil_range": (lo, hi)})
 
 
 def petz_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
@@ -225,22 +311,14 @@ def petz_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     sum_ij f(lambda_i/mu_j) mu_j |<phi_i|psi_j>|^2.  Requires an operator
     convex generator (data processing fails otherwise) and full-rank states.
     """
-    if not spec.operator_convex:
-        raise NotOperatorConvex(
-            f"{spec.name} is not flagged operator convex; the Petz evaluator "
-            "requires it"
-        )
+    _require_operator_convex(spec)
     r = _density(rho, "rho")
     s = _density(sigma, "sigma")
     _require_full_rank(s, "sigma")
     _require_full_rank(r, "rho")
-    lam, phi = r.eigenvalues, r.eigenvectors
-    mu, psi = s.eigenvalues, s.eigenvectors
-    overlap = np.abs(phi.conj().T @ psi) ** 2
-    ratios = lam[:, None] / mu[None, :]
-    fv = np.asarray(spec.f(ratios), float)
-    value = float(np.sum(fv * mu[None, :] * overlap))
-    return DivergenceValue(value, {"family": "petz", "f": spec.name})
+    value = _petz_values(spec.f, r.eigenvalues[None], r.eigenvectors[None],
+                         s.eigenvalues, s.eigenvectors)
+    return DivergenceValue(float(value[0]), {"family": "petz", "f": spec.name})
 
 
 _FAMILY_FN = {
@@ -252,10 +330,7 @@ _FAMILY_FN = {
 
 def evaluate(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     """Dispatch on spec.family (ht / petz / matsumoto)."""
-    if spec.family not in FAMILIES:
-        raise InputError(
-            f"spec {spec.name!r} has family {spec.family!r}; set one of {FAMILIES}"
-        )
+    _require_family(spec)
     return _FAMILY_FN[spec.family](spec, rho, sigma)
 
 
@@ -270,7 +345,7 @@ def reverse_pinsker_bound(spec: FDivergenceSpec, rho, sigma):
     r = _density(rho, "rho")
     s = _density(sigma, "sigma")
     _require_full_rank(s, "sigma")
-    t = _pencil_spectrum(r, s)
+    t = np.linalg.eigvalsh(_pencil(r.entries[None], _reference(s))[0])
     m, big_m = float(t[0]), float(t[-1])
     x = r.entries - s.entries
     xvals, xvecs = np.linalg.eigh(x)

@@ -151,4 +151,5 @@ class ConvergenceFailure(NumericalError):
 
 
 class AllRestartsDegenerate(NumericalError):
-    """Every variational restart collapsed into the excluded ball around sigma."""
+    """No variational restart found a valid starting point: each one fell in
+    the excluded ball around sigma or gave an invalid ratio."""

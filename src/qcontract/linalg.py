@@ -126,25 +126,20 @@ def validate_density(entries) -> DensityMatrix:
     if isinstance(entries, DensityMatrix):
         return entries
     arr = _as_matrix(entries)
-    # relative deviation of the input from its adjoint
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    asym = float(np.linalg.norm(arr - arr.conj().T)) / scale
-    if asym > HERMITICITY_REJECT_TOL:
+    ents, vals, vecs, asym, min_eig, trace = validate_stack(arr[None])
+    if asym[0] > HERMITICITY_REJECT_TOL:
         raise NotHermitian(
-            f"matrix deviates from Hermitian by {asym:.3e} "
+            f"matrix deviates from Hermitian by {asym[0]:.3e} "
             f"(> {HERMITICITY_REJECT_TOL:.0e})"
         )
-    vals, vecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
-    if vals[0] < -DEFAULT_VALIDATION_TOL:
+    if min_eig[0] < -DEFAULT_VALIDATION_TOL:
         raise NotPositive(
-            f"minimum eigenvalue {vals[0]:.3e} below -{DEFAULT_VALIDATION_TOL:.0e}"
+            f"minimum eigenvalue {min_eig[0]:.3e} below -{DEFAULT_VALIDATION_TOL:.0e}"
         )
-    vals = np.clip(vals, 0.0, None)
-    trace = float(vals.sum())
-    if trace <= DEFAULT_VALIDATION_TOL:
-        raise TraceZero(f"trace {trace:.3e} too small to normalize")
-    vals = vals / trace
-    ents = hermitianize((vecs * vals) @ vecs.conj().T)
+    if trace[0] <= DEFAULT_VALIDATION_TOL:
+        raise TraceZero(f"trace {trace[0]:.3e} too small to normalize")
+    full_rank = bool(stack_full_rank(vals)[0])
+    ents, vals, vecs = ents[0], vals[0], vecs[0]
     for a in (ents, vals, vecs):
         a.setflags(write=False)
     return DensityMatrix(
@@ -152,8 +147,47 @@ def validate_density(entries) -> DensityMatrix:
         dim=arr.shape[0],
         eigenvalues=vals,
         eigenvectors=vecs,
-        full_rank=bool(vals[0] > DEFAULT_VALIDATION_TOL),
+        full_rank=full_rank,
     )
+
+
+def validate_stack(arr: np.ndarray):
+    """The arithmetic of :func:`validate_density` on a finite complex
+    (B, d, d) stack, without raising.
+
+    Returns ``(entries, eigenvalues, eigenvectors, asymmetry, min_eigenvalue,
+    trace)``: the normalized states and their spectral decompositions (the
+    eigenvalues of the Hermitian part clipped at zero and divided by their
+    sum), the relative asymmetry ||A - A^dag||_F / max(1, ||A||_F), the
+    unclipped minimum eigenvalue and the clipped trace.  The states are
+    meaningful only where :func:`stack_valid` holds.
+    """
+    adj = arr.conj().transpose(0, 2, 1)
+    diff = arr - adj
+    asym = np.sqrt((diff.conj() * diff).real.sum(axis=(1, 2)))
+    asym /= np.maximum(1.0, np.sqrt((arr.conj() * arr).real.sum(axis=(1, 2))))
+    vals, vecs = np.linalg.eigh(0.5 * (arr + adj))
+    min_eig = vals[:, 0]
+    vals = np.clip(vals, 0.0, None)
+    trace = vals.sum(axis=1)
+    # the floor only guards the rows that fail the trace check
+    vals = vals / np.maximum(trace, DEFAULT_VALIDATION_TOL)[:, None]
+    ents = (vecs * vals[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    ents = 0.5 * (ents + ents.conj().transpose(0, 2, 1))
+    return ents, vals, vecs, asym, min_eig, trace
+
+
+def stack_valid(asym, min_eig, trace) -> np.ndarray:
+    """Where :func:`validate_density` would accept a matrix of the stack:
+    Hermitian, positive within tolerance and of nonzero trace."""
+    return ((asym <= HERMITICITY_REJECT_TOL) & (min_eig >= -DEFAULT_VALIDATION_TOL)
+            & (trace > DEFAULT_VALIDATION_TOL))
+
+
+def stack_full_rank(eigenvalues: np.ndarray) -> np.ndarray:
+    """Where a state of a validated stack is full rank, from its ascending
+    eigenvalues (B, d): the rule behind ``DensityMatrix.full_rank``."""
+    return eigenvalues[:, 0] > DEFAULT_VALIDATION_TOL
 
 
 def schatten_norm(a, order=2) -> float:

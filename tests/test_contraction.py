@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qcontract as qc
+from qcontract import contraction
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +258,193 @@ class TestVariationalSdpi:
     def test_invalid_restarts_and_seeds_rejected(self, options, kwargs):
         with pytest.raises(qc.InputError):
             options(**kwargs)
+
+
+def _search_objectives(f_cat, gs):
+    specs = [f_cat[f].with_family(fam) for fam in qc.FAMILIES
+             for f in ("kl", "chi2", "hellinger")]
+    return specs + [gs["max"], gs["kmb"]]
+
+
+def _scalar_ratio(obj, ch, sig, rho):
+    """One search ratio from public calls alone: None where the point is
+    within EXCLUSION of sigma, the denominator is not positive, or an
+    evaluator rejects its input."""
+    if qc.trace_distance(rho, sig.entries) < contraction.EXCLUSION:
+        return None
+    r = qc.validate_density(rho)
+    e_r, e_sig = qc.apply(ch, r), qc.apply(ch, sig)
+    if isinstance(obj, qc.SpectralWeight):
+        fn = lambda a, b: qc.chi2_g(a, b, obj).value
+    else:
+        fn = lambda a, b: qc.evaluate(obj, a, b).value
+    try:
+        den = fn(r, sig)
+        return fn(e_r, e_sig) / den if den > 0.0 else None
+    except qc.PreconditionError:
+        return None
+
+
+class TestStackedSearch:
+    """The search's stacked ratio against the public evaluators, point by point."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_matches_public_ratios(self, f_cat, gs, dim):
+        ch = qc.random_channel(dim, seed=1)
+        pi = qc.fixed_point(ch)
+        rng = np.random.default_rng([7, dim])
+        rho = contraction._rho_from_params(rng.normal(size=(20, 2 * dim * dim)), dim)
+        for obj in _search_objectives(f_cat, gs):
+            ratios, _ = contraction._objective(obj, ch, pi)
+            got = ratios(rho)
+            want = np.array([_scalar_ratio(obj, ch, pi, r) for r in rho], float)
+            assert np.all(np.isfinite(want))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_invalid_points_agree(self, f_cat, gs, dim):
+        ch = qc.random_channel(dim, seed=1)
+        pi = qc.fixed_point(ch)
+        rng = np.random.default_rng([8, dim])
+        h = qc.random_hermitian(dim, rng)
+        h -= np.trace(h) / dim * np.eye(dim)
+        pure = np.zeros((dim, dim))
+        pure[0, 0] = 1.0
+        rho = np.array([
+            pi.entries,                                  # sigma itself
+            pi.entries + 1e-8 * h,                       # inside the ball
+            pi.entries + 1e-3 * h,                       # outside it
+            pure,                                        # rank deficient
+            0.5 * pure + 0.5 * qc.random_density(dim, rng).entries,
+        ], dtype=complex)
+        for obj in _search_objectives(f_cat, gs):
+            ratios, _ = contraction._objective(obj, ch, pi)
+            got = ratios(rho)
+            want = [_scalar_ratio(obj, ch, pi, r) for r in rho]
+            assert [w is None for w in want] == list(np.isnan(got))
+            finite = [i for i, w in enumerate(want) if w is not None]
+            np.testing.assert_allclose(got[finite], [want[i] for i in finite],
+                                       rtol=1e-12, atol=0)
+        kl = {fam: contraction._objective(f_cat["kl"].with_family(fam), ch, pi)[0]
+              for fam in qc.FAMILIES}
+        assert np.isnan(kl["petz"](rho[3:4])[0])
+        assert np.isnan(kl["ht"](rho[3:4])[0])
+        assert np.isfinite(kl["matsumoto"](rho[3:4])[0])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_of_one_is_the_public_value(self, f_cat, dim):
+        ch = qc.random_channel(dim, seed=1)
+        pi = qc.fixed_point(ch)
+        rng = np.random.default_rng([9, dim])
+        rho = contraction._rho_from_params(rng.normal(size=(4, 2 * dim * dim)), dim)
+        for fam in qc.FAMILIES:
+            spec = f_cat["kl"].with_family(fam)
+            ratios, _ = contraction._objective(spec, ch, pi)
+            for r in rho:
+                v = qc.validate_density(r)
+                want = (qc.evaluate(spec, qc.apply(ch, v), qc.apply(ch, pi)).value
+                        / qc.evaluate(spec, v, pi).value)
+                assert ratios(r[None])[0] == want
+
+    def test_traced_names_stay_bound(self):
+        # the benchmark's tracer patches these names on the contraction module
+        for name in ("evaluate", "apply", "chi2_quadratic_form", "validate_density",
+                     "omega", "channel_power", "fixed_point", "is_primitive"):
+            assert callable(getattr(contraction, name))
+
+
+class TestSearchFallbacks:
+    @staticmethod
+    def _nan_every(k):
+        calls = []
+
+        def flaky(r, s):
+            calls.append(None)
+            return float("nan") if len(calls) % k == 0 else qc.chi2_max(r, s).value
+
+        return flaky
+
+    def test_nan_from_callable_is_an_invalid_point(self):
+        # every fourth call is the numerator of every second point
+        ch = qc.depolarizing(0.5)
+        pi = qc.fixed_point(ch)
+        est = qc.sdpi_variational(
+            self._nan_every(4), ch, pi,
+            qc.VariationalOptions(restarts=2, max_iters=3, seed=1),
+        )
+        assert np.isfinite(est.value) and 0.0 <= est.value <= 1.0
+        assert est.diagnostics["skipped_coordinates"] > 0
+
+    def test_nan_on_every_numerator_leaves_no_valid_point(self):
+        # every second call is every numerator, so no point is valid
+        ch = qc.depolarizing(0.5)
+        pi = qc.fixed_point(ch)
+        with pytest.raises(qc.AllRestartsDegenerate,
+                           match="no restart of 2 found a valid starting point"):
+            qc.sdpi_variational(
+                self._nan_every(2), ch, pi,
+                qc.VariationalOptions(restarts=2, max_iters=3, seed=1),
+            )
+
+    def test_skipped_coordinates_are_counted(self):
+        # the evaluator's domain is the start state and its image only, so
+        # every perturbed point of the first gradient is invalid
+        ch = qc.depolarizing(0.5)
+        pi = qc.fixed_point(ch)
+        seen = []
+
+        def narrow(r, s):
+            if len(seen) < 2:
+                seen.append(r.entries.copy())
+            if not any(np.array_equal(r.entries, x) for x in seen):
+                raise qc.DomainError("outside the evaluator's domain")
+            return qc.chi2_max(r, s).value
+
+        est = qc.sdpi_variational(
+            narrow, ch, pi, qc.VariationalOptions(restarts=1, max_iters=1, seed=1)
+        )
+        n = 2 * 2 * 2
+        assert est.value == pytest.approx(0.25, abs=1e-12)
+        assert est.diagnostics["skipped_coordinates"] == n
+        assert est.diagnostics["ratio_evaluations"] == 1 + 2 * n
+        assert est.diagnostics["reinits"] == 0
+
+    def test_reinits_are_counted(self):
+        ch = qc.depolarizing(0.5)
+        pi = qc.fixed_point(ch)
+        calls = []
+
+        def late(r, s):
+            calls.append(None)
+            return 0.0 if len(calls) == 1 else qc.chi2_max(r, s).value
+
+        est = qc.sdpi_variational(
+            late, ch, pi, qc.VariationalOptions(restarts=1, max_iters=2, seed=1)
+        )
+        assert est.diagnostics["reinits"] == 1
+        assert est.diagnostics["valid_restarts"] == 1
+        assert est.diagnostics["skipped_coordinates"] == 0
+
+    def test_singular_image_of_sigma_is_singular_reference(self, f_cat, gs):
+        # the reset channel maps every state to |0><0|
+        reset = qc.channel_from_kraus([np.array([[1, 0], [0, 0]]),
+                                       np.array([[0, 1], [0, 0]])])
+        sig = qc.validate_density(np.eye(2) / 2)
+        for obj in (f_cat["kl"].with_family("matsumoto"), gs["max"]):
+            with pytest.raises(qc.SingularReference):
+                qc.sdpi_variational(obj, reset, sig,
+                                    qc.VariationalOptions(restarts=1, max_iters=2))
+
+    def test_counters_sum_over_restarts(self, gs):
+        ch = qc.random_channel(2, seed=3)
+        pi = qc.fixed_point(ch)
+        one, two = (qc.sdpi_variational(gs["max"], ch, pi, qc.VariationalOptions(
+            restarts=k, max_iters=5, seed=4)) for k in (1, 2))
+        # restart 0 is the same search in both runs
+        assert two.diagnostics["ratio_evaluations"] > \
+            one.diagnostics["ratio_evaluations"] > 0
+        for key in ("ratio_evaluations", "skipped_coordinates", "reinits"):
+            assert isinstance(two.diagnostics[key], int)
 
 
 class TestDetailedBalance:

@@ -357,6 +357,15 @@ class TestHockeyStick:
         with pytest.raises(qc.InputError):
             qc.hockey_stick(rho, sig, 0.5)
 
+    def test_rank_deficient_rho_accepted(self):
+        # tr(rho - gamma sigma)_+ is defined for every state rho
+        rho = np.diag([1.0, 0.0])
+        sig = np.eye(2) / 2
+        assert qc.hockey_stick(rho, sig, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert qc.hockey_stick(rho, sig, 2.0) == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(qc.SingularReference):
+            qc.hockey_stick(sig, rho, 1.0)
+
 
 class TestPinsker:
     def test_quadratic_lower_bound_quantum(self, f_cat):
