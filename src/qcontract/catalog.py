@@ -84,7 +84,7 @@ def _fd_check(fn, deriv, grid, h=1e-5, tol=1e-6, what="f"):
 
 
 def fdivergence_spec(name, f, f1, f2, f3, operator_convex=False,
-                     pinsker_constant=None, family=None) -> FDivergenceSpec:
+                     pinsker_constant=None) -> FDivergenceSpec:
     """Build and sanity-check an f-divergence generator."""
     one = np.asarray(1.0)
     if abs(float(np.asarray(f(one)))) > 1e-12:
@@ -100,8 +100,7 @@ def fdivergence_spec(name, f, f1, f2, f3, operator_convex=False,
     _fd_check(f, f1, _CHECK_GRID, what=f"{name}.f")
     _fd_check(f1, f2, _CHECK_GRID, what=f"{name}.f1")
     _fd_check(f2, f3, _CHECK_GRID, what=f"{name}.f2")
-    spec = FDivergenceSpec(name, f, f1, f2, f3, operator_convex, pinsker_constant, None)
-    return spec.with_family(family) if family else spec
+    return FDivergenceSpec(name, f, f1, f2, f3, operator_convex, pinsker_constant)
 
 
 def _kl_f(x):

@@ -1,8 +1,8 @@
 """Quantum channels: construction, representations, fixed points, primitivity.
 
-A channel is stored as its superoperator matrix in the column-stacking
-convention (``X -> A X B`` has matrix ``kron(B.T, A)``; a Kraus set
-``{K}`` gives ``sum_K kron(conj(K), K)``).  Complete positivity and trace
+A channel is stored as a :class:`~qcontract.linalg.Superoperator`, in the
+vectorization convention stated in the :mod:`qcontract.linalg` docstring,
+and acts through its ``apply``.  Complete positivity and trace
 preservation are verified at construction through the Choi matrix.
 """
 
@@ -177,8 +177,7 @@ def channel_from_superop(matrix, label: str = "superop") -> QuantumChannel:
 
 def apply(channel: QuantumChannel, rho) -> DensityMatrix:
     """Apply the channel and re-validate the output state."""
-    out = channel.superop.apply(np.asarray(rho, dtype=complex))
-    return validate_density(out)
+    return validate_density(channel.superop.apply(rho))
 
 
 def channel_adjoint(channel: QuantumChannel) -> Superoperator:
@@ -201,6 +200,12 @@ def channel_power(channel: QuantumChannel, n: int) -> QuantumChannel:
     )
 
 
+def _fixed_point_error(channel: QuantumChannel, x: np.ndarray) -> float:
+    """The trace-norm residual ||E(X) - X||_1 of a Hermitian matrix X."""
+    diff = hermitianize(channel.superop.apply(x)) - x
+    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
 def fixed_point(channel: QuantumChannel) -> DensityMatrix:
     """The invariant state of the channel.
 
@@ -209,8 +214,13 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix:
     ||E(pi) - pi||_1 <= SPECTRAL_TOL.  Raises :class:`DegenerateFixedSpace`
     if the eigenvalue 1 has multiplicity > 1 within SPECTRAL_TOL.
     """
-    m = channel.superop.matrix
-    vals, vecs = np.linalg.eig(m)
+    return _fixed_point(channel, *np.linalg.eig(channel.superop.matrix))
+
+
+def _fixed_point(channel: QuantumChannel, vals: np.ndarray,
+                 vecs: np.ndarray) -> DensityMatrix:
+    """fixed_point from the eigendecomposition (vals, vecs) of the
+    superoperator matrix."""
     near_one = np.abs(vals - 1.0) <= SPECTRAL_TOL
     if int(near_one.sum()) > 1:
         raise DegenerateFixedSpace(
@@ -221,13 +231,9 @@ def fixed_point(channel: QuantumChannel) -> DensityMatrix:
     x = devectorize(vecs[:, idx], channel.dim)
     tr = np.trace(x)
     if abs(tr) <= SPECTRAL_TOL:
-        raise TraceZeroEigenvector(
-            f"fixed-space eigenvector has trace {abs(tr):.3e}"
-        )
-    x = hermitianize(x / tr)
-    pi = validate_density(x)
-    residual = float(np.abs(np.linalg.eigvalsh(
-        hermitianize(channel.superop.apply(pi.entries)) - pi.entries)).sum())
+        raise TraceZeroEigenvector(f"fixed-space eigenvector has trace {abs(tr):.3e}")
+    pi = validate_density(hermitianize(x / tr))
+    residual = _fixed_point_error(channel, pi.entries)
     if residual > SPECTRAL_TOL:
         raise ConvergenceFailure(
             f"fixed-point residual ||E(pi)-pi||_1 = {residual:.3e} "
@@ -242,8 +248,9 @@ def is_primitive(channel: QuantumChannel) -> PrimitivityReport:
     Primitive means: eigenvalue 1 is simple, it is the only eigenvalue on
     the unit circle, and the fixed point has full rank.  Reported
     ``spectral_gap`` is 1 minus the second-largest eigenvalue modulus.
+    One eigendecomposition gives both the moduli and the fixed point.
     """
-    vals = np.linalg.eigvals(channel.superop.matrix)
+    vals, vecs = np.linalg.eig(channel.superop.matrix)
     mods = np.sort(np.abs(vals))[::-1]
     peripheral = int(np.sum(mods >= 1.0 - SPECTRAL_TOL))
     gap = float(1.0 - mods[1]) if mods.size > 1 else 1.0
@@ -256,7 +263,7 @@ def is_primitive(channel: QuantumChannel) -> PrimitivityReport:
     min_eig = float("nan")
     if one_mult == 1:
         try:
-            pi = fixed_point(channel)
+            pi = _fixed_point(channel, vals, vecs)
             min_eig = pi.min_eigenvalue
             if min_eig <= SPECTRAL_TOL:
                 reasons.append(f"fixed point rank deficient (min eig {min_eig:.3e})")

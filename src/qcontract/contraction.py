@@ -32,6 +32,7 @@ from .catalog import (
 )
 from .channels import (
     QuantumChannel,
+    _fixed_point_error,
     apply,
     channel_power,
     fixed_point,
@@ -100,6 +101,8 @@ INIT_STEP = 0.25
 EXPERIMENT_STEP_TOL = 1e-6
 #: random states propagated to estimate n0
 N0_SAMPLES = 12
+#: slack of the experiment's rate and tightness verdicts
+SLACK = 0.02
 
 CSV_SCHEMA_VERSION = "v1"
 
@@ -110,32 +113,30 @@ def omega(sigma, g: SpectralWeight) -> np.ndarray:
     Omega_sigma^g acts on the sigma-eigenbasis matrix units as
     |i><j| -> w_ij |i><j| with w_ij = g(mu_i/mu_j)/mu_j (eigenvalues
     ascending); its inverse and square roots have the entrywise
-    reciprocal and square-root weights.
+    reciprocal and square-root weights.  Raises :class:`InputError` unless
+    every weight is positive and finite, as every chi-square entry point
+    does.
     """
     s = validate_density(sigma)
     _require_full_rank(s, "sigma")
     w = _sigma_weights(s, g)
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise InputError(f"weight function {g.name} produced nonpositive weights")
     w.setflags(write=False)
     return w
 
 
 def _eigenbasis(channel: QuantumChannel, sigma):
-    """The validated full-rank sigma and the channel's superoperator rotated
-    into the sigma eigenbasis, Mt = U^dag M U with U = kron(conj(V), V)."""
+    """The validated full-rank sigma and the channel's superoperator matrix
+    Mt in the sigma eigenbasis."""
     s = validate_density(sigma)
     _require_full_rank(s, "sigma")
     if channel.dim != s.dim:
         raise InputError("channel and sigma dimensions differ")
-    v = s.eigenvectors
-    u = np.kron(v.conj(), v)
-    return s, u.conj().T @ channel.superop.matrix @ u
+    return s, channel.superop.in_basis(s.eigenvectors)
 
 
 def _db_residual(s: DensityMatrix, mt: np.ndarray, g: SpectralWeight) -> float:
     """||D Mt^dag - Mt D||_F / ||D||_F with D = diag(1/vec(w)), w = omega(s, g)."""
-    inv = 1.0 / omega(s, g).ravel(order="F")
+    inv = 1.0 / vectorize(omega(s, g))
     resid = inv[:, None] * mt.conj().T - mt * inv[None, :]
     return float(np.linalg.norm(resid) / np.linalg.norm(inv))
 
@@ -155,10 +156,8 @@ class SdpiEstimate:
 def _sdpi_chi2(channel: QuantumChannel, s: DensityMatrix, mt: np.ndarray,
                g: SpectralWeight) -> SdpiEstimate:
     """sdpi_chi2 for the validated sigma ``s`` and ``mt`` from ``_eigenbasis``."""
-    w = omega(s, g).ravel(order="F")
-    e_sig = channel.superop.apply(s.entries)
-    fix_err = float(np.abs(np.linalg.eigvalsh(hermitianize(e_sig) - s.entries)).sum())
-    sw = np.sqrt(w)
+    fix_err = _fixed_point_error(channel, s.entries)
+    sw = np.sqrt(vectorize(omega(s, g)))
     u_l, svals, v_r = np.linalg.svd(sw[:, None] * mt / sw[None, :])
     top = float(svals[0])
     second = float(svals[1])
@@ -206,7 +205,7 @@ def sdpi_chi2(channel: QuantumChannel, sigma, g: SpectralWeight) -> SdpiEstimate
 
 
 def _seed(x) -> int:
-    if not (isinstance(x, numbers.Integral) and x >= 0):
+    if isinstance(x, bool) or not (isinstance(x, numbers.Integral) and x >= 0):
         raise InputError(f"seed must be a nonnegative integer, got {x!r}")
     return int(x)
 
@@ -232,15 +231,6 @@ class VariationalOptions:
         _seed_list(self.seed)
 
 
-def _channel_stack(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """E(X) for each X of a (B, d, d) stack, with superoperator matrix m in
-    the column-stacking convention."""
-    b, d = x.shape[0], x.shape[1]
-    # one matrix-vector product per point, as Superoperator.apply makes it
-    vecs = x.transpose(0, 2, 1).reshape(b, d * d, 1)
-    return (m @ vecs).reshape(b, d, d).transpose(0, 2, 1)
-
-
 def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     """Build ratios(rho_stack) -> ndarray for the SDPI search.
 
@@ -258,7 +248,6 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     validate_density.  A callable is called point by point on validated
     states.
     """
-    m = channel.superop.matrix
     e_sigma = apply(channel, sigma)
     builtin = isinstance(evaluator, (SpectralWeight, FDivergenceSpec))
     if not (builtin or callable(evaluator)):
@@ -283,7 +272,7 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
             idx = np.flatnonzero(keep)
             den = _quadratic_forms(x[idx], v_s, w_s)
             ok = den > 0.0
-            ex = _channel_stack(m, x[idx[ok]])
+            ex = channel.superop.apply(x[idx[ok]])
             ex = 0.5 * (ex + ex.conj().transpose(0, 2, 1))
             out[idx[ok]] = _quadratic_forms(ex, v_e, w_e) / den[ok]
             return out
@@ -305,7 +294,8 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
             den = _divergence_stack(spec, ents[idx], lam[idx], phi[idx], ref_s)
             ok = den > 0.0
             idx, den = idx[ok], den[ok]
-            e_ents, e_lam, e_phi, *e_checks = validate_stack(_channel_stack(m, ents[idx]))
+            e_stack = channel.superop.apply(ents[idx])
+            e_ents, e_lam, e_phi, *e_checks = validate_stack(e_stack)
             ok = stack_valid(*e_checks)
             num = _divergence_stack(spec, e_ents[ok], e_lam[ok], e_phi[ok], ref_e)
             out[idx[ok]] = num / den[ok]
@@ -515,12 +505,11 @@ def sdpi_submultiplicativity_check(channel: QuantumChannel, sigma,
 @dataclass(frozen=True)
 class ExperimentOptions:
     """Configuration for the contraction-rate experiment: restarts (>= 1),
-    max_iters and seed (an integer >= 0) of each search, slack of the verdicts."""
+    max_iters and seed (an integer >= 0) of each search."""
 
     restarts: int = 12
     max_iters: int = 100
     seed: int = 1729
-    slack: float = 0.02
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -550,18 +539,14 @@ def _estimate_n0(channel: QuantumChannel, pi: DensityMatrix, n_max: int,
     """Smallest n with max sampled ||E^n(rho) - pi||_inf < lambda_min(pi)/2."""
     rng = np.random.default_rng([opts.seed, 0xA0])
     d = channel.dim
-    states = []
-    for i in range(N0_SAMPLES):
-        rank = 1 if i % 2 == 0 else d
-        states.append(random_density(d, rng, rank=rank).entries)
+    states = np.array([random_density(d, rng, rank=1 if i % 2 == 0 else d).entries
+                       for i in range(N0_SAMPLES)])
     radius = pi.min_eigenvalue / 2.0
     n0 = None
     max_devs = []
     for n in range(1, n_max + 1):
-        states = [hermitianize(channel.superop.apply(s)) for s in states]
-        dev = max(
-            float(np.max(np.abs(np.linalg.eigvalsh(s - pi.entries)))) for s in states
-        )
+        states = hermitianize(channel.superop.apply(states))
+        dev = float(np.max(np.abs(np.linalg.eigvalsh(states - pi.entries))))
         max_devs.append(dev)
         if n0 is None and dev < radius:
             n0 = n
@@ -577,11 +562,11 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     each g against E and E^n, and detailed-balance residuals of E^n.
     Produces two verdicts:
 
-    (a) rate: eta_f(E^n, pi)^(1/n) <= eta_{chi2_g}(E, pi) + slack for all
+    (a) rate: eta_f(E^n, pi)^(1/n) <= eta_{chi2_g}(E, pi) + SLACK for all
         n >= n0 (n0 from the sampled convergence radius);
     (b) tightness: whenever the channel is kappa_f-detailed balanced, the
         chi-square constants of powers multiply exactly and the
-        variational eta_f(E^n) stays above eta_{chi2_kappa}(E)^n - slack.
+        variational eta_f(E^n) stays above eta_{chi2_kappa}(E)^n - SLACK.
     """
     opts = opts or ExperimentOptions()
     if not 1 <= n_max <= 32:
@@ -644,7 +629,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
         rows.append(row)
 
     # verdict (a): n-th roots against every chi-square bound past n0
-    theorem_rate = {"n0": n0, "slack": opts.slack, "per_family": {}}
+    theorem_rate = {"n0": n0, "slack": SLACK, "per_family": {}}
     rate_pass = True
     vacuous = n0 is None or n0 > n_max
     for label in family_labels:
@@ -656,7 +641,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
                 for row in rows:
                     if row["n"] < n0:
                         continue
-                    excess = row["eta_f_root"][label] - base_eta[gname] - opts.slack
+                    excess = row["eta_f_root"][label] - base_eta[gname] - SLACK
                     checked.append(row["n"])
                     worst = max(worst, excess)
             ok = worst <= 0.0
@@ -685,7 +670,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
                 expect = base**n
                 got = row["kappa_eta_power"][label]
                 rel_err = max(rel_err, abs(got - expect) / max(expect, 1e-300))
-                margin = min(margin, row["eta_f"][label] - (expect - opts.slack))
+                margin = min(margin, row["eta_f"][label] - (expect - SLACK))
             entry["power_equality_max_rel_err"] = rel_err
             entry["power_equality_pass"] = bool(rel_err <= 1e-7)
             entry["lower_bound_min_margin"] = margin
@@ -713,7 +698,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
             "max_iters": opts.max_iters,
             "step_tol": EXPERIMENT_STEP_TOL,
             "seed": opts.seed,
-            "slack": opts.slack,
+            "slack": SLACK,
             "n0_samples": N0_SAMPLES,
         },
     )

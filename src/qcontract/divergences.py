@@ -85,10 +85,14 @@ def epsilon_regularize(rho, eps: float) -> DensityMatrix:
 
 
 def _sigma_weights(sigma: DensityMatrix, g: SpectralWeight) -> np.ndarray:
-    """Spectral weight matrix w[i, j] = g(mu_i / mu_j) / mu_j."""
+    """Spectral weight matrix w[i, j] = g(mu_i / mu_j) / mu_j; raises
+    :class:`InputError` unless every weight is positive and finite."""
     mu = sigma.eigenvalues
     ratio = mu[:, None] / mu[None, :]
-    return np.asarray(g(ratio), float) / mu[None, :]
+    w = np.asarray(g(ratio), float) / mu[None, :]
+    if not (np.isfinite(w) & (w > 0)).all():
+        raise InputError(f"weight function {g.name} produced nonpositive weights")
+    return w
 
 
 def _quadratic_forms(x: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

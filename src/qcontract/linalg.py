@@ -5,7 +5,12 @@ Conventions
 * Vectorization is column-stacking: ``vec(X)[i + d*j] = X[i, j]``, i.e.
   ``numpy`` order ``'F'``.  Under this convention ``vec(A X B) =
   (B.T kron A) vec(X)``, so a superoperator acting as ``X -> A X B`` has
-  matrix ``np.kron(B.T, A)``.
+  matrix ``np.kron(B.T, A)`` and a Kraus set ``{K}`` gives
+  ``sum_K kron(conj(K), K)``.  This is the one statement of the
+  convention.  Beyond this module only the channel constructors (Kraus
+  sums, Choi matrix) use it; other code acts through
+  :meth:`Superoperator.apply`, which takes one d x d matrix or a
+  (B, d, d) stack, and :meth:`Superoperator.in_basis`.
 * Eigenvalues are always reported in ascending order (``numpy.linalg.eigh``).
 * Validated states (:class:`DensityMatrix`) and superoperators are
   immutable after construction; their ndarrays are marked read-only.
@@ -49,26 +54,28 @@ DEFAULT_VALIDATION_TOL = 1e-9
 HERMITICITY_REJECT_TOL = 1e-6
 
 
-def _as_matrix(a, *, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a square complex ndarray with d >= 2."""
+def _as_matrix(a, *, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce input to a square complex ndarray with d >= 2; with ``stack``,
+    a (B, d, d) stack of such matrices is accepted too."""
     if isinstance(a, DensityMatrix):
         return a.entries
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.shape[-1] != arr.shape[-2]:
         raise NotSquare(f"{name} must be a square 2-d array, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise DimensionMismatch(f"{name} must have dimension >= 2, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if arr.shape[-1] < 2:
+        raise DimensionMismatch(f"{name} must have dimension >= 2, got {arr.shape[-1]}")
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     return arr
 
 
 def hermitianize(a) -> np.ndarray:
-    """Return (A + A^dag)/2."""
-    arr = _as_matrix(a)
-    return 0.5 * (arr + arr.conj().T)
+    """Return (A + A^dag)/2, for one matrix or each of a (B, d, d) stack."""
+    arr = _as_matrix(a, stack=True)
+    return 0.5 * (arr + arr.conj().swapaxes(-1, -2))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class DensityMatrix:
     """A validated density matrix (Hermitian, PSD, unit trace).
 
@@ -77,26 +84,11 @@ class DensityMatrix:
     instance so downstream code never re-diagonalizes reference states.
     """
 
-    __slots__ = (
-        "entries",
-        "dim",
-        "eigenvalues",
-        "eigenvectors",
-        "full_rank",
-    )
-
-    def __init__(self, entries, dim, eigenvalues, eigenvectors, full_rank):
-        for name, value in (
-            ("entries", entries),
-            ("dim", dim),
-            ("eigenvalues", eigenvalues),
-            ("eigenvectors", eigenvectors),
-            ("full_rank", full_rank),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
+    entries: np.ndarray
+    dim: int
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    full_rank: bool
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -142,13 +134,7 @@ def validate_density(entries) -> DensityMatrix:
     ents, vals, vecs = ents[0], vals[0], vecs[0]
     for a in (ents, vals, vecs):
         a.setflags(write=False)
-    return DensityMatrix(
-        entries=ents,
-        dim=arr.shape[0],
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        full_rank=full_rank,
-    )
+    return DensityMatrix(ents, arr.shape[0], vals, vecs, full_rank)
 
 
 def validate_stack(arr: np.ndarray):
@@ -233,27 +219,42 @@ class Superoperator:
     dim: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (self.dim**2, self.dim**2):
             raise DimensionMismatch(
                 f"superoperator matrix shape {m.shape} does not match dim {self.dim}"
             )
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def apply(self, x) -> np.ndarray:
-        return devectorize(self.matrix @ vectorize(x), self.dim)
+        """E(X) for a d x d matrix X, or for each X of a (B, d, d) stack.
+
+        Each X is one matrix-vector product M vec(X), so a stack gives
+        bit for bit what its matrices give one at a time.
+        """
+        arr = _as_matrix(x, name="superoperator input", stack=True)
+        d = self.dim
+        if arr.shape[-1] != d:
+            raise DimensionMismatch(f"input of dimension {arr.shape[-1]} for dim {d}")
+        # vec(X) of each matrix as a (d^2, 1) column
+        vecs = arr.swapaxes(-1, -2).reshape(-1, d * d, 1)
+        return (self.matrix @ vecs).reshape(arr.shape).swapaxes(-1, -2)
+
+    def in_basis(self, v: np.ndarray) -> np.ndarray:
+        """The matrix U^dag M U, U = kron(conj(v), v): the map written on the
+        matrix units |v_i><v_j| of the orthonormal columns of v."""
+        u = np.kron(v.conj(), v)
+        return u.conj().T @ self.matrix @ u
 
     def adjoint(self) -> "Superoperator":
         """Adjoint with respect to the Hilbert-Schmidt inner product."""
         return Superoperator(self.matrix.conj().T, self.dim)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian Hermitian matrix (GUE-style, unnormalized)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * hermitianize(g)
+    return hermitianize(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qcontract as qc
+from qcontract.channels import SPECTRAL_TOL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -225,6 +226,31 @@ class TestPrimitivity:
         rep = qc.is_primitive(qc.channel_from_kraus([k1, k2]))
         assert not rep.is_primitive
         assert any("rank" in r for r in rep.reasons)
+
+    @pytest.mark.parametrize("make", [
+        lambda: qc.depolarizing(0.5),
+        lambda: qc.embedded_classical(np.array([[0.7, 0.3], [0.3, 0.7]])),
+        lambda: qc.amplitude_damping(0.3, 0.25),
+        lambda: qc.pauli_channel([0.4, 0.3, 0.2, 0.1]),
+        lambda: qc.random_channel(2, seed=1),
+        lambda: qc.random_channel(3, seed=1),
+        lambda: qc.channel_from_kraus([np.array([[0, 1], [1, 0]], dtype=complex)]),
+        lambda: qc.channel_from_kraus([
+            np.array([[1, 0], [0, np.sqrt(0.5)]], dtype=complex),
+            np.array([[0, np.sqrt(0.5)], [0, 0]], dtype=complex)]),
+    ])
+    def test_report_matches_separate_spectrum_and_fixed_point(self, make):
+        # the report from one eig equals eigvals moduli plus a fixed_point call
+        ch = make()
+        rep = qc.is_primitive(ch)
+        vals = np.linalg.eigvals(ch.superop.matrix)
+        mods = np.sort(np.abs(vals))[::-1]
+        assert rep.spectral_gap == float(1.0 - mods[1])
+        assert rep.peripheral_count == int(np.sum(mods >= 1.0 - SPECTRAL_TOL))
+        if np.sum(np.abs(vals - 1.0) <= SPECTRAL_TOL) == 1:
+            assert rep.fixed_point_min_eigenvalue == qc.fixed_point(ch).min_eigenvalue
+        else:
+            assert np.isnan(rep.fixed_point_min_eigenvalue)
 
     def test_spectral_containment(self):
         for ch in (qc.random_channel(2, seed=5), qc.random_channel(3, seed=6),

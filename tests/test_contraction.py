@@ -67,6 +67,23 @@ class TestOmega:
         with pytest.raises(qc.SingularReference):
             qc.omega(sig, gs["max"])
 
+    def test_nonpositive_weights_rejected_at_every_entry_point(self):
+        ch = qc.random_channel(2, seed=1)
+        pi = qc.fixed_point(ch)
+        rho = qc.random_density(2, np.random.default_rng(3))
+        bad = qc.SpectralWeight("neg", lambda x: -np.ones_like(x))
+        calls = [
+            lambda: qc.omega(pi, bad),
+            lambda: qc.chi2_g(rho, pi, bad),
+            lambda: qc.chi2_quadratic_form(rho.entries - pi.entries, pi, bad),
+            lambda: qc.sdpi_chi2(ch, pi, bad),
+            lambda: qc.detailed_balance_residual(ch, pi, bad),
+            lambda: qc.sdpi_variational(bad, ch, pi, qc.VariationalOptions(restarts=1)),
+        ]
+        for call in calls:
+            with pytest.raises(qc.InputError, match="nonpositive weights"):
+                call()
+
 
 class TestDenseOmegaReference:
     """The eigenbasis forms equal the dense-superoperator definitions."""
@@ -254,6 +271,9 @@ class TestVariationalSdpi:
           for kw in ({"seed": -1}, {"seed": 1.5}, {"restarts": 0})],
         (qc.VariationalOptions, {"seed": (1729, -2)}),
         (qc.ExperimentOptions, {"seed": (1729, 2)}),
+        (qc.VariationalOptions, {"seed": True}),
+        (qc.VariationalOptions, {"seed": (True, 3)}),
+        (qc.ExperimentOptions, {"seed": False}),
     ])
     def test_invalid_restarts_and_seeds_rejected(self, options, kwargs):
         with pytest.raises(qc.InputError):
@@ -572,6 +592,22 @@ class TestExperiment:
         )
         assert header == expect
         assert len(csv_text.splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_n0_sample_matches_per_state_loop(self, dim):
+        # the stacked propagation reproduces the state-by-state loop bit for bit
+        ch = qc.random_channel(dim, seed=1)
+        pi = qc.fixed_point(ch)
+        opts = qc.ExperimentOptions(seed=5)
+        rng = np.random.default_rng([opts.seed, 0xA0])
+        states = [qc.random_density(dim, rng, rank=1 if i % 2 == 0 else dim).entries
+                  for i in range(contraction.N0_SAMPLES)]
+        devs = []
+        for _ in range(4):
+            states = [qc.hermitianize(ch.superop.apply(s)) for s in states]
+            devs.append(max(float(np.max(np.abs(np.linalg.eigvalsh(s - pi.entries))))
+                            for s in states))
+        assert contraction._estimate_n0(ch, pi, 4, opts)[1] == devs
 
     def test_deterministic_reports_bit_identical(self, f_cat, gs):
         families = [f_cat["kl"].with_family("petz")]

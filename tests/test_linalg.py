@@ -133,6 +133,38 @@ class TestSuperoperator:
             qc.vectorize(s.apply(x)), m @ qc.vectorize(x), atol=1e-12
         )
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_apply_on_stack_matches_each_matrix(self, dim, rng):
+        x = rng.normal(size=(7, dim, dim)) + 1j * rng.normal(size=(7, dim, dim))
+        for seed in range(4):
+            s = qc.random_channel(dim, seed=seed).superop
+            out = s.apply(x)
+            assert out.shape == x.shape
+            for xk, ok in zip(x, out):
+                np.testing.assert_array_equal(ok, s.apply(xk))
+                want = qc.devectorize(s.matrix @ qc.vectorize(xk), dim)
+                np.testing.assert_array_equal(ok, want)
+
+    def test_apply_rejects_non_finite_and_misfit_input(self):
+        s = qc.random_channel(2, seed=1).superop
+        for bad in (np.array([[np.nan, 0], [0, 1.0]]),
+                    np.array([[[1.0, 0], [0, np.inf]]])):
+            with pytest.raises(qc.InputError):
+                s.apply(bad)
+        with pytest.raises(qc.DimensionMismatch):
+            s.apply(np.eye(3))
+
+    def test_in_basis_is_the_map_on_rotated_matrix_units(self, rng):
+        s = qc.random_channel(2, seed=2).superop
+        v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        mt = s.in_basis(v)
+        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        # E(V X V^dag) = V Y V^dag with vec(Y) = Mt vec(X)
+        np.testing.assert_allclose(
+            v.conj().T @ s.apply(v @ x @ v.conj().T) @ v,
+            qc.devectorize(mt @ qc.vectorize(x)), atol=1e-12,
+        )
+
     def test_adjoint_is_conjugate_transpose(self, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         np.testing.assert_allclose(qc.Superoperator(m, 2).adjoint().matrix, m.conj().T)
