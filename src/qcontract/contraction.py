@@ -322,15 +322,18 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     return ratios, "callable"
 
 
-def _rho_from_params(x: np.ndarray, d: int) -> np.ndarray:
+def _rho_from_params(x: np.ndarray, d: int, counts: dict | None = None) -> np.ndarray:
     """States A A^dag / tr for a (B, 2 d^2) stack of parameter vectors, the
-    real then the imaginary parts of A; I/d where the trace vanishes."""
+    real then the imaginary parts of A; I/d where the trace vanishes, which
+    adds to ``counts["identity_fallbacks"]`` when counts are given."""
     a = (x[:, : d * d] + 1j * x[:, d * d:]).reshape(-1, d, d)
     m = a @ a.conj().transpose(0, 2, 1)
     tr = np.trace(m, axis1=1, axis2=2).real
     zero = tr <= 0.0
     m[zero] = np.eye(d)
     tr[zero] = d
+    if counts is not None:
+        counts["identity_fallbacks"] += int(zero.sum())
     return m / tr[:, None, None]
 
 
@@ -353,12 +356,13 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     +h or -h point is invalid (not finite) gets gradient 0 and is counted in
     ``counts["skipped_coordinates"]``.  The line search calls ``ratios`` on
     a stack of one.  Every evaluated point adds to
-    ``counts["ratio_evaluations"]``.  Only strict improvements are
-    accepted, so the final point is the best.
+    ``counts["ratio_evaluations"]``, and one whose A is 0 (so that its state
+    is the fallback I/d) to ``counts["identity_fallbacks"]``.  Only strict
+    improvements are accepted, so the final point is the best.
     """
     def values(params):
         counts["ratio_evaluations"] += len(params)
-        return ratios(_rho_from_params(params, d))
+        return ratios(_rho_from_params(params, d, counts))
 
     x = x0.copy()
     f0 = values(x[None])[0]
@@ -413,7 +417,11 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
 
     ``diagnostics`` counts, summed over restarts, the ratio evaluations
     (points), the gradient coordinates set to 0 because a perturbed point
-    was invalid, and the extra starting points tried after an invalid one.
+    was invalid, the extra starting points tried after an invalid one, and
+    the evaluated points whose parameter matrix was 0 and so stood for
+    I/d.  ``clipped_above_one`` records whether the best ratio exceeded 1
+    and was clipped to 1, which flags an objective that breaks data
+    processing.
     """
     opts = opts or VariationalOptions()
     s = validate_density(sigma)
@@ -423,7 +431,8 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     ratios, obj_label = _objective(evaluator, channel, s)
     d = channel.dim
     seed_base = _seed_list(opts.seed)
-    counts = {"ratio_evaluations": 0, "skipped_coordinates": 0, "reinits": 0}
+    counts = {"ratio_evaluations": 0, "skipped_coordinates": 0, "reinits": 0,
+              "identity_fallbacks": 0}
 
     def run_restart(k: int):
         rng = np.random.default_rng(seed_base + [k])
@@ -455,6 +464,7 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
         diagnostics={
             "objective": obj_label,
             "raw_best": float(best_f),
+            "clipped_above_one": bool(best_f > 1.0),
             "valid_restarts": len(valid),
             "restart_values": [float(r[0]) for r in valid],
             **counts,

@@ -26,7 +26,9 @@ from .linalg import (
     stack_full_rank,
     validate_density,
 )
-from .quadrature import integrate_piecewise
+# integrate_piecewise stays bound here: perfbench/spans.py traces quadrature
+# through this name
+from .quadrature import _integrate_stack, _Stack, integrate_piecewise  # noqa: F401
 
 __all__ = [
     "DivergenceValue",
@@ -140,10 +142,11 @@ def _positive_eig_sum(a: np.ndarray) -> float:
 def hockey_stick(rho, sigma, gamma: float) -> float:
     """Hockey-stick divergence E_gamma = tr[(rho - gamma sigma)_+], gamma >= 1.
 
-    Defined for every state rho; sigma must be full rank.
+    Defined for every state rho; sigma must be full rank.  A gamma that is
+    not a finite number >= 1 (NaN, inf) raises :class:`InputError`.
     """
-    if gamma < 1.0:
-        raise InputError(f"gamma must be >= 1, got {gamma}")
+    if not (np.isfinite(gamma) and gamma >= 1.0):
+        raise InputError(f"gamma must be finite and >= 1, got {gamma}")
     r = _density(rho, "rho")
     s = _density(sigma, "sigma")
     _require_full_rank(s, "sigma")
@@ -172,25 +175,34 @@ def _pencil(rho: np.ndarray, ref: _Reference) -> np.ndarray:
     return 0.5 * (t + t.conj().transpose(0, 2, 1))
 
 
-def _ht_integrals(f2, rho: np.ndarray, ref: _Reference, t: np.ndarray) -> list:
-    """One integrate_piecewise result per full-rank rho of the stack, given
-    the ascending pencil spectra ``t`` (eigenvalues of :func:`_pencil`)."""
-    sig = ref.entries[None, :, :]
-    results = []
-    for r, ti in zip(rho, t):
-        log_t = np.log(ti)
-        lo, hi = float(log_t[0]), float(log_t[-1])
+def _ht_integrals(f2, rho: np.ndarray, ref: _Reference, t: np.ndarray) -> _Stack:
+    """The ht integrals of every full-rank rho of a (B, d, d) stack, given
+    the ascending pencil spectra ``t`` (B, d) (eigenvalues of
+    :func:`_pencil`), in one stacked quadrature loop.
 
-        def integrand(x, r=r[None, :, :]):
-            g = np.exp(x)
-            w = np.linalg.eigvalsh(r - g[:, None, None] * sig)
-            # the positive part above g = 1, the negative part below
-            n_g = np.clip(np.where(g[:, None] >= 1.0, w, -w), 0.0, None).sum(axis=1)
-            return np.asarray(f2(g), float) * g * n_g
+    The panel edges of rho are its log pencil spectrum and 0, the kink of
+    N at g = 1.  As tr rho = tr sigma = 1, the spectrum brackets 1, so 0
+    lies in [log t_min, log t_max] up to rounding, which resetting the end
+    edges absorbs.  The zero-width panels this or a degenerate spectrum
+    leaves are dropped (so rho = sigma gives 0).  Each round makes one
+    stacked eigvalsh over the nodes of all open panels of the stack.
+    """
+    log_t = np.log(t)
+    edges = np.concatenate([log_t, np.zeros((len(t), 1))], axis=1)
+    edges.sort(axis=1)
+    # 0 sorts first or last only when rounding puts it outside the spectrum;
+    # resetting the ends clips it in
+    edges[:, 0], edges[:, -1] = log_t[:, 0], log_t[:, -1]
+    sig = ref.entries
 
-        edges = [x for x in (*log_t, 0.0) if lo <= x <= hi]
-        results.append(integrate_piecewise(integrand, edges, epsrel=HT_QUAD_RTOL))
-    return results
+    def integrand(x, owner):
+        g = np.exp(x)
+        w = np.linalg.eigvalsh(rho[owner, None] - g[..., None, None] * sig)
+        # the positive part above g = 1, the negative part below
+        n_g = np.maximum(np.where(g[..., None] >= 1.0, w, -w), 0.0).sum(axis=-1)
+        return np.asarray(f2(g), float) * g * n_g
+
+    return _integrate_stack(integrand, edges, epsrel=HT_QUAD_RTOL)
 
 
 def _matsumoto_values(f, rho: np.ndarray, ref: _Reference):
@@ -234,8 +246,8 @@ def _divergence_stack(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
         values[full] = _petz_values(spec.f, lam[full], phi[full], ref.mu, ref.psi)
     else:
         rho = ents[full]
-        results = _ht_integrals(spec.f2, rho, ref, np.linalg.eigvalsh(_pencil(rho, ref)))
-        values[full] = [res.value for res in results]
+        values[full] = _ht_integrals(spec.f2, rho, ref,
+                                     np.linalg.eigvalsh(_pencil(rho, ref))).value
     return values
 
 
@@ -269,7 +281,11 @@ def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
 
     It is evaluated in s = log g, with integrand f''(e^s) e^s N(e^s).  The
     integrand is smooth except at the logarithms of the pencil eigenvalues
-    and at s = 0, which delimit the quadrature panels.
+    and at s = 0, which delimit the quadrature panels.  The call is a stack
+    of one in the stacked quadrature loop that the variational search runs
+    on whole stacks (:func:`_ht_integrals`), so it gives bit for bit the
+    value a state gets inside any stack; ``quad_evals`` counts the
+    integrand nodes of this integral.
     """
     r = _density(rho, "rho")
     s = _density(sigma, "sigma")
@@ -278,15 +294,15 @@ def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     ref = _reference(s)
     rho1 = r.entries[None]
     t = np.linalg.eigvalsh(_pencil(rho1, ref))
-    res = _ht_integrals(spec.f2, rho1, ref, t)[0]
+    res = _ht_integrals(spec.f2, rho1, ref, t)
     diag = {
         "family": "ht",
         "f": spec.name,
-        "quad_error": res.error_estimate,
-        "quad_evals": res.n_evals,
+        "quad_error": float(res.error_estimate[0]),
+        "quad_evals": int(res.n_evals[0]),
         "pencil_range": (float(t[0, 0]), float(t[0, -1])),
     }
-    return DivergenceValue(res.value, diag)
+    return DivergenceValue(float(res.value[0]), diag)
 
 
 def matsumoto_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:

@@ -154,7 +154,7 @@ def validate_stack(arr: np.ndarray):
     asym /= np.maximum(1.0, np.sqrt((arr.conj() * arr).real.sum(axis=(1, 2))))
     vals, vecs = np.linalg.eigh(0.5 * (arr + adj))
     min_eig = vals[:, 0]
-    vals = np.clip(vals, 0.0, None)
+    vals = np.maximum(vals, 0.0)
     trace = vals.sum(axis=1)
     # the floor only guards the rows that fail the trace check
     vals = vals / np.maximum(trace, DEFAULT_VALIDATION_TOL)[:, None]

@@ -4,18 +4,23 @@ The integrands here (hockey-stick curves weighted by f'') are piecewise
 smooth with kinks at known abscissas, so the integrator takes the panel
 edges up front and refines adaptively inside each panel.  Each panel's 15
 Kronrod nodes give both its value (K15) and its error estimate |K15 - G7|
-from the embedded 7-point Gauss rule.  All open panels of one refinement
-round are evaluated in a single call, so the caller can vectorize (e.g.
-batched eigenvalue solves over the gamma grid).
+from the embedded 7-point Gauss rule (QUADPACK's qk15).
+
+One loop integrates a stack of B integrals at once: one refinement round
+evaluates all open panels of all integrals in a single integrand call, so
+the caller can vectorize (e.g. one batched eigenvalue solve over the gamma
+grids of every state in a stack).  :func:`integrate_piecewise` is the
+B = 1 case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import InputError, QuadratureFailure
 
 __all__ = ["QuadratureResult", "integrate_piecewise"]
 
@@ -56,6 +61,7 @@ _G7 = np.zeros(15)
 _G7[1:7:2] = _WG[:-1]
 _G7[7] = _WG[-1]
 _G7[9::2] = _WG[-2::-1]
+_RULES = np.stack([_K15, _G7])
 
 
 @dataclass(frozen=True)
@@ -66,67 +72,120 @@ class QuadratureResult:
     n_intervals: int
 
 
-def _panel_rules(fvec, lo: np.ndarray, hi: np.ndarray):
-    """K15 values and G7 estimates on a batch of intervals, one fvec call."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # points shape (m, 15) -> flattened for one call
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = np.asarray(fvec(pts.ravel()), dtype=float).reshape(pts.shape)
-    return half * (vals @ _K15), half * (vals @ _G7), pts.size
+class _Stack(NamedTuple):
+    """Results of :func:`_integrate_stack`, one entry per integral."""
+
+    value: np.ndarray
+    error_estimate: np.ndarray
+    n_evals: np.ndarray
+    n_intervals: np.ndarray
+
+
+def _integrate_stack(fvec, edges: np.ndarray, epsrel=1e-8, epsabs=1e-14,
+                     max_depth=40, max_intervals=20000) -> _Stack:
+    """Integrate B piecewise smooth functions in one adaptive loop.
+
+    Row b of the finite (B, k) array ``edges`` holds the ascending panel
+    edges of integral b.  A repeated edge makes a zero-width panel, which is
+    dropped, so an integral whose edges are all equal is 0.  The open
+    panels are (lo, hi, owner) triples; ``fvec(x, owner)`` gets the Kronrod
+    nodes of the m open panels as an (m, 15) array and the panels' owners,
+    and returns the integrand values in the shape of x.
+
+    Each round evaluates every open panel of every integral in that one
+    call.  A panel whose |K15 - G7| is below its integral's tolerance,
+    prorated by length, contributes its K15 value; the others are halved
+    for the next round.  Each integral keeps its own scale, value, error,
+    counts and budget of ``max_intervals`` open panels.  The rules are
+    reductions along each panel's row, and each per-integral sum runs over
+    that integral's panels in order, so an integral's result is bit for bit
+    the same alone and inside any stack.
+
+    Raises :class:`QuadratureFailure` in the first round where the
+    integrand is not finite, and when any integral exceeds its budget or
+    ``max_depth``.
+    """
+    n = len(edges)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    keep = hi > lo
+    lo, hi, owner = lo[keep], hi[keep], keep.nonzero()[0]
+    length = edges[:, -1] - edges[:, 0]
+    scale = np.full(n, epsabs)
+    value = np.zeros(n)
+    error = np.zeros(n)
+    n_panels = np.zeros(n, dtype=np.intp)
+    n_final = np.zeros(n, dtype=np.intp)
+    for depth in range(max_depth):
+        if lo.size == 0:
+            break
+        if lo.size > max_intervals:
+            n_open = np.bincount(owner, minlength=n)
+            if n_open.max() > max_intervals:
+                raise QuadratureFailure(
+                    f"interval count {n_open.max()} of integral {n_open.argmax()} "
+                    f"exceeded budget at depth {depth}"
+                )
+        width = hi - lo
+        half = 0.5 * width
+        x = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES
+        vals = fvec(x, owner)
+        n_panels += np.bincount(owner, minlength=n)
+        kronrod, gauss = (half[:, None] * np.add.reduce(vals[:, None, :] * _RULES, axis=2)).T
+        # keep the scale current so epsrel tracks the true magnitude
+        scale = np.maximum(scale, np.abs(value)
+                           + np.bincount(owner, np.abs(kronrod), minlength=n))
+        disc = np.abs(kronrod - gauss)
+        done = disc <= np.maximum(epsabs, epsrel * scale)[owner] * width / length[owner]
+        closed = owner[done]
+        value += np.bincount(closed, kronrod[done], minlength=n)
+        error += np.bincount(closed, disc[done], minlength=n)
+        n_final += np.bincount(closed, minlength=n)
+        if closed.size == owner.size:
+            break
+        # a value that is not finite makes its panel's |K15 - G7| NaN, which
+        # keeps the panel open, so the first round to see one gets here
+        if np.isnan(disc).any():
+            k = np.isnan(disc).argmax()
+            bad = np.flatnonzero(~np.isfinite(vals[k]))
+            what = (f"{vals[k, bad[0]]} at x = {float(x[k, bad[0]])!r}" if bad.size
+                    else "too large to sum")
+            raise QuadratureFailure(
+                f"integrand is {what} (integral {owner[k]}, depth {depth})"
+            )
+        keep = ~done
+        lo, hi, owner = lo[keep], hi[keep], owner[keep]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        owner = np.concatenate([owner, owner])
+    else:
+        if lo.size:
+            raise QuadratureFailure(
+                f"adaptive refinement did not converge (max_depth={max_depth}, "
+                f"{lo.size} intervals open in integrals {np.unique(owner).tolist()})"
+            )
+    return _Stack(value, error, n_panels * _NODES.size, n_final)
 
 
 def integrate_piecewise(fvec, edges, epsrel=1e-8, epsabs=1e-14,
                         max_depth=40, max_intervals=20000) -> QuadratureResult:
     """Integrate fvec over [edges[0], edges[-1]] with smooth panels between
-    consecutive edges.
+    consecutive edges (taken sorted; repeated edges are ignored).
 
     ``fvec`` must accept a 1-d array of abscissas and return the integrand
-    values.  Each round evaluates every open interval once with the
-    Gauss-Kronrod (7, 15) pair; an interval whose |K15 - G7| is below the
-    length-prorated tolerance contributes its K15 value, the others are
-    halved for the next round.  Raises :class:`QuadratureFailure` if the
-    subdivision budget is exhausted.
+    values; it is called once per refinement round, on the nodes of every
+    open interval.  This is the B = 1 case of :func:`_integrate_stack`,
+    whose rule and errors it shares; a non-finite edge raises
+    :class:`InputError` before any evaluation.
     """
-    edges = np.asarray(sorted(set(float(e) for e in edges)), dtype=float)
-    if edges.size < 2:
-        return QuadratureResult(0.0, 0.0, 0, 0)
-    total_len = float(edges[-1] - edges[0])
-    if total_len <= 0:
+    edges = np.sort(np.asarray(edges, dtype=float).ravel())
+    if not np.isfinite(edges).all():
+        raise InputError(f"quadrature edges must be finite, got {edges}")
+    if edges.size == 0:
         return QuadratureResult(0.0, 0.0, 0, 0)
 
-    lo = edges[:-1]
-    hi = edges[1:]
-    scale = epsabs
-    value = 0.0
-    error = 0.0
-    n_evals = 0
-    n_final = 0
-    for depth in range(max_depth):
-        if lo.size == 0:
-            break
-        if lo.size > max_intervals:
-            raise QuadratureFailure(
-                f"interval count {lo.size} exceeded budget at depth {depth}"
-            )
-        kronrod, gauss, ev = _panel_rules(fvec, lo, hi)
-        n_evals += ev
-        # keep the scale current so epsrel tracks the true magnitude
-        scale = max(scale, abs(value) + float(np.abs(kronrod).sum()))
-        disc = np.abs(kronrod - gauss)
-        tol_local = np.maximum(epsabs, epsrel * scale) * (hi - lo) / total_len
-        done = disc <= tol_local
-        value += float(kronrod[done].sum())
-        error += float(disc[done].sum())
-        n_final += int(done.sum())
-        keep = ~done
-        mid = 0.5 * (lo[keep] + hi[keep])
-        lo = np.concatenate([lo[keep], mid])
-        hi = np.concatenate([mid, hi[keep]])
-    else:
-        if lo.size:
-            raise QuadratureFailure(
-                f"adaptive refinement did not converge (max_depth={max_depth}, "
-                f"{lo.size} intervals open)"
-            )
-    return QuadratureResult(value, error, int(n_evals), n_final)
+    def flat(x, owner):
+        return np.asarray(fvec(x.ravel()), dtype=float).reshape(x.shape)
+
+    res = _integrate_stack(flat, edges[None], epsrel, epsabs, max_depth, max_intervals)
+    return QuadratureResult(float(res.value[0]), float(res.error_estimate[0]),
+                            int(res.n_evals[0]), int(res.n_intervals[0]))

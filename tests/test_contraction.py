@@ -445,6 +445,36 @@ class TestSearchFallbacks:
         assert est.diagnostics["valid_restarts"] == 1
         assert est.diagnostics["skipped_coordinates"] == 0
 
+    def test_identity_fallbacks_are_counted(self, gs):
+        # A = 0 has trace 0, so its state is the fallback I/d; every perturbed
+        # point of the gradient and every line-search point has A != 0
+        ch = qc.random_channel(2, seed=3)
+        pi = qc.fixed_point(ch)
+        ratios, _ = contraction._objective(gs["max"], ch, pi)
+        counts = {"ratio_evaluations": 0, "skipped_coordinates": 0, "reinits": 0,
+                  "identity_fallbacks": 0}
+        res = contraction._ascend(ratios, np.zeros(8), 2,
+                                  qc.VariationalOptions(max_iters=2), counts)
+        assert res is not None
+        assert counts["identity_fallbacks"] == 1
+        assert counts["ratio_evaluations"] > 1
+        est = qc.sdpi_variational(gs["max"], ch, pi,
+                                  qc.VariationalOptions(restarts=2, max_iters=3, seed=1))
+        assert est.diagnostics["identity_fallbacks"] == 0
+
+    def test_ratio_above_one_is_clipped_and_recorded(self):
+        # 1 / chi2_max turns data processing around: every ratio is >= 1
+        ch = qc.depolarizing(0.5)
+        pi = qc.fixed_point(ch)
+        opts = qc.VariationalOptions(restarts=1, max_iters=2, seed=1)
+        est = qc.sdpi_variational(lambda r, s: 1.0 / qc.chi2_max(r, s).value, ch, pi, opts)
+        assert est.diagnostics["raw_best"] > 1.0
+        assert est.value == 1.0
+        assert est.diagnostics["clipped_above_one"] is True
+        est = qc.sdpi_variational(lambda r, s: qc.chi2_max(r, s).value, ch, pi, opts)
+        assert est.value == est.diagnostics["raw_best"] < 1.0
+        assert est.diagnostics["clipped_above_one"] is False
+
     def test_singular_image_of_sigma_is_singular_reference(self, f_cat, gs):
         # the reset channel maps every state to |0><0|
         reset = qc.channel_from_kraus([np.array([[1, 0], [0, 0]]),

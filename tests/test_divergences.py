@@ -8,6 +8,7 @@ from scipy.linalg import inv, logm, sqrtm
 
 import qcontract as qc
 from conftest import classical_f_divergence, commuting_pair
+from qcontract import divergences, quadrature
 
 FAMILY_FN = {
     "ht": qc.ht_divergence,
@@ -44,6 +45,21 @@ def scipy_ht_oracle(spec, rho, sigma) -> float:
             1.0, 1.0 / t_min, limit=400,
         )[0]
     return total
+
+
+def ht_stack(spec, rho, sigma):
+    """The stacked ht integrals of a (B, d, d) stack of states against sigma."""
+    ref = divergences._reference(sigma)
+    t = np.linalg.eigvalsh(divergences._pencil(rho, ref))
+    return divergences._ht_integrals(spec.f2, rho, ref, t)
+
+
+def near_singular(sig, rng):
+    """sig with its smallest eigenvalue moved near 1e-4."""
+    d = sig.dim
+    mu = np.concatenate([[10 ** rng.uniform(-4.5, -3.5)], rng.dirichlet(np.ones(d - 1))])
+    v = sig.eigenvectors
+    return qc.validate_density((v * (mu / mu.sum())) @ v.conj().T)
 
 
 class TestClassicalConsistency:
@@ -126,13 +142,39 @@ class TestHtIntegral:
             rho = qc.random_density(d, rng)
             sig = qc.random_density(d, rng)
             if trial % 4 == 3:
-                mu = np.concatenate([[10 ** rng.uniform(-4.5, -3.5)],
-                                     rng.dirichlet(np.ones(d - 1))])
-                v = sig.eigenvectors
-                sig = qc.validate_density((v * (mu / mu.sum())) @ v.conj().T)
+                sig = near_singular(sig, rng)
                 assert sig.min_eigenvalue < 1e-3
             got = qc.ht_divergence(spec, rho, sig).value
             assert got == pytest.approx(umegaki(rho, sig), rel=1e-10), trial
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("f_name", ["kl", "chi2", "hellinger"])
+    def test_stack_values_are_the_lone_values(self, f_cat, dim, f_name):
+        # stacks of 1 to 20 states, half against a near-singular sigma, so that
+        # the integrals of one stack close at different depths; sigma itself
+        # (all panels of zero width or nearly so) rides in the last stack
+        spec = f_cat[f_name].with_family("ht")
+        rng = np.random.default_rng([dim, len(f_name)])
+        mixed = 0
+        for trial, size in enumerate([1, 2, 7, 20, 13, 20]):
+            sig = qc.random_density(dim, rng)
+            if trial % 2:
+                sig = near_singular(sig, rng)
+            states = [qc.random_density(dim, rng) for _ in range(size - 1)] + [sig]
+            res = ht_stack(spec, np.array([r.entries for r in states]), sig)
+            for k, r in enumerate(states):
+                one = qc.ht_divergence(spec, r, sig)
+                assert res.value[k] == one.value, (trial, k)
+                assert res.error_estimate[k] == one.diagnostics["quad_error"], (trial, k)
+                assert res.n_evals[k] == one.diagnostics["quad_evals"], (trial, k)
+            assert res.value[-1] == pytest.approx(0.0, abs=1e-20)
+            # more evaluations than one round over the panels: a deeper integral
+            mixed += int(res.n_evals.max() > 15 * dim)
+        assert mixed > 0
+
+    def test_traced_name_stays_bound(self):
+        # perfbench's tracer patches integrate_piecewise on this module
+        assert divergences.integrate_piecewise is quadrature.integrate_piecewise
 
     def test_diagnostics_present(self, f_cat, golden_pair):
         rho, sig = golden_pair
@@ -356,6 +398,14 @@ class TestHockeyStick:
         sig = qc.random_density(2, rng)
         with pytest.raises(qc.InputError):
             qc.hockey_stick(rho, sig, 0.5)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, rng, gamma):
+        # NaN fails every comparison, so "gamma < 1" alone let it through
+        rho = qc.random_density(2, rng)
+        sig = qc.random_density(2, rng)
+        with pytest.raises(qc.InputError, match="finite"):
+            qc.hockey_stick(rho, sig, gamma)
 
     def test_rank_deficient_rho_accepted(self):
         # tr(rho - gamma sigma)_+ is defined for every state rho
