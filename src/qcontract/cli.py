@@ -29,6 +29,7 @@ from .contraction import (
     DB_TOL,
     ExperimentOptions,
     VariationalOptions,
+    _total_counts,
     carlen_maas_check,
     contraction_experiment,
     report_csv,
@@ -172,7 +173,7 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-def cmd_divergence(config: RunConfig) -> dict:
+def cmd_divergence(config: RunConfig) -> tuple:
     rho = _load_state(config.rho, "rho")
     sigma = _load_state(config.sigma, "sigma")
     _check_families(config.families)
@@ -191,7 +192,7 @@ def cmd_divergence(config: RunConfig) -> dict:
                     "diagnostics": result.diagnostics,
                 }
             )
-    return {"results": records}
+    return {"results": records}, {}
 
 
 def _divergence_text(payload: dict) -> list:
@@ -209,11 +210,11 @@ def _divergence_csv(payload: dict) -> str:
     )
 
 
-def cmd_sdpi(config: RunConfig) -> dict:
+def cmd_sdpi(config: RunConfig) -> tuple:
     channel = _load_channel(config)
     sigma, sigma_source = _reference_state(config, channel)
     gs = _resolve("g", config.g_names, g_catalog())
-    records = []
+    records, searches = [], {}
     for gname, g in gs.items():
         est = sdpi_chi2(channel, sigma, g)
         records.append(
@@ -239,6 +240,7 @@ def cmd_sdpi(config: RunConfig) -> dict:
         for fname, spec in specs.items():
             for fam in config.families:
                 est = sdpi_variational(spec.with_family(fam), channel, sigma, opts)
+                searches[f"{fam}[{fname}]"] = _total_counts([est.diagnostics])
                 records.append(
                     {
                         "family": fam,
@@ -251,11 +253,12 @@ def cmd_sdpi(config: RunConfig) -> dict:
                         },
                     }
                 )
-    return {
+    payload = {
         "channel": channel.label,
         "sigma_source": sigma_source,
         "results": records,
     }
+    return payload, {"searches": searches}
 
 
 def _sdpi_text(payload: dict) -> list:
@@ -279,7 +282,7 @@ def _sdpi_csv(payload: dict) -> str:
     )
 
 
-def cmd_db_check(config: RunConfig) -> dict:
+def cmd_db_check(config: RunConfig) -> tuple:
     channel = _load_channel(config)
     sigma, sigma_source = _reference_state(config, channel)
     residuals = carlen_maas_check(channel, sigma)
@@ -293,7 +296,7 @@ def cmd_db_check(config: RunConfig) -> dict:
         "tolerance": DB_TOL,
         "verdict": verdict,
         "gns_implies_all": residuals["gns"] <= DB_TOL,
-    }
+    }, {}
 
 
 def _db_check_text(payload: dict) -> list:
@@ -314,7 +317,7 @@ def _db_check_csv(payload: dict) -> str:
     )
 
 
-def cmd_experiment(config: RunConfig) -> dict:
+def cmd_experiment(config: RunConfig) -> tuple:
     channel = _load_channel(config)
     _check_families(config.families)
     specs = _resolve("f", config.f_names, f_catalog())
@@ -330,7 +333,7 @@ def cmd_experiment(config: RunConfig) -> dict:
     )
     payload = report_payload(report)
     payload["csv"] = report_csv(report)
-    return payload
+    return payload, {"search_totals": report.diagnostics}
 
 
 def _experiment_text(payload: dict) -> list:
@@ -355,7 +358,7 @@ def _experiment_csv(payload: dict) -> str:
     return payload["csv"]
 
 
-def cmd_catalog(config: RunConfig) -> dict:
+def cmd_catalog(config: RunConfig) -> tuple:
     f_filter = set(config.f_names) if config.f_names else None
     g_filter = set(config.g_names) if config.g_names else None
     f_records = [
@@ -385,7 +388,7 @@ def cmd_catalog(config: RunConfig) -> dict:
                 "symmetry_convention": "unweighted (g = 1)",
             }
         )
-    return {"f": f_records, "g": g_records, "families": list(FAMILIES)}
+    return {"f": f_records, "g": g_records, "families": list(FAMILIES)}, {}
 
 
 def _catalog_text(payload: dict) -> list:
@@ -438,14 +441,17 @@ _FLAGS = {
 class _Command:
     """One subcommand.  ``flags`` maps each flag it reads to the value used
     when the flag is not given: None keeps the RunConfig default, a callable
-    is called when the command runs.  ``text`` renders the payload as lines,
-    ``csv`` as a CSV document.  ``family_only`` names the flags the command
-    reads only when --family is given; any of them without it is an
-    InputError."""
+    is called when the command runs.  ``run`` returns the payload and the
+    diagnostics it adds to the envelope (outside the payload hash): the
+    search counters of each variational estimate of ``sdpi``, keyed by
+    record, and their totals over an ``experiment``.  ``text`` renders the
+    payload as lines, ``csv`` as a CSV document.  ``family_only`` names the
+    flags the command reads only when --family is given; any of them
+    without it is an InputError."""
 
     help: str
     flags: dict
-    run: Callable[[RunConfig], dict]
+    run: Callable[[RunConfig], tuple]
     text: Callable[[dict], list]
     csv: Callable[[dict], str]
     family_only: tuple = ()
@@ -548,8 +554,9 @@ def main(argv=None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         config = _config_from_args(args)
-        payload = _COMMANDS[args.command].run(config)
-        diagnostics = {"db_tolerance": DB_TOL, "csv_schema": CSV_SCHEMA_VERSION}
+        payload, search = _COMMANDS[args.command].run(config)
+        diagnostics = {"db_tolerance": DB_TOL, "csv_schema": CSV_SCHEMA_VERSION,
+                       **search}
         envelope = _build_envelope(config, payload, diagnostics, started)
         _emit(envelope, config)
         return 0

@@ -7,9 +7,10 @@
   formula.
 * Variational lower-bound estimation of SDPI constants for general
   f-divergence families (seeded multi-start gradient ascent; each
-  central-difference gradient is one stacked evaluation of the ratio at
-  all of its 2n perturbed points, with sigma's and E(sigma)'s eigen-data
-  computed once per search).
+  iteration is one stacked evaluation of the ratio at the first two
+  line-search trials and the 2n central-difference points around the
+  second, which usually become the next gradient, with sigma's and
+  E(sigma)'s eigen-data computed once per search).
 * Detailed-balance residuals and the GNS implies-all-g check.
 * The contraction-rate experiment harness with rate-bound and
   tightness verdicts.
@@ -18,6 +19,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -214,11 +216,18 @@ def _seed_list(seed) -> list:
     return [_seed(x) for x in (seed if isinstance(seed, (tuple, list)) else [seed])]
 
 
+def _require_counts(restarts, max_iters) -> None:
+    if restarts < 1:
+        raise InputError(f"restarts must be >= 1, got {restarts}")
+    if max_iters < 1:
+        raise InputError(f"max_iters must be >= 1, got {max_iters}")
+
+
 @dataclass(frozen=True)
 class VariationalOptions:
     """Settings of the multi-start variational SDPI search: restarts (>= 1),
-    max_iters and step_tol of each restart, and the seed (an integer >= 0
-    or a tuple of them)."""
+    max_iters (>= 1) and step_tol (finite, > 0) of each restart, and the
+    seed (an integer >= 0 or a tuple of them)."""
 
     restarts: int = 32
     max_iters: int = 150
@@ -226,8 +235,9 @@ class VariationalOptions:
     seed: object = 1729
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise InputError(f"restarts must be >= 1, got {self.restarts}")
+        _require_counts(self.restarts, self.max_iters)
+        if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
+            raise InputError(f"step_tol must be finite and > 0, got {self.step_tol}")
         _seed_list(self.seed)
 
 
@@ -348,57 +358,134 @@ def _init_params(rng: np.random.Generator, sigma: DensityMatrix, kind: int) -> n
     return np.concatenate([a.real.ravel(), a.imag.ravel()])
 
 
-def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: dict):
-    """One gradient-ascent restart; returns (value, rho) or None.
+#: counters of the search, summed over restarts into ``diagnostics``
+COUNTERS = ("ratio_calls", "ratio_evaluations", "stencil_hits", "stencil_misses",
+            "skipped_coordinates", "reinits", "identity_fallbacks")
+#: why a restart's ascent stopped
+STOP_REASONS = ("gradient_vanished", "line_search_exhausted", "max_iters")
+#: restart values whose spread ``diagnostics["top_spread"]`` reports
+TOP_RESTARTS = 3
 
-    Each central-difference gradient is one ``ratios`` call on the stack of
-    all 2n perturbed points (x + h e_i, then x - h e_i); a coordinate whose
-    +h or -h point is invalid (not finite) gets gradient 0 and is counted in
-    ``counts["skipped_coordinates"]``.  The line search calls ``ratios`` on
-    a stack of one.  Every evaluated point adds to
-    ``counts["ratio_evaluations"]``, and one whose A is 0 (so that its state
-    is the fallback I/d) to ``counts["identity_fallbacks"]``.  Only strict
-    improvements are accepted, so the final point is the best.
+
+def _new_counts() -> dict:
+    return {**dict.fromkeys(COUNTERS, 0), "stop_reasons": dict.fromkeys(STOP_REASONS, 0)}
+
+
+def _total_counts(diagnostics) -> dict:
+    """The search counters and stop reasons summed over the ``diagnostics``
+    of several searches."""
+    total = _new_counts()
+    for diag in diagnostics:
+        for key in COUNTERS:
+            total[key] += diag[key]
+        for key in STOP_REASONS:
+            total["stop_reasons"][key] += diag["stop_reasons"][key]
+    return total
+
+
+def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: dict):
+    """One gradient-ascent restart; returns (value, rho, iterations, stop
+    reason) or None when x0 is not a valid point.
+
+    Each iteration is one ``ratios`` call on one stack.  The stack holds the
+    first two trials of the backtracking line search, x + step d and
+    x + (step/2) d, and the 2n central-difference points (x' + h e_i, then
+    x' - h e_i) around the second trial x'.  After the first iteration
+    step/2 is the step accepted last time, which the search nearly always
+    accepts again; then the next gradient is already evaluated, which
+    adds to ``counts["stencil_hits"]``.  When the first trial is accepted,
+    or neither, the guessed stencil is wasted and adds to
+    ``counts["stencil_misses"]``: the search tries step/4, step/8, ...
+    down to ``step_tol`` one point per call, and the next gradient is a
+    call of its own.  The last iteration guesses no
+    stencil.  The start point shares its call with its gradient's stencil.
+    Trials are tried in order, and a point's ratio does not depend on the
+    stack it is evaluated in, so the path is that of a search which
+    evaluates every trial and gradient on its own.
+
+    A coordinate whose +h or -h point is invalid (not finite) gets gradient
+    0 and is counted in ``counts["skipped_coordinates"]``.  Every call adds
+    to ``counts["ratio_calls"]``, every evaluated point (guessed stencils
+    included) to ``counts["ratio_evaluations"]``, and a point whose A is 0
+    (so that its state is the fallback I/d) to
+    ``counts["identity_fallbacks"]``.  Only strict improvements are
+    accepted, so the final point is the best.  The iterations are the
+    gradients computed; the ascent stops when the gradient vanishes, when
+    no trial improves (``line_search_exhausted``) or after ``max_iters``.
     """
     def values(params):
+        counts["ratio_calls"] += 1
         counts["ratio_evaluations"] += len(params)
         return ratios(_rho_from_params(params, d, counts))
 
-    x = x0.copy()
-    f0 = values(x[None])[0]
-    if not np.isfinite(f0):
-        return None
-    step = INIT_STEP
-    n = x.size
-    coords = np.arange(n)
-    for _ in range(opts.max_iters):
+    def stencil(x):
         h = FD_STEP * np.maximum(1.0, np.abs(x))
         pts = np.tile(x, (2 * n, 1))
         pts[coords, coords] += h
         pts[n + coords, coords] -= h
-        f = values(pts)
+        return h, pts
+
+    x = x0.copy()
+    n = x.size
+    coords = np.arange(n)
+    h, pts = stencil(x)
+    f = values(np.vstack([x[None], pts]))
+    f0, f = f[0], f[1:]
+    if not np.isfinite(f0):
+        return None
+    step = INIT_STEP
+    stop = "max_iters"
+    for it in range(opts.max_iters):
+        if f is None:
+            h, pts = stencil(x)
+            f = values(pts)
         ok = np.isfinite(f[:n]) & np.isfinite(f[n:])
         counts["skipped_coordinates"] += int(n - ok.sum())
         grad = np.zeros(n)
         grad[ok] = (f[:n][ok] - f[n:][ok]) / (2 * h[ok])
         gn = float(np.linalg.norm(grad))
         if gn < 1e-12:
+            stop = "gradient_vanished"
             break
         direction = grad / gn
+        trials = []
         trial = step
-        improved = False
         while trial >= opts.step_tol:
-            x_new = x + trial * direction
-            f_new = values(x_new[None])[0]
-            if np.isfinite(f_new) and f_new > f0 + 1e-15:
-                x, f0 = x_new, f_new
-                step = min(2.0 * trial, 1.0)
-                improved = True
-                break
+            trials.append(trial)
             trial *= 0.5
-        if not improved:
+        if not trials:
+            stop = "line_search_exhausted"
             break
-    return float(f0), _rho_from_params(x[None], d)[0]
+        guess = len(trials) > 1 and it + 1 < opts.max_iters
+        x_try = x + np.array(trials[:2])[:, None] * direction
+        if guess:
+            h_next, pts = stencil(x_try[1])
+            f_try = values(np.vstack([x_try, pts]))
+        else:
+            f_try = values(x_try)
+        accepted = None
+        for k, trial in enumerate(trials):
+            if k < 2:
+                x_new, f_new = x_try[k], f_try[k]
+            else:
+                x_new = x + trial * direction
+                f_new = values(x_new[None])[0]
+            if np.isfinite(f_new) and f_new > f0 + 1e-15:
+                accepted = k
+                break
+        f = None
+        if guess:
+            hit = accepted == 1
+            counts["stencil_hits" if hit else "stencil_misses"] += 1
+            if hit:
+                h, f = h_next, f_try[2:]
+        if accepted is None:
+            stop = "line_search_exhausted"
+            break
+        x, f0 = x_new, f_new
+        step = min(2.0 * trial, 1.0)
+    counts["stop_reasons"][stop] += 1
+    return float(f0), _rho_from_params(x[None], d)[0], it + 1, stop
 
 
 def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
@@ -407,21 +494,32 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
 
     Maximizes D(E(rho) || E(sigma)) / D(rho || sigma) over rho = A A^dag /
     tr, with seeded multi-start gradient ascent (central-difference
-    gradients, backtracking line search).  Each gradient is one stacked
-    evaluation of the ratio at all of its 2n perturbed points.  States
-    within trace distance ``EXCLUSION`` of sigma are excluded, as are points
-    whose ratio is not finite or whose states the evaluator rejects; if no
-    restart finds a valid starting point, :class:`AllRestartsDegenerate` is
-    raised.  Restarts
-    run serially and the result is deterministic per seed.
+    gradients, backtracking line search).  Each iteration is one stacked
+    evaluation of the ratio: the first two line-search trials and the 2n
+    perturbed points of the gradient at the second, the step the search
+    accepted last time (see ``_ascend``).  A callable objective is
+    therefore also called on perturbed points whose values are never used.
+    States within trace distance ``EXCLUSION`` of sigma are excluded, as
+    are points whose ratio is not finite or whose states the evaluator
+    rejects; if no restart finds a valid starting point,
+    :class:`AllRestartsDegenerate` is raised.  Restarts run serially and
+    the result is deterministic per seed.
 
-    ``diagnostics`` counts, summed over restarts, the ratio evaluations
-    (points), the gradient coordinates set to 0 because a perturbed point
-    was invalid, the extra starting points tried after an invalid one, and
-    the evaluated points whose parameter matrix was 0 and so stood for
-    I/d.  ``clipped_above_one`` records whether the best ratio exceeded 1
-    and was clipped to 1, which flags an objective that breaks data
-    processing.
+    ``diagnostics`` counts, summed over restarts, the stacked ratio calls
+    (``ratio_calls``) and the points they evaluated
+    (``ratio_evaluations``, guessed stencils included), the guessed
+    stencils that became the next gradient (``stencil_hits``) and those
+    that were wasted (``stencil_misses``), the gradient coordinates set to
+    0 because a perturbed point was invalid, the extra starting points
+    tried after an invalid one, the evaluated points whose parameter matrix
+    was 0 and so stood for I/d, and how many restarts stopped for each
+    reason (``stop_reasons``: ``gradient_vanished``,
+    ``line_search_exhausted`` or ``max_iters``).  Per valid restart it
+    lists the value, the iterations and the stop reason;
+    ``top_spread`` is the best value minus the lowest of the best
+    ``TOP_RESTARTS`` values, 0 for one valid restart.
+    ``clipped_above_one`` records whether the best ratio exceeded 1 and was
+    clipped to 1, which flags an objective that breaks data processing.
     """
     opts = opts or VariationalOptions()
     s = validate_density(sigma)
@@ -431,8 +529,7 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     ratios, obj_label = _objective(evaluator, channel, s)
     d = channel.dim
     seed_base = _seed_list(opts.seed)
-    counts = {"ratio_evaluations": 0, "skipped_coordinates": 0, "reinits": 0,
-              "identity_fallbacks": 0}
+    counts = _new_counts()
 
     def run_restart(k: int):
         rng = np.random.default_rng(seed_base + [k])
@@ -454,7 +551,8 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
             f"{counts['reinits']} reinits, "
             f"{counts['ratio_evaluations']} ratio evaluations"
         )
-    best_f, best_rho = max(valid, key=lambda r: r[0])
+    best_f, best_rho, _, _ = max(valid, key=lambda r: r[0])
+    top = sorted((float(r[0]) for r in valid), reverse=True)[:TOP_RESTARTS]
     return SdpiEstimate(
         value=min(max(float(best_f), 0.0), 1.0),
         method="variational",
@@ -467,6 +565,9 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
             "clipped_above_one": bool(best_f > 1.0),
             "valid_restarts": len(valid),
             "restart_values": [float(r[0]) for r in valid],
+            "restart_iterations": [r[2] for r in valid],
+            "restart_stops": [r[3] for r in valid],
+            "top_spread": top[0] - top[-1],
             **counts,
         },
     )
@@ -515,21 +616,22 @@ def sdpi_submultiplicativity_check(channel: QuantumChannel, sigma,
 @dataclass(frozen=True)
 class ExperimentOptions:
     """Configuration for the contraction-rate experiment: restarts (>= 1),
-    max_iters and seed (an integer >= 0) of each search."""
+    max_iters (>= 1) and seed (an integer >= 0) of each search."""
 
     restarts: int = 12
     max_iters: int = 100
     seed: int = 1729
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise InputError(f"restarts must be >= 1, got {self.restarts}")
+        _require_counts(self.restarts, self.max_iters)
         _seed(self.seed)
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-n contraction data for one channel plus the two verdicts."""
+    """Per-n contraction data for one channel plus the two verdicts;
+    ``diagnostics`` (outside ``report_payload``) holds the search counters
+    summed over every variational search of the experiment."""
 
     channel_label: str
     dim: int
@@ -542,6 +644,7 @@ class ExperimentReport:
     rows: tuple
     verdicts: dict
     options: dict
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _estimate_n0(channel: QuantumChannel, pi: DensityMatrix, n_max: int,
@@ -613,7 +716,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
 
     n0, max_devs = _estimate_n0(channel, pi, n_max, opts)
 
-    rows = []
+    rows, searches = [], []
     for n, e_n in enumerate(powers, start=1):
         eta_f = {}
         for idx, (label, spec) in enumerate(zip(family_labels, families)):
@@ -623,7 +726,9 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
                 step_tol=EXPERIMENT_STEP_TOL,
                 seed=(opts.seed, n, idx),
             )
-            eta_f[label] = sdpi_variational(spec, e_n, pi, vopts).value
+            est = sdpi_variational(spec, e_n, pi, vopts)
+            eta_f[label] = est.value
+            searches.append(est.diagnostics)
         row = {
             "n": n,
             "eta_f": eta_f,
@@ -711,6 +816,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
             "slack": SLACK,
             "n0_samples": N0_SAMPLES,
         },
+        diagnostics=_total_counts(searches),
     )
 
 

@@ -121,6 +121,22 @@ class TestSdpi:
         assert recs[1]["method"] == "variational"
         assert recs[1]["value"] <= 0.25 + 1e-6
 
+    def test_search_counters_keyed_by_record(self, capsys):
+        code, env = run_json(
+            capsys,
+            ["sdpi", "--channel", DEPOL, "--family", "petz", "--family", "matsumoto",
+             "--restarts", "2", "--seed", "5", "--g", "max"],
+        )
+        assert code == 0
+        searches = env["diagnostics"]["searches"]
+        assert set(searches) == {"petz[kl]", "matsumoto[kl]"}
+        for counts in searches.values():
+            assert sum(counts["stop_reasons"].values()) == 2
+            assert 0 < counts["ratio_calls"] < counts["ratio_evaluations"]
+            assert counts["stencil_hits"] + counts["stencil_misses"] > 0
+        assert all("ratio_calls" not in r["diagnostics"]
+                   for r in env["payload"]["results"])
+
     def test_explicit_sigma_used(self, capsys):
         code, env = run_json(
             capsys,
@@ -245,6 +261,16 @@ class TestExperiment:
         assert env["payload_sha256"] == (
             "8aa47f5448e0ed57253be6a21c2bbcf94cf96aa33c80eab5d856bff028d48f78"
         )
+
+    def test_search_counters_in_envelope_diagnostics(self, capsys):
+        code, env = run_json(capsys, self.ARGS)
+        assert code == 0
+        totals = env["diagnostics"]["search_totals"]
+        # one family, two powers, four restarts per search
+        assert sum(totals["stop_reasons"].values()) == 2 * 4
+        assert 0 < totals["ratio_calls"] < totals["ratio_evaluations"]
+        assert set(totals) == {*qc.contraction.COUNTERS, "stop_reasons"}
+        assert "search_totals" not in env["payload"]
 
     def test_not_primitive_exit_code(self, capsys):
         code = main(

@@ -279,6 +279,20 @@ class TestVariationalSdpi:
         with pytest.raises(qc.InputError):
             options(**kwargs)
 
+    @pytest.mark.parametrize("options, kwargs", [
+        (qc.VariationalOptions, {"step_tol": 0.0}),
+        (qc.VariationalOptions, {"step_tol": -1e-7}),
+        (qc.VariationalOptions, {"step_tol": float("nan")}),
+        (qc.VariationalOptions, {"step_tol": float("inf")}),
+        (qc.VariationalOptions, {"max_iters": 0}),
+        (qc.ExperimentOptions, {"max_iters": 0}),
+    ])
+    def test_invalid_search_length_rejected(self, options, kwargs):
+        # step_tol = 0 would never end the line search, NaN would skip it,
+        # and max_iters < 1 would return the start point unsearched
+        with pytest.raises(qc.InputError, match=next(iter(kwargs))):
+            options(**kwargs)
+
 
 def _search_objectives(f_cat, gs):
     specs = [f_cat[f].with_family(fam) for fam in qc.FAMILIES
@@ -373,6 +387,88 @@ class TestStackedSearch:
             assert callable(getattr(contraction, name))
 
 
+def _sequential_ascend(ratios, x0, d, opts, calls):
+    """Reference search: the start point, each gradient and each line-search
+    trial is a ratio call of its own; ``calls`` gets one entry per call."""
+    def values(params):
+        calls.append(len(params))
+        return ratios(contraction._rho_from_params(params, d))
+
+    x = x0.copy()
+    f0 = values(x[None])[0]
+    if not np.isfinite(f0):
+        return None
+    step, n = contraction.INIT_STEP, x.size
+    coords = np.arange(n)
+    for _ in range(opts.max_iters):
+        h = contraction.FD_STEP * np.maximum(1.0, np.abs(x))
+        pts = np.tile(x, (2 * n, 1))
+        pts[coords, coords] += h
+        pts[n + coords, coords] -= h
+        f = values(pts)
+        ok = np.isfinite(f[:n]) & np.isfinite(f[n:])
+        grad = np.zeros(n)
+        grad[ok] = (f[:n][ok] - f[n:][ok]) / (2 * h[ok])
+        gn = float(np.linalg.norm(grad))
+        if gn < 1e-12:
+            break
+        trial = step
+        while trial >= opts.step_tol:
+            x_new = x + trial * (grad / gn)
+            f_new = values(x_new[None])[0]
+            if np.isfinite(f_new) and f_new > f0 + 1e-15:
+                x, f0, step = x_new, f_new, min(2.0 * trial, 1.0)
+                break
+            trial *= 0.5
+        else:
+            break
+    return f0, contraction._rho_from_params(x[None], d)[0]
+
+
+def _oracle_objective(name, f_cat, gs):
+    if name == "callable":
+        return lambda r, s: qc.chi2_g(r, s, gs["kmb"]).value
+    family, f = name[:-1].split("[")
+    return gs[f] if family == "chi2" else f_cat[f].with_family(family)
+
+
+class TestStackedIterations:
+    """The search with one stacked call per iteration takes the path of the
+    sequential reference, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", ["petz[kl]", "matsumoto[kl]", "ht[kl]",
+                                      "chi2[max]", "chi2[kmb]", "callable"])
+    def test_path_is_the_sequential_one(self, f_cat, gs, name, dim, seed):
+        ch = qc.random_channel(dim, seed=seed)
+        pi = qc.fixed_point(ch)
+        ratios, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
+        opts = qc.VariationalOptions(max_iters=12)
+        x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
+        want = _sequential_ascend(ratios, x0, dim, opts, [])
+        got = contraction._ascend(ratios, x0, dim, opts, contraction._new_counts())
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+    def test_half_the_calls(self, f_cat):
+        ch = qc.random_channel(2, seed=1)
+        pi = qc.fixed_point(ch)
+        ratios, _ = contraction._objective(f_cat["kl"].with_family("petz"), ch, pi)
+        opts = qc.VariationalOptions(max_iters=100)
+        x0 = contraction._init_params(np.random.default_rng(5), pi, 0)
+        calls, counts = [], contraction._new_counts()
+        want = _sequential_ascend(ratios, x0, 2, opts, calls)
+        got = contraction._ascend(ratios, x0, 2, opts, counts)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert counts["ratio_calls"] <= len(calls) / 2
+        assert counts["stencil_hits"] > counts["stencil_misses"] > 0
+        # a wasted stencil is 2n points beyond the reference's
+        n = 2 * 2 * 2
+        assert counts["ratio_evaluations"] >= sum(calls) + 2 * n * counts["stencil_misses"]
+        assert counts["stencil_hits"] + counts["stencil_misses"] < got[2]
+
+
 class TestSearchFallbacks:
     @staticmethod
     def _nan_every(k):
@@ -451,8 +547,7 @@ class TestSearchFallbacks:
         ch = qc.random_channel(2, seed=3)
         pi = qc.fixed_point(ch)
         ratios, _ = contraction._objective(gs["max"], ch, pi)
-        counts = {"ratio_evaluations": 0, "skipped_coordinates": 0, "reinits": 0,
-                  "identity_fallbacks": 0}
+        counts = contraction._new_counts()
         res = contraction._ascend(ratios, np.zeros(8), 2,
                                   qc.VariationalOptions(max_iters=2), counts)
         assert res is not None
@@ -495,6 +590,32 @@ class TestSearchFallbacks:
             one.diagnostics["ratio_evaluations"] > 0
         for key in ("ratio_evaluations", "skipped_coordinates", "reinits"):
             assert isinstance(two.diagnostics[key], int)
+        for key in contraction.COUNTERS:
+            assert isinstance(two.diagnostics[key], int)
+            assert two.diagnostics[key] >= one.diagnostics[key]
+
+    @pytest.mark.parametrize("reason", contraction.STOP_REASONS)
+    def test_each_stop_reason_is_counted(self, gs, reason):
+        # a constant ratio has gradient 0; every chi2 ratio of the
+        # depolarizing channel is (1/2)^2, up to rounding, so no trial
+        # improves on the start by more than 1e-15; two iterations do not
+        # reach the optimum of a random channel
+        objective, ch, max_iters = {
+            "gradient_vanished": (lambda r, s: 1.0, qc.depolarizing(0.5), 5),
+            "line_search_exhausted": (gs["max"], qc.depolarizing(0.5), 5),
+            "max_iters": (gs["max"], qc.random_channel(2, seed=3), 2),
+        }[reason]
+        est = qc.sdpi_variational(objective, ch, qc.fixed_point(ch),
+                                  qc.VariationalOptions(restarts=3, max_iters=max_iters,
+                                                        seed=1))
+        diag = est.diagnostics
+        assert diag["stop_reasons"] == {r: 3 * (r == reason)
+                                        for r in contraction.STOP_REASONS}
+        assert diag["restart_stops"] == [reason] * 3
+        want_iters = max_iters if reason == "max_iters" else 1
+        assert diag["restart_iterations"] == [want_iters] * 3
+        values = sorted(diag["restart_values"])
+        assert diag["top_spread"] == values[-1] - values[0] >= 0.0
 
 
 class TestDetailedBalance:
