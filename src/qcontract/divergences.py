@@ -23,6 +23,7 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
+    eigvalsh_stack,
     stack_full_rank,
     validate_density,
 )
@@ -185,7 +186,11 @@ def _ht_integrals(f2, rho: np.ndarray, ref: _Reference, t: np.ndarray) -> _Stack
     lies in [log t_min, log t_max] up to rounding, which resetting the end
     edges absorbs.  The zero-width panels this or a degenerate spectrum
     leaves are dropped (so rho = sigma gives 0).  Each round makes one
-    stacked eigvalsh over the nodes of all open panels of the stack.
+    stacked eigensolve of rho - g sigma over the nodes of all open panels
+    of the stack, with :func:`eigvalsh_stack`: the elementwise closed form
+    at d = 2, one LAPACK call at d = 3.  Either way a value is bit for bit
+    the same alone and in any stack, as long as ``t`` comes from
+    :func:`eigvalsh_stack` too.
     """
     log_t = np.log(t)
     edges = np.concatenate([log_t, np.zeros((len(t), 1))], axis=1)
@@ -197,7 +202,7 @@ def _ht_integrals(f2, rho: np.ndarray, ref: _Reference, t: np.ndarray) -> _Stack
 
     def integrand(x, owner):
         g = np.exp(x)
-        w = np.linalg.eigvalsh(rho[owner, None] - g[..., None, None] * sig)
+        w = eigvalsh_stack(rho[owner, None] - g[..., None, None] * sig)
         # the positive part above g = 1, the negative part below
         n_g = np.maximum(np.where(g[..., None] >= 1.0, w, -w), 0.0).sum(axis=-1)
         return np.asarray(f2(g), float) * g * n_g
@@ -247,7 +252,7 @@ def _divergence_stack(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
     else:
         rho = ents[full]
         values[full] = _ht_integrals(spec.f2, rho, ref,
-                                     np.linalg.eigvalsh(_pencil(rho, ref))).value
+                                     eigvalsh_stack(_pencil(rho, ref))).value
     return values
 
 
@@ -293,7 +298,7 @@ def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     _require_full_rank(r, "rho")
     ref = _reference(s)
     rho1 = r.entries[None]
-    t = np.linalg.eigvalsh(_pencil(rho1, ref))
+    t = eigvalsh_stack(_pencil(rho1, ref))
     res = _ht_integrals(spec.f2, rho1, ref, t)
     diag = {
         "family": "ht",
@@ -414,7 +419,11 @@ def local_chi2_estimate(evaluator, rho, sigma, lambda_grid=DEFAULT_LOCAL_GRID):
     r = _density(rho, "rho")
     s = _density(sigma, "sigma")
     _require_full_rank(s, "sigma")
-    lam = np.asarray(sorted(set(float(x) for x in lambda_grid), reverse=True), float)
+    grid = [float(x) for x in lambda_grid]
+    # NaN passes every range comparison below, so catch it here
+    if not np.isfinite(grid).all():
+        raise InputError(f"lambda_grid must hold finite points, got {grid}")
+    lam = np.asarray(sorted(set(grid), reverse=True), float)
     if lam.size < 4 or lam[0] >= 1.0 or lam[-1] <= 0.0:
         raise InputError("lambda_grid needs >= 4 distinct points inside (0, 1)")
     fn = _family_callable(evaluator, s)

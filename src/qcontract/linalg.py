@@ -176,6 +176,40 @@ def stack_full_rank(eigenvalues: np.ndarray) -> np.ndarray:
     return eigenvalues[:, 0] > DEFAULT_VALIDATION_TOL
 
 
+def eigvalsh_stack(a) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix of a (..., d, d) stack,
+    read from the diagonal and the lower triangle as ``np.linalg.eigvalsh``.
+
+    At d = 2 this is the closed form of LAPACK's ``dlae2`` on [[p, z*],
+    [z, c]], elementwise over the stack, so a matrix gets bit for bit the
+    same values alone and inside any stack, with no LAPACK call.  The root
+    of larger magnitude is rt1 = (sm +- hypot(p - c, 2|z|)) / 2, with
+    sm = p + c and the sign of sm.  The other is det / rt1, computed as
+    (acmx/rt1) acmn - (|z|/rt1) |z| (acmx, acmn the diagonal entries of
+    larger and smaller magnitude), so it keeps its relative accuracy where
+    det is well conditioned, however far below rt1 it lies; sm = 0 gives
+    -rt1.  A NaN entry gives NaN eigenvalues.  Every other d is
+    ``np.linalg.eigvalsh(a)``.
+    """
+    a = np.asarray(a)
+    if a.shape[-1] != 2:
+        return np.linalg.eigvalsh(a)
+    p, c = a[..., 0, 0].real, a[..., 1, 1].real
+    az = np.abs(a[..., 1, 0])
+    sm = p + c
+    rt = np.hypot(p - c, 2.0 * az)
+    rt1 = 0.5 * (sm + np.copysign(rt, sm))
+    big = np.abs(p) > np.abs(c)
+    acmx, acmn = np.where(big, p, c), np.where(big, c, p)
+    # rt1 = 0 only where sm = 0, which takes -rt1 instead
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rt2 = np.where(sm == 0.0, -rt1, (acmx / rt1) * acmn - (az / rt1) * az)
+    w = np.empty(sm.shape + (2,))
+    np.minimum(rt1, rt2, out=w[..., 0])
+    np.maximum(rt1, rt2, out=w[..., 1])
+    return w
+
+
 def schatten_norm(a, order=2) -> float:
     """Schatten norm of order 1 (trace), 2 (Frobenius) or inf (operator)."""
     arr = _as_matrix(a)

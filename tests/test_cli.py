@@ -259,7 +259,7 @@ class TestExperiment:
         )
         assert code == 0
         assert env["payload_sha256"] == (
-            "8aa47f5448e0ed57253be6a21c2bbcf94cf96aa33c80eab5d856bff028d48f78"
+            "8a20bbff966b062def861433927f36fbdd4a046d2f6080c63ea8b70986f1d2f8"
         )
 
     def test_search_counters_in_envelope_diagnostics(self, capsys):
@@ -338,7 +338,7 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("argv, digest", [
         (["divergence", "--rho", GOLDEN_RHO, "--sigma", GOLDEN_SIGMA],
-         "a3dd09c870c051a996bcab6bf123e0db4f483fff0934ee44e7b6af945b12ae35"),
+         "17ffdf199e8596562fa274986bb1b93e975ee3628c87f10d838ef3c0842260bb"),
         (["sdpi", "--channel", DEPOL],
          "878b6f875466671d6b688204a44d792399b1c83e0aec55bcaa230719c2bbc068"),
         (["db-check", "--channel", PAULI],

@@ -9,6 +9,7 @@ from scipy.linalg import inv, logm, sqrtm
 import qcontract as qc
 from conftest import classical_f_divergence, commuting_pair
 from qcontract import divergences, quadrature
+from qcontract.linalg import eigvalsh_stack
 
 FAMILY_FN = {
     "ht": qc.ht_divergence,
@@ -48,9 +49,10 @@ def scipy_ht_oracle(spec, rho, sigma) -> float:
 
 
 def ht_stack(spec, rho, sigma):
-    """The stacked ht integrals of a (B, d, d) stack of states against sigma."""
+    """The stacked ht integrals of a (B, d, d) stack of states against sigma,
+    with the pencil spectra that _divergence_stack and ht_divergence take."""
     ref = divergences._reference(sigma)
-    t = np.linalg.eigvalsh(divergences._pencil(rho, ref))
+    t = eigvalsh_stack(divergences._pencil(rho, ref))
     return divergences._ht_integrals(spec.f2, rho, ref, t)
 
 
@@ -171,6 +173,18 @@ class TestHtIntegral:
             # more evaluations than one round over the panels: a deeper integral
             mixed += int(res.n_evals.max() > 15 * dim)
         assert mixed > 0
+
+    def test_nan_in_integrand_raises(self, f_cat):
+        # the closed-form eigensolve at d = 2 passes a NaN entry on as NaN
+        # eigenvalues, which the quadrature loop reports
+        rng = np.random.default_rng(2)
+        sig = qc.random_density(2, rng)
+        rho = np.array([qc.random_density(2, rng).entries for _ in range(3)])
+        ref = divergences._reference(sig)
+        t = eigvalsh_stack(divergences._pencil(rho, ref))
+        rho[1, -1, 0] = np.nan
+        with pytest.raises(qc.QuadratureFailure, match=r"nan at x = .*\(integral 1, "):
+            divergences._ht_integrals(f_cat["kl"].f2, rho, ref, t)
 
     def test_traced_name_stays_bound(self):
         # perfbench's tracer patches integrate_piecewise on this module
@@ -552,3 +566,6 @@ class TestLocalChi2Limits:
         with pytest.raises(qc.InputError):
             qc.local_chi2_estimate(fn, rho, sig,
                                    lambda_grid=(1.2, 0.3, 0.2, 0.1))
+        # NaN passes the (0, 1) range comparisons; the error must name the grid
+        with pytest.raises(qc.InputError, match="lambda_grid"):
+            qc.local_chi2_estimate(fn, rho, sig, lambda_grid=[0.5, 0.4, 0.3, np.nan])

@@ -1,9 +1,13 @@
-"""Operator-core: validation, vectorization, norms, superoperators."""
+"""Operator-core: validation, vectorization, norms, superoperators, stacked
+eigenvalues."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qcontract as qc
+from qcontract.linalg import eigvalsh_stack
 
 
 class TestValidateDensity:
@@ -168,3 +172,96 @@ class TestSuperoperator:
     def test_adjoint_is_conjugate_transpose(self, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         np.testing.assert_allclose(qc.Superoperator(m, 2).adjoint().matrix, m.conj().T)
+
+
+def hermitian_2x2(p, c, z) -> np.ndarray:
+    """The (..., 2, 2) stack [[p, conj(z)], [z, c]]."""
+    p, c, z = np.broadcast_arrays(*(np.asarray(v, complex) for v in (p, c, z)))
+    return np.stack([np.stack([p, z.conj()], -1), np.stack([z, c], -1)], -2)
+
+
+def qubit_stacks(rng) -> dict:
+    """Seeded (n, 2, 2) Hermitian stacks of the kinds the ht integrand meets."""
+    n = 200
+    scale = 10.0 ** rng.uniform(-6, 6, n)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    p, c = rng.normal(size=n), rng.normal(size=n)
+    # rho - g sigma at g on sigma's pencil spectrum, against sigma with one
+    # eigenvalue near 1e-9: one root of each is nearly 0, and the pencil
+    # itself has a spread >= 1e8
+    rho = np.array([qc.random_density(2, rng).entries for _ in range(n)])
+    mu = np.stack([10.0 ** rng.uniform(-10, -9, n), np.ones(n)], 1)
+    mu /= mu.sum(1, keepdims=True)
+    v = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))[0]
+    sig = (v * mu[:, None, :]) @ v.conj().swapaxes(1, 2)
+    s_mh = (v / np.sqrt(mu)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    pencil = qc.hermitianize(s_mh @ rho @ s_mh)
+    g = np.linalg.eigvalsh(pencil)[:, 0] * (1 + rng.uniform(-1e-6, 1e-6, n))
+    return {
+        "random": hermitian_2x2(p * scale, c * scale, z * scale),
+        "near_degenerate": hermitian_2x2(p + 1e-13 * c, p, 1e-14 * z),
+        "diagonal": hermitian_2x2(p * scale, c * scale, 0.0),
+        "traceless": hermitian_2x2(p * scale, -p * scale, z * scale),
+        "zero": np.zeros((3, 2, 2), complex),
+        "pencil": pencil,
+        "hockey_stick": rho - g[:, None, None] * sig,
+        "real": hermitian_2x2(p, c, z.real).real,
+    }
+
+
+class TestEigvalshStack:
+    @pytest.mark.parametrize("kind", ["random", "near_degenerate", "diagonal",
+                                      "traceless", "zero", "pencil",
+                                      "hockey_stick", "real"])
+    def test_matches_lapack_at_d2(self, kind):
+        a = qubit_stacks(np.random.default_rng(31))[kind]
+        got, want = eigvalsh_stack(a), np.linalg.eigvalsh(a)
+        assert got.shape == want.shape
+        assert (np.diff(got, axis=-1) >= 0).all()
+        bound = 4 * np.finfo(float).eps * np.abs(want).max(axis=-1)
+        assert (np.abs(got - want).max(axis=-1) <= bound).all()
+        if kind == "pencil":
+            assert (want[:, 1] / want[:, 0]).min() >= 1e8
+
+    def test_small_root_accurate_where_determinant_is_well_conditioned(self):
+        # |z|^2 <= |p c| / 2 with p c < 0, so det = p c - |z|^2 has no
+        # cancellation; the small root |det| / |big root| sits up to 1e10 below
+        # the big one, and must keep its own relative accuracy
+        rng = np.random.default_rng(32)
+        n = 300
+        p = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+        c = -np.sign(p) * np.abs(p) * 10.0 ** rng.uniform(-10, -2, n)
+        z = np.sqrt(np.abs(p * c) / 2) * rng.uniform(0, 1, n) \
+            * np.exp(2j * np.pi * rng.uniform(size=n))
+        got = eigvalsh_stack(hermitian_2x2(p, c, z))
+        first_big = np.abs(got[:, 0]) > np.abs(got[:, 1])
+        big = np.where(first_big, got[:, 0], got[:, 1])
+        small = np.where(first_big, got[:, 1], got[:, 0])
+        for k in range(n):
+            zr, zi = Fraction(z[k].real), Fraction(z[k].imag)
+            det = float(Fraction(p[k]) * Fraction(c[k]) - zr * zr - zi * zi)
+            assert small[k] == pytest.approx(det / big[k], rel=1e-12, abs=0.0), k
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (1, 0)])
+    def test_nan_entry_gives_nan(self, where):
+        a = qubit_stacks(np.random.default_rng(33))["random"][:5].copy()
+        clean = eigvalsh_stack(a)
+        a[(2, *where)] = np.nan
+        got = eigvalsh_stack(a)
+        assert np.isnan(got[2]).all()
+        np.testing.assert_array_equal(np.delete(got, 2, 0), np.delete(clean, 2, 0))
+
+    def test_batch_shapes_and_stack_independence(self):
+        a = qubit_stacks(np.random.default_rng(34))["random"][:60].reshape(4, 15, 2, 2)
+        got = eigvalsh_stack(a)
+        assert got.shape == (4, 15, 2)
+        np.testing.assert_array_equal(got.reshape(60, 2),
+                                      eigvalsh_stack(a.reshape(60, 2, 2)))
+        for idx in np.ndindex(4, 15):
+            np.testing.assert_array_equal(got[idx], eigvalsh_stack(a[idx]))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (7, 3, 3), (4, 5, 3, 3), (6, 4, 4)])
+    def test_other_dimensions_are_lapack(self, rng, shape):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = a + a.conj().swapaxes(-1, -2)
+        np.testing.assert_array_equal(eigvalsh_stack(a), np.linalg.eigvalsh(a))
