@@ -8,9 +8,11 @@
 * Variational lower-bound estimation of SDPI constants for general
   f-divergence families (seeded multi-start gradient ascent; each
   iteration is one stacked evaluation of the ratio at the first two
-  line-search trials and the 2n central-difference points around the
-  second, which usually become the next gradient, with sigma's and
-  E(sigma)'s eigen-data computed once per search).
+  line-search trials, with exact gradients for the chi-square, petz and
+  matsumoto objectives and, for ht and callables, with the 2n
+  central-difference points around the second trial, which usually
+  become the next gradient; sigma's and E(sigma)'s eigen-data are
+  computed once per search).
 * Detailed-balance residuals and the GNS implies-all-g check.
 * The contraction-rate experiment harness with rate-bound and
   tightness verdicts.
@@ -41,8 +43,10 @@ from .channels import (
     is_primitive,
 )
 from .divergences import (
+    _chi2_gradients,
+    _divergence_gradients,
     _divergence_stack,
-    _quadratic_forms,
+    _rotated_forms,
     _reference,
     _require_family,
     _require_full_rank,
@@ -93,10 +97,16 @@ __all__ = [
 #: residual below which a channel is treated as g-detailed balanced
 DB_TOL = 1e-9
 
-#: central-difference step of the search, relative to max(1, |x_i|)
+#: central-difference step of the stencil gradients (ht and callable
+#: objectives), relative to max(1, |x_i|)
 FD_STEP = 1e-6
-#: states within this trace distance of sigma are excluded from the search
-EXCLUSION = 1e-6
+#: states within this trace distance of sigma are excluded from the search;
+#: see test_exclusion_radius_keeps_kernels_accurate for how it was chosen
+EXCLUSION = 1e-3
+#: Frobenius norm of rho - sigma beyond which a state is outside the
+#: exclusion ball with no eigensolve (||X||_1 / 2 >= ||X||_F / sqrt 2 for
+#: traceless X), with a margin for rounding
+_FROBENIUS_CLEAR = math.sqrt(2.0) * EXCLUSION * (1.0 + 1e-8)
 #: first line-search step of each restart
 INIT_STEP = 0.25
 #: line-search step floor of the experiment's searches
@@ -241,11 +251,41 @@ class VariationalOptions:
         _seed_list(self.seed)
 
 
+def _outside_ball(rho: np.ndarray, sigma: np.ndarray):
+    """Where the states of a (B, d, d) stack lie at trace distance
+    >= EXCLUSION from sigma, and the differences rho - sigma.
+
+    For traceless X, ||X||_1 / 2 >= ||X||_F / sqrt 2, so a row whose
+    Frobenius norm is at least _FROBENIUS_CLEAR is kept without an
+    eigensolve; only the others go through ``eigvalsh``.
+    """
+    x = rho - sigma
+    keep = np.sqrt((x.real**2 + x.imag**2).sum(axis=(1, 2))) >= _FROBENIUS_CLEAR
+    near = np.flatnonzero(~keep)
+    if near.size:
+        keep[near] = 0.5 * np.abs(np.linalg.eigvalsh(x[near])).sum(axis=1) >= EXCLUSION
+    return keep, x
+
+
+@dataclass(frozen=True)
+class _Ratios:
+    """The search objective: ``ratios(rho_stack)`` gives the ratio of each
+    state of a (B, d, d) stack.  ``gradients``, where set, maps the same
+    stack to those ratios, bit for bit, and their (B, d, d) Hermitian
+    gradients in rho (NaN rows where the ratio is NaN)."""
+
+    values: object
+    gradients: object = None
+
+    def __call__(self, rho):
+        return self.values(rho)
+
+
 def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
-    """Build ratios(rho_stack) -> ndarray for the SDPI search.
+    """Build the objective ``ratios`` of the SDPI search and its label.
 
     ``ratios`` maps a (B, d, d) stack of states rho to the B values
-    D(E(rho) || E(sigma)) / D(rho || sigma).  The evaluator may be a
+    R = D(E(rho) || E(sigma)) / D(rho || sigma).  The evaluator may be a
     SpectralWeight (chi-square objective, computed on differences by
     linearity), an FDivergenceSpec with family set, or a callable
     D(rho, sigma) -> float.  NaN marks an invalid point: within trace
@@ -255,8 +295,11 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     The built-in objectives evaluate the whole stack at once: sigma's and
     E(sigma)'s eigen-data are computed here, once per search, and rho and
     E(rho) go through the stacked validation arithmetic, not through
-    validate_density.  A callable is called point by point on validated
-    states.
+    validate_density.  Every built-in objective but ht also has exact
+    gradients (``ratios.gradients``): G = (E*(grad N) - R grad D) / D with
+    grad N and grad D the gradients of the stacked kernels at E(rho) and
+    rho, and E* the adjoint channel, built here once.  A callable is
+    called point by point on validated states.
     """
     e_sigma = apply(channel, sigma)
     builtin = isinstance(evaluator, (SpectralWeight, FDivergenceSpec))
@@ -268,26 +311,37 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     if builtin and not e_sigma.full_rank:
         raise SingularReference("E(sigma) must be full rank for the search objective")
 
-    def outside_ball(rho):
-        x = rho - sigma.entries
-        return 0.5 * np.abs(np.linalg.eigvalsh(x)).sum(axis=1) >= EXCLUSION, x
+    adjoint = channel.superop.adjoint()
+
+    def ratio_gradients(r, den, num_grad, den_grad):
+        # E* only takes finite stacks; a non-finite kernel gradient gives NaN
+        fin = np.isfinite(num_grad).all(axis=(1, 2))[:, None, None]
+        e_star = adjoint.apply(np.where(fin, num_grad, 0.0))
+        return np.where(fin, e_star - r[:, None, None] * den_grad, np.nan) / den[:, None, None]
 
     if isinstance(evaluator, SpectralWeight):
         v_s, w_s = sigma.eigenvectors, _sigma_weights(sigma, evaluator)
         v_e, w_e = e_sigma.eigenvectors, _sigma_weights(e_sigma, evaluator)
 
-        def ratios(rho):
+        def kernel(rho, gradients=False):
             out = np.full(len(rho), np.nan)
-            keep, x = outside_ball(rho)
+            grads = np.full(rho.shape, np.nan, complex) if gradients else None
+            keep, x = _outside_ball(rho, sigma.entries)
             idx = np.flatnonzero(keep)
-            den = _quadratic_forms(x[idx], v_s, w_s)
+            den, xt = _rotated_forms(x[idx], v_s, w_s)
             ok = den > 0.0
-            ex = channel.superop.apply(x[idx[ok]])
+            idx, den, xt = idx[ok], den[ok], xt[ok]
+            ex = channel.superop.apply(x[idx])
             ex = 0.5 * (ex + ex.conj().transpose(0, 2, 1))
-            out[idx[ok]] = _quadratic_forms(ex, v_e, w_e) / den[ok]
-            return out
+            num, ext = _rotated_forms(ex, v_e, w_e)
+            out[idx] = num / den
+            if gradients:
+                grads[idx] = ratio_gradients(out[idx], den, _chi2_gradients(ext, v_e, w_e),
+                                             _chi2_gradients(xt, v_s, w_s))
+            return out, grads
 
-        return ratios, f"chi2[{evaluator.name}]"
+        return (_Ratios(lambda rho: kernel(rho)[0], lambda rho: kernel(rho, True)),
+                f"chi2[{evaluator.name}]")
 
     if isinstance(evaluator, FDivergenceSpec):
         spec = evaluator
@@ -296,26 +350,38 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
             _require_operator_convex(spec)
         ref_s, ref_e = _reference(sigma), _reference(e_sigma)
 
-        def ratios(rho):
+        def divergences(ents, lam, phi, ref, gradients):
+            if gradients:
+                return _divergence_gradients(spec, ents, lam, phi, ref)
+            return _divergence_stack(spec, ents, lam, phi, ref), None
+
+        def kernel(rho, gradients=False):
             out = np.full(len(rho), np.nan)
-            keep, _ = outside_ball(rho)
+            grads = np.full(rho.shape, np.nan, complex) if gradients else None
+            keep, _ = _outside_ball(rho, sigma.entries)
             ents, lam, phi, *checks = validate_stack(rho)
             idx = np.flatnonzero(keep & stack_valid(*checks))
-            den = _divergence_stack(spec, ents[idx], lam[idx], phi[idx], ref_s)
-            ok = den > 0.0
-            idx, den = idx[ok], den[ok]
+            den, den_grad = divergences(ents[idx], lam[idx], phi[idx], ref_s, gradients)
+            pos = den > 0.0
+            idx, den = idx[pos], den[pos]
             e_stack = channel.superop.apply(ents[idx])
             e_ents, e_lam, e_phi, *e_checks = validate_stack(e_stack)
             ok = stack_valid(*e_checks)
-            num = _divergence_stack(spec, e_ents[ok], e_lam[ok], e_phi[ok], ref_e)
-            out[idx[ok]] = num / den[ok]
-            return out
+            num, num_grad = divergences(e_ents[ok], e_lam[ok], e_phi[ok], ref_e, gradients)
+            idx, den = idx[ok], den[ok]
+            out[idx] = num / den
+            if gradients:
+                grads[idx] = ratio_gradients(out[idx], den, num_grad, den_grad[pos][ok])
+            return out, grads
 
-        return ratios, f"{spec.family}[{spec.name}]"
+        label = f"{spec.family}[{spec.name}]"
+        if spec.family == "ht":
+            return _Ratios(lambda rho: kernel(rho)[0]), label
+        return _Ratios(lambda rho: kernel(rho)[0], lambda rho: kernel(rho, True)), label
 
     def ratios(rho):
         out = np.full(len(rho), np.nan)
-        for k in np.flatnonzero(outside_ball(rho)[0]):
+        for k in np.flatnonzero(_outside_ball(rho, sigma.entries)[0]):
             try:
                 r = validate_density(rho[k])
                 e_r = apply(channel, r)
@@ -329,7 +395,7 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
                 pass
         return out
 
-    return ratios, "callable"
+    return _Ratios(ratios), "callable"
 
 
 def _rho_from_params(x: np.ndarray, d: int, counts: dict | None = None) -> np.ndarray:
@@ -383,40 +449,67 @@ def _total_counts(diagnostics) -> dict:
     return total
 
 
+def _param_gradients(x: np.ndarray, rho: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
+    """dR/dx for a (B, 2 d^2) stack of parameter vectors x, given the states
+    rho = A A^dag / t, t = tr A A^dag, and the gradients g of R in rho: the
+    real and imaginary parts of 2 (G - tr(rho G) I) A / t; 0 where A = 0."""
+    n = d * d
+    a = (x[:, :n] + 1j * x[:, n:]).reshape(-1, d, d)
+    t = np.sum(x * x, axis=1)
+    scale = np.divide(2.0, t, out=np.zeros_like(t), where=t > 0.0)
+    c = np.sum(rho * g.transpose(0, 2, 1), axis=(1, 2)).real
+    m = (scale[:, None, None] * (g @ a - c[:, None, None] * a)).reshape(-1, n)
+    return np.concatenate([m.real, m.imag], axis=1)
+
+
 def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: dict):
     """One gradient-ascent restart; returns (value, rho, iterations, stop
     reason) or None when x0 is not a valid point.
 
-    Each iteration is one ``ratios`` call on one stack.  The stack holds the
+    Each iteration is one ``ratios`` call on one stack, which holds the
     first two trials of the backtracking line search, x + step d and
-    x + (step/2) d, and the 2n central-difference points (x' + h e_i, then
-    x' - h e_i) around the second trial x'.  After the first iteration
-    step/2 is the step accepted last time, which the search nearly always
-    accepts again; then the next gradient is already evaluated, which
-    adds to ``counts["stencil_hits"]``.  When the first trial is accepted,
-    or neither, the guessed stencil is wasted and adds to
-    ``counts["stencil_misses"]``: the search tries step/4, step/8, ...
-    down to ``step_tol`` one point per call, and the next gradient is a
-    call of its own.  The last iteration guesses no
-    stencil.  The start point shares its call with its gradient's stencil.
-    Trials are tried in order, and a point's ratio does not depend on the
-    stack it is evaluated in, so the path is that of a search which
-    evaluates every trial and gradient on its own.
+    x + (step/2) d.  After the first iteration step/2 is the step accepted
+    last time, which the search nearly always accepts again.  The gradient
+    comes from one of two sources; the loop, its line search, its stop
+    reasons and its counters are the same for both.
 
-    A coordinate whose +h or -h point is invalid (not finite) gets gradient
-    0 and is counted in ``counts["skipped_coordinates"]``.  Every call adds
-    to ``counts["ratio_calls"]``, every evaluated point (guessed stencils
+    * Exact (``ratios.gradients`` is set: the chi-square, petz and
+      matsumoto objectives): the call returns the ratio and the gradient of
+      both trials, so the accepted trial's gradient is the next one.  A
+      point whose A is 0 stands for I/d and has no gradient, so it is
+      invalid.
+    * Stencil (ht, callables): central differences over the 2n points
+      x' +- h e_i.  The call also holds the stencil around the second
+      trial x', a guess that becomes the next gradient when x' is accepted
+      (``counts["stencil_hits"]``).  When the first trial is accepted, or
+      neither, the guess is wasted (``counts["stencil_misses"]``) and the
+      next gradient is a call of its own.  The last iteration guesses no
+      stencil; the start point shares its call with its stencil.
+
+    When neither trial improves, the search tries step/4, step/8, ...
+    down to ``step_tol`` one point per call.  Trials are tried in order,
+    and a point's ratio does not depend on the stack it is evaluated in,
+    so the path is that of a search which evaluates every trial and
+    gradient on its own.
+
+    A gradient coordinate that is not finite (for the stencil: its +h or -h
+    point is invalid) is set to 0 and counted in
+    ``counts["skipped_coordinates"]``.  Every call adds to
+    ``counts["ratio_calls"]``, every evaluated point (guessed stencils
     included) to ``counts["ratio_evaluations"]``, and a point whose A is 0
-    (so that its state is the fallback I/d) to
-    ``counts["identity_fallbacks"]``.  Only strict improvements are
+    to ``counts["identity_fallbacks"]``.  Only strict improvements are
     accepted, so the final point is the best.  The iterations are the
-    gradients computed; the ascent stops when the gradient vanishes, when
-    no trial improves (``line_search_exhausted``) or after ``max_iters``.
+    gradients used; the ascent stops when the gradient vanishes, when no
+    trial improves (``line_search_exhausted``) or after ``max_iters``.
     """
-    def values(params):
+    n = x0.size
+    coords = np.arange(n)
+    exact = getattr(ratios, "gradients", None)
+
+    def states(params):
         counts["ratio_calls"] += 1
         counts["ratio_evaluations"] += len(params)
-        return ratios(_rho_from_params(params, d, counts))
+        return _rho_from_params(params, d, counts)
 
     def stencil(x):
         h = FD_STEP * np.maximum(1.0, np.abs(x))
@@ -425,24 +518,41 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
         pts[n + coords, coords] -= h
         return h, pts
 
+    def central(f, h):
+        with np.errstate(invalid="ignore"):
+            return (f[:n] - f[n:]) / (2 * h)
+
+    def probe(params, guess):
+        """The ratios at a stack of points, in one call, and a gradient per
+        point: every one for the exact source; for the stencil, that of the
+        last point with ``guess``, else None."""
+        if exact is not None:
+            rho = states(params)
+            f, g = exact(rho)
+            # A = 0 stands for I/d, which has no gradient: an invalid point
+            f[np.sum(params * params, axis=1) <= 0.0] = np.nan
+            return f, list(_param_gradients(params, rho, g, d))
+        k = len(params)
+        if not guess:
+            return ratios(states(params)), [None] * k
+        h, pts = stencil(params[-1])
+        f = ratios(states(np.vstack([params, pts])))
+        return f[:k], [None] * (k - 1) + [central(f[k:], h)]
+
     x = x0.copy()
-    n = x.size
-    coords = np.arange(n)
-    h, pts = stencil(x)
-    f = values(np.vstack([x[None], pts]))
-    f0, f = f[0], f[1:]
+    f, grads = probe(x[None], True)
+    f0, grad = f[0], grads[0]
     if not np.isfinite(f0):
         return None
     step = INIT_STEP
     stop = "max_iters"
     for it in range(opts.max_iters):
-        if f is None:
+        if grad is None:
             h, pts = stencil(x)
-            f = values(pts)
-        ok = np.isfinite(f[:n]) & np.isfinite(f[n:])
+            grad = central(ratios(states(pts)), h)
+        ok = np.isfinite(grad)
         counts["skipped_coordinates"] += int(n - ok.sum())
-        grad = np.zeros(n)
-        grad[ok] = (f[:n][ok] - f[n:][ok]) / (2 * h[ok])
+        grad = np.where(ok, grad, 0.0)
         gn = float(np.linalg.norm(grad))
         if gn < 1e-12:
             stop = "gradient_vanished"
@@ -456,33 +566,26 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
         if not trials:
             stop = "line_search_exhausted"
             break
-        guess = len(trials) > 1 and it + 1 < opts.max_iters
+        guess = exact is None and len(trials) > 1 and it + 1 < opts.max_iters
         x_try = x + np.array(trials[:2])[:, None] * direction
-        if guess:
-            h_next, pts = stencil(x_try[1])
-            f_try = values(np.vstack([x_try, pts]))
-        else:
-            f_try = values(x_try)
+        f_try, g_try = probe(x_try, guess)
         accepted = None
         for k, trial in enumerate(trials):
             if k < 2:
-                x_new, f_new = x_try[k], f_try[k]
+                x_new, f_new, g_new = x_try[k], f_try[k], g_try[k]
             else:
                 x_new = x + trial * direction
-                f_new = values(x_new[None])[0]
+                f_one, g_one = probe(x_new[None], False)
+                f_new, g_new = f_one[0], g_one[0]
             if np.isfinite(f_new) and f_new > f0 + 1e-15:
                 accepted = k
                 break
-        f = None
         if guess:
-            hit = accepted == 1
-            counts["stencil_hits" if hit else "stencil_misses"] += 1
-            if hit:
-                h, f = h_next, f_try[2:]
+            counts["stencil_hits" if accepted == 1 else "stencil_misses"] += 1
         if accepted is None:
             stop = "line_search_exhausted"
             break
-        x, f0 = x_new, f_new
+        x, f0, grad = x_new, f_new, g_new
         step = min(2.0 * trial, 1.0)
     counts["stop_reasons"][stop] += 1
     return float(f0), _rho_from_params(x[None], d)[0], it + 1, stop
@@ -493,10 +596,12 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     """Variational lower-bound estimate of the SDPI constant.
 
     Maximizes D(E(rho) || E(sigma)) / D(rho || sigma) over rho = A A^dag /
-    tr, with seeded multi-start gradient ascent (central-difference
-    gradients, backtracking line search).  Each iteration is one stacked
-    evaluation of the ratio: the first two line-search trials and the 2n
-    perturbed points of the gradient at the second, the step the search
+    tr, with seeded multi-start gradient ascent and a backtracking line
+    search.  The chi-square, petz and matsumoto objectives have exact
+    gradients; ht and callable objectives take central differences.  Each
+    iteration is one stacked evaluation of the ratio at the first two
+    line-search trials, with their exact gradients, or with the 2n
+    perturbed points of the stencil at the second, the step the search
     accepted last time (see ``_ascend``).  A callable objective is
     therefore also called on perturbed points whose values are never used.
     States within trace distance ``EXCLUSION`` of sigma are excluded, as
@@ -505,18 +610,19 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     :class:`AllRestartsDegenerate` is raised.  Restarts run serially and
     the result is deterministic per seed.
 
-    ``diagnostics`` counts, summed over restarts, the stacked ratio calls
-    (``ratio_calls``) and the points they evaluated
+    ``diagnostics["gradient"]`` names the gradient source, ``"exact"`` or
+    ``"stencil"``.  ``diagnostics`` counts, summed over restarts, the
+    stacked ratio calls (``ratio_calls``) and the points they evaluated
     (``ratio_evaluations``, guessed stencils included), the guessed
     stencils that became the next gradient (``stencil_hits``) and those
     that were wasted (``stencil_misses``), the gradient coordinates set to
-    0 because a perturbed point was invalid, the extra starting points
-    tried after an invalid one, the evaluated points whose parameter matrix
-    was 0 and so stood for I/d, and how many restarts stopped for each
-    reason (``stop_reasons``: ``gradient_vanished``,
-    ``line_search_exhausted`` or ``max_iters``).  Per valid restart it
-    lists the value, the iterations and the stop reason;
-    ``top_spread`` is the best value minus the lowest of the best
+    0 because they were not finite (for the stencil: a perturbed point was
+    invalid), the extra starting points tried after an invalid one, the
+    evaluated points whose parameter matrix was 0 and so stood for I/d,
+    and how many restarts stopped for each reason (``stop_reasons``:
+    ``gradient_vanished``, ``line_search_exhausted`` or ``max_iters``).
+    Per valid restart it lists the value, the iterations and the stop
+    reason; ``top_spread`` is the best value minus the lowest of the best
     ``TOP_RESTARTS`` values, 0 for one valid restart.
     ``clipped_above_one`` records whether the best ratio exceeded 1 and was
     clipped to 1, which flags an objective that breaks data processing.
@@ -561,6 +667,7 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
         restarts_used=opts.restarts,
         diagnostics={
             "objective": obj_label,
+            "gradient": "stencil" if ratios.gradients is None else "exact",
             "raw_best": float(best_f),
             "clipped_above_one": bool(best_f > 1.0),
             "valid_restarts": len(valid),

@@ -98,16 +98,49 @@ def _sigma_weights(sigma: DensityMatrix, g: SpectralWeight) -> np.ndarray:
     return w
 
 
-def _quadratic_forms(x: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_ij w_ij |(V^dag X V)_ij|^2 for each X of a Hermitian (B, d, d) stack."""
+def _rotated_forms(x: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """sum_ij w_ij |(V^dag X V)_ij|^2 for each X of a Hermitian (B, d, d) stack,
+    and the rotated stack V^dag X V."""
     xt = v.conj().T @ x @ v
-    return np.sum(w * (xt.real**2 + xt.imag**2), axis=(1, 2))
+    return np.sum(w * (xt.real**2 + xt.imag**2), axis=(1, 2)), xt
+
+
+def _chi2_gradients(xt: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradients in X of the quadratic forms of :func:`_rotated_forms`, from
+    the rotated stack xt: 2 V (wbar o xt) V^dag with wbar = (w + w^T)/2, as
+    only the Hermitian part of the weights acts on a Hermitian X (the GNS
+    weight is not symmetric)."""
+    wbar = 0.5 * (w + w.T)
+    return 2.0 * (v @ (wbar * xt) @ v.conj().T)
+
+
+#: eigenvalues within this relative gap take the derivative, not the
+#: difference quotient, in the Daleckii-Krein gradients
+DK_GAP = 1e-8
+
+
+def _gaps(x: np.ndarray):
+    """For a (B, d) stack of nonnegative spectra, the (B, d, d) differences
+    x_i - x_k, with 1 in place of the pairs within the relative gap DK_GAP
+    (the diagonal included), and the mask of those near pairs."""
+    gap = x[:, :, None] - x[:, None, :]
+    near = np.abs(gap) <= DK_GAP * np.maximum(x[:, :, None], x[:, None, :])
+    return np.where(near, 1.0, gap), near
+
+
+def _divided_differences(x: np.ndarray, fx: np.ndarray, dfx: np.ndarray) -> np.ndarray:
+    """First divided differences (f(x_i) - f(x_k)) / (x_i - x_k) of f on a
+    (B, d) stack of spectra, from the values fx and derivatives dfx there;
+    the mean derivative on the diagonal and on near-equal pairs."""
+    gap, near = _gaps(x)
+    return np.where(near, 0.5 * (dfx[:, :, None] + dfx[:, None, :]),
+                    (fx[:, :, None] - fx[:, None, :]) / gap)
 
 
 def chi2_quadratic_form(x: np.ndarray, sigma: DensityMatrix, g: SpectralWeight) -> float:
     """<X, Omega_sigma^g(X)> for Hermitian X, via the sigma eigenbasis."""
     w = _sigma_weights(sigma, g)
-    return float(_quadratic_forms(np.asarray(x)[None], sigma.eigenvectors, w)[0])
+    return float(_rotated_forms(np.asarray(x)[None], sigma.eigenvectors, w)[0][0])
 
 
 def chi2_g(rho, sigma, g: SpectralWeight) -> DivergenceValue:
@@ -210,26 +243,56 @@ def _ht_integrals(f2, rho: np.ndarray, ref: _Reference, t: np.ndarray) -> _Stack
     return _integrate_stack(integrand, edges, epsrel=HT_QUAD_RTOL)
 
 
-def _matsumoto_values(f, rho: np.ndarray, ref: _Reference):
-    """tr[sigma f(sigma^-1/2 rho sigma^-1/2)] for each rho of a (B, d, d)
-    stack, NaN where f is not finite on the pencil spectrum; also returns
-    the pencil spectra."""
+def _matsumoto_values(f, rho: np.ndarray, ref: _Reference, df=None):
+    """tr[sigma f(T)], T = sigma^-1/2 rho sigma^-1/2, for each rho of a
+    (B, d, d) stack, NaN where f is not finite on the pencil spectrum; also
+    returns the pencil spectra and, given df = f', the gradients in rho
+    sigma^-1/2 V (G o V^dag sigma V) V^dag sigma^-1/2 (None without df),
+    with V the eigenvectors of T and G the divided differences of f on its
+    spectrum (Daleckii-Krein; Bhatia, Matrix Analysis, ch. V)."""
     tvals, tvecs = np.linalg.eigh(_pencil(rho, ref))
+    t = np.clip(tvals, 0.0, None)
+    vh = tvecs.conj().transpose(0, 2, 1)
     with np.errstate(all="ignore"):
-        fv = np.asarray(f(np.clip(tvals, 0.0, None)), float)
-        f_t = (tvecs * fv[:, None, :]) @ tvecs.conj().transpose(0, 2, 1)
+        fv = np.asarray(f(t), float)
+        f_t = (tvecs * fv[:, None, :]) @ vh
         values = np.trace(ref.entries @ f_t, axis1=1, axis2=2).real
-    values[~np.isfinite(fv).all(axis=1)] = np.nan
-    return values, tvals
+        grads = None
+        if df is not None:
+            gam = _divided_differences(t, fv, np.asarray(df(t), float))
+            u = ref.s_mh @ tvecs
+            grads = u @ (gam * (vh @ ref.entries @ tvecs)) @ u.conj().transpose(0, 2, 1)
+    bad = ~np.isfinite(fv).all(axis=1)
+    values[bad] = np.nan
+    if grads is not None:
+        grads[bad] = np.nan
+    return values, tvals, grads
 
 
 def _petz_values(f, lam: np.ndarray, phi: np.ndarray, mu: np.ndarray,
-                 psi: np.ndarray) -> np.ndarray:
-    """The double sum sum_ij f(lambda_i/mu_j) mu_j |<phi_i|psi_j>|^2 for a
-    stack of eigenvalues lam (B, d) and eigenvectors phi (B, d, d) of rho."""
-    overlap = np.abs(phi.conj().transpose(0, 2, 1) @ psi) ** 2
-    fv = np.asarray(f(lam[:, :, None] / mu), float)
-    return np.sum(fv * mu * overlap, axis=(1, 2))
+                 psi: np.ndarray, df=None):
+    """The double sum sum_ij f(lambda_i/mu_j) mu_j |C_ij|^2, C = Phi^dag Psi,
+    for a stack of eigenvalues lam (B, d) and eigenvectors phi (B, d, d) of
+    rho.  Given df = f', also returns the gradients in rho, Phi H Phi^dag
+    (Daleckii-Krein, summed over the sigma eigenprojections): with
+    F_ij = mu_j f(lambda_i/mu_j) and M = (F o C) C^dag,
+    H_ik = (M - M^dag)_ik / (lambda_i - lambda_k), and on the diagonal and
+    near-equal pairs sum_j f'(lambda_i/mu_j) C_ij conj(C_kj), averaged with
+    its value at lambda_k in place of lambda_i."""
+    c = phi.conj().transpose(0, 2, 1) @ psi
+    overlap = np.abs(c) ** 2
+    ratio = lam[:, :, None] / mu
+    fmu = np.asarray(f(ratio), float) * mu
+    values = np.sum(fmu * overlap, axis=(1, 2))
+    if df is None:
+        return values
+    ch = c.conj().transpose(0, 2, 1)
+    m = (fmu * c) @ ch
+    k = (np.asarray(df(ratio), float) * c) @ ch
+    gap, near = _gaps(lam)
+    h = np.where(near, 0.5 * (k + k.conj().transpose(0, 2, 1)),
+                 (m - m.conj().transpose(0, 2, 1)) / gap)
+    return values, phi @ h @ phi.conj().transpose(0, 2, 1)
 
 
 def _divergence_stack(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
@@ -254,6 +317,22 @@ def _divergence_stack(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
         values[full] = _ht_integrals(spec.f2, rho, ref,
                                      eigvalsh_stack(_pencil(rho, ref))).value
     return values
+
+
+def _divergence_gradients(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
+                          phi: np.ndarray, ref: _Reference):
+    """The values of :func:`_divergence_stack` for a petz or matsumoto spec,
+    bit for bit, and their (B, d, d) Hermitian gradients in rho, NaN where
+    the value is NaN."""
+    if spec.family == "matsumoto":
+        values, _, grads = _matsumoto_values(spec.f, ents, ref, spec.f1)
+        return values, grads
+    full = stack_full_rank(lam)
+    values = np.full(len(ents), np.nan)
+    grads = np.full(ents.shape, np.nan, complex)
+    values[full], grads[full] = _petz_values(spec.f, lam[full], phi[full],
+                                             ref.mu, ref.psi, spec.f1)
+    return values, grads
 
 
 def _require_family(spec: FDivergenceSpec) -> None:
@@ -319,7 +398,7 @@ def matsumoto_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     r = _density(rho, "rho")
     s = _density(sigma, "sigma")
     _require_full_rank(s, "sigma")
-    values, tvals = _matsumoto_values(spec.f, r.entries[None], _reference(s))
+    values, tvals, _ = _matsumoto_values(spec.f, r.entries[None], _reference(s))
     lo, hi = float(tvals[0, 0]), float(tvals[0, -1])
     if np.isnan(values[0]):
         raise DomainError(

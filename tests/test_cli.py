@@ -132,8 +132,11 @@ class TestSdpi:
         assert set(searches) == {"petz[kl]", "matsumoto[kl]"}
         for counts in searches.values():
             assert sum(counts["stop_reasons"].values()) == 2
-            assert 0 < counts["ratio_calls"] < counts["ratio_evaluations"]
-            assert counts["stencil_hits"] + counts["stencil_misses"] > 0
+            # exact gradients: at most the two line-search trials per call
+            assert counts["gradient"] == "exact"
+            assert 0 < counts["ratio_calls"] < counts["ratio_evaluations"] \
+                <= 2 * counts["ratio_calls"]
+            assert counts["stencil_hits"] == counts["stencil_misses"] == 0
         assert all("ratio_calls" not in r["diagnostics"]
                    for r in env["payload"]["results"])
 
@@ -259,7 +262,7 @@ class TestExperiment:
         )
         assert code == 0
         assert env["payload_sha256"] == (
-            "8a20bbff966b062def861433927f36fbdd4a046d2f6080c63ea8b70986f1d2f8"
+            "0ce2b7bfb0970cd36ede57726547402eecae398bef7e8b7022274963dbe867e9"
         )
 
     def test_search_counters_in_envelope_diagnostics(self, capsys):

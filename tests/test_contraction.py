@@ -231,6 +231,23 @@ class TestVariationalSdpi:
             )
             assert est.value >= exact - 1e-2
 
+    @pytest.mark.parametrize("p", [0.4, 0.5])
+    def test_no_estimate_above_the_exact_constant(self, f_cat, p):
+        # eta of the depolarizing E^n is (1-p)^(2n) for every family, with
+        # the supremum at sigma, inside the exclusion ball; a search that
+        # walked into the rounding noise near sigma would report more
+        ch = qc.depolarizing(p)
+        pi = qc.fixed_point(ch)
+        for n in (1, 2):
+            exact = (1 - p) ** (2 * n)
+            for fam in ("petz", "matsumoto"):
+                est = qc.sdpi_variational(
+                    f_cat["kl"].with_family(fam), qc.channel_power(ch, n), pi,
+                    qc.VariationalOptions(restarts=6, max_iters=60, seed=9),
+                )
+                assert est.diagnostics["raw_best"] <= exact * (1 + 1e-9)
+                assert est.value >= exact - 1e-2
+
     def test_callable_evaluator(self, gs):
         ch = qc.depolarizing(0.5)
         pi = qc.fixed_point(ch)
@@ -433,13 +450,13 @@ def _oracle_objective(name, f_cat, gs):
 
 
 class TestStackedIterations:
-    """The search with one stacked call per iteration takes the path of the
-    sequential reference, bit for bit."""
+    """The stencil search, with one stacked call per iteration, takes the
+    path of the sequential reference, bit for bit; the exact-gradient
+    search ends where the reference does."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("name", ["petz[kl]", "matsumoto[kl]", "ht[kl]",
-                                      "chi2[max]", "chi2[kmb]", "callable"])
+    @pytest.mark.parametrize("name", ["ht[kl]", "callable"])
     def test_path_is_the_sequential_one(self, f_cat, gs, name, dim, seed):
         ch = qc.random_channel(dim, seed=seed)
         pi = qc.fixed_point(ch)
@@ -451,10 +468,27 @@ class TestStackedIterations:
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", ["petz[kl]", "matsumoto[kl]", "chi2[max]",
+                                      "chi2[kmb]"])
+    def test_exact_search_ends_where_the_stencil_reference_does(self, f_cat, gs, name,
+                                                               dim, seed):
+        ch = qc.random_channel(dim, seed=seed)
+        pi = qc.fixed_point(ch)
+        ratios, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
+        assert ratios.gradients is not None
+        opts = qc.VariationalOptions(max_iters=12)
+        x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
+        # the values-only wrapper has no gradients, as the reference never uses them
+        want = _sequential_ascend(lambda rho: ratios(rho), x0, dim, opts, [])
+        got = contraction._ascend(ratios, x0, dim, opts, contraction._new_counts())
+        assert got[0] == pytest.approx(want[0], rel=1e-9, abs=0)
+
     def test_half_the_calls(self, f_cat):
         ch = qc.random_channel(2, seed=1)
         pi = qc.fixed_point(ch)
-        ratios, _ = contraction._objective(f_cat["kl"].with_family("petz"), ch, pi)
+        ratios, _ = contraction._objective(f_cat["kl"].with_family("ht"), ch, pi)
         opts = qc.VariationalOptions(max_iters=100)
         x0 = contraction._init_params(np.random.default_rng(5), pi, 0)
         calls, counts = [], contraction._new_counts()
@@ -467,6 +501,164 @@ class TestStackedIterations:
         n = 2 * 2 * 2
         assert counts["ratio_evaluations"] >= sum(calls) + 2 * n * counts["stencil_misses"]
         assert counts["stencil_hits"] + counts["stencil_misses"] < got[2]
+
+
+def _exact_objectives(f_cat, gs):
+    """Every built-in objective with exact gradients: petz and matsumoto with
+    each catalog f, and chi-square with each catalog g and the GNS weight."""
+    return [obj for obj in _search_objectives(f_cat, gs)
+            if getattr(obj, "family", None) != "ht"] + [qc.gns_weight()]
+
+
+def _params_of(rho):
+    """Parameters of A = rho^1/2, so that A A^dag / tr is rho."""
+    w, v = np.linalg.eigh(rho)
+    a = (v * np.sqrt(w)) @ v.conj().T
+    return np.concatenate([a.real.ravel(), a.imag.ravel()])
+
+
+def _near_degenerate_points(pi, dim, rng):
+    """Parameters of states whose eigenvalues, and (at d = 3) whose pencil
+    eigenvalues against pi, have a pair 1e-12 apart (relative), where the
+    Daleckii-Krein difference quotients lose every digit.  At d = 2 a
+    degenerate pencil spectrum would make the state pi itself."""
+    u = qc.random_density(dim, rng).eigenvectors
+    lam = np.array([1.0, 1.0 + 1e-12, 1.3][:dim])
+    rho = (u * lam) @ u.conj().T
+    points = [_params_of(rho / np.trace(rho).real)]
+    if dim == 3:
+        s_half = (pi.eigenvectors * np.sqrt(pi.eigenvalues)) @ pi.eigenvectors.conj().T
+        pencil = s_half @ rho @ s_half
+        points.append(_params_of(pencil / np.trace(pencil).real))
+    return points
+
+
+#: kl plus chi2: tr(rho grad D) is not proportional to D for this f, so the
+#: chain rule's tr(rho G) term does not vanish, as it does for the catalog
+_KL_CHI2 = qc.fdivergence_spec(
+    "kl+chi2",
+    lambda x: qc.f_catalog()["kl"].f(x) + (np.asarray(x, float) - 1.0) ** 2,
+    lambda x: np.log(np.asarray(x, float)) + 2.0 * (np.asarray(x, float) - 1.0),
+    lambda x: 1.0 / np.asarray(x, float) + 2.0,
+    lambda x: -1.0 / np.asarray(x, float) ** 2,
+    operator_convex=True,
+)
+
+
+class TestExactGradients:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gradients_match_central_differences(self, f_cat, gs, dim):
+        ch = qc.random_channel(dim, seed=2)
+        pi = qc.fixed_point(ch)
+        rng = np.random.default_rng([12, dim])
+        x = np.vstack([rng.normal(size=(3, 2 * dim * dim)),
+                       *_near_degenerate_points(pi, dim, rng)])
+        n = x.shape[1]
+        rho = contraction._rho_from_params(x, dim)
+        objectives = _exact_objectives(f_cat, gs) + [_KL_CHI2.with_family(fam)
+                                                     for fam in ("petz", "matsumoto")]
+        for obj in objectives:
+            ratios, name = contraction._objective(obj, ch, pi)
+            values, g = ratios.gradients(rho)
+            assert np.array_equal(values, ratios(rho)), name
+            grads = contraction._param_gradients(x, rho, g, dim)
+            for b in range(len(x)):
+                h = 1e-6
+                pts = np.tile(x[b], (2 * n, 1))
+                pts[np.arange(n), np.arange(n)] += h
+                pts[n + np.arange(n), np.arange(n)] -= h
+                f = ratios(contraction._rho_from_params(pts, dim))
+                fd = (f[:n] - f[n:]) / (2 * h)
+                err = np.linalg.norm(grads[b] - fd) / np.linalg.norm(fd)
+                assert err <= 1e-6, (name, b, err)
+
+    def test_gradients_are_nan_where_the_ratio_is(self, f_cat, gs):
+        # a pure state may have a finite ratio but no gradient (f'(0) = -inf
+        # for kl), which the search skips coordinate by coordinate
+        ch = qc.random_channel(2, seed=1)
+        pi = qc.fixed_point(ch)
+        rho = np.array([pi.entries, np.diag([1.0, 0.0]),
+                        qc.random_density(2, np.random.default_rng(4)).entries])
+        for obj in _exact_objectives(f_cat, gs):
+            ratios, name = contraction._objective(obj, ch, pi)
+            values, g = ratios.gradients(rho)
+            assert np.isnan(values[0]) and np.isfinite(values[2]), name
+            assert np.isnan(g[np.isnan(values)]).all() and np.isfinite(g[2]).all(), name
+
+    def test_gradient_source_is_reported(self, f_cat, gs):
+        ch = qc.random_channel(2, seed=1)
+        pi = qc.fixed_point(ch)
+        opts = qc.VariationalOptions(restarts=2, max_iters=4, seed=3)
+        cases = [(obj, "exact") for obj in _exact_objectives(f_cat, gs)]
+        cases += [(f_cat["kl"].with_family("ht"), "stencil"),
+                  (lambda r, s: qc.chi2_max(r, s).value, "stencil")]
+        for obj, source in cases:
+            diag = qc.sdpi_variational(obj, ch, pi, opts).diagnostics
+            assert diag["gradient"] == source
+            if source == "exact":
+                # two trials per call, or one on the line search's ladder
+                assert diag["stencil_hits"] == diag["stencil_misses"] == 0
+                assert diag["ratio_evaluations"] <= 2 * diag["ratio_calls"]
+
+
+class TestExclusionBall:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_frobenius_shortcut_keeps_the_eigvalsh_mask(self, dim):
+        pi = qc.fixed_point(qc.random_channel(dim, seed=1))
+        rng = np.random.default_rng([13, dim])
+        radius = contraction.EXCLUSION
+        rows = []
+        for k in range(60):
+            h = qc.random_hermitian(dim, rng)
+            if k % 3 == 0:
+                # rank two, where ||X||_1 / 2 = ||X||_F / sqrt 2: the bound is tight
+                w, v = np.linalg.eigh(h)
+                h = (v[:, :1] @ v[:, :1].conj().T) - (v[:, 1:2] @ v[:, 1:2].conj().T)
+            h -= np.trace(h) / dim * np.eye(dim)
+            half_trace_norm = 0.5 * np.abs(np.linalg.eigvalsh(h)).sum()
+            frobenius = np.linalg.norm(h)
+            for rel in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6, 0.5):
+                rows.append(h * radius * (1 + rel) / half_trace_norm)
+                rows.append(h * np.sqrt(2) * radius * (1 + 1e-8) * (1 + rel) / frobenius)
+        rho = pi.entries + np.array(rows)
+        keep, x = contraction._outside_ball(rho, pi.entries)
+        want = 0.5 * np.abs(np.linalg.eigvalsh(rho - pi.entries)).sum(axis=1) >= radius
+        assert np.array_equal(keep, want)
+        assert np.array_equal(x, rho - pi.entries)
+        assert 0 < want.sum() < len(want)
+
+    @pytest.mark.parametrize("fixture", ["random_channel(2, seed=1)",
+                                         "random_channel(3, seed=1)",
+                                         "depolarizing(0.5)"])
+    def test_exclusion_radius_keeps_kernels_accurate(self, f_cat, gs, fixture):
+        """At the edge of the exclusion ball, the petz and matsumoto ratios,
+        which cancel O(1) terms down to D = O(r^2), still agree with ht[kl]
+        (an integral of a small integrand) and with chi2[max] to 1e-9
+        relative.  At EXCLUSION = 1e-3 the worst petz[kl] vs ht[kl] gap here
+        is 8.0e-10; at 1e-4 it is 7.9e-8, so that radius would fail."""
+        ch = eval(f"qc.{fixture}")
+        pi = qc.fixed_point(ch)
+        dim = ch.dim
+        rng = np.random.default_rng([14, dim])
+        rows = []
+        for _ in range(20):
+            h = qc.random_hermitian(dim, rng)
+            h -= np.trace(h) / dim * np.eye(dim)
+            # just outside the ball, so that rounding keeps every point in
+            scale = contraction.EXCLUSION * (1 + 1e-6)
+            rows.append(h * scale / (0.5 * np.abs(np.linalg.eigvalsh(h)).sum()))
+        rho = pi.entries + np.array(rows)
+
+        def ratios(obj):
+            return contraction._objective(obj, ch, pi)[0](rho)
+
+        chi2 = ratios(gs["max"])
+        assert np.isfinite(chi2).all()
+        np.testing.assert_allclose(ratios(f_cat["kl"].with_family("petz")),
+                                   ratios(f_cat["kl"].with_family("ht")), rtol=1e-9, atol=0)
+        for fam in ("petz", "matsumoto"):
+            np.testing.assert_allclose(ratios(f_cat["chi2"].with_family(fam)), chi2,
+                                       rtol=1e-9, atol=0)
 
 
 class TestSearchFallbacks:
@@ -546,13 +738,20 @@ class TestSearchFallbacks:
         # point of the gradient and every line-search point has A != 0
         ch = qc.random_channel(2, seed=3)
         pi = qc.fixed_point(ch)
-        ratios, _ = contraction._objective(gs["max"], ch, pi)
+        ratios, _ = contraction._objective(lambda r, s: qc.chi2_max(r, s).value, ch, pi)
         counts = contraction._new_counts()
         res = contraction._ascend(ratios, np.zeros(8), 2,
                                   qc.VariationalOptions(max_iters=2), counts)
         assert res is not None
         assert counts["identity_fallbacks"] == 1
         assert counts["ratio_evaluations"] > 1
+        # I/d has no exact gradient, so there A = 0 is an invalid start
+        ratios, _ = contraction._objective(gs["max"], ch, pi)
+        counts = contraction._new_counts()
+        assert contraction._ascend(ratios, np.zeros(8), 2,
+                                   qc.VariationalOptions(max_iters=2), counts) is None
+        assert counts["identity_fallbacks"] == 1
+        assert counts["ratio_evaluations"] == 1
         est = qc.sdpi_variational(gs["max"], ch, pi,
                                   qc.VariationalOptions(restarts=2, max_iters=3, seed=1))
         assert est.diagnostics["identity_fallbacks"] == 0
@@ -594,17 +793,24 @@ class TestSearchFallbacks:
             assert isinstance(two.diagnostics[key], int)
             assert two.diagnostics[key] >= one.diagnostics[key]
 
-    @pytest.mark.parametrize("reason", contraction.STOP_REASONS)
-    def test_each_stop_reason_is_counted(self, gs, reason):
+    @pytest.mark.parametrize("reason, case", [
+        pytest.param("gradient_vanished", "constant", id="gradient_vanished"),
+        pytest.param("line_search_exhausted", "stencil", id="line_search_exhausted"),
+        pytest.param("max_iters", "random", id="max_iters"),
+        pytest.param("gradient_vanished", "exact", id="gradient_vanished_exact"),
+    ])
+    def test_each_stop_reason_is_counted(self, gs, reason, case):
         # a constant ratio has gradient 0; every chi2 ratio of the
-        # depolarizing channel is (1/2)^2, up to rounding, so no trial
-        # improves on the start by more than 1e-15; two iterations do not
-        # reach the optimum of a random channel
+        # depolarizing channel is (1/2)^2, up to rounding, so its stencil
+        # gradient is rounding noise along which no trial improves on the
+        # start by more than 1e-15, and its exact gradient vanishes; two
+        # iterations do not reach the optimum of a random channel
         objective, ch, max_iters = {
-            "gradient_vanished": (lambda r, s: 1.0, qc.depolarizing(0.5), 5),
-            "line_search_exhausted": (gs["max"], qc.depolarizing(0.5), 5),
-            "max_iters": (gs["max"], qc.random_channel(2, seed=3), 2),
-        }[reason]
+            "constant": (lambda r, s: 1.0, qc.depolarizing(0.5), 5),
+            "stencil": (lambda r, s: qc.chi2_max(r, s).value, qc.depolarizing(0.5), 5),
+            "random": (gs["max"], qc.random_channel(2, seed=3), 2),
+            "exact": (gs["max"], qc.depolarizing(0.5), 5),
+        }[case]
         est = qc.sdpi_variational(objective, ch, qc.fixed_point(ch),
                                   qc.VariationalOptions(restarts=3, max_iters=max_iters,
                                                         seed=1))
@@ -612,8 +818,12 @@ class TestSearchFallbacks:
         assert diag["stop_reasons"] == {r: 3 * (r == reason)
                                         for r in contraction.STOP_REASONS}
         assert diag["restart_stops"] == [reason] * 3
-        want_iters = max_iters if reason == "max_iters" else 1
-        assert diag["restart_iterations"] == [want_iters] * 3
+        if reason == "line_search_exhausted":
+            # the callable's own rounding lets a trial or two improve first
+            assert all(it < max_iters for it in diag["restart_iterations"])
+        else:
+            want_iters = max_iters if reason == "max_iters" else 1
+            assert diag["restart_iterations"] == [want_iters] * 3
         values = sorted(diag["restart_values"])
         assert diag["top_spread"] == values[-1] - values[0] >= 0.0
 
