@@ -8,8 +8,8 @@
 * Variational lower-bound estimation of SDPI constants for general
   f-divergence families (seeded multi-start gradient ascent; each
   iteration is one stacked evaluation of the ratio at the first two
-  line-search trials, with exact gradients for the chi-square, petz and
-  matsumoto objectives and, for ht and callables, with the 2n
+  line-search trials, with exact gradients for every built-in objective
+  (chi-square, ht, petz and matsumoto) and, for callables, with the 2n
   central-difference points around the second trial, which usually
   become the next gradient; sigma's and E(sigma)'s eigen-data are
   computed once per search).
@@ -44,8 +44,7 @@ from .channels import (
 )
 from .divergences import (
     _chi2_gradients,
-    _divergence_gradients,
-    _divergence_stack,
+    _divergence_stacks,
     _rotated_forms,
     _reference,
     _require_family,
@@ -97,8 +96,8 @@ __all__ = [
 #: residual below which a channel is treated as g-detailed balanced
 DB_TOL = 1e-9
 
-#: central-difference step of the stencil gradients (ht and callable
-#: objectives), relative to max(1, |x_i|)
+#: central-difference step of the stencil gradients (callable objectives
+#: only), relative to max(1, |x_i|)
 FD_STEP = 1e-6
 #: states within this trace distance of sigma are excluded from the search;
 #: see test_exclusion_radius_keeps_kernels_accurate for how it was chosen
@@ -295,11 +294,14 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     The built-in objectives evaluate the whole stack at once: sigma's and
     E(sigma)'s eigen-data are computed here, once per search, and rho and
     E(rho) go through the stacked validation arithmetic, not through
-    validate_density.  Every built-in objective but ht also has exact
-    gradients (``ratios.gradients``): G = (E*(grad N) - R grad D) / D with
-    grad N and grad D the gradients of the stacked kernels at E(rho) and
-    rho, and E* the adjoint channel, built here once.  A callable is
-    called point by point on validated states.
+    validate_density.  The family kernels take the denominators and the
+    numerators in one call, so ht integrates both in one quadrature loop.
+    Every built-in objective also has exact gradients
+    (``ratios.gradients``): G = (E*(grad N) - R grad D) / D with grad N and
+    grad D the gradients of the stacked kernels at E(rho) and rho (for ht,
+    integrated beside the values in that loop), and E* the adjoint
+    channel, built here once.  A callable is called point by point on
+    validated states and has no gradients.
     """
     e_sigma = apply(channel, sigma)
     builtin = isinstance(evaluator, (SpectralWeight, FDivergenceSpec))
@@ -350,34 +352,28 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
             _require_operator_convex(spec)
         ref_s, ref_e = _reference(sigma), _reference(e_sigma)
 
-        def divergences(ents, lam, phi, ref, gradients):
-            if gradients:
-                return _divergence_gradients(spec, ents, lam, phi, ref)
-            return _divergence_stack(spec, ents, lam, phi, ref), None
-
         def kernel(rho, gradients=False):
             out = np.full(len(rho), np.nan)
             grads = np.full(rho.shape, np.nan, complex) if gradients else None
             keep, _ = _outside_ball(rho, sigma.entries)
             ents, lam, phi, *checks = validate_stack(rho)
             idx = np.flatnonzero(keep & stack_valid(*checks))
-            den, den_grad = divergences(ents[idx], lam[idx], phi[idx], ref_s, gradients)
-            pos = den > 0.0
-            idx, den = idx[pos], den[pos]
-            e_stack = channel.superop.apply(ents[idx])
-            e_ents, e_lam, e_phi, *e_checks = validate_stack(e_stack)
+            e_ents, e_lam, e_phi, *e_checks = validate_stack(channel.superop.apply(ents[idx]))
             ok = stack_valid(*e_checks)
-            num, num_grad = divergences(e_ents[ok], e_lam[ok], e_phi[ok], ref_e, gradients)
-            idx, den = idx[ok], den[ok]
+            # the denominators and numerators in one call: for ht, one quadrature loop
+            (den, den_grad), (num, num_grad) = _divergence_stacks(
+                spec, [(ents[idx], lam[idx], phi[idx], ref_s),
+                       (e_ents[ok], e_lam[ok], e_phi[ok], ref_e)], gradients)
+            den = den[ok]
+            pos = den > 0.0
+            idx, den, num = idx[ok][pos], den[pos], num[pos]
             out[idx] = num / den
             if gradients:
-                grads[idx] = ratio_gradients(out[idx], den, num_grad, den_grad[pos][ok])
+                grads[idx] = ratio_gradients(out[idx], den, num_grad[pos], den_grad[ok][pos])
             return out, grads
 
-        label = f"{spec.family}[{spec.name}]"
-        if spec.family == "ht":
-            return _Ratios(lambda rho: kernel(rho)[0]), label
-        return _Ratios(lambda rho: kernel(rho)[0], lambda rho: kernel(rho, True)), label
+        return (_Ratios(lambda rho: kernel(rho)[0], lambda rho: kernel(rho, True)),
+                f"{spec.family}[{spec.name}]")
 
     def ratios(rho):
         out = np.full(len(rho), np.nan)
@@ -404,7 +400,7 @@ def _rho_from_params(x: np.ndarray, d: int, counts: dict | None = None) -> np.nd
     adds to ``counts["identity_fallbacks"]`` when counts are given."""
     a = (x[:, : d * d] + 1j * x[:, d * d:]).reshape(-1, d, d)
     m = a @ a.conj().transpose(0, 2, 1)
-    tr = np.trace(m, axis1=1, axis2=2).real
+    tr = m.trace(axis1=1, axis2=2).real
     zero = tr <= 0.0
     m[zero] = np.eye(d)
     tr[zero] = d
@@ -455,9 +451,9 @@ def _param_gradients(x: np.ndarray, rho: np.ndarray, g: np.ndarray, d: int) -> n
     real and imaginary parts of 2 (G - tr(rho G) I) A / t; 0 where A = 0."""
     n = d * d
     a = (x[:, :n] + 1j * x[:, n:]).reshape(-1, d, d)
-    t = np.sum(x * x, axis=1)
+    t = (x * x).sum(axis=1)
     scale = np.divide(2.0, t, out=np.zeros_like(t), where=t > 0.0)
-    c = np.sum(rho * g.transpose(0, 2, 1), axis=(1, 2)).real
+    c = (rho * g.transpose(0, 2, 1)).sum(axis=(1, 2)).real
     m = (scale[:, None, None] * (g @ a - c[:, None, None] * a)).reshape(-1, n)
     return np.concatenate([m.real, m.imag], axis=1)
 
@@ -473,12 +469,11 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     comes from one of two sources; the loop, its line search, its stop
     reasons and its counters are the same for both.
 
-    * Exact (``ratios.gradients`` is set: the chi-square, petz and
-      matsumoto objectives): the call returns the ratio and the gradient of
-      both trials, so the accepted trial's gradient is the next one.  A
-      point whose A is 0 stands for I/d and has no gradient, so it is
-      invalid.
-    * Stencil (ht, callables): central differences over the 2n points
+    * Exact (``ratios.gradients`` is set: every built-in objective): the
+      call returns the ratio and the gradient of both trials, so the
+      accepted trial's gradient is the next one.  A point whose A is 0
+      stands for I/d and has no gradient, so it is invalid.
+    * Stencil (callables): central differences over the 2n points
       x' +- h e_i.  The call also holds the stencil around the second
       trial x', a guess that becomes the next gradient when x' is accepted
       (``counts["stencil_hits"]``).  When the first trial is accepted, or
@@ -530,7 +525,7 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
             rho = states(params)
             f, g = exact(rho)
             # A = 0 stands for I/d, which has no gradient: an invalid point
-            f[np.sum(params * params, axis=1) <= 0.0] = np.nan
+            f[(params * params).sum(axis=1) <= 0.0] = np.nan
             return f, list(_param_gradients(params, rho, g, d))
         k = len(params)
         if not guess:
@@ -553,7 +548,7 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
         ok = np.isfinite(grad)
         counts["skipped_coordinates"] += int(n - ok.sum())
         grad = np.where(ok, grad, 0.0)
-        gn = float(np.linalg.norm(grad))
+        gn = math.sqrt(grad.dot(grad))
         if gn < 1e-12:
             stop = "gradient_vanished"
             break
@@ -597,8 +592,8 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
 
     Maximizes D(E(rho) || E(sigma)) / D(rho || sigma) over rho = A A^dag /
     tr, with seeded multi-start gradient ascent and a backtracking line
-    search.  The chi-square, petz and matsumoto objectives have exact
-    gradients; ht and callable objectives take central differences.  Each
+    search.  The chi-square, ht, petz and matsumoto objectives have exact
+    gradients; callable objectives take central differences.  Each
     iteration is one stacked evaluation of the ratio at the first two
     line-search trials, with their exact gradients, or with the 2n
     perturbed points of the stencil at the second, the step the search

@@ -10,6 +10,7 @@ evaluation apply :func:`epsilon_regularize` explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     eigvalsh_stack,
+    projector_stack,
     stack_full_rank,
     validate_density,
 )
@@ -102,7 +104,7 @@ def _rotated_forms(x: np.ndarray, v: np.ndarray, w: np.ndarray):
     """sum_ij w_ij |(V^dag X V)_ij|^2 for each X of a Hermitian (B, d, d) stack,
     and the rotated stack V^dag X V."""
     xt = v.conj().T @ x @ v
-    return np.sum(w * (xt.real**2 + xt.imag**2), axis=(1, 2)), xt
+    return (w * (xt.real**2 + xt.imag**2)).sum(axis=(1, 2)), xt
 
 
 def _chi2_gradients(xt: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -209,10 +211,12 @@ def _pencil(rho: np.ndarray, ref: _Reference) -> np.ndarray:
     return 0.5 * (t + t.conj().transpose(0, 2, 1))
 
 
-def _ht_integrals(f2, rho: np.ndarray, ref: _Reference, t: np.ndarray) -> _Stack:
-    """The ht integrals of every full-rank rho of a (B, d, d) stack, given
-    the ascending pencil spectra ``t`` (B, d) (eigenvalues of
-    :func:`_pencil`), in one stacked quadrature loop.
+def _ht_integrals(f2, rho: np.ndarray, sig: np.ndarray, t: np.ndarray,
+                  gradients: bool = False) -> _Stack:
+    """The ht integrals of every full-rank rho of a (B, d, d) stack, each
+    against its own full-rank reference state (row b of the (B, d, d)
+    ``sig``), given the ascending pencil spectra ``t`` (B, d) (eigenvalues
+    of :func:`_pencil`), in one stacked quadrature loop.
 
     The panel edges of rho are its log pencil spectrum and 0, the kink of
     N at g = 1.  As tr rho = tr sigma = 1, the spectrum brackets 1, so 0
@@ -224,6 +228,14 @@ def _ht_integrals(f2, rho: np.ndarray, ref: _Reference, t: np.ndarray) -> _Stack
     at d = 2, one LAPACK call at d = 3.  Either way a value is bit for bit
     the same alone and in any stack, as long as ``t`` comes from
     :func:`eigvalsh_stack` too.
+
+    With ``gradients`` the loop also integrates, as the quadrature's rider,
+    the gradients in rho: f''(e^s) e^s grad N(e^s), with grad N(g) the
+    projector P_+ onto the positive eigenvectors of rho - g sigma for
+    g >= 1 and -P_- below 1 (:func:`projector_stack`).  N vanishes at
+    t_min and t_max and is continuous at the interior kinks, so the
+    panel edges, which move with rho, add nothing.  The values, closed on
+    the same panels, are those without ``gradients``, bit for bit.
     """
     log_t = np.log(t)
     edges = np.concatenate([log_t, np.zeros((len(t), 1))], axis=1)
@@ -231,16 +243,26 @@ def _ht_integrals(f2, rho: np.ndarray, ref: _Reference, t: np.ndarray) -> _Stack
     # 0 sorts first or last only when rounding puts it outside the spectrum;
     # resetting the ends clips it in
     edges[:, 0], edges[:, -1] = log_t[:, 0], log_t[:, -1]
-    sig = ref.entries
 
     def integrand(x, owner):
         g = np.exp(x)
-        w = eigvalsh_stack(rho[owner, None] - g[..., None, None] * sig)
+        h = rho[owner, None] - g[..., None, None] * sig[owner, None]
+        w = eigvalsh_stack(h)
         # the positive part above g = 1, the negative part below
-        n_g = np.maximum(np.where(g[..., None] >= 1.0, w, -w), 0.0).sum(axis=-1)
-        return np.asarray(f2(g), float) * g * n_g
+        above = g >= 1.0
+        part = np.where(above[..., None], w, -w)
+        n_g = np.maximum(part, 0.0).sum(axis=-1)
+        weight = np.asarray(f2(g), float) * g
+        if not gradients:
+            return weight * n_g
+        signed = np.where(above, weight, -weight)
+        return weight * n_g, signed[..., None, None] * projector_stack(h, part > 0.0)
 
-    return _integrate_stack(integrand, edges, epsrel=HT_QUAD_RTOL)
+    res = _integrate_stack(integrand, edges, epsrel=HT_QUAD_RTOL)
+    if gradients and res.rider is None:
+        # every integral has zero width (rho = sigma): D and its gradient are 0
+        res = res._replace(rider=np.zeros(rho.shape, complex))
+    return res
 
 
 def _matsumoto_values(f, rho: np.ndarray, ref: _Reference, df=None):
@@ -256,7 +278,7 @@ def _matsumoto_values(f, rho: np.ndarray, ref: _Reference, df=None):
     with np.errstate(all="ignore"):
         fv = np.asarray(f(t), float)
         f_t = (tvecs * fv[:, None, :]) @ vh
-        values = np.trace(ref.entries @ f_t, axis1=1, axis2=2).real
+        values = (ref.entries @ f_t).trace(axis1=1, axis2=2).real
         grads = None
         if df is not None:
             gam = _divided_differences(t, fv, np.asarray(df(t), float))
@@ -283,7 +305,7 @@ def _petz_values(f, lam: np.ndarray, phi: np.ndarray, mu: np.ndarray,
     overlap = np.abs(c) ** 2
     ratio = lam[:, :, None] / mu
     fmu = np.asarray(f(ratio), float) * mu
-    values = np.sum(fmu * overlap, axis=(1, 2))
+    values = (fmu * overlap).sum(axis=(1, 2))
     if df is None:
         return values
     ch = c.conj().transpose(0, 2, 1)
@@ -295,44 +317,53 @@ def _petz_values(f, lam: np.ndarray, phi: np.ndarray, mu: np.ndarray,
     return values, phi @ h @ phi.conj().transpose(0, 2, 1)
 
 
-def _divergence_stack(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
-                      phi: np.ndarray, ref: _Reference) -> np.ndarray:
-    """Values of spec's family on a stack of validated states (entries, and
-    eigenvalues and eigenvectors as :func:`validate_stack` gives them)
-    against one full-rank reference.
+def _divergence_stacks(spec: FDivergenceSpec, groups, gradients: bool = False) -> list:
+    """Values of spec's family on each group (entries, eigenvalues,
+    eigenvectors, reference) of a list: a stack of validated states (as
+    :func:`validate_stack` gives them) and the full-rank reference it is
+    measured against.  Returns one (values, gradients) pair per group; with
+    ``gradients``, the (B, d, d) Hermitian gradients in rho (NaN where the
+    value is NaN), else None.  The values are the same, bit for bit, either
+    way.
 
     NaN marks the points where the public evaluator raises a
     :class:`PreconditionError`: a rank-deficient rho for petz and ht, f not
-    finite on the pencil spectrum for matsumoto.  The spec must have a
-    family, and an operator convex generator for petz.
+    finite on the pencil spectrum for matsumoto.  The ht values of every
+    group are integrated in one stacked quadrature loop, each state
+    against its group's reference.  The spec must have a family, and an
+    operator convex generator for petz.
     """
+    df = spec.f1 if gradients else None
     if spec.family == "matsumoto":
-        return _matsumoto_values(spec.f, ents, ref)[0]
-    full = stack_full_rank(lam)
-    values = np.full(len(ents), np.nan)
+        return [_matsumoto_values(spec.f, ents, ref, df)[::2]
+                for ents, _, _, ref in groups]
+    fulls = [stack_full_rank(lam) for _, lam, _, _ in groups]
     if spec.family == "petz":
-        values[full] = _petz_values(spec.f, lam[full], phi[full], ref.mu, ref.psi)
+        parts = [_petz_values(spec.f, lam[full], phi[full], ref.mu, ref.psi, df)
+                 for (_, lam, phi, ref), full in zip(groups, fulls)]
+        if not gradients:
+            parts = [(values, None) for values in parts]
     else:
-        rho = ents[full]
-        values[full] = _ht_integrals(spec.f2, rho, ref,
-                                     eigvalsh_stack(_pencil(rho, ref))).value
-    return values
-
-
-def _divergence_gradients(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
-                          phi: np.ndarray, ref: _Reference):
-    """The values of :func:`_divergence_stack` for a petz or matsumoto spec,
-    bit for bit, and their (B, d, d) Hermitian gradients in rho, NaN where
-    the value is NaN."""
-    if spec.family == "matsumoto":
-        values, _, grads = _matsumoto_values(spec.f, ents, ref, spec.f1)
-        return values, grads
-    full = stack_full_rank(lam)
-    values = np.full(len(ents), np.nan)
-    grads = np.full(ents.shape, np.nan, complex)
-    values[full], grads[full] = _petz_values(spec.f, lam[full], phi[full],
-                                             ref.mu, ref.psi, spec.f1)
-    return values, grads
+        rho = [ents[full] for (ents, *_), full in zip(groups, fulls)]
+        refs = [group[3] for group in groups]
+        sizes = [len(r) for r in rho]
+        sig = np.repeat(np.array([ref.entries for ref in refs]), sizes, axis=0)
+        t = eigvalsh_stack(np.concatenate([_pencil(r, ref) for r, ref in zip(rho, refs)]))
+        res = _ht_integrals(spec.f2, np.concatenate(rho), sig, t, gradients)
+        parts = [(res.value[lo:hi], res.rider[lo:hi] if gradients else None)
+                 for lo, hi in pairwise(accumulate(sizes, initial=0))]
+    out = []
+    for (ents, *_), full, (part, part_grads) in zip(groups, fulls, parts):
+        if full.all():
+            out.append((part, part_grads))
+            continue
+        values, grads = np.full(len(ents), np.nan), None
+        values[full] = part
+        if gradients:
+            grads = np.full(ents.shape, np.nan, complex)
+            grads[full] = part_grads
+        out.append((values, grads))
+    return out
 
 
 def _require_family(spec: FDivergenceSpec) -> None:
@@ -378,7 +409,7 @@ def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     ref = _reference(s)
     rho1 = r.entries[None]
     t = eigvalsh_stack(_pencil(rho1, ref))
-    res = _ht_integrals(spec.f2, rho1, ref, t)
+    res = _ht_integrals(spec.f2, rho1, ref.entries[None], t)
     diag = {
         "family": "ht",
         "f": spec.name,

@@ -210,6 +210,42 @@ def eigvalsh_stack(a) -> np.ndarray:
     return w
 
 
+def projector_stack(a, select) -> np.ndarray:
+    """The orthogonal projector onto the selected eigenvectors of each
+    Hermitian matrix of a (..., d, d) stack: sum_i select_i v_i v_i^dag,
+    with ``select`` a boolean (..., d) mask on the ascending eigenvalues
+    (as :func:`eigvalsh_stack` orders them).
+
+    At d = 2 this is the closed form P_top = I/2 + (A - tr(A) I/2) / rt on
+    the entries of A, rt = hypot(p - c, 2|z|) the eigenvalue gap as in
+    :func:`eigvalsh_stack`, and P_bottom = I - P_top.  It reads the
+    traceless part, not A - w_1 I, so it keeps its accuracy where the gap
+    is far below the eigenvalues; rt = 0 gives P_top = P_bottom = I/2,
+    which sum to I over a degenerate pair selected whole.  It is
+    elementwise over the stack, with no LAPACK call.  Every other d takes
+    one stacked ``np.linalg.eigh``.  Either way a matrix gets bit for bit
+    the same projector alone and inside any stack.
+    """
+    a = np.asarray(a)
+    if a.shape[-1] != 2:
+        v = np.linalg.eigh(a)[1]
+        return (v * select[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    p, c, z = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0]
+    rt = np.hypot(p - c, 2.0 * np.abs(z))
+    inv = np.divide(1.0, rt, out=np.zeros_like(rt), where=rt > 0.0)
+    lo, hi = select[..., 0].astype(float), select[..., 1].astype(float)
+    # P = lo I + (hi - lo) P_top
+    step = hi - lo
+    half_diag = (0.5 * step) * ((p - c) * inv)
+    mid = lo + 0.5 * step
+    out = np.empty(a.shape, complex)
+    out[..., 0, 0] = mid + half_diag
+    out[..., 1, 1] = mid - half_diag
+    out[..., 1, 0] = (step * inv) * z
+    out[..., 0, 1] = out[..., 1, 0].conj()
+    return out
+
+
 def schatten_norm(a, order=2) -> float:
     """Schatten norm of order 1 (trace), 2 (Frobenius) or inf (operator)."""
     arr = _as_matrix(a)

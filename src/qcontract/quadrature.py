@@ -10,7 +10,9 @@ One loop integrates a stack of B integrals at once: one refinement round
 evaluates all open panels of all integrals in a single integrand call, so
 the caller can vectorize (e.g. one batched eigenvalue solve over the gamma
 grids of every state in a stack).  :func:`integrate_piecewise` is the
-B = 1 case.
+B = 1 case.  The integrand may carry an array-valued rider (a gradient
+integrand), which is integrated by the K15 rule over the panels that the
+scalar's error control closes.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ class _Stack(NamedTuple):
     error_estimate: np.ndarray
     n_evals: np.ndarray
     n_intervals: np.ndarray
+    #: the integrals of the rider, (B, ...), or None without one
+    rider: np.ndarray | None = None
 
 
 def _integrate_stack(fvec, edges: np.ndarray, epsrel=1e-8, epsabs=1e-14,
@@ -90,7 +94,12 @@ def _integrate_stack(fvec, edges: np.ndarray, epsrel=1e-8, epsabs=1e-14,
     dropped, so an integral whose edges are all equal is 0.  The open
     panels are (lo, hi, owner) triples; ``fvec(x, owner)`` gets the Kronrod
     nodes of the m open panels as an (m, 15) array and the panels' owners,
-    and returns the integrand values in the shape of x.
+    and returns the integrand values in the shape of x.  It may instead
+    return a pair (values, rider), the rider an (m, 15, ...) array of one
+    (...)-shaped value per node: each panel that the values close adds its
+    K15 sum of the rider to its integral's ``rider``.  The rider takes no
+    part in the error control, so the values, errors and counts are the
+    same with and without it.
 
     Each round evaluates every open panel of every integral in that one
     call.  A panel whose |K15 - G7| is below its integral's tolerance,
@@ -98,8 +107,8 @@ def _integrate_stack(fvec, edges: np.ndarray, epsrel=1e-8, epsabs=1e-14,
     for the next round.  Each integral keeps its own scale, value, error,
     counts and budget of ``max_intervals`` open panels.  The rules are
     reductions along each panel's row, and each per-integral sum runs over
-    that integral's panels in order, so an integral's result is bit for bit
-    the same alone and inside any stack.
+    that integral's panels in order, so an integral's result (its rider's
+    included) is bit for bit the same alone and inside any stack.
 
     Raises :class:`QuadratureFailure` in the first round where the
     integrand is not finite, and when any integral exceeds its budget or
@@ -115,6 +124,7 @@ def _integrate_stack(fvec, edges: np.ndarray, epsrel=1e-8, epsabs=1e-14,
     error = np.zeros(n)
     n_panels = np.zeros(n, dtype=np.intp)
     n_final = np.zeros(n, dtype=np.intp)
+    rider = None
     for depth in range(max_depth):
         if lo.size == 0:
             break
@@ -129,6 +139,10 @@ def _integrate_stack(fvec, edges: np.ndarray, epsrel=1e-8, epsabs=1e-14,
         half = 0.5 * width
         x = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES
         vals = fvec(x, owner)
+        if isinstance(vals, tuple):
+            vals, node_rider = vals
+        else:
+            node_rider = None
         n_panels += np.bincount(owner, minlength=n)
         kronrod, gauss = (half[:, None] * np.add.reduce(vals[:, None, :] * _RULES, axis=2)).T
         # keep the scale current so epsrel tracks the true magnitude
@@ -140,6 +154,13 @@ def _integrate_stack(fvec, edges: np.ndarray, epsrel=1e-8, epsabs=1e-14,
         value += np.bincount(closed, kronrod[done], minlength=n)
         error += np.bincount(closed, disc[done], minlength=n)
         n_final += np.bincount(closed, minlength=n)
+        if node_rider is not None:
+            if rider is None:
+                rider = np.zeros((n,) + node_rider.shape[2:], node_rider.dtype)
+            rule = _K15.reshape((15,) + (1,) * (node_rider.ndim - 2))
+            part = np.add.reduce(node_rider[done] * rule, axis=1)
+            # ufunc.at adds in order, so each integral sums its panels in order
+            np.add.at(rider, closed, half[done].reshape((-1,) + (1,) * (part.ndim - 1)) * part)
         if closed.size == owner.size:
             break
         # a value that is not finite makes its panel's |K15 - G7| NaN, which
@@ -163,7 +184,7 @@ def _integrate_stack(fvec, edges: np.ndarray, epsrel=1e-8, epsabs=1e-14,
                 f"adaptive refinement did not converge (max_depth={max_depth}, "
                 f"{lo.size} intervals open in integrals {np.unique(owner).tolist()})"
             )
-    return _Stack(value, error, n_panels * _NODES.size, n_final)
+    return _Stack(value, error, n_panels * _NODES.size, n_final, rider)
 
 
 def integrate_piecewise(fvec, edges, epsrel=1e-8, epsabs=1e-14,

@@ -262,7 +262,7 @@ class TestExperiment:
         )
         assert code == 0
         assert env["payload_sha256"] == (
-            "0ce2b7bfb0970cd36ede57726547402eecae398bef7e8b7022274963dbe867e9"
+            "c32426234168eb586273f19b7124d4312c1a0ee7537dcab269ba03f6f3add3ed"
         )
 
     def test_search_counters_in_envelope_diagnostics(self, capsys):

@@ -452,7 +452,9 @@ def _oracle_objective(name, f_cat, gs):
 class TestStackedIterations:
     """The stencil search, with one stacked call per iteration, takes the
     path of the sequential reference, bit for bit; the exact-gradient
-    search ends where the reference does."""
+    search ends where the reference does.  The stencil cases run on the
+    values alone of the ht[kl] objective (which has exact gradients) and
+    on a callable."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
@@ -460,7 +462,8 @@ class TestStackedIterations:
     def test_path_is_the_sequential_one(self, f_cat, gs, name, dim, seed):
         ch = qc.random_channel(dim, seed=seed)
         pi = qc.fixed_point(ch)
-        ratios, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
+        objective, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
+        ratios = contraction._Ratios(objective.values)
         opts = qc.VariationalOptions(max_iters=12)
         x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
         want = _sequential_ascend(ratios, x0, dim, opts, [])
@@ -470,7 +473,7 @@ class TestStackedIterations:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("name", ["petz[kl]", "matsumoto[kl]", "chi2[max]",
+    @pytest.mark.parametrize("name", ["ht[kl]", "petz[kl]", "matsumoto[kl]", "chi2[max]",
                                       "chi2[kmb]"])
     def test_exact_search_ends_where_the_stencil_reference_does(self, f_cat, gs, name,
                                                                dim, seed):
@@ -488,7 +491,8 @@ class TestStackedIterations:
     def test_half_the_calls(self, f_cat):
         ch = qc.random_channel(2, seed=1)
         pi = qc.fixed_point(ch)
-        ratios, _ = contraction._objective(f_cat["kl"].with_family("ht"), ch, pi)
+        objective, _ = contraction._objective(f_cat["kl"].with_family("ht"), ch, pi)
+        ratios = contraction._Ratios(objective.values)
         opts = qc.VariationalOptions(max_iters=100)
         x0 = contraction._init_params(np.random.default_rng(5), pi, 0)
         calls, counts = [], contraction._new_counts()
@@ -504,10 +508,9 @@ class TestStackedIterations:
 
 
 def _exact_objectives(f_cat, gs):
-    """Every built-in objective with exact gradients: petz and matsumoto with
+    """Every built-in objective, all with exact gradients: each family with
     each catalog f, and chi-square with each catalog g and the GNS weight."""
-    return [obj for obj in _search_objectives(f_cat, gs)
-            if getattr(obj, "family", None) != "ht"] + [qc.gns_weight()]
+    return _search_objectives(f_cat, gs) + [qc.gns_weight()]
 
 
 def _params_of(rho):
@@ -556,7 +559,7 @@ class TestExactGradients:
         n = x.shape[1]
         rho = contraction._rho_from_params(x, dim)
         objectives = _exact_objectives(f_cat, gs) + [_KL_CHI2.with_family(fam)
-                                                     for fam in ("petz", "matsumoto")]
+                                                     for fam in qc.FAMILIES]
         for obj in objectives:
             ratios, name = contraction._objective(obj, ch, pi)
             values, g = ratios.gradients(rho)
@@ -590,8 +593,7 @@ class TestExactGradients:
         pi = qc.fixed_point(ch)
         opts = qc.VariationalOptions(restarts=2, max_iters=4, seed=3)
         cases = [(obj, "exact") for obj in _exact_objectives(f_cat, gs)]
-        cases += [(f_cat["kl"].with_family("ht"), "stencil"),
-                  (lambda r, s: qc.chi2_max(r, s).value, "stencil")]
+        cases += [(lambda r, s: qc.chi2_max(r, s).value, "stencil")]
         for obj, source in cases:
             diag = qc.sdpi_variational(obj, ch, pi, opts).diagnostics
             assert diag["gradient"] == source

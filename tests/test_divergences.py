@@ -9,7 +9,7 @@ from scipy.linalg import inv, logm, sqrtm
 import qcontract as qc
 from conftest import classical_f_divergence, commuting_pair
 from qcontract import divergences, quadrature
-from qcontract.linalg import eigvalsh_stack
+from qcontract.linalg import eigvalsh_stack, stack_full_rank, validate_stack
 
 FAMILY_FN = {
     "ht": qc.ht_divergence,
@@ -50,10 +50,10 @@ def scipy_ht_oracle(spec, rho, sigma) -> float:
 
 def ht_stack(spec, rho, sigma):
     """The stacked ht integrals of a (B, d, d) stack of states against sigma,
-    with the pencil spectra that _divergence_stack and ht_divergence take."""
+    with the pencil spectra that _divergence_stacks and ht_divergence take."""
     ref = divergences._reference(sigma)
     t = eigvalsh_stack(divergences._pencil(rho, ref))
-    return divergences._ht_integrals(spec.f2, rho, ref, t)
+    return divergences._ht_integrals(spec.f2, rho, np.broadcast_to(ref.entries, rho.shape), t)
 
 
 def near_singular(sig, rng):
@@ -174,6 +174,38 @@ class TestHtIntegral:
             mixed += int(res.n_evals.max() > 15 * dim)
         assert mixed > 0
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("f_name", ["kl", "chi2", "hellinger"])
+    def test_mixed_reference_stack_gives_the_lone_values_and_gradients(self, f_cat, dim,
+                                                                       f_name):
+        # the search's call: states against sigma and their images against
+        # E(sigma), one quadrature loop; a pure state has no value
+        spec = f_cat[f_name].with_family("ht")
+        rng = np.random.default_rng([dim, 5, len(f_name)])
+        ch = qc.random_channel(dim, seed=3)
+        sig = near_singular(qc.random_density(dim, rng), rng)
+        rho = np.array([qc.random_density(dim, rng).entries for _ in range(6)]
+                       + [qc.random_density(dim, rng, rank=1).entries])
+        raw = [rho, ch.superop.apply(rho)]
+        refs = [sig, qc.apply(ch, sig)]
+        groups = [(*validate_stack(r)[:3], divergences._reference(s)) for r, s in zip(raw, refs)]
+        plain = divergences._divergence_stacks(spec, groups)
+        both = divergences._divergence_stacks(spec, groups, gradients=True)
+        for (ents, lam, phi, ref), r, s, (values, grads), (want, none) in zip(
+                groups, raw, refs, both, plain):
+            assert none is None
+            np.testing.assert_array_equal(values, want)
+            for k in range(len(r)):
+                if not stack_full_rank(lam[k:k + 1])[0]:
+                    assert np.isnan(values[k]) and np.isnan(grads[k]).all()
+                    continue
+                assert values[k] == qc.ht_divergence(spec, r[k], s).value, k
+                one = divergences._divergence_stacks(
+                    spec, [(ents[k:k + 1], lam[k:k + 1], phi[k:k + 1], ref)], gradients=True)
+                assert one[0][0][0] == values[k]
+                np.testing.assert_array_equal(one[0][1][0], grads[k])
+        assert np.isnan(both[0][0][-1]) and np.isfinite(both[1][0]).all()
+
     def test_nan_in_integrand_raises(self, f_cat):
         # the closed-form eigensolve at d = 2 passes a NaN entry on as NaN
         # eigenvalues, which the quadrature loop reports
@@ -184,7 +216,8 @@ class TestHtIntegral:
         t = eigvalsh_stack(divergences._pencil(rho, ref))
         rho[1, -1, 0] = np.nan
         with pytest.raises(qc.QuadratureFailure, match=r"nan at x = .*\(integral 1, "):
-            divergences._ht_integrals(f_cat["kl"].f2, rho, ref, t)
+            divergences._ht_integrals(f_cat["kl"].f2, rho,
+                                      np.broadcast_to(ref.entries, rho.shape), t)
 
     def test_traced_name_stays_bound(self):
         # perfbench's tracer patches integrate_piecewise on this module

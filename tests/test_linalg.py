@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qcontract as qc
-from qcontract.linalg import eigvalsh_stack
+from qcontract.linalg import eigvalsh_stack, projector_stack
 
 
 class TestValidateDensity:
@@ -265,3 +265,62 @@ class TestEigvalshStack:
         a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         a = a + a.conj().swapaxes(-1, -2)
         np.testing.assert_array_equal(eigvalsh_stack(a), np.linalg.eigvalsh(a))
+
+
+#: every selection of the two ascending eigenvalues of a qubit matrix
+_SELECTIONS = np.array([[True, False], [False, True], [True, True], [False, False]])
+
+
+def eigh_projectors(a, select) -> np.ndarray:
+    """sum_i select_i v_i v_i^dag from LAPACK's eigenvectors."""
+    v = np.linalg.eigh(a)[1]
+    return (v * select[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+class TestProjectorStack:
+    @pytest.mark.parametrize("kind", ["random", "diagonal", "traceless", "pencil",
+                                      "hockey_stick", "real"])
+    def test_closed_form_matches_eigh_at_d2(self, kind):
+        a = qubit_stacks(np.random.default_rng(36))[kind]
+        for sel in _SELECTIONS:
+            select = np.broadcast_to(sel, a.shape[:-1])
+            got = projector_stack(a, select)
+            assert np.abs(got - eigh_projectors(a, select)).max() <= 1e-12, sel
+            np.testing.assert_array_equal(got, got.conj().swapaxes(-1, -2))
+
+    def test_closed_form_keeps_near_degenerate_projectors(self):
+        # eigenvalue gaps 1e-13 below the eigenvalues: eigh of A itself loses
+        # the projectors here (up to 1e-2 off), so the reference is eigh of
+        # A - a_00 I, a shift that is exact for these entries (Sterbenz) and
+        # leaves the eigenvectors as they are
+        a = qubit_stacks(np.random.default_rng(37))["near_degenerate"]
+        shifted = a - a[:, :1, :1].real * np.eye(2)
+        assert (shifted[:, 0, 0] == 0).all()
+        for sel in _SELECTIONS:
+            select = np.broadcast_to(sel, a.shape[:-1])
+            want = eigh_projectors(shifted, select)
+            assert np.abs(projector_stack(a, select) - want).max() <= 1e-12, sel
+
+    def test_degenerate_pair_is_selected_whole(self):
+        a = np.array([np.zeros((2, 2)), 3.0 * np.eye(2)], complex)
+        select = np.array([[True, True], [False, False]])
+        np.testing.assert_array_equal(projector_stack(a, select),
+                                      [np.eye(2), np.zeros((2, 2))])
+
+    def test_batch_shapes_and_stack_independence(self):
+        a = qubit_stacks(np.random.default_rng(38))["hockey_stick"][:60].reshape(4, 15, 2, 2)
+        select = np.random.default_rng(39).random((4, 15, 2)) < 0.5
+        got = projector_stack(a, select)
+        assert got.shape == (4, 15, 2, 2)
+        for idx in np.ndindex(4, 15):
+            np.testing.assert_array_equal(got[idx], projector_stack(a[idx], select[idx]))
+
+    @pytest.mark.parametrize("shape", [(7, 3, 3), (4, 5, 3, 3)])
+    def test_other_dimensions_are_lapack(self, rng, shape):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = a + a.conj().swapaxes(-1, -2)
+        select = rng.random(shape[:-1]) < 0.5
+        got = projector_stack(a, select)
+        np.testing.assert_array_equal(got, eigh_projectors(a, select))
+        for idx in np.ndindex(*shape[:-2]):
+            np.testing.assert_array_equal(got[idx], projector_stack(a[idx], select[idx]))

@@ -187,3 +187,65 @@ def test_non_finite_member_fails_the_stack_in_its_first_round():
     with pytest.raises(qc.QuadratureFailure, match=r"inf at x = .*\(integral 2, depth 0\)"):
         quadrature._integrate_stack(fvec, np.array([[0.0, 1.0]] * 3))
     assert calls == [45]
+
+
+#: kinked integrands that close at different depths, and their panel edges
+_KINKS = np.array([np.pi / 6, 0.5, 0.9, 1 / 3, 0.05])
+_KINK_EDGES = np.array([[0.0, 1.0, 1.0], [0.0, 0.5, 1.0], [-1.0, 0.2, 2.0],
+                        [0.0, 0.7, 0.7], [0.3, 0.3, 0.3]])
+
+
+def kinked(x, owner):
+    return np.abs(x - _KINKS[owner][:, None]) * np.exp(x)
+
+
+def polynomial_rider(x):
+    """A (2, 2) complex matrix of polynomials of degree <= 22 per node."""
+    return np.stack([np.stack([x**22, 1j * x**3], -1),
+                     np.stack([3.0 + 0.5j * x, x**7 - 2j * x**2], -1)], -2)
+
+
+def polynomial_integrals(a, b):
+    """The exact integrals of polynomial_rider over [a, b]."""
+    def prim(x):
+        return np.array([[x**23 / 23, 1j * x**4 / 4],
+                         [3.0 * x + 0.25j * x**2, x**8 / 8 - 2j * x**3 / 3]])
+    return prim(b) - prim(a)
+
+
+def test_rider_leaves_the_scalar_results_unchanged():
+    plain = quadrature._integrate_stack(kinked, _KINK_EDGES, epsrel=1e-10)
+    ridden = quadrature._integrate_stack(
+        lambda x, owner: (kinked(x, owner), polynomial_rider(x)), _KINK_EDGES, epsrel=1e-10)
+    assert plain.rider is None
+    for field in ("value", "error_estimate", "n_evals", "n_intervals"):
+        np.testing.assert_array_equal(getattr(ridden, field), getattr(plain, field))
+    # the refinement splits the rows' panels, which a polynomial rider of
+    # degree <= 22 does not feel: K15 is exact on each piece
+    assert ridden.rider.shape == (5, 2, 2)
+    for b, row in enumerate(_KINK_EDGES):
+        np.testing.assert_allclose(ridden.rider[b], polynomial_integrals(row[0], row[-1]),
+                                   rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(ridden.rider[4], np.zeros((2, 2)))
+
+
+def test_rider_is_the_same_alone_and_in_a_stack():
+    def fvec(x, owner):
+        # a rider that differs per integral and is not polynomial
+        return kinked(x, owner), np.cos(_KINKS[owner][:, None, None, None] * x[..., None, None]
+                                        * np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    res = quadrature._integrate_stack(fvec, _KINK_EDGES, epsrel=1e-10)
+    assert not res.rider[4].any()
+    # row 4 has zero width, so alone it has no rider at all (below)
+    for b in range(4):
+        one = quadrature._integrate_stack(lambda x, owner: fvec(x, owner + b),
+                                          _KINK_EDGES[b:b + 1], epsrel=1e-10)
+        assert one.value[0] == res.value[b], b
+        np.testing.assert_array_equal(one.rider[0], res.rider[b])
+
+
+def test_rider_of_zero_width_integrals_is_none():
+    res = quadrature._integrate_stack(lambda x, owner: (x, polynomial_rider(x)),
+                                      np.array([[0.5, 0.5]]))
+    assert res.value[0] == 0.0 and res.rider is None
