@@ -6,13 +6,11 @@
 * Exact chi-square SDPI constants via the Hermitized second-singular-value
   formula.
 * Variational lower-bound estimation of SDPI constants for general
-  f-divergence families (seeded multi-start gradient ascent; each
-  iteration is one stacked evaluation of the ratio at the first two
-  line-search trials, with exact gradients for every built-in objective
-  (chi-square, ht, petz and matsumoto) and, for callables, with the 2n
-  central-difference points around the second trial, which usually
-  become the next gradient; sigma's and E(sigma)'s eigen-data are
-  computed once per search).
+  f-divergence families (seeded multi-start BFGS ascent on log R, with
+  Armijo line-search trials evaluated two per stacked ratio call; exact
+  gradients for every built-in objective (chi-square, ht, petz and
+  matsumoto), central differences for callables; sigma's and E(sigma)'s
+  eigen-data are computed once per search).
 * Detailed-balance residuals and the GNS implies-all-g check.
 * The contraction-rate experiment harness with rate-bound and
   tightness verdicts.
@@ -96,8 +94,8 @@ __all__ = [
 #: residual below which a channel is treated as g-detailed balanced
 DB_TOL = 1e-9
 
-#: central-difference step of the stencil gradients (callable objectives
-#: only), relative to max(1, |x_i|)
+#: central-difference step of the gradients of callable objectives (the
+#: built-in objectives have exact gradients), relative to max(1, |x_i|)
 FD_STEP = 1e-6
 #: states within this trace distance of sigma are excluded from the search;
 #: see test_exclusion_radius_keeps_kernels_accurate for how it was chosen
@@ -106,8 +104,17 @@ EXCLUSION = 1e-3
 #: exclusion ball with no eigensolve (||X||_1 / 2 >= ||X||_F / sqrt 2 for
 #: traceless X), with a margin for rounding
 _FROBENIUS_CLEAR = math.sqrt(2.0) * EXCLUSION * (1.0 + 1e-8)
-#: first line-search step of each restart
+#: length of each restart's first (steepest-ascent) step, relative to ||x||
 INIT_STEP = 0.25
+#: Armijo constant of the line search on log R
+ARMIJO = 1e-4
+#: a restart has converged when ||x|| ||grad log R|| falls below GRAD_TOL, or
+#: when no line-search trial passes while it is below STALL_TOL: at the
+#: experiment's step floor 1e-6 that gradient would raise log R by about
+#: 1e-10, the rounding of the petz and matsumoto ratios near the exclusion
+#: ball, so larger gradients with no passing trial are a stall, not rounding
+GRAD_TOL = 1e-9
+STALL_TOL = 1e-4
 #: line-search step floor of the experiment's searches
 EXPERIMENT_STEP_TOL = 1e-6
 #: random states propagated to estimate n0
@@ -421,10 +428,10 @@ def _init_params(rng: np.random.Generator, sigma: DensityMatrix, kind: int) -> n
 
 
 #: counters of the search, summed over restarts into ``diagnostics``
-COUNTERS = ("ratio_calls", "ratio_evaluations", "stencil_hits", "stencil_misses",
-            "skipped_coordinates", "reinits", "identity_fallbacks")
+COUNTERS = ("ratio_calls", "ratio_evaluations", "curvature_skips", "skipped_coordinates",
+            "reinits", "identity_fallbacks")
 #: why a restart's ascent stopped
-STOP_REASONS = ("gradient_vanished", "line_search_exhausted", "max_iters")
+STOP_REASONS = ("converged", "line_search_exhausted", "max_iters")
 #: restart values whose spread ``diagnostics["top_spread"]`` reports
 TOP_RESTARTS = 3
 
@@ -459,129 +466,128 @@ def _param_gradients(x: np.ndarray, rho: np.ndarray, g: np.ndarray, d: int) -> n
 
 
 def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: dict):
-    """One gradient-ascent restart; returns (value, rho, iterations, stop
-    reason) or None when x0 is not a valid point.
+    """One quasi-Newton restart on log R; returns (value, rho, iterations,
+    stop reason) or None when x0 is not a valid point.
 
-    Each iteration is one ``ratios`` call on one stack, which holds the
-    first two trials of the backtracking line search, x + step d and
-    x + (step/2) d.  After the first iteration step/2 is the step accepted
-    last time, which the search nearly always accepts again.  The gradient
-    comes from one of two sources; the loop, its line search, its stop
+    BFGS with a dense inverse Hessian H of -log R over the 2 d^2
+    parameters (Nocedal & Wright, *Numerical Optimization*, ch. 6).  Until
+    the first step pair (s, y) with s.y > 0, each direction is the
+    gradient scaled to INIT_STEP ||x||; that pair starts H as
+    (s.y / y.y) I, and each later pair updates it, except that a pair with
+    s.y <= 0 leaves H as it is (``counts["curvature_skips"]``).  The
+    gradient of log R is that of R
+    over R, from one of two sources; the loop, its line search, its stop
     reasons and its counters are the same for both.
 
-    * Exact (``ratios.gradients`` is set: every built-in objective): the
-      call returns the ratio and the gradient of both trials, so the
-      accepted trial's gradient is the next one.  A point whose A is 0
+    * Exact (``ratios.gradients`` is set: every built-in objective): each
+      call returns the ratio and the gradient of every point it holds, so
+      the accepted trial's gradient is the next one.  A point whose A is 0
       stands for I/d and has no gradient, so it is invalid.
     * Stencil (callables): central differences over the 2n points
-      x' +- h e_i.  The call also holds the stencil around the second
-      trial x', a guess that becomes the next gradient when x' is accepted
-      (``counts["stencil_hits"]``).  When the first trial is accepted, or
-      neither, the guess is wasted (``counts["stencil_misses"]``) and the
-      next gradient is a call of its own.  The last iteration guesses no
-      stencil; the start point shares its call with its stencil.
+      x +- h e_i, one call at each accepted point (and at the start).
 
-    When neither trial improves, the search tries step/4, step/8, ...
-    down to ``step_tol`` one point per call.  Trials are tried in order,
-    and a point's ratio does not depend on the stack it is evaluated in,
-    so the path is that of a search which evaluates every trial and
-    gradient on its own.
+    The line search backtracks from the full step alpha = 1 and takes the
+    first trial, in order, whose log R rises by at least
+    ARMIJO alpha (grad log R . p); a trial whose ratio is not finite and
+    positive is rejected.  Its trials go two per stacked call, (1, 1/2),
+    then (1/4, 1/8) and so on, while ||alpha p|| >= ``step_tol``; a point's
+    ratio does not depend on the stack it is evaluated in.
 
-    A gradient coordinate that is not finite (for the stencil: its +h or -h
-    point is invalid) is set to 0 and counted in
-    ``counts["skipped_coordinates"]``.  Every call adds to
-    ``counts["ratio_calls"]``, every evaluated point (guessed stencils
-    included) to ``counts["ratio_evaluations"]``, and a point whose A is 0
-    to ``counts["identity_fallbacks"]``.  Only strict improvements are
-    accepted, so the final point is the best.  The iterations are the
-    gradients used; the ascent stops when the gradient vanishes, when no
-    trial improves (``line_search_exhausted``) or after ``max_iters``.
+    A start point whose ratio is 0 (or below) has no log R: it is a
+    converged restart at once, with that value.  A gradient coordinate
+    that is not finite (for the stencil: its +h or -h point is invalid) is
+    set to 0 and counted in ``counts["skipped_coordinates"]``.  Every call
+    adds to ``counts["ratio_calls"]``, every evaluated point to
+    ``counts["ratio_evaluations"]``, and a point whose A is 0 to
+    ``counts["identity_fallbacks"]``.  Only improvements are accepted, so
+    the final point is the best.  The iterations are the gradients used.
+    Since R(c x) = R(x), the stop test ||x|| ||grad log R|| does not
+    depend on the scale of x: below GRAD_TOL the restart has
+    ``converged``, as it has when no trial passes while that test is below
+    STALL_TOL (rounding then hides the rise); no passing trial otherwise is
+    ``line_search_exhausted``; or the restart stops after ``max_iters``.
     """
     n = x0.size
     coords = np.arange(n)
-    exact = getattr(ratios, "gradients", None)
+    exact = ratios.gradients
 
-    def states(params):
+    def probe(params):
+        """The ratios at a stack of points, in one call, and their gradients
+        in x for the exact source (else None)."""
         counts["ratio_calls"] += 1
         counts["ratio_evaluations"] += len(params)
-        return _rho_from_params(params, d, counts)
-
-    def stencil(x):
-        h = FD_STEP * np.maximum(1.0, np.abs(x))
-        pts = np.tile(x, (2 * n, 1))
-        pts[coords, coords] += h
-        pts[n + coords, coords] -= h
-        return h, pts
-
-    def central(f, h):
-        with np.errstate(invalid="ignore"):
-            return (f[:n] - f[n:]) / (2 * h)
-
-    def probe(params, guess):
-        """The ratios at a stack of points, in one call, and a gradient per
-        point: every one for the exact source; for the stencil, that of the
-        last point with ``guess``, else None."""
-        if exact is not None:
-            rho = states(params)
-            f, g = exact(rho)
-            # A = 0 stands for I/d, which has no gradient: an invalid point
-            f[(params * params).sum(axis=1) <= 0.0] = np.nan
-            return f, list(_param_gradients(params, rho, g, d))
-        k = len(params)
-        if not guess:
-            return ratios(states(params)), [None] * k
-        h, pts = stencil(params[-1])
-        f = ratios(states(np.vstack([params, pts])))
-        return f[:k], [None] * (k - 1) + [central(f[k:], h)]
+        rho = _rho_from_params(params, d, counts)
+        if exact is None:
+            return ratios(rho), [None] * len(params)
+        f, g = exact(rho)
+        # A = 0 stands for I/d, which has no gradient: an invalid point
+        f[(params * params).sum(axis=1) <= 0.0] = np.nan
+        return f, _param_gradients(params, rho, g, d)
 
     x = x0.copy()
-    f, grads = probe(x[None], True)
+    f, grads = probe(x[None])
     f0, grad = f[0], grads[0]
     if not np.isfinite(f0):
         return None
-    step = INIT_STEP
+    h_inv = s = grad_old = None
     stop = "max_iters"
     for it in range(opts.max_iters):
+        if f0 <= 0.0:
+            # only a start point can be here: log R is undefined at R = 0
+            stop = "converged"
+            break
         if grad is None:
-            h, pts = stencil(x)
-            grad = central(ratios(states(pts)), h)
+            h = FD_STEP * np.maximum(1.0, np.abs(x))
+            pts = np.tile(x, (2 * n, 1))
+            pts[coords, coords] += h
+            pts[n + coords, coords] -= h
+            f = probe(pts)[0]
+            with np.errstate(invalid="ignore"):
+                grad = (f[:n] - f[n:]) / (2 * h)
         ok = np.isfinite(grad)
         counts["skipped_coordinates"] += int(n - ok.sum())
-        grad = np.where(ok, grad, 0.0)
-        gn = math.sqrt(grad.dot(grad))
-        if gn < 1e-12:
-            stop = "gradient_vanished"
+        grad = np.where(ok, grad, 0.0) / f0
+        x_norm, g_norm = math.sqrt(x.dot(x)), math.sqrt(grad.dot(grad))
+        scaled = x_norm * g_norm
+        if scaled < GRAD_TOL:
+            stop = "converged"
             break
-        direction = grad / gn
-        trials = []
-        trial = step
-        while trial >= opts.step_tol:
-            trials.append(trial)
-            trial *= 0.5
-        if not trials:
-            stop = "line_search_exhausted"
-            break
-        guess = exact is None and len(trials) > 1 and it + 1 < opts.max_iters
-        x_try = x + np.array(trials[:2])[:, None] * direction
-        f_try, g_try = probe(x_try, guess)
-        accepted = None
-        for k, trial in enumerate(trials):
-            if k < 2:
-                x_new, f_new, g_new = x_try[k], f_try[k], g_try[k]
+        if s is not None:
+            # the gradient change of -log R
+            y = grad_old - grad
+            sy = s.dot(y)
+            if sy > 0.0:
+                if h_inv is None:
+                    h_inv = (sy / y.dot(y)) * np.eye(n)
+                hy = h_inv @ y
+                h_inv += ((1.0 + y.dot(hy) / sy) * np.outer(s, s)
+                          - np.outer(hy, s) - np.outer(s, hy)) / sy
             else:
-                x_new = x + trial * direction
-                f_one, g_one = probe(x_new[None], False)
-                f_new, g_new = f_one[0], g_one[0]
-            if np.isfinite(f_new) and f_new > f0 + 1e-15:
-                accepted = k
+                counts["curvature_skips"] += 1
+        p = grad * (INIT_STEP * x_norm / g_norm) if h_inv is None else h_inv @ grad
+        slope = grad.dot(p)
+        p_norm = math.sqrt(p.dot(p))
+        alphas = []
+        alpha = 1.0
+        while alpha * p_norm >= opts.step_tol:
+            alphas.append(alpha)
+            alpha *= 0.5
+        accepted = None
+        for k in range(0, len(alphas), 2):
+            a = np.array(alphas[k:k + 2])
+            x_try = x + a[:, None] * p
+            f_try, g_try = probe(x_try)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rise = np.log(f_try / f0)
+            passed = np.flatnonzero((f_try > f0) & (rise >= ARMIJO * a * slope))
+            if passed.size:
+                accepted = passed[0]
                 break
-        if guess:
-            counts["stencil_hits" if accepted == 1 else "stencil_misses"] += 1
         if accepted is None:
-            stop = "line_search_exhausted"
+            stop = "converged" if scaled < STALL_TOL else "line_search_exhausted"
             break
-        x, f0, grad = x_new, f_new, g_new
-        step = min(2.0 * trial, 1.0)
+        s, grad_old = x_try[accepted] - x, grad
+        x, f0, grad = x_try[accepted], f_try[accepted], g_try[accepted]
     counts["stop_reasons"][stop] += 1
     return float(f0), _rho_from_params(x[None], d)[0], it + 1, stop
 
@@ -590,32 +596,29 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
                      opts: VariationalOptions | None = None) -> SdpiEstimate:
     """Variational lower-bound estimate of the SDPI constant.
 
-    Maximizes D(E(rho) || E(sigma)) / D(rho || sigma) over rho = A A^dag /
-    tr, with seeded multi-start gradient ascent and a backtracking line
-    search.  The chi-square, ht, petz and matsumoto objectives have exact
-    gradients; callable objectives take central differences.  Each
-    iteration is one stacked evaluation of the ratio at the first two
-    line-search trials, with their exact gradients, or with the 2n
-    perturbed points of the stencil at the second, the step the search
-    accepted last time (see ``_ascend``).  A callable objective is
-    therefore also called on perturbed points whose values are never used.
-    States within trace distance ``EXCLUSION`` of sigma are excluded, as
-    are points whose ratio is not finite or whose states the evaluator
-    rejects; if no restart finds a valid starting point,
-    :class:`AllRestartsDegenerate` is raised.  Restarts run serially and
-    the result is deterministic per seed.
+    Maximizes R = D(E(rho) || E(sigma)) / D(rho || sigma) over rho = A A^dag
+    / tr, with seeded multi-start BFGS ascent on log R and an Armijo
+    backtracking line search whose trials go two per stacked ratio call
+    (see ``_ascend``).  The chi-square, ht, petz and matsumoto objectives
+    have exact gradients, which each call returns with its values;
+    callable objectives take central differences, one 2n-point call at
+    each accepted point.  States within trace distance ``EXCLUSION`` of
+    sigma are excluded, as are points whose ratio is not finite or whose
+    states the evaluator rejects; if no restart finds a valid starting
+    point, :class:`AllRestartsDegenerate` is raised.  A starting point
+    whose ratio is 0 is a valid restart of value 0.  Restarts run serially
+    and the result is deterministic per seed.
 
     ``diagnostics["gradient"]`` names the gradient source, ``"exact"`` or
     ``"stencil"``.  ``diagnostics`` counts, summed over restarts, the
     stacked ratio calls (``ratio_calls``) and the points they evaluated
-    (``ratio_evaluations``, guessed stencils included), the guessed
-    stencils that became the next gradient (``stencil_hits``) and those
-    that were wasted (``stencil_misses``), the gradient coordinates set to
-    0 because they were not finite (for the stencil: a perturbed point was
-    invalid), the extra starting points tried after an invalid one, the
-    evaluated points whose parameter matrix was 0 and so stood for I/d,
-    and how many restarts stopped for each reason (``stop_reasons``:
-    ``gradient_vanished``, ``line_search_exhausted`` or ``max_iters``).
+    (``ratio_evaluations``), the BFGS updates skipped because s.y <= 0
+    (``curvature_skips``), the gradient coordinates set to 0 because they
+    were not finite (for the stencil: a perturbed point was invalid), the
+    extra starting points tried after an invalid one, the evaluated points
+    whose parameter matrix was 0 and so stood for I/d, and how many
+    restarts stopped for each reason (``stop_reasons``: ``converged``,
+    ``line_search_exhausted`` or ``max_iters``).
     Per valid restart it lists the value, the iterations and the stop
     reason; ``top_spread`` is the best value minus the lowest of the best
     ``TOP_RESTARTS`` values, 0 for one valid restart.
