@@ -432,6 +432,120 @@ class TestConvergence:
         assert ht == pytest.approx(petz, rel=1e-8, abs=0)
 
 
+def _sequential_ascend(ratios, x0, d, opts, calls):
+    """Reference search: the BFGS ascent of ``contraction._ascend`` on
+    central differences, but the start point, each stencil and each
+    line-search trial is a ratio call of its own; ``calls`` gets one entry
+    per call.  Returns (value, rho, iterations, stop reason)."""
+    def values(params):
+        calls.append(len(params))
+        return ratios(contraction._rho_from_params(params, d))
+
+    x = x0.copy()
+    f0 = values(x[None])[0]
+    if not np.isfinite(f0):
+        return None
+    n = x.size
+    coords = np.arange(n)
+    h_inv = s = grad_old = None
+    stop = "max_iters"
+    for it in range(opts.max_iters):
+        if f0 <= 0.0:
+            stop = "converged"
+            break
+        h = contraction.FD_STEP * np.maximum(1.0, np.abs(x))
+        pts = np.tile(x, (2 * n, 1))
+        pts[coords, coords] += h
+        pts[n + coords, coords] -= h
+        f = values(pts)
+        with np.errstate(invalid="ignore"):
+            grad = (f[:n] - f[n:]) / (2 * h)
+        grad = np.where(np.isfinite(grad), grad, 0.0) / f0
+        x_norm, g_norm = np.linalg.norm(x), np.linalg.norm(grad)
+        scaled = x_norm * g_norm
+        if scaled < contraction.GRAD_TOL:
+            stop = "converged"
+            break
+        if s is not None:
+            y = grad_old - grad
+            sy = s.dot(y)
+            if sy > 0.0:
+                if h_inv is None:
+                    h_inv = (sy / y.dot(y)) * np.eye(n)
+                hy = h_inv @ y
+                h_inv += ((1.0 + y.dot(hy) / sy) * np.outer(s, s)
+                          - np.outer(hy, s) - np.outer(s, hy)) / sy
+        if h_inv is None:
+            p = grad * (contraction.INIT_STEP * x_norm / g_norm)
+        else:
+            p = h_inv @ grad
+        slope, p_norm = grad.dot(p), np.linalg.norm(p)
+        alpha = 1.0
+        while alpha * p_norm >= opts.step_tol:
+            x_new = x + alpha * p
+            f_new = values(x_new[None])[0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rise = np.log(f_new / f0)
+            if f_new > f0 and rise >= contraction.ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            stop = "converged" if scaled < contraction.STALL_TOL else "line_search_exhausted"
+            break
+        s, grad_old = x_new - x, grad
+        x, f0 = x_new, f_new
+    return f0, contraction._rho_from_params(x[None], d)[0], it + 1, stop
+
+
+def _oracle_objective(name, f_cat, gs):
+    if name == "callable":
+        return lambda r, s: qc.chi2_g(r, s, gs["kmb"]).value
+    family, f = name[:-1].split("[")
+    return gs[f] if family == "chi2" else f_cat[f].with_family(family)
+
+
+class TestStackedIterations:
+    """The stencil search, with its line-search trials two per stacked
+    call, takes the path of the sequential reference, bit for bit; the
+    exact-gradient search, run to convergence, ends where the reference
+    does, although the two paths part within a few iterations.  The
+    stencil cases run on the values alone of the ht[kl] objective (which
+    has exact gradients) and on a callable."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", ["ht[kl]", "callable"])
+    def test_path_is_the_sequential_one(self, f_cat, gs, name, dim, seed):
+        ch = qc.random_channel(dim, seed=seed)
+        pi = qc.fixed_point(ch)
+        objective, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
+        ratios = contraction._Ratios(objective.values)
+        opts = qc.VariationalOptions(max_iters=12)
+        x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
+        want = _sequential_ascend(ratios, x0, dim, opts, [])
+        got = contraction._ascend(ratios, x0, dim, opts, contraction._new_counts())
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", ["ht[kl]", "petz[kl]", "matsumoto[kl]", "chi2[max]",
+                                      "chi2[kmb]"])
+    def test_exact_search_ends_where_the_stencil_reference_does(self, f_cat, gs, name,
+                                                               dim, seed):
+        ch = qc.random_channel(dim, seed=seed)
+        pi = qc.fixed_point(ch)
+        ratios, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
+        assert ratios.gradients is not None
+        opts = qc.VariationalOptions(max_iters=150)
+        x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
+        # the values-only wrapper has no gradients, as the reference never uses them
+        want = _sequential_ascend(lambda rho: ratios(rho), x0, dim, opts, [])
+        got = contraction._ascend(ratios, x0, dim, opts, contraction._new_counts())
+        assert got[0] == pytest.approx(want[0], rel=1e-9, abs=0), (got[2:], want[2:])
+
+
 def _exact_objectives(f_cat, gs):
     """Every built-in objective, all with exact gradients: each family with
     each catalog f, and chi-square with each catalog g and the GNS weight."""
