@@ -7,9 +7,10 @@
   formula.
 * Variational lower-bound estimation of SDPI constants for general
   f-divergence families (seeded multi-start BFGS ascent on log R, with
-  Armijo line-search trials evaluated two per stacked ratio call; exact
-  gradients for every built-in objective (chi-square, ht, petz and
-  matsumoto), central differences for callables; sigma's and E(sigma)'s
+  Armijo line-search trials evaluated two per stacked ratio call; each
+  call returns the ratios with their exact gradients for every built-in
+  objective (chi-square, ht, petz and matsumoto), and with none for
+  callables, which take central differences; sigma's and E(sigma)'s
   eigen-data are computed once per search).
 * Detailed-balance residuals and the GNS implies-all-g check.
 * The contraction-rate experiment harness with rate-bound and
@@ -273,42 +274,29 @@ def _outside_ball(rho: np.ndarray, sigma: np.ndarray):
     return keep, x
 
 
-@dataclass(frozen=True)
-class _Ratios:
-    """The search objective: ``ratios(rho_stack)`` gives the ratio of each
-    state of a (B, d, d) stack.  ``gradients``, where set, maps the same
-    stack to those ratios, bit for bit, and their (B, d, d) Hermitian
-    gradients in rho (NaN rows where the ratio is NaN)."""
-
-    values: object
-    gradients: object = None
-
-    def __call__(self, rho):
-        return self.values(rho)
-
-
 def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     """Build the objective ``ratios`` of the SDPI search and its label.
 
     ``ratios`` maps a (B, d, d) stack of states rho to the B values
-    R = D(E(rho) || E(sigma)) / D(rho || sigma).  The evaluator may be a
+    R = D(E(rho) || E(sigma)) / D(rho || sigma) and their (B, d, d)
+    Hermitian gradients in rho, in one call.  The evaluator may be a
     SpectralWeight (chi-square objective, computed on differences by
     linearity), an FDivergenceSpec with family set, or a callable
     D(rho, sigma) -> float.  NaN marks an invalid point: within trace
     distance EXCLUSION of sigma, a denominator that is not positive, rho or
-    E(rho) rejected by state validation, or outside an evaluator's domain.
+    E(rho) rejected by state validation, or outside an evaluator's domain;
+    its gradient is NaN too.
 
     The built-in objectives evaluate the whole stack at once: sigma's and
     E(sigma)'s eigen-data are computed here, once per search, and rho and
     E(rho) go through the stacked validation arithmetic, not through
     validate_density.  The family kernels take the denominators and the
     numerators in one call, so ht integrates both in one quadrature loop.
-    Every built-in objective also has exact gradients
-    (``ratios.gradients``): G = (E*(grad N) - R grad D) / D with grad N and
-    grad D the gradients of the stacked kernels at E(rho) and rho (for ht,
-    integrated beside the values in that loop), and E* the adjoint
+    Their gradients are exact: G = (E*(grad N) - R grad D) / D with grad N
+    and grad D the gradients of the stacked kernels at E(rho) and rho (for
+    ht, integrated beside the values in that loop), and E* the adjoint
     channel, built here once.  A callable is called point by point on
-    validated states and has no gradients.
+    validated states, and its gradients are None.
     """
     e_sigma = apply(channel, sigma)
     builtin = isinstance(evaluator, (SpectralWeight, FDivergenceSpec))
@@ -322,19 +310,24 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
 
     adjoint = channel.superop.adjoint()
 
-    def ratio_gradients(r, den, num_grad, den_grad):
-        # E* only takes finite stacks; a non-finite kernel gradient gives NaN
+    def ratio_gradients(rho, idx, num, den, num_grad, den_grad):
+        # the ratios R = num / den at the rows idx of the stack, NaN elsewhere,
+        # and their gradients; E* only takes finite stacks, so a non-finite
+        # kernel gradient gives NaN
+        out = np.full(len(rho), np.nan)
+        grads = np.full(rho.shape, np.nan, complex)
+        r = out[idx] = num / den
         fin = np.isfinite(num_grad).all(axis=(1, 2))[:, None, None]
         e_star = adjoint.apply(np.where(fin, num_grad, 0.0))
-        return np.where(fin, e_star - r[:, None, None] * den_grad, np.nan) / den[:, None, None]
+        grads[idx] = (np.where(fin, e_star - r[:, None, None] * den_grad, np.nan)
+                      / den[:, None, None])
+        return out, grads
 
     if isinstance(evaluator, SpectralWeight):
         v_s, w_s = sigma.eigenvectors, _sigma_weights(sigma, evaluator)
         v_e, w_e = e_sigma.eigenvectors, _sigma_weights(e_sigma, evaluator)
 
-        def kernel(rho, gradients=False):
-            out = np.full(len(rho), np.nan)
-            grads = np.full(rho.shape, np.nan, complex) if gradients else None
+        def ratios(rho):
             keep, x = _outside_ball(rho, sigma.entries)
             idx = np.flatnonzero(keep)
             den, xt = _rotated_forms(x[idx], v_s, w_s)
@@ -343,14 +336,10 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
             ex = channel.superop.apply(x[idx])
             ex = 0.5 * (ex + ex.conj().transpose(0, 2, 1))
             num, ext = _rotated_forms(ex, v_e, w_e)
-            out[idx] = num / den
-            if gradients:
-                grads[idx] = ratio_gradients(out[idx], den, _chi2_gradients(ext, v_e, w_e),
-                                             _chi2_gradients(xt, v_s, w_s))
-            return out, grads
+            return ratio_gradients(rho, idx, num, den, _chi2_gradients(ext, v_e, w_e),
+                                   _chi2_gradients(xt, v_s, w_s))
 
-        return (_Ratios(lambda rho: kernel(rho)[0], lambda rho: kernel(rho, True)),
-                f"chi2[{evaluator.name}]")
+        return ratios, f"chi2[{evaluator.name}]"
 
     if isinstance(evaluator, FDivergenceSpec):
         spec = evaluator
@@ -359,9 +348,7 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
             _require_operator_convex(spec)
         ref_s, ref_e = _reference(sigma), _reference(e_sigma)
 
-        def kernel(rho, gradients=False):
-            out = np.full(len(rho), np.nan)
-            grads = np.full(rho.shape, np.nan, complex) if gradients else None
+        def ratios(rho):
             keep, _ = _outside_ball(rho, sigma.entries)
             ents, lam, phi, *checks = validate_stack(rho)
             idx = np.flatnonzero(keep & stack_valid(*checks))
@@ -370,17 +357,13 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
             # the denominators and numerators in one call: for ht, one quadrature loop
             (den, den_grad), (num, num_grad) = _divergence_stacks(
                 spec, [(ents[idx], lam[idx], phi[idx], ref_s),
-                       (e_ents[ok], e_lam[ok], e_phi[ok], ref_e)], gradients)
-            den = den[ok]
+                       (e_ents[ok], e_lam[ok], e_phi[ok], ref_e)])
+            den, den_grad = den[ok], den_grad[ok]
             pos = den > 0.0
-            idx, den, num = idx[ok][pos], den[pos], num[pos]
-            out[idx] = num / den
-            if gradients:
-                grads[idx] = ratio_gradients(out[idx], den, num_grad[pos], den_grad[ok][pos])
-            return out, grads
+            return ratio_gradients(rho, idx[ok][pos], num[pos], den[pos], num_grad[pos],
+                                   den_grad[pos])
 
-        return (_Ratios(lambda rho: kernel(rho)[0], lambda rho: kernel(rho, True)),
-                f"{spec.family}[{spec.name}]")
+        return ratios, f"{spec.family}[{spec.name}]"
 
     def ratios(rho):
         out = np.full(len(rho), np.nan)
@@ -396,9 +379,9 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
                     out[k] = float(evaluator(e_r, e_sigma)) / den
             except PreconditionError:
                 pass
-        return out
+        return out, None
 
-    return _Ratios(ratios), "callable"
+    return ratios, "callable"
 
 
 def _rho_from_params(x: np.ndarray, d: int, counts: dict | None = None) -> np.ndarray:
@@ -477,14 +460,16 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     s.y <= 0 leaves H as it is (``counts["curvature_skips"]``).  The
     gradient of log R is that of R
     over R, from one of two sources; the loop, its line search, its stop
-    reasons and its counters are the same for both.
+    reasons and its counters are the same for both.  Each call of
+    ``ratios`` returns the values and the gradients of the points it holds
+    (see ``_objective``), and the gradients say which source it is.
 
-    * Exact (``ratios.gradients`` is set: every built-in objective): each
-      call returns the ratio and the gradient of every point it holds, so
-      the accepted trial's gradient is the next one.  A point whose A is 0
-      stands for I/d and has no gradient, so it is invalid.
-    * Stencil (callables): central differences over the 2n points
-      x +- h e_i, one call at each accepted point (and at the start).
+    * Exact (gradients given: every built-in objective): the accepted
+      trial's gradient is the next one.  A point whose A is 0 stands for
+      I/d and has no gradient, so it is invalid.
+    * Stencil (gradients None: callables): central differences over the
+      2n points x +- h e_i, one call at each accepted point (and at the
+      start).
 
     The line search backtracks from the full step alpha = 1 and takes the
     first trial, in order, whose log R rises by at least
@@ -509,7 +494,6 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     """
     n = x0.size
     coords = np.arange(n)
-    exact = ratios.gradients
 
     def probe(params):
         """The ratios at a stack of points, in one call, and their gradients
@@ -517,9 +501,9 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
         counts["ratio_calls"] += 1
         counts["ratio_evaluations"] += len(params)
         rho = _rho_from_params(params, d, counts)
-        if exact is None:
-            return ratios(rho), [None] * len(params)
-        f, g = exact(rho)
+        f, g = ratios(rho)
+        if g is None:
+            return f, [None] * len(params)
         # A = 0 stands for I/d, which has no gradient: an invalid point
         f[(params * params).sum(axis=1) <= 0.0] = np.nan
         return f, _param_gradients(params, rho, g, d)
@@ -665,7 +649,7 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
         restarts_used=opts.restarts,
         diagnostics={
             "objective": obj_label,
-            "gradient": "stencil" if ratios.gradients is None else "exact",
+            "gradient": "stencil" if obj_label == "callable" else "exact",
             "raw_best": float(best_f),
             "clipped_above_one": bool(best_f > 1.0),
             "valid_restarts": len(valid),

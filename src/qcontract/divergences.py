@@ -80,6 +80,14 @@ def _require_full_rank(state: DensityMatrix, who: str) -> None:
         )
 
 
+def _pair(rho, sigma) -> tuple[DensityMatrix, DensityMatrix]:
+    """The validated rho and sigma of a public evaluator, with sigma full
+    rank; each error names the argument it concerns."""
+    r, s = _density(rho, "rho"), _density(sigma, "sigma")
+    _require_full_rank(s, "sigma")
+    return r, s
+
+
 def epsilon_regularize(rho, eps: float) -> DensityMatrix:
     """Deliberate regularization (1-eps) rho + eps I/d."""
     r = _density(rho, "rho")
@@ -151,18 +159,14 @@ def chi2_g(rho, sigma, g: SpectralWeight) -> DivergenceValue:
     Computed in the sigma eigenbasis as sum_ij (1/mu_j) g(mu_i/mu_j)
     |X_ij|^2 with X = rho - sigma.
     """
-    r = _density(rho, "rho")
-    s = _density(sigma, "sigma")
-    _require_full_rank(s, "sigma")
+    r, s = _pair(rho, sigma)
     value = chi2_quadratic_form(r.entries - s.entries, s, g)
     return DivergenceValue(value, {"g": g.name})
 
 
 def chi2_max(rho, sigma) -> DivergenceValue:
     """Maximal chi-square divergence tr[sigma^{-1} (rho-sigma)^2]."""
-    r = _density(rho, "rho")
-    s = _density(sigma, "sigma")
-    _require_full_rank(s, "sigma")
+    r, s = _pair(rho, sigma)
     v, mu = s.eigenvectors, s.eigenvalues
     s_inv = (v / mu) @ v.conj().T
     x = r.entries - s.entries
@@ -183,9 +187,7 @@ def hockey_stick(rho, sigma, gamma: float) -> float:
     """
     if not (np.isfinite(gamma) and gamma >= 1.0):
         raise InputError(f"gamma must be finite and >= 1, got {gamma}")
-    r = _density(rho, "rho")
-    s = _density(sigma, "sigma")
-    _require_full_rank(s, "sigma")
+    r, s = _pair(rho, sigma)
     return _positive_eig_sum(r.entries - gamma * s.entries)
 
 
@@ -317,51 +319,44 @@ def _petz_values(f, lam: np.ndarray, phi: np.ndarray, mu: np.ndarray,
     return values, phi @ h @ phi.conj().transpose(0, 2, 1)
 
 
-def _divergence_stacks(spec: FDivergenceSpec, groups, gradients: bool = False) -> list:
+def _divergence_stacks(spec: FDivergenceSpec, groups) -> list:
     """Values of spec's family on each group (entries, eigenvalues,
     eigenvectors, reference) of a list: a stack of validated states (as
     :func:`validate_stack` gives them) and the full-rank reference it is
-    measured against.  Returns one (values, gradients) pair per group; with
-    ``gradients``, the (B, d, d) Hermitian gradients in rho (NaN where the
-    value is NaN), else None.  The values are the same, bit for bit, either
-    way.
+    measured against.  Returns one (values, gradients) pair per group, the
+    gradients the (B, d, d) Hermitian gradients in rho (NaN where the value
+    is NaN).
 
     NaN marks the points where the public evaluator raises a
     :class:`PreconditionError`: a rank-deficient rho for petz and ht, f not
-    finite on the pencil spectrum for matsumoto.  The ht values of every
-    group are integrated in one stacked quadrature loop, each state
-    against its group's reference.  The spec must have a family, and an
-    operator convex generator for petz.
+    finite on the pencil spectrum for matsumoto.  The ht values and
+    gradients of every group are integrated in one stacked quadrature
+    loop, each state against its group's reference.  The spec must have a
+    family, and an operator convex generator for petz.
     """
-    df = spec.f1 if gradients else None
     if spec.family == "matsumoto":
-        return [_matsumoto_values(spec.f, ents, ref, df)[::2]
+        return [_matsumoto_values(spec.f, ents, ref, spec.f1)[::2]
                 for ents, _, _, ref in groups]
     fulls = [stack_full_rank(lam) for _, lam, _, _ in groups]
     if spec.family == "petz":
-        parts = [_petz_values(spec.f, lam[full], phi[full], ref.mu, ref.psi, df)
+        parts = [_petz_values(spec.f, lam[full], phi[full], ref.mu, ref.psi, spec.f1)
                  for (_, lam, phi, ref), full in zip(groups, fulls)]
-        if not gradients:
-            parts = [(values, None) for values in parts]
     else:
         rho = [ents[full] for (ents, *_), full in zip(groups, fulls)]
         refs = [group[3] for group in groups]
         sizes = [len(r) for r in rho]
         sig = np.repeat(np.array([ref.entries for ref in refs]), sizes, axis=0)
         t = eigvalsh_stack(np.concatenate([_pencil(r, ref) for r, ref in zip(rho, refs)]))
-        res = _ht_integrals(spec.f2, np.concatenate(rho), sig, t, gradients)
-        parts = [(res.value[lo:hi], res.rider[lo:hi] if gradients else None)
+        res = _ht_integrals(spec.f2, np.concatenate(rho), sig, t, gradients=True)
+        parts = [(res.value[lo:hi], res.rider[lo:hi])
                  for lo, hi in pairwise(accumulate(sizes, initial=0))]
     out = []
     for (ents, *_), full, (part, part_grads) in zip(groups, fulls, parts):
         if full.all():
             out.append((part, part_grads))
             continue
-        values, grads = np.full(len(ents), np.nan), None
-        values[full] = part
-        if gradients:
-            grads = np.full(ents.shape, np.nan, complex)
-            grads[full] = part_grads
+        values, grads = np.full(len(ents), np.nan), np.full(ents.shape, np.nan, complex)
+        values[full], grads[full] = part, part_grads
         out.append((values, grads))
     return out
 
@@ -402,9 +397,7 @@ def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     value a state gets inside any stack; ``quad_evals`` counts the
     integrand nodes of this integral.
     """
-    r = _density(rho, "rho")
-    s = _density(sigma, "sigma")
-    _require_full_rank(s, "sigma")
+    r, s = _pair(rho, sigma)
     _require_full_rank(r, "rho")
     ref = _reference(s)
     rho1 = r.entries[None]
@@ -426,9 +419,7 @@ def matsumoto_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     sigma must be full rank; a rank-deficient rho is admitted only when f
     has a finite limit at 0 (otherwise :class:`DomainError`).
     """
-    r = _density(rho, "rho")
-    s = _density(sigma, "sigma")
-    _require_full_rank(s, "sigma")
+    r, s = _pair(rho, sigma)
     values, tvals, _ = _matsumoto_values(spec.f, r.entries[None], _reference(s))
     lo, hi = float(tvals[0, 0]), float(tvals[0, -1])
     if np.isnan(values[0]):
@@ -447,9 +438,7 @@ def petz_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     convex generator (data processing fails otherwise) and full-rank states.
     """
     _require_operator_convex(spec)
-    r = _density(rho, "rho")
-    s = _density(sigma, "sigma")
-    _require_full_rank(s, "sigma")
+    r, s = _pair(rho, sigma)
     _require_full_rank(r, "rho")
     value = _petz_values(spec.f, r.eigenvalues[None], r.eigenvectors[None],
                          s.eigenvalues, s.eigenvectors)
@@ -477,9 +466,7 @@ def reverse_pinsker_bound(spec: FDivergenceSpec, rho, sigma):
     Returns (bound, applicable); the bound is valid only when
     |rho - sigma| <= rho + sigma (checked spectrally).
     """
-    r = _density(rho, "rho")
-    s = _density(sigma, "sigma")
-    _require_full_rank(s, "sigma")
+    r, s = _pair(rho, sigma)
     t = np.linalg.eigvalsh(_pencil(r.entries[None], _reference(s))[0])
     m, big_m = float(t[0]), float(t[-1])
     x = r.entries - s.entries
@@ -526,9 +513,7 @@ def local_chi2_estimate(evaluator, rho, sigma, lambda_grid=DEFAULT_LOCAL_GRID):
     (limit_estimate, fit_residual) where the residual is the change from
     adding the final grid point.
     """
-    r = _density(rho, "rho")
-    s = _density(sigma, "sigma")
-    _require_full_rank(s, "sigma")
+    r, s = _pair(rho, sigma)
     grid = [float(x) for x in lambda_grid]
     # NaN passes every range comparison below, so catch it here
     if not np.isfinite(grid).all():

@@ -347,7 +347,7 @@ class TestStackedSearch:
         rho = contraction._rho_from_params(rng.normal(size=(20, 2 * dim * dim)), dim)
         for obj in _search_objectives(f_cat, gs):
             ratios, _ = contraction._objective(obj, ch, pi)
-            got = ratios(rho)
+            got = ratios(rho)[0]
             want = np.array([_scalar_ratio(obj, ch, pi, r) for r in rho], float)
             assert np.all(np.isfinite(want))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -370,7 +370,7 @@ class TestStackedSearch:
         ], dtype=complex)
         for obj in _search_objectives(f_cat, gs):
             ratios, _ = contraction._objective(obj, ch, pi)
-            got = ratios(rho)
+            got = ratios(rho)[0]
             want = [_scalar_ratio(obj, ch, pi, r) for r in rho]
             assert [w is None for w in want] == list(np.isnan(got))
             finite = [i for i, w in enumerate(want) if w is not None]
@@ -378,9 +378,9 @@ class TestStackedSearch:
                                        rtol=1e-12, atol=0)
         kl = {fam: contraction._objective(f_cat["kl"].with_family(fam), ch, pi)[0]
               for fam in qc.FAMILIES}
-        assert np.isnan(kl["petz"](rho[3:4])[0])
-        assert np.isnan(kl["ht"](rho[3:4])[0])
-        assert np.isfinite(kl["matsumoto"](rho[3:4])[0])
+        assert np.isnan(kl["petz"](rho[3:4])[0][0])
+        assert np.isnan(kl["ht"](rho[3:4])[0][0])
+        assert np.isfinite(kl["matsumoto"](rho[3:4])[0][0])
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stack_of_one_is_the_public_value(self, f_cat, dim):
@@ -395,7 +395,7 @@ class TestStackedSearch:
                 v = qc.validate_density(r)
                 want = (qc.evaluate(spec, qc.apply(ch, v), qc.apply(ch, pi)).value
                         / qc.evaluate(spec, v, pi).value)
-                assert ratios(r[None])[0] == want
+                assert ratios(r[None])[0][0] == want
 
     def test_traced_names_stay_bound(self):
         # the benchmark's tracer patches these names on the contraction module
@@ -435,11 +435,12 @@ class TestConvergence:
 def _sequential_ascend(ratios, x0, d, opts, calls):
     """Reference search: the BFGS ascent of ``contraction._ascend`` on
     central differences, but the start point, each stencil and each
-    line-search trial is a ratio call of its own; ``calls`` gets one entry
-    per call.  Returns (value, rho, iterations, stop reason)."""
+    line-search trial is a ratio call of its own, of which it reads the
+    values alone; ``calls`` gets one entry per call.  Returns (value, rho,
+    iterations, stop reason)."""
     def values(params):
         calls.append(len(params))
-        return ratios(contraction._rho_from_params(params, d))
+        return ratios(contraction._rho_from_params(params, d))[0]
 
     x = x0.copy()
     f0 = values(x[None])[0]
@@ -509,8 +510,9 @@ class TestStackedIterations:
     call, takes the path of the sequential reference, bit for bit; the
     exact-gradient search, run to convergence, ends where the reference
     does, although the two paths part within a few iterations.  The
-    stencil cases run on the values alone of the ht[kl] objective (which
-    has exact gradients) and on a callable."""
+    stencil cases run on a callable, and on the ht[kl] objective with its
+    gradients dropped: an objective whose call returns None for the
+    gradients takes the stencil."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
@@ -519,7 +521,7 @@ class TestStackedIterations:
         ch = qc.random_channel(dim, seed=seed)
         pi = qc.fixed_point(ch)
         objective, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
-        ratios = contraction._Ratios(objective.values)
+        ratios = lambda rho: (objective(rho)[0], None)
         opts = qc.VariationalOptions(max_iters=12)
         x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
         want = _sequential_ascend(ratios, x0, dim, opts, [])
@@ -537,11 +539,10 @@ class TestStackedIterations:
         ch = qc.random_channel(dim, seed=seed)
         pi = qc.fixed_point(ch)
         ratios, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
-        assert ratios.gradients is not None
         opts = qc.VariationalOptions(max_iters=150)
         x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
-        # the values-only wrapper has no gradients, as the reference never uses them
-        want = _sequential_ascend(lambda rho: ratios(rho), x0, dim, opts, [])
+        assert ratios(contraction._rho_from_params(x0[None], dim))[1] is not None
+        want = _sequential_ascend(ratios, x0, dim, opts, [])
         got = contraction._ascend(ratios, x0, dim, opts, contraction._new_counts())
         assert got[0] == pytest.approx(want[0], rel=1e-9, abs=0), (got[2:], want[2:])
 
@@ -601,15 +602,14 @@ class TestExactGradients:
                                                      for fam in qc.FAMILIES]
         for obj in objectives:
             ratios, name = contraction._objective(obj, ch, pi)
-            values, g = ratios.gradients(rho)
-            assert np.array_equal(values, ratios(rho)), name
+            values, g = ratios(rho)
             grads = contraction._param_gradients(x, rho, g, dim)
             for b in range(len(x)):
                 h = 1e-6
                 pts = np.tile(x[b], (2 * n, 1))
                 pts[np.arange(n), np.arange(n)] += h
                 pts[n + np.arange(n), np.arange(n)] -= h
-                f = ratios(contraction._rho_from_params(pts, dim))
+                f = ratios(contraction._rho_from_params(pts, dim))[0]
                 fd = (f[:n] - f[n:]) / (2 * h)
                 err = np.linalg.norm(grads[b] - fd) / np.linalg.norm(fd)
                 assert err <= 1e-6, (name, b, err)
@@ -623,7 +623,7 @@ class TestExactGradients:
                         qc.random_density(2, np.random.default_rng(4)).entries])
         for obj in _exact_objectives(f_cat, gs):
             ratios, name = contraction._objective(obj, ch, pi)
-            values, g = ratios.gradients(rho)
+            values, g = ratios(rho)
             assert np.isnan(values[0]) and np.isfinite(values[2]), name
             assert np.isnan(g[np.isnan(values)]).all() and np.isfinite(g[2]).all(), name
 
@@ -690,7 +690,7 @@ class TestExclusionBall:
         rho = pi.entries + np.array(rows)
 
         def ratios(obj):
-            return contraction._objective(obj, ch, pi)[0](rho)
+            return contraction._objective(obj, ch, pi)[0](rho)[0]
 
         chi2 = ratios(gs["max"])
         assert np.isfinite(chi2).all()

@@ -189,22 +189,36 @@ class TestHtIntegral:
         raw = [rho, ch.superop.apply(rho)]
         refs = [sig, qc.apply(ch, sig)]
         groups = [(*validate_stack(r)[:3], divergences._reference(s)) for r, s in zip(raw, refs)]
-        plain = divergences._divergence_stacks(spec, groups)
-        both = divergences._divergence_stacks(spec, groups, gradients=True)
-        for (ents, lam, phi, ref), r, s, (values, grads), (want, none) in zip(
-                groups, raw, refs, both, plain):
-            assert none is None
-            np.testing.assert_array_equal(values, want)
+        both = divergences._divergence_stacks(spec, groups)
+        for (ents, lam, phi, ref), r, s, (values, grads) in zip(groups, raw, refs, both):
             for k in range(len(r)):
                 if not stack_full_rank(lam[k:k + 1])[0]:
                     assert np.isnan(values[k]) and np.isnan(grads[k]).all()
                     continue
                 assert values[k] == qc.ht_divergence(spec, r[k], s).value, k
                 one = divergences._divergence_stacks(
-                    spec, [(ents[k:k + 1], lam[k:k + 1], phi[k:k + 1], ref)], gradients=True)
+                    spec, [(ents[k:k + 1], lam[k:k + 1], phi[k:k + 1], ref)])
                 assert one[0][0][0] == values[k]
                 np.testing.assert_array_equal(one[0][1][0], grads[k])
         assert np.isnan(both[0][0][-1]) and np.isfinite(both[1][0]).all()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_chi2_against_a_near_singular_sigma(self, f_cat, dim):
+        # sigma's smallest eigenvalue between 1e-7 and 1e-4: every integral
+        # closes within the interval budget, below the maximal divergence
+        # (further down, to 1e-9, the quadrature can exceed its budget)
+        ht, mats = (f_cat["chi2"].with_family(fam) for fam in ("ht", "matsumoto"))
+        rng = np.random.default_rng([31, dim])
+        for trial in range(40):
+            rho = qc.random_density(dim, rng)
+            low = 10 ** rng.uniform(-7, -4)
+            mu = np.concatenate([[low], (1 - low) * rng.dirichlet(np.ones(dim - 1))])
+            v = qc.random_density(dim, rng).eigenvectors
+            sig = qc.validate_density((v * mu) @ v.conj().T)
+            assert 1e-7 <= sig.min_eigenvalue <= 1e-4, trial
+            got = qc.ht_divergence(ht, rho, sig).value
+            assert np.isfinite(got) and got >= 0.0, trial
+            assert got <= qc.matsumoto_divergence(mats, rho, sig).value, trial
 
     def test_nan_in_integrand_raises(self, f_cat):
         # the closed-form eigensolve at d = 2 passes a NaN entry on as NaN
@@ -238,6 +252,43 @@ class TestHtIntegral:
             qc.ht_divergence(f_cat["kl"].with_family("ht"), rho, sig)
 
 
+_KL = qc.f_catalog()["kl"]
+
+#: every public evaluator of a (rho, sigma) pair, as a call on the pair
+PAIR_EVALUATORS = {
+    "chi2_g": lambda r, s: qc.chi2_g(r, s, qc.g_catalog()["max"]),
+    "chi2_max": qc.chi2_max,
+    "hockey_stick": lambda r, s: qc.hockey_stick(r, s, 1.5),
+    "ht_divergence": lambda r, s: qc.ht_divergence(_KL.with_family("ht"), r, s),
+    "matsumoto_divergence":
+        lambda r, s: qc.matsumoto_divergence(_KL.with_family("matsumoto"), r, s),
+    "petz_divergence": lambda r, s: qc.petz_divergence(_KL.with_family("petz"), r, s),
+    "reverse_pinsker_bound": lambda r, s: qc.reverse_pinsker_bound(_KL, r, s),
+    "local_chi2_estimate": lambda r, s: qc.local_chi2_estimate(_KL.with_family("petz"), r, s),
+}
+
+
+class TestPairValidation:
+    """Each public pair evaluator validates rho, then sigma, then requires a
+    full-rank sigma, and names the argument an error concerns."""
+
+    @pytest.mark.parametrize("entry", list(PAIR_EVALUATORS))
+    def test_bad_pairs_raise_typed_errors(self, entry):
+        fn = PAIR_EVALUATORS[entry]
+        rng = np.random.default_rng(17)
+        rho, sig = qc.random_density(2, rng).entries, qc.random_density(2, rng).entries
+        skew = np.array([[0.0, 0.3], [-0.3, 0.0]])
+        with pytest.raises(qc.NotHermitian, match=r"^rho: "):
+            fn(rho + skew, sig)
+        with pytest.raises(qc.NotHermitian, match=r"^sigma: "):
+            fn(rho, sig + skew)
+        # rho is checked before sigma
+        with pytest.raises(qc.NotHermitian, match=r"^rho: "):
+            fn(rho + skew, sig + skew)
+        with pytest.raises(qc.SingularReference, match="sigma must be full rank"):
+            fn(rho, np.diag([1.0, 0.0]))
+
+
 class TestPetz:
     def test_quadratic_generator_equals_chi2_max(self, f_cat):
         rng = np.random.default_rng(11)
@@ -264,6 +315,10 @@ class TestPetz:
         sig = qc.random_density(2, rng)
         with pytest.raises(qc.NotOperatorConvex):
             qc.petz_divergence(quartic.with_family("petz"), rho, sig)
+        # the generator is checked before the states
+        skew = np.array([[0.5, 0.3], [-0.3, 0.5]])
+        with pytest.raises(qc.NotOperatorConvex):
+            qc.petz_divergence(quartic.with_family("petz"), skew, skew)
 
 
 class TestMatsumoto:
