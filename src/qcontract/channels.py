@@ -187,9 +187,7 @@ def channel_adjoint(channel: QuantumChannel) -> Superoperator:
 
 def channel_power(channel: QuantumChannel, n: int) -> QuantumChannel:
     """n-fold composition E^n (n >= 1)."""
-    if n < 1:
-        raise InputError(f"channel power requires n >= 1, got {n}")
-    if n == 1:
+    if _integer(n, "n", 1) == 1:
         return channel
     m = np.linalg.matrix_power(channel.superop.matrix, n)
     return QuantumChannel(

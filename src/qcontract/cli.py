@@ -240,8 +240,7 @@ def cmd_sdpi(config: RunConfig) -> tuple:
         for fname, spec in specs.items():
             for fam in config.families:
                 est = sdpi_variational(spec.with_family(fam), channel, sigma, opts)
-                searches[f"{fam}[{fname}]"] = {**_total_counts([est.diagnostics]),
-                                               "gradient": est.diagnostics["gradient"]}
+                searches[f"{fam}[{fname}]"] = _total_counts([est.diagnostics])
                 records.append(
                     {
                         "family": fam,

@@ -5,13 +5,12 @@
   w_ij = g(mu_i/mu_j)/mu_j, so the d x d weight matrix w determines it.
 * Exact chi-square SDPI constants via the Hermitized second-singular-value
   formula.
-* Variational lower-bound estimation of SDPI constants for general
-  f-divergence families (seeded multi-start BFGS ascent on log R, with
-  Armijo line-search trials evaluated two per stacked ratio call; each
-  call returns the ratios with their exact gradients for every built-in
-  objective (chi-square, ht, petz and matsumoto), and with none for
-  callables, which take central differences; sigma's and E(sigma)'s
-  eigen-data are computed once per search).
+* Variational lower-bound estimation of SDPI constants for the
+  chi-square weights and the ht, petz and matsumoto families (seeded
+  multi-start BFGS ascent on log R, with Armijo line-search trials
+  evaluated two per stacked ratio call; each call returns the ratios
+  with their exact gradients; sigma's and E(sigma)'s eigen-data are
+  computed once per search).
 * Detailed-balance residuals and the GNS implies-all-g check.
 * The contraction-rate experiment harness with rate-bound and
   tightness verdicts.
@@ -36,6 +35,7 @@ from .catalog import (
 from .channels import (
     QuantumChannel,
     _fixed_point_error,
+    _integer,
     apply,
     channel_power,
     fixed_point,
@@ -57,13 +57,9 @@ from .divergences import (
 from .errors import (
     AllRestartsDegenerate,
     InputError,
-    NotHermitian,
-    NotPositive,
     NotPrimitive,
     NumericalError,
-    PreconditionError,
     SingularReference,
-    TraceZero,
 )
 from .linalg import (
     DensityMatrix,
@@ -95,9 +91,6 @@ __all__ = [
 #: residual below which a channel is treated as g-detailed balanced
 DB_TOL = 1e-9
 
-#: central-difference step of the gradients of callable objectives (the
-#: built-in objectives have exact gradients), relative to max(1, |x_i|)
-FD_STEP = 1e-6
 #: states within this trace distance of sigma are excluded from the search;
 #: see test_exclusion_radius_keeps_kernels_accurate for how it was chosen
 EXCLUSION = 1e-3
@@ -233,13 +226,6 @@ def _seed_list(seed) -> list:
     return [_seed(x) for x in (seed if isinstance(seed, (tuple, list)) else [seed])]
 
 
-def _require_counts(restarts, max_iters) -> None:
-    if restarts < 1:
-        raise InputError(f"restarts must be >= 1, got {restarts}")
-    if max_iters < 1:
-        raise InputError(f"max_iters must be >= 1, got {max_iters}")
-
-
 @dataclass(frozen=True)
 class VariationalOptions:
     """Settings of the multi-start variational SDPI search: restarts (>= 1),
@@ -252,9 +238,12 @@ class VariationalOptions:
     seed: object = 1729
 
     def __post_init__(self):
-        _require_counts(self.restarts, self.max_iters)
-        if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
-            raise InputError(f"step_tol must be finite and > 0, got {self.step_tol}")
+        _integer(self.restarts, "restarts", 1)
+        _integer(self.max_iters, "max_iters", 1)
+        tol = self.step_tol
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not (math.isfinite(tol) and tol > 0.0)):
+            raise InputError(f"step_tol must be finite and > 0, got {tol!r}")
         _seed_list(self.seed)
 
 
@@ -279,33 +268,31 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
 
     ``ratios`` maps a (B, d, d) stack of states rho to the B values
     R = D(E(rho) || E(sigma)) / D(rho || sigma) and their (B, d, d)
-    Hermitian gradients in rho, in one call.  The evaluator may be a
+    Hermitian gradients in rho, in one call.  The evaluator is a
     SpectralWeight (chi-square objective, computed on differences by
-    linearity), an FDivergenceSpec with family set, or a callable
-    D(rho, sigma) -> float.  NaN marks an invalid point: within trace
+    linearity) or an FDivergenceSpec with family set; anything else raises
+    :class:`InputError`.  NaN marks an invalid point: within trace
     distance EXCLUSION of sigma, a denominator that is not positive, rho or
     E(rho) rejected by state validation, or outside an evaluator's domain;
     its gradient is NaN too.
 
-    The built-in objectives evaluate the whole stack at once: sigma's and
-    E(sigma)'s eigen-data are computed here, once per search, and rho and
-    E(rho) go through the stacked validation arithmetic, not through
-    validate_density.  The family kernels take the denominators and the
-    numerators in one call, so ht integrates both in one quadrature loop.
-    Their gradients are exact: G = (E*(grad N) - R grad D) / D with grad N
-    and grad D the gradients of the stacked kernels at E(rho) and rho (for
-    ht, integrated beside the values in that loop), and E* the adjoint
-    channel, built here once.  A callable is called point by point on
-    validated states, and its gradients are None.
+    The whole stack is evaluated at once: sigma's and E(sigma)'s eigen-data
+    are computed here, once per search, and rho and E(rho) go through the
+    stacked validation arithmetic, not through validate_density.  The
+    family kernels take the denominators and the numerators in one call,
+    so ht integrates both in one quadrature loop.  The gradients are
+    exact: G = (E*(grad N) - R grad D) / D with grad N and grad D the
+    gradients of the stacked kernels at E(rho) and rho (for ht, integrated
+    beside the values in that loop), and E* the adjoint channel, built
+    here once.
     """
-    e_sigma = apply(channel, sigma)
-    builtin = isinstance(evaluator, (SpectralWeight, FDivergenceSpec))
-    if not (builtin or callable(evaluator)):
+    if not isinstance(evaluator, (SpectralWeight, FDivergenceSpec)):
         raise InputError(
-            "evaluator must be a SpectralWeight, an FDivergenceSpec with family, "
-            "or a callable"
+            "evaluator must be a SpectralWeight or an FDivergenceSpec with family, "
+            f"got {type(evaluator).__name__}"
         )
-    if builtin and not e_sigma.full_rank:
+    e_sigma = apply(channel, sigma)
+    if not e_sigma.full_rank:
         raise SingularReference("E(sigma) must be full rank for the search objective")
 
     adjoint = channel.superop.adjoint()
@@ -341,47 +328,28 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
 
         return ratios, f"chi2[{evaluator.name}]"
 
-    if isinstance(evaluator, FDivergenceSpec):
-        spec = evaluator
-        _require_family(spec)
-        if spec.family == "petz":
-            _require_operator_convex(spec)
-        ref_s, ref_e = _reference(sigma), _reference(e_sigma)
-
-        def ratios(rho):
-            keep, _ = _outside_ball(rho, sigma.entries)
-            ents, lam, phi, *checks = validate_stack(rho)
-            idx = np.flatnonzero(keep & stack_valid(*checks))
-            e_ents, e_lam, e_phi, *e_checks = validate_stack(channel.superop.apply(ents[idx]))
-            ok = stack_valid(*e_checks)
-            # the denominators and numerators in one call: for ht, one quadrature loop
-            (den, den_grad), (num, num_grad) = _divergence_stacks(
-                spec, [(ents[idx], lam[idx], phi[idx], ref_s),
-                       (e_ents[ok], e_lam[ok], e_phi[ok], ref_e)])
-            den, den_grad = den[ok], den_grad[ok]
-            pos = den > 0.0
-            return ratio_gradients(rho, idx[ok][pos], num[pos], den[pos], num_grad[pos],
-                                   den_grad[pos])
-
-        return ratios, f"{spec.family}[{spec.name}]"
+    spec = evaluator
+    _require_family(spec)
+    if spec.family == "petz":
+        _require_operator_convex(spec)
+    ref_s, ref_e = _reference(sigma), _reference(e_sigma)
 
     def ratios(rho):
-        out = np.full(len(rho), np.nan)
-        for k in np.flatnonzero(_outside_ball(rho, sigma.entries)[0]):
-            try:
-                r = validate_density(rho[k])
-                e_r = apply(channel, r)
-            except (NotHermitian, NotPositive, TraceZero):
-                continue
-            try:
-                den = float(evaluator(r, sigma))
-                if den > 0.0:
-                    out[k] = float(evaluator(e_r, e_sigma)) / den
-            except PreconditionError:
-                pass
-        return out, None
+        keep, _ = _outside_ball(rho, sigma.entries)
+        ents, lam, phi, *checks = validate_stack(rho)
+        idx = np.flatnonzero(keep & stack_valid(*checks))
+        e_ents, e_lam, e_phi, *e_checks = validate_stack(channel.superop.apply(ents[idx]))
+        ok = stack_valid(*e_checks)
+        # the denominators and numerators in one call: for ht, one quadrature loop
+        (den, den_grad), (num, num_grad) = _divergence_stacks(
+            spec, [(ents[idx], lam[idx], phi[idx], ref_s),
+                   (e_ents[ok], e_lam[ok], e_phi[ok], ref_e)])
+        den, den_grad = den[ok], den_grad[ok]
+        pos = den > 0.0
+        return ratio_gradients(rho, idx[ok][pos], num[pos], den[pos], num_grad[pos],
+                               den_grad[pos])
 
-    return ratios, "callable"
+    return ratios, f"{spec.family}[{spec.name}]"
 
 
 def _rho_from_params(x: np.ndarray, d: int, counts: dict | None = None) -> np.ndarray:
@@ -458,18 +426,11 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     gradient scaled to INIT_STEP ||x||; that pair starts H as
     (s.y / y.y) I, and each later pair updates it, except that a pair with
     s.y <= 0 leaves H as it is (``counts["curvature_skips"]``).  The
-    gradient of log R is that of R
-    over R, from one of two sources; the loop, its line search, its stop
-    reasons and its counters are the same for both.  Each call of
-    ``ratios`` returns the values and the gradients of the points it holds
-    (see ``_objective``), and the gradients say which source it is.
-
-    * Exact (gradients given: every built-in objective): the accepted
-      trial's gradient is the next one.  A point whose A is 0 stands for
-      I/d and has no gradient, so it is invalid.
-    * Stencil (gradients None: callables): central differences over the
-      2n points x +- h e_i, one call at each accepted point (and at the
-      start).
+    gradient of log R is that of R over R.  Each call of ``ratios``
+    returns the values and the exact gradients of the points it holds (see
+    ``_objective``), so the accepted trial's gradient is the next one and
+    no call is made for a gradient alone.  A point whose A is 0 stands for
+    I/d and has no gradient, so it is invalid.
 
     The line search backtracks from the full step alpha = 1 and takes the
     first trial, in order, whose log R rises by at least
@@ -480,9 +441,9 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
 
     A start point whose ratio is 0 (or below) has no log R: it is a
     converged restart at once, with that value.  A gradient coordinate
-    that is not finite (for the stencil: its +h or -h point is invalid) is
-    set to 0 and counted in ``counts["skipped_coordinates"]``.  Every call
-    adds to ``counts["ratio_calls"]``, every evaluated point to
+    that is not finite is set to 0 and counted in
+    ``counts["skipped_coordinates"]``.  Every call adds to
+    ``counts["ratio_calls"]``, every evaluated point to
     ``counts["ratio_evaluations"]``, and a point whose A is 0 to
     ``counts["identity_fallbacks"]``.  Only improvements are accepted, so
     the final point is the best.  The iterations are the gradients used.
@@ -493,17 +454,13 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     ``line_search_exhausted``; or the restart stops after ``max_iters``.
     """
     n = x0.size
-    coords = np.arange(n)
 
     def probe(params):
-        """The ratios at a stack of points, in one call, and their gradients
-        in x for the exact source (else None)."""
+        """The ratios at a stack of points, in one call, and their gradients in x."""
         counts["ratio_calls"] += 1
         counts["ratio_evaluations"] += len(params)
         rho = _rho_from_params(params, d, counts)
         f, g = ratios(rho)
-        if g is None:
-            return f, [None] * len(params)
         # A = 0 stands for I/d, which has no gradient: an invalid point
         f[(params * params).sum(axis=1) <= 0.0] = np.nan
         return f, _param_gradients(params, rho, g, d)
@@ -520,14 +477,6 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
             # only a start point can be here: log R is undefined at R = 0
             stop = "converged"
             break
-        if grad is None:
-            h = FD_STEP * np.maximum(1.0, np.abs(x))
-            pts = np.tile(x, (2 * n, 1))
-            pts[coords, coords] += h
-            pts[n + coords, coords] -= h
-            f = probe(pts)[0]
-            with np.errstate(invalid="ignore"):
-                grad = (f[:n] - f[n:]) / (2 * h)
         ok = np.isfinite(grad)
         counts["skipped_coordinates"] += int(n - ok.sum())
         grad = np.where(ok, grad, 0.0) / f0
@@ -583,25 +532,23 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     Maximizes R = D(E(rho) || E(sigma)) / D(rho || sigma) over rho = A A^dag
     / tr, with seeded multi-start BFGS ascent on log R and an Armijo
     backtracking line search whose trials go two per stacked ratio call
-    (see ``_ascend``).  The chi-square, ht, petz and matsumoto objectives
-    have exact gradients, which each call returns with its values;
-    callable objectives take central differences, one 2n-point call at
-    each accepted point.  States within trace distance ``EXCLUSION`` of
-    sigma are excluded, as are points whose ratio is not finite or whose
-    states the evaluator rejects; if no restart finds a valid starting
-    point, :class:`AllRestartsDegenerate` is raised.  A starting point
-    whose ratio is 0 is a valid restart of value 0.  Restarts run serially
-    and the result is deterministic per seed.
+    (see ``_ascend``).  The evaluator is a SpectralWeight (the chi-square
+    objective) or an FDivergenceSpec with its family set (ht, petz or
+    matsumoto); anything else raises :class:`InputError`.  Each ratio call
+    returns the values with their exact gradients.  States within trace
+    distance ``EXCLUSION`` of sigma are excluded, as are points whose ratio
+    is not finite or whose states the evaluator rejects; if no restart
+    finds a valid starting point, :class:`AllRestartsDegenerate` is raised.
+    A starting point whose ratio is 0 is a valid restart of value 0.
+    Restarts run serially and the result is deterministic per seed.
 
-    ``diagnostics["gradient"]`` names the gradient source, ``"exact"`` or
-    ``"stencil"``.  ``diagnostics`` counts, summed over restarts, the
-    stacked ratio calls (``ratio_calls``) and the points they evaluated
+    ``diagnostics`` counts, summed over restarts, the stacked ratio calls
+    (``ratio_calls``) and the points they evaluated
     (``ratio_evaluations``), the BFGS updates skipped because s.y <= 0
     (``curvature_skips``), the gradient coordinates set to 0 because they
-    were not finite (for the stencil: a perturbed point was invalid), the
-    extra starting points tried after an invalid one, the evaluated points
-    whose parameter matrix was 0 and so stood for I/d, and how many
-    restarts stopped for each reason (``stop_reasons``: ``converged``,
+    were not finite, the extra starting points tried after an invalid one,
+    the evaluated points whose parameter matrix was 0 and so stood for
+    I/d, and how many restarts stopped for each reason (``stop_reasons``: ``converged``,
     ``line_search_exhausted`` or ``max_iters``).
     Per valid restart it lists the value, the iterations and the stop
     reason; ``top_spread`` is the best value minus the lowest of the best
@@ -649,7 +596,6 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
         restarts_used=opts.restarts,
         diagnostics={
             "objective": obj_label,
-            "gradient": "stencil" if obj_label == "callable" else "exact",
             "raw_best": float(best_f),
             "clipped_above_one": bool(best_f > 1.0),
             "valid_restarts": len(valid),
@@ -712,7 +658,8 @@ class ExperimentOptions:
     seed: int = 1729
 
     def __post_init__(self):
-        _require_counts(self.restarts, self.max_iters)
+        _integer(self.restarts, "restarts", 1)
+        _integer(self.max_iters, "max_iters", 1)
         _seed(self.seed)
 
 
@@ -771,16 +718,18 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
         variational eta_f(E^n) stays above eta_{chi2_kappa}(E)^n - SLACK.
     """
     opts = opts or ExperimentOptions()
-    if not 1 <= n_max <= 32:
+    if _integer(n_max, "n_max", 1) > 32:
         raise InputError(f"n_max must be in [1, 32], got {n_max}")
+    families = list(families)
+    gs = list(gs)
+    if not families or not gs:
+        raise InputError("need at least one family spec and one g weight")
     prim = is_primitive(channel)
     if not prim.is_primitive:
         raise NotPrimitive(
             f"channel {channel.label!r} is not primitive: {'; '.join(prim.reasons)}"
         )
     pi = fixed_point(channel)
-    families = list(families)
-    gs = list(gs)
     for spec in families:
         if spec.family is None:
             raise InputError(f"family not set on spec {spec.name!r}")

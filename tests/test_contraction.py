@@ -1,7 +1,10 @@
 """Contraction: Omega weights, exact and variational SDPI constants,
 detailed balance, and the experiment harness."""
 
+import functools
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,13 @@ from qcontract import contraction
 @pytest.fixture(scope="module")
 def gs():
     return qc.g_catalog()
+
+
+def _fake_objective(monkeypatch, ratios):
+    """Make every search of the test run on ``ratios``: a map from a
+    (B, d, d) stack of states to B ratios and their (B, d, d) gradients."""
+    monkeypatch.setattr(contraction, "_objective", lambda evaluator, channel, sigma:
+                        (ratios, "fake"))
 
 
 def _apply_weights(sig, w, x):
@@ -248,14 +258,17 @@ class TestVariationalSdpi:
                 assert est.diagnostics["raw_best"] <= exact * (1 + 1e-9)
                 assert est.value >= exact - 1e-2
 
-    def test_callable_evaluator(self, gs):
+    @pytest.mark.parametrize("evaluator, match", [
+        (lambda r, s: qc.chi2_max(r, s).value, "SpectralWeight or an FDivergenceSpec"),
+        ("kl", "SpectralWeight or an FDivergenceSpec"),
+        (None, "SpectralWeight or an FDivergenceSpec"),
+        (qc.f_catalog()["kl"], "family None"),
+    ], ids=["callable", "name", "none", "no_family"])
+    def test_only_weights_and_family_specs_are_objectives(self, evaluator, match):
         ch = qc.depolarizing(0.5)
-        pi = qc.fixed_point(ch)
-        fn = lambda r, s: qc.chi2_max(r, s).value
-        est = qc.sdpi_variational(
-            fn, ch, pi, qc.VariationalOptions(restarts=6, seed=3)
-        )
-        assert est.value == pytest.approx(0.25, abs=1e-6)
+        with pytest.raises(qc.InputError, match=match):
+            qc.sdpi_variational(evaluator, ch, qc.fixed_point(ch),
+                                qc.VariationalOptions(restarts=1))
 
     def test_deterministic_given_seed(self, gs):
         ch = qc.random_channel(2, seed=2)
@@ -268,14 +281,17 @@ class TestVariationalSdpi:
             a.argmax_state.entries, b.argmax_state.entries
         )
 
-    def test_all_restarts_degenerate(self, gs, rng):
+    def test_all_restarts_degenerate(self, gs, monkeypatch):
+        # no point is valid: each restart tries four starting points, one
+        # call each
+        _fake_objective(monkeypatch, lambda rho: (np.full(len(rho), np.nan),
+                                                  np.full(rho.shape, np.nan, complex)))
         ch = qc.depolarizing(0.5)
-        pi = qc.fixed_point(ch)
-        dead = lambda r, s: 0.0
-        with pytest.raises(qc.AllRestartsDegenerate):
-            qc.sdpi_variational(
-                dead, ch, pi, qc.VariationalOptions(restarts=3, seed=1)
-            )
+        with pytest.raises(qc.AllRestartsDegenerate,
+                           match="no restart of 2 found a valid starting point .*; "
+                                 "6 reinits, 8 ratio evaluations"):
+            qc.sdpi_variational(gs["max"], ch, qc.fixed_point(ch),
+                                qc.VariationalOptions(restarts=2, max_iters=3, seed=1))
 
     def test_singular_sigma_rejected(self, gs):
         ch = qc.depolarizing(0.5)
@@ -291,6 +307,13 @@ class TestVariationalSdpi:
         (qc.VariationalOptions, {"seed": True}),
         (qc.VariationalOptions, {"seed": (True, 3)}),
         (qc.ExperimentOptions, {"seed": False}),
+        (qc.VariationalOptions, {"restarts": 2.5}),
+        (qc.VariationalOptions, {"restarts": True}),
+        (qc.ExperimentOptions, {"max_iters": 1.5}),
+        (functools.partial(qc.contraction_experiment, qc.depolarizing(0.5),
+                           [qc.f_catalog()["kl"].with_family("petz")],
+                           [qc.g_catalog()["max"]]), {"n_max": 2.5}),
+        (functools.partial(qc.channel_power, qc.depolarizing(0.5)), {"n": 2.5}),
     ])
     def test_invalid_restarts_and_seeds_rejected(self, options, kwargs):
         with pytest.raises(qc.InputError):
@@ -301,6 +324,8 @@ class TestVariationalSdpi:
         (qc.VariationalOptions, {"step_tol": -1e-7}),
         (qc.VariationalOptions, {"step_tol": float("nan")}),
         (qc.VariationalOptions, {"step_tol": float("inf")}),
+        (qc.VariationalOptions, {"step_tol": "x"}),
+        (qc.VariationalOptions, {"step_tol": None}),
         (qc.VariationalOptions, {"max_iters": 0}),
         (qc.ExperimentOptions, {"max_iters": 0}),
     ])
@@ -398,10 +423,15 @@ class TestStackedSearch:
                 assert ratios(r[None])[0][0] == want
 
     def test_traced_names_stay_bound(self):
-        # the benchmark's tracer patches these names on the contraction module
-        for name in ("evaluate", "apply", "chi2_quadratic_form", "validate_density",
-                     "omega", "channel_power", "fixed_point", "is_primitive"):
-            assert callable(getattr(contraction, name))
+        # the benchmark's tracer patches each (module, attribute) of its
+        # TARGETS, so each must still name a callable
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        unbound = [(mod, attr) for mod, attr, *_ in spans.TARGETS
+                   if not callable(getattr(importlib.import_module(mod), attr, None))]
+        assert spans.TARGETS and not unbound
 
 
 class TestConvergence:
@@ -432,35 +462,37 @@ class TestConvergence:
         assert ht == pytest.approx(petz, rel=1e-8, abs=0)
 
 
-def _sequential_ascend(ratios, x0, d, opts, calls):
-    """Reference search: the BFGS ascent of ``contraction._ascend`` on
-    central differences, but the start point, each stencil and each
-    line-search trial is a ratio call of its own, of which it reads the
-    values alone; ``calls`` gets one entry per call.  Returns (value, rho,
-    iterations, stop reason)."""
-    def values(params):
-        calls.append(len(params))
-        return ratios(contraction._rho_from_params(params, d))[0]
+#: central-difference step of the stencil reference, relative to max(1, |x_i|)
+FD_STEP = 1e-6
+
+
+def _sequential_ascend(ratios, x0, d, opts, stencil=False):
+    """Reference search: the BFGS ascent of ``contraction._ascend``, but each
+    line-search trial is a ratio call of its own.  Its gradients are the
+    exact ones, the accepted trial's being the next, or, with ``stencil``,
+    central differences over the 2n points x +- h e_i, one call at each
+    accepted point.  Returns (value, rho, iterations, stop reason)."""
+    def call(params):
+        rho = contraction._rho_from_params(params, d)
+        f, g = ratios(rho)
+        return f, contraction._param_gradients(params, rho, g, d)
 
     x = x0.copy()
-    f0 = values(x[None])[0]
+    f0, grad = (v[0] for v in call(x[None]))
     if not np.isfinite(f0):
         return None
     n = x.size
-    coords = np.arange(n)
     h_inv = s = grad_old = None
     stop = "max_iters"
     for it in range(opts.max_iters):
         if f0 <= 0.0:
             stop = "converged"
             break
-        h = contraction.FD_STEP * np.maximum(1.0, np.abs(x))
-        pts = np.tile(x, (2 * n, 1))
-        pts[coords, coords] += h
-        pts[n + coords, coords] -= h
-        f = values(pts)
-        with np.errstate(invalid="ignore"):
-            grad = (f[:n] - f[n:]) / (2 * h)
+        if stencil:
+            h = FD_STEP * np.maximum(1.0, np.abs(x))
+            f = call(x + np.vstack([np.diag(h), -np.diag(h)]))[0]
+            with np.errstate(invalid="ignore"):
+                grad = (f[:n] - f[n:]) / (2 * h)
         grad = np.where(np.isfinite(grad), grad, 0.0) / f0
         x_norm, g_norm = np.linalg.norm(x), np.linalg.norm(grad)
         scaled = x_norm * g_norm
@@ -484,7 +516,7 @@ def _sequential_ascend(ratios, x0, d, opts, calls):
         alpha = 1.0
         while alpha * p_norm >= opts.step_tol:
             x_new = x + alpha * p
-            f_new = values(x_new[None])[0]
+            f_new, g_new = (v[0] for v in call(x_new[None]))
             with np.errstate(divide="ignore", invalid="ignore"):
                 rise = np.log(f_new / f0)
             if f_new > f0 and rise >= contraction.ARMIJO * alpha * slope:
@@ -494,37 +526,31 @@ def _sequential_ascend(ratios, x0, d, opts, calls):
             stop = "converged" if scaled < contraction.STALL_TOL else "line_search_exhausted"
             break
         s, grad_old = x_new - x, grad
-        x, f0 = x_new, f_new
+        x, f0, grad = x_new, f_new, g_new
     return f0, contraction._rho_from_params(x[None], d)[0], it + 1, stop
 
 
 def _oracle_objective(name, f_cat, gs):
-    if name == "callable":
-        return lambda r, s: qc.chi2_g(r, s, gs["kmb"]).value
     family, f = name[:-1].split("[")
     return gs[f] if family == "chi2" else f_cat[f].with_family(family)
 
 
 class TestStackedIterations:
-    """The stencil search, with its line-search trials two per stacked
-    call, takes the path of the sequential reference, bit for bit; the
-    exact-gradient search, run to convergence, ends where the reference
-    does, although the two paths part within a few iterations.  The
-    stencil cases run on a callable, and on the ht[kl] objective with its
-    gradients dropped: an objective whose call returns None for the
-    gradients takes the stencil."""
+    """The search, with its line-search trials two per stacked call, takes
+    the path of the sequential reference with the same exact gradients,
+    bit for bit; run to convergence, it ends where the stencil reference
+    does, although the two paths part within a few iterations."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("name", ["ht[kl]", "callable"])
+    @pytest.mark.parametrize("name", ["ht[kl]", "chi2[kmb]"])
     def test_path_is_the_sequential_one(self, f_cat, gs, name, dim, seed):
         ch = qc.random_channel(dim, seed=seed)
         pi = qc.fixed_point(ch)
-        objective, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
-        ratios = lambda rho: (objective(rho)[0], None)
-        opts = qc.VariationalOptions(max_iters=12)
+        ratios, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
+        opts = qc.VariationalOptions(max_iters=40)
         x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
-        want = _sequential_ascend(ratios, x0, dim, opts, [])
+        want = _sequential_ascend(ratios, x0, dim, opts)
         got = contraction._ascend(ratios, x0, dim, opts, contraction._new_counts())
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
@@ -541,8 +567,7 @@ class TestStackedIterations:
         ratios, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
         opts = qc.VariationalOptions(max_iters=150)
         x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
-        assert ratios(contraction._rho_from_params(x0[None], dim))[1] is not None
-        want = _sequential_ascend(ratios, x0, dim, opts, [])
+        want = _sequential_ascend(ratios, x0, dim, opts, stencil=True)
         got = contraction._ascend(ratios, x0, dim, opts, contraction._new_counts())
         assert got[0] == pytest.approx(want[0], rel=1e-9, abs=0), (got[2:], want[2:])
 
@@ -627,18 +652,14 @@ class TestExactGradients:
             assert np.isnan(values[0]) and np.isfinite(values[2]), name
             assert np.isnan(g[np.isnan(values)]).all() and np.isfinite(g[2]).all(), name
 
-    def test_gradient_source_is_reported(self, f_cat, gs):
+    def test_no_call_is_made_for_a_gradient_alone(self, f_cat, gs):
         ch = qc.random_channel(2, seed=1)
         pi = qc.fixed_point(ch)
         opts = qc.VariationalOptions(restarts=2, max_iters=4, seed=3)
-        cases = [(obj, "exact") for obj in _exact_objectives(f_cat, gs)]
-        cases += [(lambda r, s: qc.chi2_max(r, s).value, "stencil")]
-        for obj, source in cases:
+        for obj in _exact_objectives(f_cat, gs):
             diag = qc.sdpi_variational(obj, ch, pi, opts).diagnostics
-            assert diag["gradient"] == source
-            if source == "exact":
-                # the two line-search trials per call, or the last one of a ladder
-                assert diag["ratio_evaluations"] <= 2 * diag["ratio_calls"]
+            # the two line-search trials per call, or the last one of a ladder
+            assert diag["ratio_evaluations"] <= 2 * diag["ratio_calls"], diag["objective"]
 
 
 class TestExclusionBall:
@@ -701,91 +722,74 @@ class TestExclusionBall:
                                        rtol=1e-9, atol=0)
 
 
+def _chi2_max_ratios(ch, pi):
+    return contraction._objective(qc.g_catalog()["max"], ch, pi)[0]
+
+
 class TestSearchFallbacks:
-    @staticmethod
-    def _nan_every(k):
-        calls = []
+    def test_nan_trial_is_an_invalid_point(self, gs, monkeypatch):
+        # the first trial of every stacked call is invalid, so only the
+        # steps 1/2, 1/8, ... can pass; the search still ends at the optimum
+        ch = qc.random_channel(2, seed=3)
+        pi = qc.fixed_point(ch)
+        chi2 = _chi2_max_ratios(ch, pi)
 
-        def flaky(r, s):
-            calls.append(None)
-            return float("nan") if len(calls) % k == 0 else qc.chi2_max(r, s).value
+        def no_first_trials(rho):
+            f, g = chi2(rho)
+            if len(rho) == 2:
+                f[0], g[0] = np.nan, np.nan
+            return f, g
 
-        return flaky
+        _fake_objective(monkeypatch, no_first_trials)
+        est = qc.sdpi_variational(gs["max"], ch, pi,
+                                  qc.VariationalOptions(restarts=2, max_iters=150, seed=1))
+        assert est.value == pytest.approx(qc.sdpi_chi2(ch, pi, gs["max"]).value,
+                                          rel=1e-9, abs=0)
+        assert est.diagnostics["skipped_coordinates"] == 0
 
-    def test_nan_from_callable_is_an_invalid_point(self):
-        # every fourth call is the numerator of every second point
+    def test_skipped_coordinates_are_counted(self, gs, monkeypatch):
+        # no gradient is finite, so each of the 2 d^2 coordinates of the
+        # start point's is set to 0, and that zero gradient ends the restart
         ch = qc.depolarizing(0.5)
         pi = qc.fixed_point(ch)
+        chi2 = _chi2_max_ratios(ch, pi)
+        _fake_objective(monkeypatch, lambda rho: (chi2(rho)[0],
+                                                  np.full(rho.shape, np.nan, complex)))
         est = qc.sdpi_variational(
-            self._nan_every(4), ch, pi,
-            qc.VariationalOptions(restarts=2, max_iters=3, seed=1),
-        )
-        assert np.isfinite(est.value) and 0.0 <= est.value <= 1.0
-        assert est.diagnostics["skipped_coordinates"] > 0
-
-    def test_nan_on_every_numerator_leaves_no_valid_point(self):
-        # every second call is every numerator, so no point is valid
-        ch = qc.depolarizing(0.5)
-        pi = qc.fixed_point(ch)
-        with pytest.raises(qc.AllRestartsDegenerate,
-                           match="no restart of 2 found a valid starting point"):
-            qc.sdpi_variational(
-                self._nan_every(2), ch, pi,
-                qc.VariationalOptions(restarts=2, max_iters=3, seed=1),
-            )
-
-    def test_skipped_coordinates_are_counted(self):
-        # the evaluator's domain is the start state and its image only, so
-        # every perturbed point of the first gradient is invalid
-        ch = qc.depolarizing(0.5)
-        pi = qc.fixed_point(ch)
-        seen = []
-
-        def narrow(r, s):
-            if len(seen) < 2:
-                seen.append(r.entries.copy())
-            if not any(np.array_equal(r.entries, x) for x in seen):
-                raise qc.DomainError("outside the evaluator's domain")
-            return qc.chi2_max(r, s).value
-
-        est = qc.sdpi_variational(
-            narrow, ch, pi, qc.VariationalOptions(restarts=1, max_iters=1, seed=1)
+            gs["max"], ch, pi, qc.VariationalOptions(restarts=1, max_iters=5, seed=1)
         )
         n = 2 * 2 * 2
         assert est.value == pytest.approx(0.25, abs=1e-12)
         assert est.diagnostics["skipped_coordinates"] == n
-        assert est.diagnostics["ratio_evaluations"] == 1 + 2 * n
+        assert est.diagnostics["ratio_evaluations"] == 1
         assert est.diagnostics["reinits"] == 0
+        assert est.diagnostics["restart_stops"] == ["converged"]
 
-    def test_reinits_are_counted(self):
+    def test_reinits_are_counted(self, gs, monkeypatch):
         ch = qc.depolarizing(0.5)
         pi = qc.fixed_point(ch)
+        chi2 = _chi2_max_ratios(ch, pi)
         calls = []
 
-        def late(r, s):
+        def late(rho):
+            # the first starting point is invalid
             calls.append(None)
-            return 0.0 if len(calls) == 1 else qc.chi2_max(r, s).value
+            f, g = chi2(rho)
+            return (f + np.nan, g) if len(calls) == 1 else (f, g)
 
+        _fake_objective(monkeypatch, late)
         est = qc.sdpi_variational(
-            late, ch, pi, qc.VariationalOptions(restarts=1, max_iters=2, seed=1)
+            gs["max"], ch, pi, qc.VariationalOptions(restarts=1, max_iters=2, seed=1)
         )
         assert est.diagnostics["reinits"] == 1
         assert est.diagnostics["valid_restarts"] == 1
         assert est.diagnostics["skipped_coordinates"] == 0
 
     def test_identity_fallbacks_are_counted(self, gs):
-        # A = 0 has trace 0, so its state is the fallback I/d; every perturbed
-        # point of the gradient and every line-search point has A != 0
+        # A = 0 has trace 0, so its state is the fallback I/d, which has no
+        # gradient: there A = 0 is an invalid start
         ch = qc.random_channel(2, seed=3)
         pi = qc.fixed_point(ch)
-        ratios, _ = contraction._objective(lambda r, s: qc.chi2_max(r, s).value, ch, pi)
-        counts = contraction._new_counts()
-        res = contraction._ascend(ratios, np.zeros(8), 2,
-                                  qc.VariationalOptions(max_iters=2), counts)
-        assert res is not None
-        assert counts["identity_fallbacks"] == 1
-        assert counts["ratio_evaluations"] > 1
-        # I/d has no exact gradient, so there A = 0 is an invalid start
         ratios, _ = contraction._objective(gs["max"], ch, pi)
         counts = contraction._new_counts()
         assert contraction._ascend(ratios, np.zeros(8), 2,
@@ -796,16 +800,24 @@ class TestSearchFallbacks:
                                   qc.VariationalOptions(restarts=2, max_iters=3, seed=1))
         assert est.diagnostics["identity_fallbacks"] == 0
 
-    def test_ratio_above_one_is_clipped_and_recorded(self):
-        # 1 / chi2_max turns data processing around: every ratio is >= 1
+    def test_ratio_above_one_is_clipped_and_recorded(self, gs, monkeypatch):
+        # 1 / R turns data processing around: every ratio is >= 1
         ch = qc.depolarizing(0.5)
         pi = qc.fixed_point(ch)
         opts = qc.VariationalOptions(restarts=1, max_iters=2, seed=1)
-        est = qc.sdpi_variational(lambda r, s: 1.0 / qc.chi2_max(r, s).value, ch, pi, opts)
+        chi2 = _chi2_max_ratios(ch, pi)
+
+        def inverse(rho):
+            f, g = chi2(rho)
+            return 1.0 / f, -g / (f * f)[:, None, None]
+
+        with monkeypatch.context() as m:
+            _fake_objective(m, inverse)
+            est = qc.sdpi_variational(gs["max"], ch, pi, opts)
         assert est.diagnostics["raw_best"] > 1.0
         assert est.value == 1.0
         assert est.diagnostics["clipped_above_one"] is True
-        est = qc.sdpi_variational(lambda r, s: qc.chi2_max(r, s).value, ch, pi, opts)
+        est = qc.sdpi_variational(gs["max"], ch, pi, opts)
         assert est.value == est.diagnostics["raw_best"] < 1.0
         assert est.diagnostics["clipped_above_one"] is False
 
@@ -839,15 +851,18 @@ class TestSearchFallbacks:
         pytest.param("max_iters", "random", id="max_iters"),
         pytest.param("converged", "exact", id="converged_exact"),
     ])
-    def test_each_stop_reason_is_counted(self, f_cat, gs, reason, case):
-        # a constant ratio has gradient 0, and so, up to rounding, has every
-        # chi2 ratio of the depolarizing channel, which is (1/2)^2; the petz[kl]
-        # supremum of that channel lies at sigma, so the search ends on the
-        # edge of the exclusion ball, where every trial steps into the ball
-        # although the gradient is not small; two iterations do not reach the
-        # optimum of a random channel
+    def test_each_stop_reason_is_counted(self, f_cat, gs, monkeypatch, reason, case):
+        # a constant ratio (faked here) has gradient 0, and so, up to
+        # rounding, has every chi2 ratio of the depolarizing channel, which
+        # is (1/2)^2; the petz[kl] supremum of that channel lies at sigma, so
+        # the search ends on the edge of the exclusion ball, where every
+        # trial steps into the ball although the gradient is not small; two
+        # iterations do not reach the optimum of a random channel
+        if case == "constant":
+            _fake_objective(monkeypatch, lambda rho: (np.ones(len(rho)),
+                                                      np.zeros(rho.shape, complex)))
         objective, ch, max_iters = {
-            "constant": (lambda r, s: 1.0, qc.depolarizing(0.5), 5),
+            "constant": (gs["max"], qc.depolarizing(0.5), 5),
             "ball": (f_cat["kl"].with_family("petz"), qc.depolarizing(0.5), 100),
             "random": (gs["max"], qc.random_channel(2, seed=3), 2),
             "exact": (gs["max"], qc.depolarizing(0.5), 5),
@@ -876,7 +891,7 @@ class TestSearchFallbacks:
         ch = qc.depolarizing(1.0)
         pi = qc.fixed_point(ch)
         opts = qc.VariationalOptions(restarts=2, max_iters=20, seed=1)
-        for obj in [*_exact_objectives(f_cat, gs), lambda r, s: qc.chi2_max(r, s).value]:
+        for obj in _exact_objectives(f_cat, gs):
             est = qc.sdpi_variational(obj, ch, pi, opts)
             diag = est.diagnostics
             if diag["objective"] in rounding:
@@ -886,19 +901,21 @@ class TestSearchFallbacks:
                 assert diag["restart_stops"] == ["converged"] * 2
                 assert diag["restart_iterations"] == [1, 1]
 
-    def test_curvature_skips_are_counted(self):
-        # log R = <E(rho), Z>^2 is convex in rho, so the search meets pairs
-        # with s.y <= 0, which leave the inverse Hessian as it is
+    def test_curvature_skips_are_counted(self, gs, monkeypatch):
+        # log R = <E(rho), Z>^2 = <rho, Z>^2 / 4 for the depolarizing(0.5) E
+        # is convex in rho, so the search meets pairs with s.y <= 0, which
+        # leave the inverse Hessian as it is
         ch = qc.depolarizing(0.5)
         sigma = qc.validate_density(np.diag([0.7, 0.3]))
         z = np.diag([1.0, -1.0])
 
-        def convex(r, s):
-            if np.array_equal(s.entries, sigma.entries):
-                return 1.0
-            return float(np.exp(np.trace(r.entries @ z).real ** 2))
+        def convex(rho):
+            u = 0.5 * np.trace(rho @ z, axis1=1, axis2=2).real
+            r = np.exp(u * u)
+            return r, (r * u)[:, None, None] * z
 
-        est = qc.sdpi_variational(convex, ch, sigma,
+        _fake_objective(monkeypatch, convex)
+        est = qc.sdpi_variational(gs["max"], ch, sigma,
                                   qc.VariationalOptions(restarts=4, max_iters=20, seed=1))
         diag = est.diagnostics
         assert diag["curvature_skips"] > 0
