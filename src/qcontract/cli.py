@@ -27,6 +27,7 @@ from .channels import QuantumChannel, fixed_point
 from .contraction import (
     CSV_SCHEMA_VERSION,
     DB_TOL,
+    DEFAULT_SEED,
     ExperimentOptions,
     VariationalOptions,
     _total_counts,
@@ -46,9 +47,6 @@ from .errors import (
     TraceZeroEigenvector,
 )
 from .serialize import channel_from_json, load_json_arg, state_from_json
-
-
-DEFAULT_SEED = 1729
 
 __all__ = ["main", "RunConfig", "ReportEnvelope", "DEFAULT_SEED"]
 

@@ -9,7 +9,8 @@
   chi-square weights and the ht, petz and matsumoto families (seeded
   multi-start BFGS ascent on log R, with Armijo line-search trials
   evaluated two per stacked ratio call; each call returns the ratios
-  with their exact gradients; sigma's and E(sigma)'s eigen-data are
+  with their exact gradients from one validation and one kernel call on
+  the stack of rho and E(rho); sigma's and E(sigma)'s eigen-data are
   computed once per search).
 * Detailed-balance residuals and the GNS implies-all-g check.
 * The contraction-rate experiment harness with rate-bound and
@@ -44,8 +45,8 @@ from .channels import (
 from .divergences import (
     _chi2_gradients,
     _divergence_stacks,
+    _references,
     _rotated_forms,
-    _reference,
     _require_family,
     _require_full_rank,
     _require_operator_convex,
@@ -86,6 +87,7 @@ __all__ = [
     "report_payload",
     "report_csv",
     "CSV_SCHEMA_VERSION",
+    "DEFAULT_SEED",
 ]
 
 #: residual below which a channel is treated as g-detailed balanced
@@ -117,6 +119,8 @@ N0_SAMPLES = 12
 SLACK = 0.02
 
 CSV_SCHEMA_VERSION = "v1"
+#: seed of the searches and experiments when none is given
+DEFAULT_SEED = 1729
 
 
 def omega(sigma, g: SpectralWeight) -> np.ndarray:
@@ -226,6 +230,12 @@ def _seed_list(seed) -> list:
     return [_seed(x) for x in (seed if isinstance(seed, (tuple, list)) else [seed])]
 
 
+def _store(options, **values) -> None:
+    """Replace fields of a frozen options instance by their checked values."""
+    for name, value in values.items():
+        object.__setattr__(options, name, value)
+
+
 @dataclass(frozen=True)
 class VariationalOptions:
     """Settings of the multi-start variational SDPI search: restarts (>= 1),
@@ -235,16 +245,17 @@ class VariationalOptions:
     restarts: int = 32
     max_iters: int = 150
     step_tol: float = 1e-7
-    seed: object = 1729
+    seed: object = DEFAULT_SEED
 
     def __post_init__(self):
-        _integer(self.restarts, "restarts", 1)
-        _integer(self.max_iters, "max_iters", 1)
         tol = self.step_tol
         if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
                 or not (math.isfinite(tol) and tol > 0.0)):
             raise InputError(f"step_tol must be finite and > 0, got {tol!r}")
-        _seed_list(self.seed)
+        seeds = _seed_list(self.seed)
+        _store(self, restarts=_integer(self.restarts, "restarts", 1),
+               max_iters=_integer(self.max_iters, "max_iters", 1),
+               seed=tuple(seeds) if isinstance(self.seed, (tuple, list)) else seeds[0])
 
 
 def _outside_ball(rho: np.ndarray, sigma: np.ndarray):
@@ -272,19 +283,20 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     SpectralWeight (chi-square objective, computed on differences by
     linearity) or an FDivergenceSpec with family set; anything else raises
     :class:`InputError`.  NaN marks an invalid point: within trace
-    distance EXCLUSION of sigma, a denominator that is not positive, rho or
-    E(rho) rejected by state validation, or outside an evaluator's domain;
-    its gradient is NaN too.
+    distance EXCLUSION of sigma, a denominator that is not positive or a
+    numerator that is not finite, rho or E(rho) rejected by state
+    validation, or outside an evaluator's domain; its gradient is NaN too.
 
-    The whole stack is evaluated at once: sigma's and E(sigma)'s eigen-data
-    are computed here, once per search, and rho and E(rho) go through the
-    stacked validation arithmetic, not through validate_density.  The
-    family kernels take the denominators and the numerators in one call,
-    so ht integrates both in one quadrature loop.  The gradients are
+    E acts on the whole stack, and the denominators and numerators are one
+    (2, B, d, d) stack: group 0 is rho against sigma, group 1 is E(rho)
+    against E(sigma).  sigma's and E(sigma)'s eigen-data are computed
+    here, once per search, as (2, 1, ...) references.  A call makes one
+    :func:`validate_stack` call on that stack (none for chi-square, whose
+    two quadratic forms are one call) and one family kernel call, so ht
+    integrates both groups in one quadrature loop.  The gradients are
     exact: G = (E*(grad N) - R grad D) / D with grad N and grad D the
-    gradients of the stacked kernels at E(rho) and rho (for ht, integrated
-    beside the values in that loop), and E* the adjoint channel, built
-    here once.
+    kernel's gradients at E(rho) and rho, and E* the adjoint channel,
+    built here once.
     """
     if not isinstance(evaluator, (SpectralWeight, FDivergenceSpec)):
         raise InputError(
@@ -297,34 +309,30 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
 
     adjoint = channel.superop.adjoint()
 
-    def ratio_gradients(rho, idx, num, den, num_grad, den_grad):
-        # the ratios R = num / den at the rows idx of the stack, NaN elsewhere,
-        # and their gradients; E* only takes finite stacks, so a non-finite
-        # kernel gradient gives NaN
-        out = np.full(len(rho), np.nan)
-        grads = np.full(rho.shape, np.nan, complex)
-        r = out[idx] = num / den
+    def ratio_gradients(ok, values, grads):
+        # the ratios R = num / den where ok holds, NaN elsewhere, and their
+        # gradients; E* only takes finite stacks, so a non-finite kernel
+        # gradient gives NaN
+        (den, num), (den_grad, num_grad) = values, grads
+        ok = ok & (den > 0.0) & np.isfinite(num)
         fin = np.isfinite(num_grad).all(axis=(1, 2))[:, None, None]
         e_star = adjoint.apply(np.where(fin, num_grad, 0.0))
-        grads[idx] = (np.where(fin, e_star - r[:, None, None] * den_grad, np.nan)
-                      / den[:, None, None])
-        return out, grads
+        with np.errstate(all="ignore"):
+            r = num / den
+            g = (e_star - r[:, None, None] * den_grad) / den[:, None, None]
+        return np.where(ok, r, np.nan), np.where(fin & ok[:, None, None], g, np.nan)
 
     if isinstance(evaluator, SpectralWeight):
-        v_s, w_s = sigma.eigenvectors, _sigma_weights(sigma, evaluator)
-        v_e, w_e = e_sigma.eigenvectors, _sigma_weights(e_sigma, evaluator)
+        v = np.stack([sigma.eigenvectors, e_sigma.eigenvectors])[:, None]
+        w = np.stack([_sigma_weights(sigma, evaluator),
+                      _sigma_weights(e_sigma, evaluator)])[:, None]
 
         def ratios(rho):
             keep, x = _outside_ball(rho, sigma.entries)
-            idx = np.flatnonzero(keep)
-            den, xt = _rotated_forms(x[idx], v_s, w_s)
-            ok = den > 0.0
-            idx, den, xt = idx[ok], den[ok], xt[ok]
-            ex = channel.superop.apply(x[idx])
-            ex = 0.5 * (ex + ex.conj().transpose(0, 2, 1))
-            num, ext = _rotated_forms(ex, v_e, w_e)
-            return ratio_gradients(rho, idx, num, den, _chi2_gradients(ext, v_e, w_e),
-                                   _chi2_gradients(xt, v_s, w_s))
+            ex = channel.superop.apply(x)
+            forms, xt = _rotated_forms(np.stack([x, 0.5 * (ex + ex.conj().transpose(0, 2, 1))]),
+                                       v, w)
+            return ratio_gradients(keep, forms, _chi2_gradients(xt, v, w))
 
         return ratios, f"chi2[{evaluator.name}]"
 
@@ -332,22 +340,13 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     _require_family(spec)
     if spec.family == "petz":
         _require_operator_convex(spec)
-    ref_s, ref_e = _reference(sigma), _reference(e_sigma)
+    ref = _references(sigma, e_sigma)
 
     def ratios(rho):
         keep, _ = _outside_ball(rho, sigma.entries)
-        ents, lam, phi, *checks = validate_stack(rho)
-        idx = np.flatnonzero(keep & stack_valid(*checks))
-        e_ents, e_lam, e_phi, *e_checks = validate_stack(channel.superop.apply(ents[idx]))
-        ok = stack_valid(*e_checks)
-        # the denominators and numerators in one call: for ht, one quadrature loop
-        (den, den_grad), (num, num_grad) = _divergence_stacks(
-            spec, [(ents[idx], lam[idx], phi[idx], ref_s),
-                   (e_ents[ok], e_lam[ok], e_phi[ok], ref_e)])
-        den, den_grad = den[ok], den_grad[ok]
-        pos = den > 0.0
-        return ratio_gradients(rho, idx[ok][pos], num[pos], den[pos], num_grad[pos],
-                               den_grad[pos])
+        ents, lam, phi, *checks = validate_stack(np.stack([rho, channel.superop.apply(rho)]))
+        values, grads = _divergence_stacks(spec, ents, lam, phi, ref)
+        return ratio_gradients(keep & stack_valid(*checks).all(axis=0), values, grads)
 
     return ratios, f"{spec.family}[{spec.name}]"
 
@@ -379,7 +378,7 @@ def _init_params(rng: np.random.Generator, sigma: DensityMatrix, kind: int) -> n
 
 
 #: counters of the search, summed over restarts into ``diagnostics``
-COUNTERS = ("ratio_calls", "ratio_evaluations", "curvature_skips", "skipped_coordinates",
+COUNTERS = ("ratio_calls", "ratio_evaluations", "curvature_skips", "nonfinite_gradients",
             "reinits", "identity_fallbacks")
 #: why a restart's ascent stopped
 STOP_REASONS = ("converged", "line_search_exhausted", "max_iters")
@@ -430,7 +429,8 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     returns the values and the exact gradients of the points it holds (see
     ``_objective``), so the accepted trial's gradient is the next one and
     no call is made for a gradient alone.  A point whose A is 0 stands for
-    I/d and has no gradient, so it is invalid.
+    I/d and has no gradient, so it is invalid, and so is a point whose
+    gradient is not finite (``counts["nonfinite_gradients"]``).
 
     The line search backtracks from the full step alpha = 1 and takes the
     first trial, in order, whose log R rises by at least
@@ -440,9 +440,7 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     ratio does not depend on the stack it is evaluated in.
 
     A start point whose ratio is 0 (or below) has no log R: it is a
-    converged restart at once, with that value.  A gradient coordinate
-    that is not finite is set to 0 and counted in
-    ``counts["skipped_coordinates"]``.  Every call adds to
+    converged restart at once, with that value.  Every call adds to
     ``counts["ratio_calls"]``, every evaluated point to
     ``counts["ratio_evaluations"]``, and a point whose A is 0 to
     ``counts["identity_fallbacks"]``.  Only improvements are accepted, so
@@ -461,9 +459,14 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
         counts["ratio_evaluations"] += len(params)
         rho = _rho_from_params(params, d, counts)
         f, g = ratios(rho)
-        # A = 0 stands for I/d, which has no gradient: an invalid point
+        g = _param_gradients(params, rho, g, d)
+        # A = 0 stands for I/d, which has no gradient: an invalid point, as
+        # is a point whose gradient is not finite
         f[(params * params).sum(axis=1) <= 0.0] = np.nan
-        return f, _param_gradients(params, rho, g, d)
+        lost = np.isfinite(f) & ~np.isfinite(g).all(axis=1)
+        counts["nonfinite_gradients"] += int(lost.sum())
+        f[lost] = np.nan
+        return f, g
 
     x = x0.copy()
     f, grads = probe(x[None])
@@ -477,9 +480,7 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
             # only a start point can be here: log R is undefined at R = 0
             stop = "converged"
             break
-        ok = np.isfinite(grad)
-        counts["skipped_coordinates"] += int(n - ok.sum())
-        grad = np.where(ok, grad, 0.0) / f0
+        grad = grad / f0
         x_norm, g_norm = math.sqrt(x.dot(x)), math.sqrt(grad.dot(grad))
         scaled = x_norm * g_norm
         if scaled < GRAD_TOL:
@@ -545,11 +546,12 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     ``diagnostics`` counts, summed over restarts, the stacked ratio calls
     (``ratio_calls``) and the points they evaluated
     (``ratio_evaluations``), the BFGS updates skipped because s.y <= 0
-    (``curvature_skips``), the gradient coordinates set to 0 because they
-    were not finite, the extra starting points tried after an invalid one,
-    the evaluated points whose parameter matrix was 0 and so stood for
-    I/d, and how many restarts stopped for each reason (``stop_reasons``: ``converged``,
-    ``line_search_exhausted`` or ``max_iters``).
+    (``curvature_skips``), the points with a ratio but no finite gradient
+    (``nonfinite_gradients``), the extra starting points tried after an
+    invalid one, the evaluated points whose parameter matrix was 0 and so
+    stood for I/d, and how many restarts stopped for each reason
+    (``stop_reasons``: ``converged``, ``line_search_exhausted`` or
+    ``max_iters``).
     Per valid restart it lists the value, the iterations and the stop
     reason; ``top_spread`` is the best value minus the lowest of the best
     ``TOP_RESTARTS`` values, 0 for one valid restart.
@@ -582,7 +584,7 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
         raise AllRestartsDegenerate(
             f"no restart of {opts.restarts} found a valid starting point "
             f"(outside the ball of radius {EXCLUSION:g} around sigma, with a "
-            f"finite ratio of positive denominator); "
+            f"finite ratio of positive denominator and a finite gradient); "
             f"{counts['reinits']} reinits, "
             f"{counts['ratio_evaluations']} ratio evaluations"
         )
@@ -655,12 +657,11 @@ class ExperimentOptions:
 
     restarts: int = 12
     max_iters: int = 100
-    seed: int = 1729
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        _integer(self.restarts, "restarts", 1)
-        _integer(self.max_iters, "max_iters", 1)
-        _seed(self.seed)
+        _store(self, restarts=_integer(self.restarts, "restarts", 1),
+               max_iters=_integer(self.max_iters, "max_iters", 1), seed=_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -718,7 +719,8 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
         variational eta_f(E^n) stays above eta_{chi2_kappa}(E)^n - SLACK.
     """
     opts = opts or ExperimentOptions()
-    if _integer(n_max, "n_max", 1) > 32:
+    n_max = _integer(n_max, "n_max", 1)
+    if n_max > 32:
         raise InputError(f"n_max must be in [1, 32], got {n_max}")
     families = list(families)
     gs = list(gs)

@@ -10,7 +10,6 @@ evaluation apply :func:`epsilon_regularize` explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -109,10 +108,10 @@ def _sigma_weights(sigma: DensityMatrix, g: SpectralWeight) -> np.ndarray:
 
 
 def _rotated_forms(x: np.ndarray, v: np.ndarray, w: np.ndarray):
-    """sum_ij w_ij |(V^dag X V)_ij|^2 for each X of a Hermitian (B, d, d) stack,
-    and the rotated stack V^dag X V."""
-    xt = v.conj().T @ x @ v
-    return (w * (xt.real**2 + xt.imag**2)).sum(axis=(1, 2)), xt
+    """sum_ij w_ij |(V^dag X V)_ij|^2 for each X of a Hermitian (..., d, d)
+    stack, and the rotated stack V^dag X V; v and w broadcast against it."""
+    xt = v.conj().swapaxes(-1, -2) @ x @ v
+    return (w * (xt.real**2 + xt.imag**2)).sum(axis=(-2, -1)), xt
 
 
 def _chi2_gradients(xt: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -120,8 +119,8 @@ def _chi2_gradients(xt: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     the rotated stack xt: 2 V (wbar o xt) V^dag with wbar = (w + w^T)/2, as
     only the Hermitian part of the weights acts on a Hermitian X (the GNS
     weight is not symmetric)."""
-    wbar = 0.5 * (w + w.T)
-    return 2.0 * (v @ (wbar * xt) @ v.conj().T)
+    wbar = 0.5 * (w + w.swapaxes(-1, -2))
+    return 2.0 * (v @ (wbar * xt) @ v.conj().swapaxes(-1, -2))
 
 
 #: eigenvalues within this relative gap take the derivative, not the
@@ -130,21 +129,21 @@ DK_GAP = 1e-8
 
 
 def _gaps(x: np.ndarray):
-    """For a (B, d) stack of nonnegative spectra, the (B, d, d) differences
-    x_i - x_k, with 1 in place of the pairs within the relative gap DK_GAP
-    (the diagonal included), and the mask of those near pairs."""
-    gap = x[:, :, None] - x[:, None, :]
-    near = np.abs(gap) <= DK_GAP * np.maximum(x[:, :, None], x[:, None, :])
+    """For a (..., d) stack of nonnegative spectra, the (..., d, d)
+    differences x_i - x_k, with 1 in place of the pairs within the relative
+    gap DK_GAP (the diagonal included), and the mask of those near pairs."""
+    gap = x[..., :, None] - x[..., None, :]
+    near = np.abs(gap) <= DK_GAP * np.maximum(x[..., :, None], x[..., None, :])
     return np.where(near, 1.0, gap), near
 
 
 def _divided_differences(x: np.ndarray, fx: np.ndarray, dfx: np.ndarray) -> np.ndarray:
     """First divided differences (f(x_i) - f(x_k)) / (x_i - x_k) of f on a
-    (B, d) stack of spectra, from the values fx and derivatives dfx there;
+    (..., d) stack of spectra, from the values fx and derivatives dfx there;
     the mean derivative on the diagonal and on near-equal pairs."""
     gap, near = _gaps(x)
-    return np.where(near, 0.5 * (dfx[:, :, None] + dfx[:, None, :]),
-                    (fx[:, :, None] - fx[:, None, :]) / gap)
+    return np.where(near, 0.5 * (dfx[..., :, None] + dfx[..., None, :]),
+                    (fx[..., :, None] - fx[..., None, :]) / gap)
 
 
 def chi2_quadratic_form(x: np.ndarray, sigma: DensityMatrix, g: SpectralWeight) -> float:
@@ -193,7 +192,8 @@ def hockey_stick(rho, sigma, gamma: float) -> float:
 
 class _Reference(NamedTuple):
     """What the family kernels read of a full-rank reference state sigma:
-    its entries, eigenvalues mu, eigenvectors psi and sigma^-1/2."""
+    its entries, eigenvalues mu, eigenvectors psi and sigma^-1/2.  Each
+    array may carry leading axes that broadcast against a stack of rho."""
 
     entries: np.ndarray
     mu: np.ndarray
@@ -206,11 +206,17 @@ def _reference(s: DensityMatrix) -> _Reference:
     return _Reference(s.entries, mu, psi, (psi / np.sqrt(mu)) @ psi.conj().T)
 
 
+def _references(*states: DensityMatrix) -> _Reference:
+    """The references of n full-rank states, each array stacked as
+    (n, 1, ...), to broadcast against an (n, k, d, d) stack of rho."""
+    return _Reference(*(np.stack(parts)[:, None] for parts in zip(*map(_reference, states))))
+
+
 def _pencil(rho: np.ndarray, ref: _Reference) -> np.ndarray:
-    """sigma^-1/2 rho sigma^-1/2, Hermitized, for a (B, d, d) stack of rho;
+    """sigma^-1/2 rho sigma^-1/2, Hermitized, for a (..., d, d) stack of rho;
     its eigenvalues are the generalized eigenvalues of (rho, sigma)."""
     t = ref.s_mh @ rho @ ref.s_mh
-    return 0.5 * (t + t.conj().transpose(0, 2, 1))
+    return 0.5 * (t + t.conj().swapaxes(-1, -2))
 
 
 def _ht_integrals(f2, rho: np.ndarray, sig: np.ndarray, t: np.ndarray,
@@ -269,24 +275,24 @@ def _ht_integrals(f2, rho: np.ndarray, sig: np.ndarray, t: np.ndarray,
 
 def _matsumoto_values(f, rho: np.ndarray, ref: _Reference, df=None):
     """tr[sigma f(T)], T = sigma^-1/2 rho sigma^-1/2, for each rho of a
-    (B, d, d) stack, NaN where f is not finite on the pencil spectrum; also
+    (..., d, d) stack, NaN where f is not finite on the pencil spectrum; also
     returns the pencil spectra and, given df = f', the gradients in rho
     sigma^-1/2 V (G o V^dag sigma V) V^dag sigma^-1/2 (None without df),
     with V the eigenvectors of T and G the divided differences of f on its
     spectrum (Daleckii-Krein; Bhatia, Matrix Analysis, ch. V)."""
     tvals, tvecs = np.linalg.eigh(_pencil(rho, ref))
     t = np.clip(tvals, 0.0, None)
-    vh = tvecs.conj().transpose(0, 2, 1)
+    vh = tvecs.conj().swapaxes(-1, -2)
     with np.errstate(all="ignore"):
         fv = np.asarray(f(t), float)
-        f_t = (tvecs * fv[:, None, :]) @ vh
-        values = (ref.entries @ f_t).trace(axis1=1, axis2=2).real
+        f_t = (tvecs * fv[..., None, :]) @ vh
+        values = (ref.entries @ f_t).trace(axis1=-2, axis2=-1).real
         grads = None
         if df is not None:
             gam = _divided_differences(t, fv, np.asarray(df(t), float))
             u = ref.s_mh @ tvecs
-            grads = u @ (gam * (vh @ ref.entries @ tvecs)) @ u.conj().transpose(0, 2, 1)
-    bad = ~np.isfinite(fv).all(axis=1)
+            grads = u @ (gam * (vh @ ref.entries @ tvecs)) @ u.conj().swapaxes(-1, -2)
+    bad = ~np.isfinite(fv).all(axis=-1)
     values[bad] = np.nan
     if grads is not None:
         grads[bad] = np.nan
@@ -296,69 +302,60 @@ def _matsumoto_values(f, rho: np.ndarray, ref: _Reference, df=None):
 def _petz_values(f, lam: np.ndarray, phi: np.ndarray, mu: np.ndarray,
                  psi: np.ndarray, df=None):
     """The double sum sum_ij f(lambda_i/mu_j) mu_j |C_ij|^2, C = Phi^dag Psi,
-    for a stack of eigenvalues lam (B, d) and eigenvectors phi (B, d, d) of
-    rho.  Given df = f', also returns the gradients in rho, Phi H Phi^dag
+    for a stack of eigenvalues lam (..., d) and eigenvectors phi
+    (..., d, d) of rho, with mu and psi broadcasting against it.  Given
+    df = f', also returns the gradients in rho, Phi H Phi^dag
     (Daleckii-Krein, summed over the sigma eigenprojections): with
     F_ij = mu_j f(lambda_i/mu_j) and M = (F o C) C^dag,
     H_ik = (M - M^dag)_ik / (lambda_i - lambda_k), and on the diagonal and
     near-equal pairs sum_j f'(lambda_i/mu_j) C_ij conj(C_kj), averaged with
     its value at lambda_k in place of lambda_i."""
-    c = phi.conj().transpose(0, 2, 1) @ psi
+    c = phi.conj().swapaxes(-1, -2) @ psi
     overlap = np.abs(c) ** 2
-    ratio = lam[:, :, None] / mu
+    mu = mu[..., None, :]
+    ratio = lam[..., :, None] / mu
     fmu = np.asarray(f(ratio), float) * mu
-    values = (fmu * overlap).sum(axis=(1, 2))
+    values = (fmu * overlap).sum(axis=(-2, -1))
     if df is None:
         return values
-    ch = c.conj().transpose(0, 2, 1)
+    ch = c.conj().swapaxes(-1, -2)
     m = (fmu * c) @ ch
     k = (np.asarray(df(ratio), float) * c) @ ch
     gap, near = _gaps(lam)
-    h = np.where(near, 0.5 * (k + k.conj().transpose(0, 2, 1)),
-                 (m - m.conj().transpose(0, 2, 1)) / gap)
-    return values, phi @ h @ phi.conj().transpose(0, 2, 1)
+    h = np.where(near, 0.5 * (k + k.conj().swapaxes(-1, -2)),
+                 (m - m.conj().swapaxes(-1, -2)) / gap)
+    return values, phi @ h @ phi.conj().swapaxes(-1, -2)
 
 
-def _divergence_stacks(spec: FDivergenceSpec, groups) -> list:
-    """Values of spec's family on each group (entries, eigenvalues,
-    eigenvectors, reference) of a list: a stack of validated states (as
-    :func:`validate_stack` gives them) and the full-rank reference it is
-    measured against.  Returns one (values, gradients) pair per group, the
-    gradients the (B, d, d) Hermitian gradients in rho (NaN where the value
-    is NaN).
+def _divergence_stacks(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
+                       phi: np.ndarray, ref: _Reference):
+    """Values of spec's family, and their Hermitian gradients in rho, for
+    each state of a validated (..., d, d) stack (its entries, eigenvalues
+    and eigenvectors as :func:`validate_stack` gives them) against the
+    full-rank reference ``ref``, whose arrays broadcast against the stack's
+    leading axes: one kernel call for the whole stack.
 
-    NaN marks the points where the public evaluator raises a
+    NaN marks the values and gradients where the public evaluator raises a
     :class:`PreconditionError`: a rank-deficient rho for petz and ht, f not
     finite on the pencil spectrum for matsumoto.  The ht values and
-    gradients of every group are integrated in one stacked quadrature
-    loop, each state against its group's reference.  The spec must have a
+    gradients are integrated in one stacked quadrature loop, in which the
+    reference rides in place of a rank-deficient rho.  The spec must have a
     family, and an operator convex generator for petz.
     """
     if spec.family == "matsumoto":
-        return [_matsumoto_values(spec.f, ents, ref, spec.f1)[::2]
-                for ents, _, _, ref in groups]
-    fulls = [stack_full_rank(lam) for _, lam, _, _ in groups]
+        return _matsumoto_values(spec.f, ents, ref, spec.f1)[::2]
+    full = stack_full_rank(lam)
     if spec.family == "petz":
-        parts = [_petz_values(spec.f, lam[full], phi[full], ref.mu, ref.psi, spec.f1)
-                 for (_, lam, phi, ref), full in zip(groups, fulls)]
+        with np.errstate(all="ignore"):
+            values, grads = _petz_values(spec.f, lam, phi, ref.mu, ref.psi, spec.f1)
     else:
-        rho = [ents[full] for (ents, *_), full in zip(groups, fulls)]
-        refs = [group[3] for group in groups]
-        sizes = [len(r) for r in rho]
-        sig = np.repeat(np.array([ref.entries for ref in refs]), sizes, axis=0)
-        t = eigvalsh_stack(np.concatenate([_pencil(r, ref) for r, ref in zip(rho, refs)]))
-        res = _ht_integrals(spec.f2, np.concatenate(rho), sig, t, gradients=True)
-        parts = [(res.value[lo:hi], res.rider[lo:hi])
-                 for lo, hi in pairwise(accumulate(sizes, initial=0))]
-    out = []
-    for (ents, *_), full, (part, part_grads) in zip(groups, fulls, parts):
-        if full.all():
-            out.append((part, part_grads))
-            continue
-        values, grads = np.full(len(ents), np.nan), np.full(ents.shape, np.nan, complex)
-        values[full], grads[full] = part, part_grads
-        out.append((values, grads))
-    return out
+        rho = np.where(full[..., None, None], ents, ref.entries)
+        d = rho.shape[-1]
+        res = _ht_integrals(spec.f2, rho.reshape(-1, d, d),
+                            np.broadcast_to(ref.entries, rho.shape).reshape(-1, d, d),
+                            eigvalsh_stack(_pencil(rho, ref)).reshape(-1, d), gradients=True)
+        values, grads = res.value.reshape(full.shape), res.rider.reshape(rho.shape)
+    return np.where(full, values, np.nan), np.where(full[..., None, None], grads, np.nan)
 
 
 def _require_family(spec: FDivergenceSpec) -> None:

@@ -139,7 +139,7 @@ def validate_density(entries) -> DensityMatrix:
 
 def validate_stack(arr: np.ndarray):
     """The arithmetic of :func:`validate_density` on a finite complex
-    (B, d, d) stack, without raising.
+    (..., d, d) stack, without raising.
 
     Returns ``(entries, eigenvalues, eigenvectors, asymmetry, min_eigenvalue,
     trace)``: the normalized states and their spectral decompositions (the
@@ -148,18 +148,18 @@ def validate_stack(arr: np.ndarray):
     unclipped minimum eigenvalue and the clipped trace.  The states are
     meaningful only where :func:`stack_valid` holds.
     """
-    adj = arr.conj().transpose(0, 2, 1)
+    adj = arr.conj().swapaxes(-1, -2)
     diff = arr - adj
-    asym = np.sqrt((diff.conj() * diff).real.sum(axis=(1, 2)))
-    asym /= np.maximum(1.0, np.sqrt((arr.conj() * arr).real.sum(axis=(1, 2))))
+    asym = np.sqrt((diff.conj() * diff).real.sum(axis=(-2, -1)))
+    asym /= np.maximum(1.0, np.sqrt((arr.conj() * arr).real.sum(axis=(-2, -1))))
     vals, vecs = np.linalg.eigh(0.5 * (arr + adj))
-    min_eig = vals[:, 0]
+    min_eig = vals[..., 0]
     vals = np.maximum(vals, 0.0)
-    trace = vals.sum(axis=1)
+    trace = vals.sum(axis=-1)
     # the floor only guards the rows that fail the trace check
-    vals = vals / np.maximum(trace, DEFAULT_VALIDATION_TOL)[:, None]
-    ents = (vecs * vals[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    ents = 0.5 * (ents + ents.conj().transpose(0, 2, 1))
+    vals = vals / np.maximum(trace, DEFAULT_VALIDATION_TOL)[..., None]
+    ents = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    ents = 0.5 * (ents + ents.conj().swapaxes(-1, -2))
     return ents, vals, vecs, asym, min_eig, trace
 
 
@@ -172,8 +172,8 @@ def stack_valid(asym, min_eig, trace) -> np.ndarray:
 
 def stack_full_rank(eigenvalues: np.ndarray) -> np.ndarray:
     """Where a state of a validated stack is full rank, from its ascending
-    eigenvalues (B, d): the rule behind ``DensityMatrix.full_rank``."""
-    return eigenvalues[:, 0] > DEFAULT_VALIDATION_TOL
+    eigenvalues (..., d): the rule behind ``DensityMatrix.full_rank``."""
+    return eigenvalues[..., 0] > DEFAULT_VALIDATION_TOL
 
 
 def eigvalsh_stack(a) -> np.ndarray:

@@ -261,7 +261,7 @@ class TestExperiment:
         )
         assert code == 0
         assert env["payload_sha256"] == (
-            "105bd73ea602475cdf1a3501c8b273ca2b7dcf4142501811e2690bdaf63f1ac7"
+            "8d183e16ec3d8d3924ed2f68550b684b3548117b2175c240346b300b60609efb"
         )
 
     def test_search_counters_in_envelope_diagnostics(self, capsys):
@@ -349,7 +349,7 @@ class TestEnvelope:
         # searches that converge inside the d = 3 state space, off the ball's edge
         (["sdpi", "--channel", '{"kind":"random","dim":3,"seed":1}', "--family", "ht",
           "--family", "petz", "--family", "matsumoto", "--restarts", "2", "--g", "max"],
-         "118b32083260e68039b55add4a422eba3ead2598e6f2130a207ac7f7c73d0c83"),
+         "98c4ecbe9374c84b176c2eb7d34c7a9abf5b177daf7199278642575dad139eaa"),
     ], ids=["divergence", "sdpi", "db-check", "sdpi-variational-d3"])
     def test_payload_hash_pinned(self, capsys, argv, digest):
         # a refactor must reproduce each command's payload bit for bit
@@ -454,6 +454,14 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "families: ht, petz, matsumoto" in proc.stdout
+
+    def test_library_import_leaves_the_cli_out(self):
+        code = ("import sys, qcontract; print(sorted(m for m in ('qcontract.cli', "
+                "'argparse', 'hashlib') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_qcontract_binary(self):
         proc = subprocess.run(

@@ -348,9 +348,12 @@ def _scalar_ratio(obj, ch, sig, rho):
     evaluator rejects its input."""
     if qc.trace_distance(rho, sig.entries) < contraction.EXCLUSION:
         return None
+    # the family objectives apply E to rho as given, then validate rho and
+    # E(rho); chi-square needs no validation and measures rho - sigma
     r = qc.validate_density(rho)
-    e_r, e_sig = qc.apply(ch, r), qc.apply(ch, sig)
-    if isinstance(obj, qc.SpectralWeight):
+    chi2 = isinstance(obj, qc.SpectralWeight)
+    e_r, e_sig = qc.apply(ch, r if chi2 else rho), qc.apply(ch, sig)
+    if chi2:
         fn = lambda a, b: qc.chi2_g(a, b, obj).value
     else:
         fn = lambda a, b: qc.evaluate(obj, a, b).value
@@ -417,9 +420,8 @@ class TestStackedSearch:
             spec = f_cat["kl"].with_family(fam)
             ratios, _ = contraction._objective(spec, ch, pi)
             for r in rho:
-                v = qc.validate_density(r)
-                want = (qc.evaluate(spec, qc.apply(ch, v), qc.apply(ch, pi)).value
-                        / qc.evaluate(spec, v, pi).value)
+                want = (qc.evaluate(spec, qc.apply(ch, r), qc.apply(ch, pi)).value
+                        / qc.evaluate(spec, r, pi).value)
                 assert ratios(r[None])[0][0] == want
 
     def test_traced_names_stay_bound(self):
@@ -475,7 +477,10 @@ def _sequential_ascend(ratios, x0, d, opts, stencil=False):
     def call(params):
         rho = contraction._rho_from_params(params, d)
         f, g = ratios(rho)
-        return f, contraction._param_gradients(params, rho, g, d)
+        g = contraction._param_gradients(params, rho, g, d)
+        # a point with no finite gradient is invalid
+        f[~np.isfinite(g).all(axis=1)] = np.nan
+        return f, g
 
     x = x0.copy()
     f0, grad = (v[0] for v in call(x[None]))
@@ -543,7 +548,7 @@ class TestStackedIterations:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("name", ["ht[kl]", "chi2[kmb]"])
+    @pytest.mark.parametrize("name", ["ht[kl]", "petz[kl]", "matsumoto[kl]", "chi2[kmb]"])
     def test_path_is_the_sequential_one(self, f_cat, gs, name, dim, seed):
         ch = qc.random_channel(dim, seed=seed)
         pi = qc.fixed_point(ch)
@@ -745,25 +750,39 @@ class TestSearchFallbacks:
                                   qc.VariationalOptions(restarts=2, max_iters=150, seed=1))
         assert est.value == pytest.approx(qc.sdpi_chi2(ch, pi, gs["max"]).value,
                                           rel=1e-9, abs=0)
-        assert est.diagnostics["skipped_coordinates"] == 0
+        assert est.diagnostics["nonfinite_gradients"] == 0
 
-    def test_skipped_coordinates_are_counted(self, gs, monkeypatch):
-        # no gradient is finite, so each of the 2 d^2 coordinates of the
-        # start point's is set to 0, and that zero gradient ends the restart
-        ch = qc.depolarizing(0.5)
+    def test_points_without_a_finite_gradient_are_invalid(self, gs, monkeypatch):
+        # a start point with a ratio but no finite gradient is not a restart,
+        # and a trial without one is rejected, however high its ratio
+        ch = qc.random_channel(2, seed=3)
         pi = qc.fixed_point(ch)
         chi2 = _chi2_max_ratios(ch, pi)
-        _fake_objective(monkeypatch, lambda rho: (chi2(rho)[0],
-                                                  np.full(rho.shape, np.nan, complex)))
-        est = qc.sdpi_variational(
-            gs["max"], ch, pi, qc.VariationalOptions(restarts=1, max_iters=5, seed=1)
-        )
-        n = 2 * 2 * 2
-        assert est.value == pytest.approx(0.25, abs=1e-12)
-        assert est.diagnostics["skipped_coordinates"] == n
-        assert est.diagnostics["ratio_evaluations"] == 1
-        assert est.diagnostics["reinits"] == 0
-        assert est.diagnostics["restart_stops"] == ["converged"]
+        x0 = contraction._init_params(np.random.default_rng(1), pi, 0)
+        counts = contraction._new_counts()
+        opts = qc.VariationalOptions(restarts=1, max_iters=150, seed=1)
+        no_gradient = lambda rho: (chi2(rho)[0], np.full(rho.shape, np.nan, complex))
+        assert contraction._ascend(no_gradient, x0, 2, opts, counts) is None
+        assert counts["nonfinite_gradients"] == counts["ratio_evaluations"] == 1
+        _fake_objective(monkeypatch, no_gradient)
+        with pytest.raises(qc.AllRestartsDegenerate, match="finite gradient"):
+            qc.sdpi_variational(gs["max"], ch, pi, opts)
+
+        lost = []
+
+        def no_first_gradients(rho):
+            # the first trial of each stacked call loses its gradient
+            f, g = chi2(rho)
+            if len(rho) == 2:
+                g[0] = np.nan
+                lost.append(np.isfinite(f[0]))
+            return f, g
+
+        _fake_objective(monkeypatch, no_first_gradients)
+        est = qc.sdpi_variational(gs["max"], ch, pi, opts)
+        assert est.value == pytest.approx(qc.sdpi_chi2(ch, pi, gs["max"]).value,
+                                          rel=1e-9, abs=0)
+        assert est.diagnostics["nonfinite_gradients"] == sum(lost) > 0
 
     def test_reinits_are_counted(self, gs, monkeypatch):
         ch = qc.depolarizing(0.5)
@@ -783,7 +802,7 @@ class TestSearchFallbacks:
         )
         assert est.diagnostics["reinits"] == 1
         assert est.diagnostics["valid_restarts"] == 1
-        assert est.diagnostics["skipped_coordinates"] == 0
+        assert est.diagnostics["nonfinite_gradients"] == 0
 
     def test_identity_fallbacks_are_counted(self, gs):
         # A = 0 has trace 0, so its state is the fallback I/d, which has no
@@ -839,7 +858,7 @@ class TestSearchFallbacks:
         # restart 0 is the same search in both runs
         assert two.diagnostics["ratio_evaluations"] > \
             one.diagnostics["ratio_evaluations"] > 0
-        for key in ("ratio_evaluations", "skipped_coordinates", "reinits"):
+        for key in ("ratio_evaluations", "nonfinite_gradients", "reinits"):
             assert isinstance(two.diagnostics[key], int)
         for key in contraction.COUNTERS:
             assert isinstance(two.diagnostics[key], int)
@@ -1048,6 +1067,16 @@ class TestExperiment:
         )
         assert header == expect
         assert len(csv_text.splitlines()) == 1 + 3
+
+    def test_numpy_integers_give_a_json_ready_payload(self, f_cat, gs):
+        opts = qc.ExperimentOptions(restarts=np.int64(1), max_iters=2, seed=np.int64(3))
+        rep = qc.contraction_experiment(qc.depolarizing(0.5), [f_cat["kl"].with_family("petz")],
+                                        [gs["max"]], n_max=np.int64(1), opts=opts)
+        payload = json.loads(json.dumps(qc.report_payload(rep)))
+        assert payload["n_max"] == 1 and payload["options"]["seed"] == 3
+        vopts = qc.VariationalOptions(restarts=np.int64(2), seed=[np.int64(1), 2])
+        assert type(vopts.restarts) is int and vopts.seed == (1, 2)
+        assert all(type(x) is int for x in vopts.seed)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_n0_sample_matches_per_state_loop(self, dim):

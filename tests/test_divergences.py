@@ -175,34 +175,6 @@ class TestHtIntegral:
         assert mixed > 0
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("f_name", ["kl", "chi2", "hellinger"])
-    def test_mixed_reference_stack_gives_the_lone_values_and_gradients(self, f_cat, dim,
-                                                                       f_name):
-        # the search's call: states against sigma and their images against
-        # E(sigma), one quadrature loop; a pure state has no value
-        spec = f_cat[f_name].with_family("ht")
-        rng = np.random.default_rng([dim, 5, len(f_name)])
-        ch = qc.random_channel(dim, seed=3)
-        sig = near_singular(qc.random_density(dim, rng), rng)
-        rho = np.array([qc.random_density(dim, rng).entries for _ in range(6)]
-                       + [qc.random_density(dim, rng, rank=1).entries])
-        raw = [rho, ch.superop.apply(rho)]
-        refs = [sig, qc.apply(ch, sig)]
-        groups = [(*validate_stack(r)[:3], divergences._reference(s)) for r, s in zip(raw, refs)]
-        both = divergences._divergence_stacks(spec, groups)
-        for (ents, lam, phi, ref), r, s, (values, grads) in zip(groups, raw, refs, both):
-            for k in range(len(r)):
-                if not stack_full_rank(lam[k:k + 1])[0]:
-                    assert np.isnan(values[k]) and np.isnan(grads[k]).all()
-                    continue
-                assert values[k] == qc.ht_divergence(spec, r[k], s).value, k
-                one = divergences._divergence_stacks(
-                    spec, [(ents[k:k + 1], lam[k:k + 1], phi[k:k + 1], ref)])
-                assert one[0][0][0] == values[k]
-                np.testing.assert_array_equal(one[0][1][0], grads[k])
-        assert np.isnan(both[0][0][-1]) and np.isfinite(both[1][0]).all()
-
-    @pytest.mark.parametrize("dim", [2, 3])
     def test_chi2_against_a_near_singular_sigma(self, f_cat, dim):
         # sigma's smallest eigenvalue between 1e-7 and 1e-4: every integral
         # closes within the interval budget, below the maximal divergence
@@ -369,6 +341,44 @@ class TestEvaluateDispatcher:
         rho, sig = golden_pair
         with pytest.raises(qc.InputError):
             qc.evaluate(f_cat["kl"], rho, sig)
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("f_name", ["kl", "chi2", "hellinger"])
+    @pytest.mark.parametrize("family", qc.FAMILIES)
+    def test_mixed_reference_stack_gives_the_lone_values_and_gradients(self, f_cat, family,
+                                                                       f_name, dim):
+        # the search's call: a (2, k) stack of states against sigma and of
+        # their images against E(sigma), one kernel call; a pure state has no
+        # petz or ht value
+        spec = f_cat[f_name].with_family(family)
+        rng = np.random.default_rng([dim, 5, len(f_name)])
+        ch = qc.random_channel(dim, seed=3)
+        sig = near_singular(qc.random_density(dim, rng), rng)
+        rho = np.array([qc.random_density(dim, rng).entries for _ in range(6)]
+                       + [qc.random_density(dim, rng, rank=1).entries])
+        raw = np.stack([rho, ch.superop.apply(rho)])
+        refs = [sig, qc.apply(ch, sig)]
+        ents, lam, phi, *_ = validate_stack(raw)
+        values, grads = divergences._divergence_stacks(spec, ents, lam, phi,
+                                                       divergences._references(*refs))
+        assert values.shape == raw.shape[:2] and grads.shape == raw.shape
+        for g, s in enumerate(refs):
+            for k in range(len(rho)):
+                if family != "matsumoto" and not stack_full_rank(lam[g, k]):
+                    assert np.isnan(values[g, k]) and np.isnan(grads[g, k]).all()
+                    with pytest.raises(qc.SingularReference):
+                        FAMILY_FN[family](spec, raw[g, k], s)
+                    continue
+                assert values[g, k] == FAMILY_FN[family](spec, raw[g, k], s).value, (g, k)
+                one = divergences._divergence_stacks(
+                    spec, ents[g, k:k + 1], lam[g, k:k + 1], phi[g, k:k + 1],
+                    divergences._reference(s))
+                assert one[0][0] == values[g, k]
+                np.testing.assert_array_equal(one[1][0], grads[g, k])
+        assert np.isnan(values[0, -1]) == (family != "matsumoto")
+        assert np.isfinite(values[1]).all()
 
 
 class TestDataProcessing:
