@@ -29,6 +29,7 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     Superoperator,
+    _complex_array,
     devectorize,
     hermitianize,
     validate_density,
@@ -140,7 +141,7 @@ def channel_from_kraus(kraus, label: str = "kraus") -> QuantumChannel:
     mats = []
     d = None
     for k in kraus:
-        arr = np.asarray(k, dtype=complex)
+        arr = _complex_array(k, "Kraus operator")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise NotSquare(f"Kraus operator has shape {arr.shape}")
         if d is None:
@@ -167,8 +168,8 @@ def channel_from_kraus(kraus, label: str = "kraus") -> QuantumChannel:
 
 def channel_from_superop(matrix, label: str = "superop") -> QuantumChannel:
     """Build a channel from a superoperator matrix, verifying CPTP."""
-    m = np.asarray(matrix, dtype=complex)
-    d = int(round(np.sqrt(m.shape[0])))
+    m = _complex_array(matrix, "superoperator matrix")
+    d = int(round(np.sqrt(m.shape[0]))) if m.ndim == 2 else 0
     if m.shape != (d * d, d * d):
         raise NotSquare(f"superoperator matrix has shape {m.shape}")
     _check_cptp(m, d)

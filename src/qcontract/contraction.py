@@ -268,8 +268,8 @@ def _outside_ball(rho: np.ndarray, sigma: np.ndarray):
     """
     x = rho - sigma
     keep = np.sqrt((x.real**2 + x.imag**2).sum(axis=(1, 2))) >= _FROBENIUS_CLEAR
-    near = np.flatnonzero(~keep)
-    if near.size:
+    if not keep.all():
+        near = np.flatnonzero(~keep)
         keep[near] = 0.5 * np.abs(np.linalg.eigvalsh(x[near])).sum(axis=1) >= EXCLUSION
     return keep, x
 
@@ -296,7 +296,9 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
     integrates both groups in one quadrature loop.  The gradients are
     exact: G = (E*(grad N) - R grad D) / D with grad N and grad D the
     kernel's gradients at E(rho) and rho, and E* the adjoint channel,
-    built here once.
+    built here once.  E and E* act through ``Superoperator._apply``, with
+    no input checks, on stacks built here; a call runs under one
+    ``np.errstate`` and skips the NaN masking when every point is valid.
     """
     if not isinstance(evaluator, (SpectralWeight, FDivergenceSpec)):
         raise InputError(
@@ -311,15 +313,18 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
 
     def ratio_gradients(ok, values, grads):
         # the ratios R = num / den where ok holds, NaN elsewhere, and their
-        # gradients; E* only takes finite stacks, so a non-finite kernel
-        # gradient gives NaN
+        # gradients; a non-finite kernel gradient gives a NaN gradient but
+        # leaves R as it is, so the search counts the point as one without
+        # a finite gradient.  Call under np.errstate(all="ignore").
         (den, num), (den_grad, num_grad) = values, grads
         ok = ok & (den > 0.0) & np.isfinite(num)
         fin = np.isfinite(num_grad).all(axis=(1, 2))[:, None, None]
-        e_star = adjoint.apply(np.where(fin, num_grad, 0.0))
-        with np.errstate(all="ignore"):
-            r = num / den
-            g = (e_star - r[:, None, None] * den_grad) / den[:, None, None]
+        clean = ok.all() and fin.all()
+        r = num / den
+        e_star = adjoint._apply(num_grad if clean else np.where(fin, num_grad, 0.0))
+        g = (e_star - r[:, None, None] * den_grad) / den[:, None, None]
+        if clean:
+            return r, g
         return np.where(ok, r, np.nan), np.where(fin & ok[:, None, None], g, np.nan)
 
     if isinstance(evaluator, SpectralWeight):
@@ -329,10 +334,11 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
 
         def ratios(rho):
             keep, x = _outside_ball(rho, sigma.entries)
-            ex = channel.superop.apply(x)
-            forms, xt = _rotated_forms(np.stack([x, 0.5 * (ex + ex.conj().transpose(0, 2, 1))]),
-                                       v, w)
-            return ratio_gradients(keep, forms, _chi2_gradients(xt, v, w))
+            ex = channel.superop._apply(x)
+            pair = np.concatenate([x, 0.5 * (ex + ex.conj().transpose(0, 2, 1))])
+            forms, xt = _rotated_forms(pair.reshape((2,) + x.shape), v, w)
+            with np.errstate(all="ignore"):
+                return ratio_gradients(keep, forms, _chi2_gradients(xt, v, w))
 
         return ratios, f"chi2[{evaluator.name}]"
 
@@ -344,26 +350,36 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
 
     def ratios(rho):
         keep, _ = _outside_ball(rho, sigma.entries)
-        ents, lam, phi, *checks = validate_stack(np.stack([rho, channel.superop.apply(rho)]))
-        values, grads = _divergence_stacks(spec, ents, lam, phi, ref)
-        return ratio_gradients(keep & stack_valid(*checks).all(axis=0), values, grads)
+        pair = np.concatenate([rho, channel.superop._apply(rho)]).reshape((2,) + rho.shape)
+        lam, phi, *checks = validate_stack(pair)
+        valid = stack_valid(*checks)
+        with np.errstate(all="ignore"):
+            values, grads = _divergence_stacks(spec, lam, phi, ref)
+            return ratio_gradients(keep & valid[0] & valid[1], values, grads)
 
     return ratios, f"{spec.family}[{spec.name}]"
 
 
-def _rho_from_params(x: np.ndarray, d: int, counts: dict | None = None) -> np.ndarray:
-    """States A A^dag / tr for a (B, 2 d^2) stack of parameter vectors, the
-    real then the imaginary parts of A; I/d where the trace vanishes, which
-    adds to ``counts["identity_fallbacks"]`` when counts are given."""
+def _param_states(x: np.ndarray, d: int, counts: dict | None = None):
+    """The matrices A (B, d, d) of a (B, 2 d^2) stack of parameter vectors
+    x, the real then the imaginary parts of A, with t = ||x||^2 and the
+    states A A^dag / tr: I/d where the trace vanishes, that is where A = 0,
+    which adds to ``counts["identity_fallbacks"]`` when counts are given."""
     a = (x[:, : d * d] + 1j * x[:, d * d:]).reshape(-1, d, d)
     m = a @ a.conj().transpose(0, 2, 1)
     tr = m.trace(axis1=1, axis2=2).real
     zero = tr <= 0.0
-    m[zero] = np.eye(d)
-    tr[zero] = d
-    if counts is not None:
-        counts["identity_fallbacks"] += int(zero.sum())
-    return m / tr[:, None, None]
+    if zero.any():
+        m[zero] = np.eye(d)
+        tr[zero] = d
+        if counts is not None:
+            counts["identity_fallbacks"] += int(zero.sum())
+    return a, (x * x).sum(axis=1), m / tr[:, None, None]
+
+
+def _rho_from_params(x: np.ndarray, d: int) -> np.ndarray:
+    """The states of :func:`_param_states` alone."""
+    return _param_states(x, d)[2]
 
 
 def _init_params(rng: np.random.Generator, sigma: DensityMatrix, kind: int) -> np.ndarray:
@@ -402,14 +418,16 @@ def _total_counts(diagnostics) -> dict:
     return total
 
 
-def _param_gradients(x: np.ndarray, rho: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
-    """dR/dx for a (B, 2 d^2) stack of parameter vectors x, given the states
-    rho = A A^dag / t, t = tr A A^dag, and the gradients g of R in rho: the
-    real and imaginary parts of 2 (G - tr(rho G) I) A / t; 0 where A = 0."""
-    n = d * d
-    a = (x[:, :n] + 1j * x[:, n:]).reshape(-1, d, d)
-    t = (x * x).sum(axis=1)
-    scale = np.divide(2.0, t, out=np.zeros_like(t), where=t > 0.0)
+def _param_gradients(a: np.ndarray, t: np.ndarray, rho: np.ndarray,
+                     g: np.ndarray) -> np.ndarray:
+    """dR/dx for a (B, 2 d^2) stack of parameter vectors x, given its
+    matrices A, t = ||x||^2 = tr A A^dag and states rho = A A^dag / t (as
+    :func:`_param_states` returns them) and the gradients g of R in rho:
+    the real and imaginary parts of 2 (G - tr(rho G) I) A / t; 0 where
+    A = 0."""
+    n = a.shape[-1] ** 2
+    pos = t > 0.0
+    scale = 2.0 / t if pos.all() else np.divide(2.0, t, out=np.zeros_like(t), where=pos)
     c = (rho * g.transpose(0, 2, 1)).sum(axis=(1, 2)).real
     m = (scale[:, None, None] * (g @ a - c[:, None, None] * a)).reshape(-1, n)
     return np.concatenate([m.real, m.imag], axis=1)
@@ -437,7 +455,8 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     ARMIJO alpha (grad log R . p); a trial whose ratio is not finite and
     positive is rejected.  Its trials go two per stacked call, (1, 1/2),
     then (1/4, 1/8) and so on, while ||alpha p|| >= ``step_tol``; a point's
-    ratio does not depend on the stack it is evaluated in.
+    ratio does not depend on the stack it is evaluated in.  Each pair is
+    formed when the previous one fails; the log is taken only of a rise.
 
     A start point whose ratio is 0 (or below) has no log R: it is a
     converged restart at once, with that value.  Every call adds to
@@ -457,15 +476,17 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
         """The ratios at a stack of points, in one call, and their gradients in x."""
         counts["ratio_calls"] += 1
         counts["ratio_evaluations"] += len(params)
-        rho = _rho_from_params(params, d, counts)
+        a, t, rho = _param_states(params, d, counts)
         f, g = ratios(rho)
-        g = _param_gradients(params, rho, g, d)
+        g = _param_gradients(a, t, rho, g)
         # A = 0 stands for I/d, which has no gradient: an invalid point, as
         # is a point whose gradient is not finite
-        f[(params * params).sum(axis=1) <= 0.0] = np.nan
-        lost = np.isfinite(f) & ~np.isfinite(g).all(axis=1)
-        counts["nonfinite_gradients"] += int(lost.sum())
-        f[lost] = np.nan
+        if not (t > 0.0).all():
+            f[t <= 0.0] = np.nan
+        if not np.isfinite(g).all():
+            lost = np.isfinite(f) & ~np.isfinite(g).all(axis=1)
+            counts["nonfinite_gradients"] += int(lost.sum())
+            f[lost] = np.nan
         return f, g
 
     x = x0.copy()
@@ -494,29 +515,24 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
                 if h_inv is None:
                     h_inv = (sy / y.dot(y)) * np.eye(n)
                 hy = h_inv @ y
-                h_inv += ((1.0 + y.dot(hy) / sy) * np.outer(s, s)
-                          - np.outer(hy, s) - np.outer(s, hy)) / sy
+                s_col = s[:, None]
+                h_inv += ((1.0 + y.dot(hy) / sy) * (s_col * s) - hy[:, None] * s - s_col * hy) / sy
             else:
                 counts["curvature_skips"] += 1
         p = grad * (INIT_STEP * x_norm / g_norm) if h_inv is None else h_inv @ grad
         slope = grad.dot(p)
         p_norm = math.sqrt(p.dot(p))
-        alphas = []
-        alpha = 1.0
-        while alpha * p_norm >= opts.step_tol:
-            alphas.append(alpha)
-            alpha *= 0.5
         accepted = None
-        for k in range(0, len(alphas), 2):
-            a = np.array(alphas[k:k + 2])
-            x_try = x + a[:, None] * p
+        alpha = 1.0
+        while accepted is None and alpha * p_norm >= opts.step_tol:
+            half = 0.5 * alpha
+            a = [alpha, half] if half * p_norm >= opts.step_tol else [alpha]
+            x_try = x + np.array(a)[:, None] * p
             f_try, g_try = probe(x_try)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rise = np.log(f_try / f0)
-            passed = np.flatnonzero((f_try > f0) & (rise >= ARMIJO * a * slope))
-            if passed.size:
-                accepted = passed[0]
-                break
+            # f0 > 0, so the log is taken of a ratio above 1 only
+            accepted = next((k for k, fk in enumerate(f_try.tolist())
+                             if fk > f0 and np.log(fk / f0) >= ARMIJO * a[k] * slope), None)
+            alpha = 0.5 * half
         if accepted is None:
             stop = "converged" if scaled < STALL_TOL else "line_search_exhausted"
             break

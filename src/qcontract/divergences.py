@@ -26,6 +26,7 @@ from .linalg import (
     eigvalsh_stack,
     projector_stack,
     stack_full_rank,
+    stack_states,
     validate_density,
 )
 # integrate_piecewise stays bound here: perfbench/spans.py traces quadrature
@@ -293,9 +294,10 @@ def _matsumoto_values(f, rho: np.ndarray, ref: _Reference, df=None):
             u = ref.s_mh @ tvecs
             grads = u @ (gam * (vh @ ref.entries @ tvecs)) @ u.conj().swapaxes(-1, -2)
     bad = ~np.isfinite(fv).all(axis=-1)
-    values[bad] = np.nan
-    if grads is not None:
-        grads[bad] = np.nan
+    if bad.any():
+        values[bad] = np.nan
+        if grads is not None:
+            grads[bad] = np.nan
     return values, tvals, grads
 
 
@@ -327,13 +329,16 @@ def _petz_values(f, lam: np.ndarray, phi: np.ndarray, mu: np.ndarray,
     return values, phi @ h @ phi.conj().swapaxes(-1, -2)
 
 
-def _divergence_stacks(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
-                       phi: np.ndarray, ref: _Reference):
+def _divergence_stacks(spec: FDivergenceSpec, lam: np.ndarray, phi: np.ndarray,
+                       ref: _Reference):
     """Values of spec's family, and their Hermitian gradients in rho, for
-    each state of a validated (..., d, d) stack (its entries, eigenvalues
-    and eigenvectors as :func:`validate_stack` gives them) against the
+    each state of a validated (..., d, d) stack, given as its eigenvalues
+    and eigenvectors (as :func:`validate_stack` gives them), against the
     full-rank reference ``ref``, whose arrays broadcast against the stack's
-    leading axes: one kernel call for the whole stack.
+    leading axes: one kernel call for the whole stack.  petz reads the
+    spectra alone; matsumoto and ht read the states, built here with
+    :func:`stack_states`.  Call it under ``np.errstate(all="ignore")``:
+    the rows it marks NaN may overflow or divide by zero on the way.
 
     NaN marks the values and gradients where the public evaluator raises a
     :class:`PreconditionError`: a rank-deficient rho for petz and ht, f not
@@ -343,18 +348,19 @@ def _divergence_stacks(spec: FDivergenceSpec, ents: np.ndarray, lam: np.ndarray,
     family, and an operator convex generator for petz.
     """
     if spec.family == "matsumoto":
-        return _matsumoto_values(spec.f, ents, ref, spec.f1)[::2]
+        return _matsumoto_values(spec.f, stack_states(lam, phi), ref, spec.f1)[::2]
     full = stack_full_rank(lam)
     if spec.family == "petz":
-        with np.errstate(all="ignore"):
-            values, grads = _petz_values(spec.f, lam, phi, ref.mu, ref.psi, spec.f1)
+        values, grads = _petz_values(spec.f, lam, phi, ref.mu, ref.psi, spec.f1)
     else:
-        rho = np.where(full[..., None, None], ents, ref.entries)
+        rho = np.where(full[..., None, None], stack_states(lam, phi), ref.entries)
         d = rho.shape[-1]
         res = _ht_integrals(spec.f2, rho.reshape(-1, d, d),
                             np.broadcast_to(ref.entries, rho.shape).reshape(-1, d, d),
                             eigvalsh_stack(_pencil(rho, ref)).reshape(-1, d), gradients=True)
         values, grads = res.value.reshape(full.shape), res.rider.reshape(rho.shape)
+    if full.all():
+        return values, grads
     return np.where(full, values, np.nan), np.where(full[..., None, None], grads, np.nan)
 
 

@@ -10,7 +10,9 @@ Conventions
   convention.  Beyond this module only the channel constructors (Kraus
   sums, Choi matrix) use it; other code acts through
   :meth:`Superoperator.apply`, which takes one d x d matrix or a
-  (B, d, d) stack, and :meth:`Superoperator.in_basis`.
+  (B, d, d) stack, and :meth:`Superoperator.in_basis`.  The SDPI search
+  acts on the stacks it builds itself through the unchecked
+  :meth:`Superoperator._apply`, the same product without the input checks.
 * Eigenvalues are always reported in ascending order (``numpy.linalg.eigh``).
 * Validated states (:class:`DensityMatrix`) and superoperators are
   immutable after construction; their ndarrays are marked read-only.
@@ -54,12 +56,21 @@ DEFAULT_VALIDATION_TOL = 1e-9
 HERMITICITY_REJECT_TOL = 1e-6
 
 
+def _complex_array(a, name: str) -> np.ndarray:
+    """``np.asarray(a, complex)``, with :class:`InputError` for input that is
+    not a numeric array (strings, ragged nested lists)."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} is not a numeric array: {exc}") from None
+
+
 def _as_matrix(a, *, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Coerce input to a square complex ndarray with d >= 2; with ``stack``,
     a (B, d, d) stack of such matrices is accepted too."""
     if isinstance(a, DensityMatrix):
         return a.entries
-    arr = np.asarray(a, dtype=complex)
+    arr = _complex_array(a, name)
     if arr.ndim not in ((2, 3) if stack else (2,)) or arr.shape[-1] != arr.shape[-2]:
         raise NotSquare(f"{name} must be a square 2-d array, got shape {arr.shape}")
     if arr.shape[-1] < 2:
@@ -118,7 +129,7 @@ def validate_density(entries) -> DensityMatrix:
     if isinstance(entries, DensityMatrix):
         return entries
     arr = _as_matrix(entries)
-    ents, vals, vecs, asym, min_eig, trace = validate_stack(arr[None])
+    vals, vecs, asym, min_eig, trace = validate_stack(arr[None])
     if asym[0] > HERMITICITY_REJECT_TOL:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {asym[0]:.3e} "
@@ -131,7 +142,7 @@ def validate_density(entries) -> DensityMatrix:
     if trace[0] <= DEFAULT_VALIDATION_TOL:
         raise TraceZero(f"trace {trace[0]:.3e} too small to normalize")
     full_rank = bool(stack_full_rank(vals)[0])
-    ents, vals, vecs = ents[0], vals[0], vecs[0]
+    ents, vals, vecs = stack_states(vals, vecs)[0], vals[0], vecs[0]
     for a in (ents, vals, vecs):
         a.setflags(write=False)
     return DensityMatrix(ents, arr.shape[0], vals, vecs, full_rank)
@@ -141,12 +152,13 @@ def validate_stack(arr: np.ndarray):
     """The arithmetic of :func:`validate_density` on a finite complex
     (..., d, d) stack, without raising.
 
-    Returns ``(entries, eigenvalues, eigenvectors, asymmetry, min_eigenvalue,
-    trace)``: the normalized states and their spectral decompositions (the
+    Returns ``(eigenvalues, eigenvectors, asymmetry, min_eigenvalue,
+    trace)``: the spectral decompositions of the normalized states (the
     eigenvalues of the Hermitian part clipped at zero and divided by their
     sum), the relative asymmetry ||A - A^dag||_F / max(1, ||A||_F), the
     unclipped minimum eigenvalue and the clipped trace.  The states are
-    meaningful only where :func:`stack_valid` holds.
+    :func:`stack_states` of the spectra, built only by callers that read
+    them; both are meaningful only where :func:`stack_valid` holds.
     """
     adj = arr.conj().swapaxes(-1, -2)
     diff = arr - adj
@@ -157,10 +169,15 @@ def validate_stack(arr: np.ndarray):
     vals = np.maximum(vals, 0.0)
     trace = vals.sum(axis=-1)
     # the floor only guards the rows that fail the trace check
-    vals = vals / np.maximum(trace, DEFAULT_VALIDATION_TOL)[..., None]
+    vals /= np.maximum(trace, DEFAULT_VALIDATION_TOL)[..., None]
+    return vals, vecs, asym, min_eig, trace
+
+
+def stack_states(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The Hermitian states V diag(vals) V^dag of a stack of spectral
+    decompositions, as :func:`validate_stack` gives them."""
     ents = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    ents = 0.5 * (ents + ents.conj().swapaxes(-1, -2))
-    return ents, vals, vecs, asym, min_eig, trace
+    return 0.5 * (ents + ents.conj().swapaxes(-1, -2))
 
 
 def stack_valid(asym, min_eig, trace) -> np.ndarray:
@@ -304,9 +321,14 @@ class Superoperator:
         bit for bit what its matrices give one at a time.
         """
         arr = _as_matrix(x, name="superoperator input", stack=True)
+        if arr.shape[-1] != self.dim:
+            raise DimensionMismatch(f"input of dimension {arr.shape[-1]} for dim {self.dim}")
+        return self._apply(arr)
+
+    def _apply(self, arr: np.ndarray) -> np.ndarray:
+        """:meth:`apply` without its input checks, for a finite complex
+        (..., d, d) stack of any leading shape that the caller built."""
         d = self.dim
-        if arr.shape[-1] != d:
-            raise DimensionMismatch(f"input of dimension {arr.shape[-1]} for dim {d}")
         # vec(X) of each matrix as a (d^2, 1) column
         vecs = arr.swapaxes(-1, -2).reshape(-1, d * d, 1)
         return (self.matrix @ vecs).reshape(arr.shape).swapaxes(-1, -2)

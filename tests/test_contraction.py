@@ -475,9 +475,9 @@ def _sequential_ascend(ratios, x0, d, opts, stencil=False):
     central differences over the 2n points x +- h e_i, one call at each
     accepted point.  Returns (value, rho, iterations, stop reason)."""
     def call(params):
-        rho = contraction._rho_from_params(params, d)
+        a, t, rho = contraction._param_states(params, d)
         f, g = ratios(rho)
-        g = contraction._param_gradients(params, rho, g, d)
+        g = contraction._param_gradients(a, t, rho, g)
         # a point with no finite gradient is invalid
         f[~np.isfinite(g).all(axis=1)] = np.nan
         return f, g
@@ -577,6 +577,41 @@ class TestStackedIterations:
         assert got[0] == pytest.approx(want[0], rel=1e-9, abs=0), (got[2:], want[2:])
 
 
+#: (objective, d, value, (ratio_calls, ratio_evaluations, curvature_skips,
+#: nonfinite_gradients, identity_fallbacks), restart_iterations, stop_reasons
+#: (converged, line_search_exhausted, max_iters)) of two restarts of 30
+#: iterations, seed 5, on random_channel(d, seed=d): a change to any of them
+#: is a change of the search's path, not only of its cost
+PINNED_SEARCHES = [
+    ("ht[kl]", 2, 0.5259382528935254, (58, 113, 1, 0, 0), [29, 25], (2, 0, 0)),
+    ("ht[kl]", 3, 0.3211421218169343, (66, 130, 0, 0, 0), [30, 30], (0, 0, 2)),
+    ("petz[kl]", 2, 0.5259382528935248, (58, 113, 1, 0, 0), [29, 25], (2, 0, 0)),
+    ("petz[kl]", 3, 0.32114212181693447, (66, 130, 0, 0, 0), [30, 30], (0, 0, 2)),
+    ("matsumoto[kl]", 2, 0.5180237234850278, (52, 101, 1, 0, 0), [28, 22], (2, 0, 0)),
+    ("matsumoto[kl]", 3, 0.33423283404492576, (79, 156, 0, 0, 0), [30, 30], (0, 0, 2)),
+    ("chi2[kmb]", 2, 0.5050238856454702, (17, 32, 0, 0, 0), [7, 8], (2, 0, 0)),
+    ("chi2[kmb]", 3, 0.31399921414221366, (54, 105, 0, 0, 0), [30, 24], (2, 0, 0)),
+]
+
+
+class TestPinnedSearches:
+    """The payload hashes pin values only; a search that made other calls or
+    counted otherwise would still pass them."""
+
+    @pytest.mark.parametrize("name, dim, value, counters, iterations, stops", PINNED_SEARCHES)
+    def test_value_and_counters_are_pinned(self, f_cat, gs, name, dim, value, counters,
+                                           iterations, stops):
+        ch = qc.random_channel(dim, seed=dim)
+        est = qc.sdpi_variational(_oracle_objective(name, f_cat, gs), ch, qc.fixed_point(ch),
+                                  qc.VariationalOptions(restarts=2, max_iters=30, seed=5))
+        diag = est.diagnostics
+        assert est.value == value
+        assert tuple(diag[k] for k in ("ratio_calls", "ratio_evaluations", "curvature_skips",
+                                       "nonfinite_gradients", "identity_fallbacks")) == counters
+        assert diag["restart_iterations"] == iterations
+        assert tuple(diag["stop_reasons"][k] for k in contraction.STOP_REASONS) == stops
+
+
 def _exact_objectives(f_cat, gs):
     """Every built-in objective, all with exact gradients: each family with
     each catalog f, and chi-square with each catalog g and the GNS weight."""
@@ -627,13 +662,13 @@ class TestExactGradients:
         x = np.vstack([rng.normal(size=(3, 2 * dim * dim)),
                        *_near_degenerate_points(pi, dim, rng)])
         n = x.shape[1]
-        rho = contraction._rho_from_params(x, dim)
+        a, t, rho = contraction._param_states(x, dim)
         objectives = _exact_objectives(f_cat, gs) + [_KL_CHI2.with_family(fam)
                                                      for fam in qc.FAMILIES]
         for obj in objectives:
             ratios, name = contraction._objective(obj, ch, pi)
             values, g = ratios(rho)
-            grads = contraction._param_gradients(x, rho, g, dim)
+            grads = contraction._param_gradients(a, t, rho, g)
             for b in range(len(x)):
                 h = 1e-6
                 pts = np.tile(x[b], (2 * n, 1))

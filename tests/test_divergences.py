@@ -344,6 +344,8 @@ class TestEvaluateDispatcher:
 
 
 class TestStackedKernels:
+    # the kernels mark the rows they cannot evaluate NaN, under the caller's errstate
+    @np.errstate(all="ignore")
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("f_name", ["kl", "chi2", "hellinger"])
     @pytest.mark.parametrize("family", qc.FAMILIES)
@@ -360,8 +362,8 @@ class TestStackedKernels:
                        + [qc.random_density(dim, rng, rank=1).entries])
         raw = np.stack([rho, ch.superop.apply(rho)])
         refs = [sig, qc.apply(ch, sig)]
-        ents, lam, phi, *_ = validate_stack(raw)
-        values, grads = divergences._divergence_stacks(spec, ents, lam, phi,
+        lam, phi, *_ = validate_stack(raw)
+        values, grads = divergences._divergence_stacks(spec, lam, phi,
                                                        divergences._references(*refs))
         assert values.shape == raw.shape[:2] and grads.shape == raw.shape
         for g, s in enumerate(refs):
@@ -373,8 +375,7 @@ class TestStackedKernels:
                     continue
                 assert values[g, k] == FAMILY_FN[family](spec, raw[g, k], s).value, (g, k)
                 one = divergences._divergence_stacks(
-                    spec, ents[g, k:k + 1], lam[g, k:k + 1], phi[g, k:k + 1],
-                    divergences._reference(s))
+                    spec, lam[g, k:k + 1], phi[g, k:k + 1], divergences._reference(s))
                 assert one[0][0] == values[g, k]
                 np.testing.assert_array_equal(one[1][0], grads[g, k])
         assert np.isnan(values[0, -1]) == (family != "matsumoto")

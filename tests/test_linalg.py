@@ -128,6 +128,19 @@ class TestRandomStates:
         assert full.full_rank
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda: qc.validate_density("abc"), qc.InputError),
+    (lambda: qc.validate_density([[1, 0], [0]]), qc.InputError),
+    (lambda: qc.channel_from_kraus(["ab"]), qc.InputError),
+    (lambda: qc.channel_from_superop(np.asarray(5.0)), qc.NotSquare),
+], ids=["density-string", "density-ragged", "kraus-string", "superop-0d"])
+def test_malformed_array_like_is_a_typed_error(make, error):
+    with pytest.raises(qc.QcontractError) as info:
+        make()
+    assert type(info.value) is error
+    assert info.value.exit_code == 2
+
+
 class TestSuperoperator:
     def test_apply_matches_matrix_action(self, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -157,6 +170,16 @@ class TestSuperoperator:
                 s.apply(bad)
         with pytest.raises(qc.DimensionMismatch):
             s.apply(np.eye(3))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unchecked_apply_is_the_checked_one(self, dim, rng):
+        # the search applies E and E* through _apply to (B, d, d) and
+        # (2, B, d, d) stacks it built itself
+        x = rng.normal(size=(2, 5, dim, dim)) + 1j * rng.normal(size=(2, 5, dim, dim))
+        superop = qc.random_channel(dim, seed=dim).superop
+        for s in (superop, superop.adjoint()):
+            np.testing.assert_array_equal(s._apply(x[0]), s.apply(x[0]))
+            np.testing.assert_array_equal(s._apply(x), np.stack([s.apply(x[0]), s.apply(x[1])]))
 
     def test_in_basis_is_the_map_on_rotated_matrix_units(self, rng):
         s = qc.random_channel(2, seed=2).superop

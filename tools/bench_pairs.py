@@ -4,7 +4,7 @@ alternating pairs, and write the results as one BENCH_<tag>.json.
 Usage, from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD --tag search_batch \
-        --workload sdpi_qutrit --seeds 1-5 [--trace-seed 11]
+        --workload sdpi_qutrit --seeds 1-10 [--trace-seed 11]
 
 Each side runs from its own temporary directory: the parent is extracted
 with ``git archive``, and the working tree (with uncommitted edits) is
@@ -23,7 +23,17 @@ and ``summary``.  Per workload, the summary gives each end-to-end metric's
 median, quartiles and count on both sides and ``change_wins``, the number
 of seeds on which the change was better (direction from BENCHMARK.json),
 plus the failed-op totals; a traced workload ``W`` gets ``W_trace`` with
-the per-layer metrics of both traced runs.
+the per-layer metrics of both traced runs.  Each metric also states the
+acceptance rule of a performance change:
+
+* ``gain_rule``: the change was better on at least nine tenths of the
+  seeds, and its median is better than the parent's by more than the
+  parent's interquartile range, so a gain may be claimed;
+* ``within_bound``: the change's median is no worse than the parent's by
+  more than the metric's relative ``bound`` in BENCHMARK.json, so it is
+  no regression.
+
+The default ten seeds are the fewest pairs the rule counts on.
 """
 
 from __future__ import annotations
@@ -93,7 +103,17 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(sides: dict, better: dict) -> dict:
+def acceptance(parent: dict, change: dict, wins: int, n: int, direction: str,
+               bound: float) -> dict:
+    """The gain rule and the regression bound on one metric's quartiles."""
+    sign = 1.0 if direction == "lower" else -1.0
+    # positive when the change is better
+    gain = sign * (parent["median"] - change["median"])
+    return {"gain_rule": bool(wins >= 0.9 * n and gain > parent["q3"] - parent["q1"]),
+            "within_bound": bool(-gain <= bound * abs(parent["median"]))}
+
+
+def summarize(sides: dict, better: dict, bounds: dict) -> dict:
     summary = {}
     workloads = dict.fromkeys(r["workload"] for r in sides["parent"])
     for w in workloads:
@@ -108,6 +128,8 @@ def summarize(sides: dict, better: dict) -> dict:
                        for p, c in zip(vals["parent"], vals["change"]))
             entry[name] = {side: quartiles(v) for side, v in vals.items()}
             entry[name]["change_wins"] = f"{wins}/{len(seeds)}"
+            entry[name].update(acceptance(entry[name]["parent"], entry[name]["change"], wins,
+                                          len(seeds), direction, bounds[name]))
         entry["failed"] = {side: sum(runs[side][s]["failed"] for s in seeds) for side in runs}
         summary[w] = entry
         traced = {side: [r for r in recs if r["workload"] == w and r["trace"] == 1]
@@ -125,7 +147,7 @@ def main(argv=None) -> int:
                         help="commit to compare against (default HEAD)")
     parser.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--seeds", default="1-5", help="e.g. 1-5 or 1,3,7")
+    parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,7")
     parser.add_argument("--trace-seed", type=int, default=None)
     parser.add_argument("--workdir", default=None,
                         help="where the two temporary trees go (default: system temp)")
@@ -134,6 +156,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     command, seconds = bench["command"], f"{bench['run_seconds']:g}"
     sides = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
@@ -159,7 +182,7 @@ def main(argv=None) -> int:
                                        "--trace T"]),
         "parent_commit": commit,
         "sides": sides,
-        "summary": summarize(sides, better),
+        "summary": summarize(sides, better, bounds),
     }
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w", encoding="utf-8") as fh:
