@@ -105,8 +105,9 @@ def fdivergence_spec(name, f, f1, f2, f3, operator_convex=False,
 
 def _kl_f(x):
     x = np.asarray(x, float)
-    safe = np.where(x > 0, x, 1.0)
-    return np.where(x > 0, safe * np.log(safe) - safe + 1.0, 1.0)
+    pos = x > 0
+    safe = np.where(pos, x, 1.0)
+    return np.where(pos, safe * np.log(safe) - safe + 1.0, 1.0)
 
 
 def _kl_f1(x):

@@ -8,10 +8,12 @@
 * Variational lower-bound estimation of SDPI constants for the
   chi-square weights and the ht, petz and matsumoto families (seeded
   multi-start BFGS ascent on log R, with Armijo line-search trials
-  evaluated two per stacked ratio call; each call returns the ratios
-  with their exact gradients from one validation and one kernel call on
-  the stack of rho and E(rho); sigma's and E(sigma)'s eigen-data are
-  computed once per search).
+  evaluated two per stacked ratio call, (1, 1/2), (1/4, 1/8), ..., or
+  (2, 1), (1/2, 1/4), ... after a step that took alpha >= 1, and the
+  inverse Hessian reset to steepest ascent when a line search fails on
+  valid points; each call returns the ratios with their exact gradients
+  from one validation and one kernel call on the stack of rho and E(rho);
+  sigma's and E(sigma)'s eigen-data are computed once per search).
 * Detailed-balance residuals and the GNS implies-all-g check.
 * The contraction-rate experiment harness with rate-bound and
   tightness verdicts.
@@ -395,7 +397,7 @@ def _init_params(rng: np.random.Generator, sigma: DensityMatrix, kind: int) -> n
 
 #: counters of the search, summed over restarts into ``diagnostics``
 COUNTERS = ("ratio_calls", "ratio_evaluations", "curvature_skips", "nonfinite_gradients",
-            "reinits", "identity_fallbacks")
+            "reinits", "identity_fallbacks", "hessian_resets", "extrapolations")
 #: why a restart's ascent stopped
 STOP_REASONS = ("converged", "line_search_exhausted", "max_iters")
 #: restart values whose spread ``diagnostics["top_spread"]`` reports
@@ -450,13 +452,24 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     I/d and has no gradient, so it is invalid, and so is a point whose
     gradient is not finite (``counts["nonfinite_gradients"]``).
 
-    The line search backtracks from the full step alpha = 1 and takes the
-    first trial, in order, whose log R rises by at least
+    The line search passes a trial whose log R rises by at least
     ARMIJO alpha (grad log R . p); a trial whose ratio is not finite and
-    positive is rejected.  Its trials go two per stacked call, (1, 1/2),
-    then (1/4, 1/8) and so on, while ||alpha p|| >= ``step_tol``; a point's
-    ratio does not depend on the stack it is evaluated in.  Each pair is
-    formed when the previous one fails; the log is taken only of a rise.
+    positive is rejected.  Its trials go two per stacked call while
+    ||alpha p|| >= ``step_tol``; a point's ratio does not depend on the
+    stack it is evaluated in.  Each pair is formed when the previous one
+    fails; the log is taken only of a rise.  The pairs are (1, 1/2), then
+    (1/4, 1/8) and so on, and the first passing trial, in order, is taken.
+    After an iteration that took alpha >= 1, the quasi-Newton step may be
+    too short, so the first pair extrapolates: it is (2, 1), and the
+    higher passing trial of the two is taken, but neither if the full step
+    alpha = 1 is an invalid point (stepping past it may land on a far,
+    valid point); then the pairs go on (1/2, 1/4), (1/8, 1/16) and so on,
+    first passing trial first (``counts["extrapolations"]`` counts the
+    accepted alpha = 2 steps).  When no trial passes although every trial
+    was a valid point, H exists and the stop test is at least STALL_TOL,
+    H is what failed: it is dropped (``counts["hessian_resets"]``), which
+    uses the iteration, and the next direction is the INIT_STEP
+    steepest-ascent step, as at the start, with no extrapolation.
 
     A start point whose ratio is 0 (or below) has no log R: it is a
     converged restart at once, with that value.  Every call adds to
@@ -467,7 +480,8 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     Since R(c x) = R(x), the stop test ||x|| ||grad log R|| does not
     depend on the scale of x: below GRAD_TOL the restart has
     ``converged``, as it has when no trial passes while that test is below
-    STALL_TOL (rounding then hides the rise); no passing trial otherwise is
+    STALL_TOL (rounding then hides the rise); no passing trial otherwise,
+    with no inverse Hessian to reset or an invalid trial, is
     ``line_search_exhausted``; or the restart stops after ``max_iters``.
     """
     n = x0.size
@@ -491,17 +505,18 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
 
     x = x0.copy()
     f, grads = probe(x[None])
-    f0, grad = f[0], grads[0]
+    f0, dr = f[0], grads[0]
     if not np.isfinite(f0):
         return None
     h_inv = s = grad_old = None
+    full = False
     stop = "max_iters"
     for it in range(opts.max_iters):
         if f0 <= 0.0:
             # only a start point can be here: log R is undefined at R = 0
             stop = "converged"
             break
-        grad = grad / f0
+        grad = dr / f0
         x_norm, g_norm = math.sqrt(x.dot(x)), math.sqrt(grad.dot(grad))
         scaled = x_norm * g_norm
         if scaled < GRAD_TOL:
@@ -522,22 +537,35 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
         p = grad * (INIT_STEP * x_norm / g_norm) if h_inv is None else h_inv @ grad
         slope = grad.dot(p)
         p_norm = math.sqrt(p.dot(p))
-        accepted = None
-        alpha = 1.0
+        accepted, valid = None, True
+        alpha = 2.0 if full and p_norm >= opts.step_tol else 1.0
         while accepted is None and alpha * p_norm >= opts.step_tol:
             half = 0.5 * alpha
             a = [alpha, half] if half * p_norm >= opts.step_tol else [alpha]
             x_try = x + np.array(a)[:, None] * p
             f_try, g_try = probe(x_try)
+            valid = valid and bool(np.isfinite(f_try).all())
             # f0 > 0, so the log is taken of a ratio above 1 only
-            accepted = next((k for k, fk in enumerate(f_try.tolist())
-                             if fk > f0 and np.log(fk / f0) >= ARMIJO * a[k] * slope), None)
+            ok = [k for k, fk in enumerate(f_try.tolist())
+                  if fk > f0 and np.log(fk / f0) >= ARMIJO * a[k] * slope]
+            if alpha > 1.0:
+                # (2, 1): the higher passing trial, and none past an invalid full step
+                ok = [max(ok, key=f_try.__getitem__)] if ok and np.isfinite(f_try[1]) else []
+            accepted = ok[0] if ok else None
             alpha = 0.5 * half
         if accepted is None:
+            if h_inv is not None and valid and scaled >= STALL_TOL:
+                # valid trials that do not rise: H has gone bad, not the point
+                counts["hessian_resets"] += 1
+                h_inv = s = None
+                full = False
+                continue
             stop = "converged" if scaled < STALL_TOL else "line_search_exhausted"
             break
+        full = a[accepted] >= 1.0
+        counts["extrapolations"] += a[accepted] > 1.0
         s, grad_old = x_try[accepted] - x, grad
-        x, f0, grad = x_try[accepted], f_try[accepted], g_try[accepted]
+        x, f0, dr = x_try[accepted], f_try[accepted], g_try[accepted]
     counts["stop_reasons"][stop] += 1
     return float(f0), _rho_from_params(x[None], d)[0], it + 1, stop
 
@@ -548,8 +576,11 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
 
     Maximizes R = D(E(rho) || E(sigma)) / D(rho || sigma) over rho = A A^dag
     / tr, with seeded multi-start BFGS ascent on log R and an Armijo
-    backtracking line search whose trials go two per stacked ratio call
-    (see ``_ascend``).  The evaluator is a SpectralWeight (the chi-square
+    line search whose trials go two per stacked ratio call: it backtracks
+    from alpha = 1, or, after a step that took alpha >= 1, first tries
+    alpha = 2 beside 1; a line search that fails on valid points only
+    drops the inverse Hessian and goes on from steepest ascent once (see
+    ``_ascend``).  The evaluator is a SpectralWeight (the chi-square
     objective) or an FDivergenceSpec with its family set (ht, petz or
     matsumoto); anything else raises :class:`InputError`.  Each ratio call
     returns the values with their exact gradients.  States within trace
@@ -565,7 +596,9 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     (``curvature_skips``), the points with a ratio but no finite gradient
     (``nonfinite_gradients``), the extra starting points tried after an
     invalid one, the evaluated points whose parameter matrix was 0 and so
-    stood for I/d, and how many restarts stopped for each reason
+    stood for I/d, the inverse Hessians dropped after a line search that
+    failed on valid points (``hessian_resets``), the accepted alpha = 2
+    steps (``extrapolations``), and how many restarts stopped for each reason
     (``stop_reasons``: ``converged``, ``line_search_exhausted`` or
     ``max_iters``).
     Per valid restart it lists the value, the iterations and the stop

@@ -9,6 +9,8 @@ evaluation apply :func:`epsilon_regularize` explicitly.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -183,10 +185,11 @@ def hockey_stick(rho, sigma, gamma: float) -> float:
     """Hockey-stick divergence E_gamma = tr[(rho - gamma sigma)_+], gamma >= 1.
 
     Defined for every state rho; sigma must be full rank.  A gamma that is
-    not a finite number >= 1 (NaN, inf) raises :class:`InputError`.
+    not a finite real number >= 1 (NaN, inf, None, a string) raises
+    :class:`InputError`.
     """
-    if not (np.isfinite(gamma) and gamma >= 1.0):
-        raise InputError(f"gamma must be finite and >= 1, got {gamma}")
+    if not (isinstance(gamma, numbers.Real) and math.isfinite(gamma) and gamma >= 1.0):
+        raise InputError(f"gamma must be a finite number >= 1, got {gamma!r}")
     r, s = _pair(rho, sigma)
     return _positive_eig_sum(r.entries - gamma * s.entries)
 

@@ -288,7 +288,7 @@ def vectorize(x) -> np.ndarray:
 
 def devectorize(v, dim: int | None = None) -> np.ndarray:
     """Inverse of :func:`vectorize`."""
-    vec = np.asarray(v, dtype=complex).ravel()
+    vec = _complex_array(v, "vector").ravel()
     if dim is None:
         dim = math.isqrt(vec.size)
     if dim * dim != vec.size:
@@ -306,7 +306,8 @@ class Superoperator:
     dim: int
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        # a copy in the input's memory order, which the products' rounding follows
+        m = np.array(_complex_array(self.matrix, "superoperator matrix"))
         if m.shape != (self.dim**2, self.dim**2):
             raise DimensionMismatch(
                 f"superoperator matrix shape {m.shape} does not match dim {self.dim}"

@@ -133,7 +133,13 @@ class TestRandomStates:
     (lambda: qc.validate_density([[1, 0], [0]]), qc.InputError),
     (lambda: qc.channel_from_kraus(["ab"]), qc.InputError),
     (lambda: qc.channel_from_superop(np.asarray(5.0)), qc.NotSquare),
-], ids=["density-string", "density-ragged", "kraus-string", "superop-0d"])
+    (lambda: qc.Superoperator("ab", 2), qc.InputError),
+    (lambda: qc.devectorize("abc"), qc.InputError),
+    (lambda: qc.hockey_stick(np.eye(2) / 2, np.eye(2) / 2, "x"), qc.InputError),
+    (lambda: qc.hockey_stick(np.eye(2) / 2, np.eye(2) / 2, None), qc.InputError),
+], ids=["density-string", "density-ragged", "kraus-string", "superop-0d",
+        "superoperator-string", "devectorize-string", "hockey-gamma-string",
+        "hockey-gamma-none"])
 def test_malformed_array_like_is_a_typed_error(make, error):
     with pytest.raises(qc.QcontractError) as info:
         make()

@@ -1,0 +1,178 @@
+"""Print every variational SDPI search of the benchmark pools and of the
+default CLI experiments, with its value, ratio calls, iterations and stop
+reasons, as one JSON document; or compare two such documents.
+
+Usage, from the repository root:
+
+    python3 tools/search_digest.py [--tree DIR] [--sections a,b] > digest.json
+    python3 tools/search_digest.py --compare before.json after.json
+
+``--tree`` names the checkout whose ``src/`` and ``perfbench/`` are
+imported (default: this one), so the same script digests another commit
+extracted with ``git archive``.  The sections are:
+
+* ``sdpi_qutrit`` and ``experiment_qubit``: one round over the whole pool
+  of the benchmark workload of that name, made by the workload's own
+  ``setup`` and ``rounds`` (``perfbench/workloads.py``, imported as is);
+* ``cli``: ``qcontract experiment`` at its defaults (kl under ht, petz and
+  matsumoto, g max and kmb, n_max 6, 32 restarts) on depolarizing(0.5),
+  random_channel(2, seed=1) and random_channel(3, seed=1); the last takes
+  about 20-30 s on a 2-core x86 host.
+
+A search is recorded by wrapping ``sdpi_variational`` where the public
+package and the experiment look it up, so every search the CLI makes is
+seen with its own diagnostics.  ``--compare`` pairs the searches of two
+digests in order and prints, per section, the ratio calls on both sides,
+the capped (``max_iters``) restarts, how many searches ended higher,
+lower or equal, and the largest relative moves of the values.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECTIONS = ("sdpi_qutrit", "experiment_qubit", "cli")
+#: depolarizing(0.5), random_channel(2, seed=1) and random_channel(3, seed=1)
+CLI_FIXTURES = (
+    {"kind": "depolarizing", "p": 0.5},
+    {"kind": "random", "dim": 2, "seed": 1},
+    {"kind": "random", "dim": 3, "seed": 1},
+)
+
+
+def _record(contraction, qc, inner, log: list) -> None:
+    """Wrap ``inner``, the library's sdpi_variational, so that each search
+    appends its digest to ``log``."""
+
+    def traced(evaluator, channel, sigma, opts=None):
+        est = inner(evaluator, channel, sigma, opts)
+        diag = est.diagnostics
+        log.append({
+            "channel": channel.label,
+            "objective": diag["objective"],
+            "value": est.value,
+            "raw_best": diag["raw_best"],
+            "iterations": diag["restart_iterations"],
+            "stops": diag["restart_stops"],
+            **{key: diag[key] for key in contraction.COUNTERS},
+        })
+        return est
+
+    contraction.sdpi_variational = qc.sdpi_variational = traced
+
+
+def _pool(workloads, name: str, workdir: str) -> None:
+    """One round over the whole pool of a benchmark workload."""
+    work = workloads.WORKLOADS[name]
+    inputs = work.setup(1, workdir)
+    for k in range(work.cycle):
+        for op in work.rounds(inputs, k):
+            out = op.fn()
+            problem = work.check(inputs, op.label, out)
+            if problem:
+                raise SystemExit(f"{name} {op.label}: {problem}")
+
+
+def _cli(cli, workdir: str) -> None:
+    out = os.path.join(workdir, "experiment.json")
+    for spec in CLI_FIXTURES:
+        argv = ["experiment", "--channel", json.dumps(spec), "--f", "kl",
+                "--family", "ht", "--family", "petz", "--family", "matsumoto",
+                "--g", "max", "--g", "kmb", "--format", "json", "--out", out]
+        if cli.main(argv) != 0:
+            raise SystemExit(f"qcontract experiment failed on {spec}")
+
+
+def digest(tree: str, sections) -> dict:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
+    import qcontract as qc
+    import qcontract.cli as cli
+    import qcontract.contraction as contraction
+    import workloads
+
+    result = {"tree": os.path.abspath(tree), "counters": list(contraction.COUNTERS),
+              "sections": {}}
+    inner = contraction.sdpi_variational
+    with tempfile.TemporaryDirectory() as workdir:
+        for section in sections:
+            log = []
+            _record(contraction, qc, inner, log)
+            try:
+                if section == "cli":
+                    _cli(cli, workdir)
+                else:
+                    _pool(workloads, section, workdir)
+            finally:
+                contraction.sdpi_variational = qc.sdpi_variational = inner
+            result["sections"][section] = log
+    return result
+
+
+def _capped(log) -> int:
+    return sum(stops.count("max_iters") for stops in (s["stops"] for s in log))
+
+
+def compare(before: dict, after: dict) -> dict:
+    """Per section: calls, capped restarts and value moves from ``before`` to ``after``."""
+    report = {}
+    for section, old in before["sections"].items():
+        new = after["sections"].get(section)
+        if new is None:
+            continue
+        if len(new) != len(old) or any((a["channel"], a["objective"]) !=
+                                       (b["channel"], b["objective"])
+                                       for a, b in zip(old, new)):
+            raise SystemExit(f"{section}: the two digests hold different searches")
+        moves = [(b["value"] - a["value"]) / abs(a["value"]) if a["value"] else
+                 b["value"] - a["value"] for a, b in zip(old, new)]
+        fewer = sum(b["ratio_calls"] < a["ratio_calls"] for a, b in zip(old, new))
+        report[section] = {
+            "searches": len(old),
+            "ratio_calls": [sum(s["ratio_calls"] for s in old),
+                            sum(s["ratio_calls"] for s in new)],
+            "searches_with_fewer_calls": fewer,
+            "capped_restarts": [_capped(old), _capped(new)],
+            "higher_lower_equal": [sum(m > 0 for m in moves), sum(m < 0 for m in moves),
+                                   sum(m == 0 for m in moves)],
+            "max_rel_rise": max(moves),
+            "max_rel_fall": min(moves),
+            "moves": [{"channel": a["channel"], "objective": a["objective"],
+                       "stops": [a["stops"].count("max_iters"), b["stops"].count("max_iters")],
+                       "calls": [a["ratio_calls"], b["ratio_calls"]], "rel_move": m}
+                      for a, b, m in zip(old, new, moves)],
+        }
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", default=ROOT,
+                        help="checkout whose src/ and perfbench/ are digested")
+    parser.add_argument("--sections", default=",".join(SECTIONS),
+                        help=f"comma-separated subset of {', '.join(SECTIONS)}")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two digests instead of making one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        with open(args.compare[0], encoding="utf-8") as a, \
+                open(args.compare[1], encoding="utf-8") as b:
+            out = compare(json.load(a), json.load(b))
+    else:
+        sections = [s for s in args.sections.split(",") if s]
+        unknown = set(sections) - set(SECTIONS)
+        if unknown:
+            parser.error(f"unknown sections {sorted(unknown)}")
+        out = digest(args.tree, sections)
+    json.dump(out, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
