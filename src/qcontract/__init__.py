@@ -7,229 +7,26 @@ spectral weights, exact and variational strong-data-processing (SDPI)
 contraction coefficients, detailed-balance residuals, and runs the
 contraction-rate experiment relating f-divergence decay of channel
 powers to the chi-square constant of the channel.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports them all (the CLI module ``qcontract.cli`` is left out
+of ``import qcontract``).
 """
 
 __version__ = "0.1.0"
 
-from .catalog import (
-    FAMILIES,
-    FDivergenceSpec,
-    SpectralWeight,
-    f_catalog,
-    fdivergence_spec,
-    g_catalog,
-    gns_weight,
-    kappa_for_petz,
-    local_weight,
-    standard_monotone,
-)
-from .channels import (
-    PrimitivityReport,
-    QuantumChannel,
-    amplitude_damping,
-    apply,
-    channel_adjoint,
-    channel_from_kraus,
-    channel_from_superop,
-    channel_power,
-    choi_matrix,
-    depolarizing,
-    embedded_classical,
-    fixed_point,
-    is_primitive,
-    kraus_to_superop,
-    pauli_channel,
-    random_channel,
-)
-from .contraction import (
-    CSV_SCHEMA_VERSION,
-    DB_TOL,
-    DEFAULT_SEED,
-    ExperimentOptions,
-    ExperimentReport,
-    SdpiEstimate,
-    VariationalOptions,
-    carlen_maas_check,
-    contraction_experiment,
-    detailed_balance_residual,
-    omega,
-    report_csv,
-    report_payload,
-    sdpi_chi2,
-    sdpi_submultiplicativity_check,
-    sdpi_variational,
-)
-from .divergences import (
-    DivergenceValue,
-    chi2_g,
-    chi2_max,
-    chi2_quadratic_form,
-    epsilon_regularize,
-    evaluate,
-    hockey_stick,
-    ht_divergence,
-    local_chi2_estimate,
-    matsumoto_divergence,
-    petz_divergence,
-    reverse_pinsker_bound,
-)
-from .errors import (
-    AllRestartsDegenerate,
-    ConvergenceFailure,
-    DegenerateFixedSpace,
-    DimensionMismatch,
-    DomainError,
-    InputError,
-    NotCompletelyPositive,
-    NotHermitian,
-    NotOperatorConvex,
-    NotPositive,
-    NotPrimitive,
-    NotProbability,
-    NotSquare,
-    NotStandardMonotone,
-    NotStochastic,
-    NotTracePreserving,
-    NumericalError,
-    ParameterOutOfRange,
-    PreconditionError,
-    QcontractError,
-    QuadratureFailure,
-    SingularReference,
-    TraceZero,
-    TraceZeroEigenvector,
-    UnsupportedOrder,
-)
-from .linalg import (
-    DensityMatrix,
-    Superoperator,
-    devectorize,
-    hermitianize,
-    random_density,
-    random_hermitian,
-    schatten_norm,
-    trace_distance,
-    validate_density,
-    vectorize,
-)
-from .quadrature import QuadratureResult, integrate_piecewise
-from .serialize import (
-    channel_from_json,
-    channel_to_json,
-    load_json_arg,
-    matrix_from_json,
-    matrix_to_json,
-    state_from_json,
-    state_to_json,
-)
+from . import catalog, channels, contraction, divergences, errors, linalg, quadrature, serialize
+from .catalog import *  # noqa: F401,F403
+from .channels import *  # noqa: F401,F403
+from .contraction import *  # noqa: F401,F403
+from .divergences import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .serialize import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # catalog
-    "FAMILIES",
-    "FDivergenceSpec",
-    "SpectralWeight",
-    "f_catalog",
-    "fdivergence_spec",
-    "g_catalog",
-    "gns_weight",
-    "kappa_for_petz",
-    "local_weight",
-    "standard_monotone",
-    # channels
-    "PrimitivityReport",
-    "QuantumChannel",
-    "amplitude_damping",
-    "apply",
-    "channel_adjoint",
-    "channel_from_kraus",
-    "channel_from_superop",
-    "channel_power",
-    "choi_matrix",
-    "depolarizing",
-    "embedded_classical",
-    "fixed_point",
-    "is_primitive",
-    "kraus_to_superop",
-    "pauli_channel",
-    "random_channel",
-    # cli
-    "DEFAULT_SEED",
-    # contraction
-    "CSV_SCHEMA_VERSION",
-    "DB_TOL",
-    "ExperimentOptions",
-    "ExperimentReport",
-    "SdpiEstimate",
-    "VariationalOptions",
-    "carlen_maas_check",
-    "contraction_experiment",
-    "detailed_balance_residual",
-    "omega",
-    "report_csv",
-    "report_payload",
-    "sdpi_chi2",
-    "sdpi_submultiplicativity_check",
-    "sdpi_variational",
-    # divergences
-    "DivergenceValue",
-    "chi2_g",
-    "chi2_max",
-    "chi2_quadratic_form",
-    "epsilon_regularize",
-    "evaluate",
-    "hockey_stick",
-    "ht_divergence",
-    "local_chi2_estimate",
-    "matsumoto_divergence",
-    "petz_divergence",
-    "reverse_pinsker_bound",
-    # errors
-    "AllRestartsDegenerate",
-    "ConvergenceFailure",
-    "DegenerateFixedSpace",
-    "DimensionMismatch",
-    "DomainError",
-    "InputError",
-    "NotCompletelyPositive",
-    "NotHermitian",
-    "NotOperatorConvex",
-    "NotPositive",
-    "NotPrimitive",
-    "NotProbability",
-    "NotSquare",
-    "NotStandardMonotone",
-    "NotStochastic",
-    "NotTracePreserving",
-    "NumericalError",
-    "ParameterOutOfRange",
-    "PreconditionError",
-    "QcontractError",
-    "QuadratureFailure",
-    "SingularReference",
-    "TraceZero",
-    "TraceZeroEigenvector",
-    "UnsupportedOrder",
-    # linalg
-    "DensityMatrix",
-    "Superoperator",
-    "devectorize",
-    "hermitianize",
-    "random_density",
-    "random_hermitian",
-    "schatten_norm",
-    "trace_distance",
-    "validate_density",
-    "vectorize",
-    # quadrature
-    "QuadratureResult",
-    "integrate_piecewise",
-    # serialize
-    "channel_from_json",
-    "channel_to_json",
-    "load_json_arg",
-    "matrix_from_json",
-    "matrix_to_json",
-    "state_from_json",
-    "state_to_json",
+__all__ = ["__version__"] + [
+    name
+    for module in (catalog, channels, contraction, divergences, errors, linalg, quadrature, serialize)
+    for name in module.__all__
 ]

@@ -8,7 +8,6 @@ preservation are verified at construction through the Choi matrix.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,9 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     Superoperator,
-    _complex_array,
+    _integer,
+    _numeric_array,
+    _real,
     devectorize,
     hermitianize,
     validate_density,
@@ -141,7 +142,7 @@ def channel_from_kraus(kraus, label: str = "kraus") -> QuantumChannel:
     mats = []
     d = None
     for k in kraus:
-        arr = _complex_array(k, "Kraus operator")
+        arr = _numeric_array(k, "Kraus operator")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise NotSquare(f"Kraus operator has shape {arr.shape}")
         if d is None:
@@ -168,7 +169,7 @@ def channel_from_kraus(kraus, label: str = "kraus") -> QuantumChannel:
 
 def channel_from_superop(matrix, label: str = "superop") -> QuantumChannel:
     """Build a channel from a superoperator matrix, verifying CPTP."""
-    m = _complex_array(matrix, "superoperator matrix")
+    m = _numeric_array(matrix, "superoperator matrix")
     d = int(round(np.sqrt(m.shape[0]))) if m.ndim == 2 else 0
     if m.shape != (d * d, d * d):
         raise NotSquare(f"superoperator matrix has shape {m.shape}")
@@ -279,15 +280,6 @@ def is_primitive(channel: QuantumChannel) -> PrimitivityReport:
 
 # -- constructors -----------------------------------------------------------
 
-def _integer(value, name: str, minimum: int, below: type = InputError) -> int:
-    """An integral constructor argument; one below ``minimum`` raises ``below``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise below(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
 def _weyl(dim: int, a: int, b: int) -> np.ndarray:
     """Discrete Weyl operator X^a Z^b on C^dim."""
     omega = np.exp(2j * np.pi / dim)
@@ -298,6 +290,7 @@ def _weyl(dim: int, a: int, b: int) -> np.ndarray:
 
 def depolarizing(p: float, dim: int = 2) -> QuantumChannel:
     """E(rho) = (1-p) rho + p tr(rho) I/dim, via a Weyl twirl Kraus set."""
+    p = _real(p, "depolarizing parameter")
     if not 0.0 <= p <= 1.0:
         raise ParameterOutOfRange(f"depolarizing parameter must be in [0, 1], got {p}")
     dim = _integer(dim, "dim", 2, DimensionMismatch)
@@ -314,7 +307,7 @@ def depolarizing(p: float, dim: int = 2) -> QuantumChannel:
 def embedded_classical(transition) -> QuantumChannel:
     """Embed a column-stochastic matrix W as the channel with Kraus
     sqrt(W[i,j]) |i><j|; populations evolve by W, coherences are killed."""
-    w = np.asarray(transition, dtype=float)
+    w = _numeric_array(transition, "transition matrix", float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise NotSquare(f"transition matrix has shape {w.shape}")
     if np.any(w < -1e-12):
@@ -336,7 +329,7 @@ def embedded_classical(transition) -> QuantumChannel:
 
 def pauli_channel(probs) -> QuantumChannel:
     """Qubit channel sum_k p_k sigma_k rho sigma_k over (I, X, Y, Z)."""
-    p = np.asarray(probs, dtype=float)
+    p = _numeric_array(probs, "probabilities", float)
     if p.shape != (4,):
         raise NotProbability(f"need 4 probabilities, got shape {p.shape}")
     if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
@@ -348,6 +341,7 @@ def pauli_channel(probs) -> QuantumChannel:
 def amplitude_damping(gamma: float, excitation: float) -> QuantumChannel:
     """Generalized amplitude damping with decay rate gamma toward the
     thermal state diag(1-excitation, excitation)."""
+    gamma, excitation = _real(gamma, "gamma"), _real(excitation, "excitation")
     if not 0.0 < gamma < 1.0:
         raise ParameterOutOfRange(f"gamma must be in (0, 1), got {gamma}")
     if not 0.0 < excitation < 1.0:

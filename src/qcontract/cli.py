@@ -48,7 +48,7 @@ from .errors import (
 )
 from .serialize import channel_from_json, load_json_arg, state_from_json
 
-__all__ = ["main", "RunConfig", "ReportEnvelope", "DEFAULT_SEED"]
+__all__ = ["main", "RunConfig", "ReportEnvelope"]
 
 
 @dataclass(frozen=True)
@@ -148,21 +148,14 @@ def _reference_state(config: RunConfig, channel: QuantumChannel):
 
 
 def _resolve(kind: str, names, catalog: dict) -> dict:
-    """The named entries of an f or g catalog, in order of first mention."""
+    """The named entries of a catalog of f, g or family names, each once, in
+    order of first mention."""
     for name in names:
         if name not in catalog:
             raise InputError(
                 f"unknown {kind} name {name!r}; available: {', '.join(sorted(catalog))}"
             )
     return {name: catalog[name] for name in names}
-
-
-def _check_families(families):
-    for fam in families:
-        if fam not in FAMILIES:
-            raise InputError(
-                f"unknown family {fam!r}; available: {', '.join(FAMILIES)}"
-            )
 
 
 def _csv(rows) -> str:
@@ -174,13 +167,13 @@ def _csv(rows) -> str:
 def cmd_divergence(config: RunConfig) -> tuple:
     rho = _load_state(config.rho, "rho")
     sigma = _load_state(config.sigma, "sigma")
-    _check_families(config.families)
+    families = _resolve("family", config.families, dict.fromkeys(FAMILIES))
     specs = _resolve("f", config.f_names, f_catalog())
-    if not config.families or not specs:
+    if not families or not specs:
         raise InputError("need at least one --family and one --f")
     records = []
     for fname, spec in specs.items():
-        for fam in config.families:
+        for fam in families:
             result = evaluate(spec.with_family(fam), rho, sigma)
             records.append(
                 {
@@ -232,11 +225,11 @@ def cmd_sdpi(config: RunConfig) -> tuple:
             }
         )
     if config.families:
-        _check_families(config.families)
+        families = _resolve("family", config.families, dict.fromkeys(FAMILIES))
         specs = _resolve("f", config.f_names, f_catalog())
         opts = VariationalOptions(restarts=config.restarts, seed=config.seed)
         for fname, spec in specs.items():
-            for fam in config.families:
+            for fam in families:
                 est = sdpi_variational(spec.with_family(fam), channel, sigma, opts)
                 searches[f"{fam}[{fname}]"] = _total_counts([est.diagnostics])
                 records.append(
@@ -317,13 +310,11 @@ def _db_check_csv(payload: dict) -> str:
 
 def cmd_experiment(config: RunConfig) -> tuple:
     channel = _load_channel(config)
-    _check_families(config.families)
+    names = _resolve("family", config.families, dict.fromkeys(FAMILIES))
     specs = _resolve("f", config.f_names, f_catalog())
-    if not config.families or not specs:
+    if not names or not specs:
         raise InputError("need at least one --family and one --f")
-    families = [
-        spec.with_family(fam) for spec in specs.values() for fam in config.families
-    ]
+    families = [spec.with_family(fam) for spec in specs.values() for fam in names]
     gs = list(_resolve("g", config.g_names, g_catalog()).values())
     opts = ExperimentOptions(restarts=config.restarts, seed=config.seed)
     report = contraction_experiment(

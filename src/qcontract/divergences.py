@@ -5,12 +5,15 @@ All evaluators use natural logarithms and require full-rank reference
 states; support mismatches raise :class:`SingularReference` instead of
 silently taking regularized limits.  Callers who want a regularized
 evaluation apply :func:`epsilon_regularize` explicitly.
+
+``_require_family`` is the one check of a spec dispatched on its family
+(by ``evaluate``, ``local_chi2_estimate``, the SDPI search and the
+experiment), and ``_sigma_weights`` the one place every chi-square entry
+point reads its weight g; both raise :class:`InputError` on a wrong type.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,6 +28,7 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
+    _real,
     eigvalsh_stack,
     projector_stack,
     stack_full_rank,
@@ -40,6 +44,7 @@ __all__ = [
     "epsilon_regularize",
     "chi2_g",
     "chi2_max",
+    "chi2_quadratic_form",
     "hockey_stick",
     "ht_divergence",
     "matsumoto_divergence",
@@ -93,15 +98,24 @@ def _pair(rho, sigma) -> tuple[DensityMatrix, DensityMatrix]:
 def epsilon_regularize(rho, eps: float) -> DensityMatrix:
     """Deliberate regularization (1-eps) rho + eps I/d."""
     r = _density(rho, "rho")
+    eps = _real(eps, "eps")
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must be in (0, 1), got {eps}")
     d = r.dim
     return validate_density((1.0 - eps) * r.entries + (eps / d) * np.eye(d))
 
 
+def _require_weight(g) -> None:
+    """The one check of a chi-square weight argument."""
+    if not isinstance(g, SpectralWeight):
+        raise InputError(f"g must be a SpectralWeight, got {type(g).__name__}")
+
+
 def _sigma_weights(sigma: DensityMatrix, g: SpectralWeight) -> np.ndarray:
-    """Spectral weight matrix w[i, j] = g(mu_i / mu_j) / mu_j; raises
-    :class:`InputError` unless every weight is positive and finite."""
+    """Spectral weight matrix w[i, j] = g(mu_i / mu_j) / mu_j, through which
+    every chi-square entry point reads g; raises :class:`InputError` unless
+    g is a :class:`SpectralWeight` and every weight is positive and finite."""
+    _require_weight(g)
     mu = sigma.eigenvalues
     ratio = mu[:, None] / mu[None, :]
     w = np.asarray(g(ratio), float) / mu[None, :]
@@ -185,10 +199,11 @@ def hockey_stick(rho, sigma, gamma: float) -> float:
     """Hockey-stick divergence E_gamma = tr[(rho - gamma sigma)_+], gamma >= 1.
 
     Defined for every state rho; sigma must be full rank.  A gamma that is
-    not a finite real number >= 1 (NaN, inf, None, a string) raises
+    not a finite real number >= 1 (NaN, inf, None, a bool, a string) raises
     :class:`InputError`.
     """
-    if not (isinstance(gamma, numbers.Real) and math.isfinite(gamma) and gamma >= 1.0):
+    gamma = _real(gamma, "gamma")
+    if gamma < 1.0:
         raise InputError(f"gamma must be a finite number >= 1, got {gamma!r}")
     r, s = _pair(rho, sigma)
     return _positive_eig_sum(r.entries - gamma * s.entries)
@@ -367,11 +382,19 @@ def _divergence_stacks(spec: FDivergenceSpec, lam: np.ndarray, phi: np.ndarray,
     return np.where(full, values, np.nan), np.where(full[..., None, None], grads, np.nan)
 
 
-def _require_family(spec: FDivergenceSpec) -> None:
+def _require_family(spec) -> None:
+    """The one check of a spec that an evaluator dispatches on its family:
+    :class:`InputError` unless it is an :class:`FDivergenceSpec` whose
+    family is one of :data:`FAMILIES`, and :class:`NotOperatorConvex` for a
+    petz spec whose generator is not operator convex."""
+    if not isinstance(spec, FDivergenceSpec):
+        raise InputError(f"spec must be an FDivergenceSpec, got {type(spec).__name__}")
     if spec.family not in FAMILIES:
         raise InputError(
             f"spec {spec.name!r} has family {spec.family!r}; set one of {FAMILIES}"
         )
+    if spec.family == "petz":
+        _require_operator_convex(spec)
 
 
 def _require_operator_convex(spec: FDivergenceSpec) -> None:
@@ -496,42 +519,29 @@ def reverse_pinsker_bound(spec: FDivergenceSpec, rho, sigma):
     return float(bound), applicable
 
 
-def _family_callable(evaluator, sigma):
-    """Normalize the evaluator argument of local_chi2_estimate into a
-    callable rho -> value."""
-    if isinstance(evaluator, FDivergenceSpec):
-        spec = evaluator
-        if spec.family not in FAMILIES:
-            raise InputError(
-                f"spec {spec.name!r} needs family set for local estimation"
-            )
-        return lambda r: evaluate(spec, r, sigma).value
-    if callable(evaluator):
-        return lambda r: float(evaluator(r, sigma))
-    raise InputError("evaluator must be an FDivergenceSpec with family or a callable")
-
-
 def local_chi2_estimate(evaluator, rho, sigma, lambda_grid=DEFAULT_LOCAL_GRID):
     """Estimate lim_{l->0} D(l rho + (1-l) sigma || sigma) / l^2.
 
-    Evaluates the curve on the descending grid and Neville-extrapolates
-    the polynomial through (l, D/l^2) to l = 0.  Returns
-    (limit_estimate, fit_residual) where the residual is the change from
-    adding the final grid point.
+    The evaluator is a callable (rho, sigma) -> D or a spec with its
+    family set.  Evaluates the curve on the descending grid and
+    Neville-extrapolates the polynomial through (l, D/l^2) to l = 0.
+    Returns (limit_estimate, fit_residual) where the residual is the change
+    from adding the final grid point.
     """
     r, s = _pair(rho, sigma)
-    grid = [float(x) for x in lambda_grid]
-    # NaN passes every range comparison below, so catch it here
-    if not np.isfinite(grid).all():
-        raise InputError(f"lambda_grid must hold finite points, got {grid}")
+    if not np.iterable(lambda_grid):
+        raise InputError(f"lambda_grid must be a sequence of numbers, got {lambda_grid!r}")
+    grid = [_real(x, "lambda_grid point") for x in lambda_grid]
     lam = np.asarray(sorted(set(grid), reverse=True), float)
     if lam.size < 4 or lam[0] >= 1.0 or lam[-1] <= 0.0:
         raise InputError("lambda_grid needs >= 4 distinct points inside (0, 1)")
-    fn = _family_callable(evaluator, s)
+    if not callable(evaluator):
+        _require_family(evaluator)
     h = np.empty(lam.size)
     for k, l in enumerate(lam):
         mix = validate_density(l * r.entries + (1.0 - l) * s.entries)
-        h[k] = fn(mix) / l**2
+        value = evaluator(mix, s) if callable(evaluator) else evaluate(evaluator, mix, s).value
+        h[k] = float(value) / l**2
     # Neville tableau evaluated at lambda = 0
     p = h.copy()
     best_prev = p[0]

@@ -11,34 +11,6 @@ carries an ``exit_code`` used by the command line tool:
 
 from __future__ import annotations
 
-__all__ = [
-    "QcontractError",
-    "InputError",
-    "PreconditionError",
-    "NumericalError",
-    "NotSquare",
-    "DimensionMismatch",
-    "NotHermitian",
-    "NotPositive",
-    "TraceZero",
-    "NotStochastic",
-    "NotProbability",
-    "NotTracePreserving",
-    "NotCompletelyPositive",
-    "ParameterOutOfRange",
-    "UnsupportedOrder",
-    "NotOperatorConvex",
-    "NotStandardMonotone",
-    "SingularReference",
-    "DomainError",
-    "NotPrimitive",
-    "DegenerateFixedSpace",
-    "TraceZeroEigenvector",
-    "QuadratureFailure",
-    "ConvergenceFailure",
-    "AllRestartsDegenerate",
-]
-
 
 class QcontractError(Exception):
     """Base class for all library errors."""
@@ -153,3 +125,8 @@ class ConvergenceFailure(NumericalError):
 class AllRestartsDegenerate(NumericalError):
     """No variational restart found a valid starting point: each one fell in
     the excluded ball around sigma or gave an invalid ratio."""
+
+
+#: every error class is public
+__all__ = [name for name, obj in list(globals().items())
+           if isinstance(obj, type) and issubclass(obj, QcontractError)]

@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +57,30 @@ DEFAULT_VALIDATION_TOL = 1e-9
 HERMITICITY_REJECT_TOL = 1e-6
 
 
-def _complex_array(a, name: str) -> np.ndarray:
-    """``np.asarray(a, complex)``, with :class:`InputError` for input that is
+def _numeric_array(a, name: str, dtype: type = complex) -> np.ndarray:
+    """``np.asarray(a, dtype)``, with :class:`InputError` for input that is
     not a numeric array (strings, ragged nested lists)."""
     try:
-        return np.asarray(a, dtype=complex)
+        return np.asarray(a, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} is not a numeric array: {exc}") from None
+
+
+def _integer(value, name: str, minimum: int, below: type = InputError) -> int:
+    """An integral argument; one below ``minimum`` raises ``below``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise below(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """A finite real argument that is not a bool, as a float; anything else
+    raises :class:`InputError`.  Its range is the caller's to check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InputError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _as_matrix(a, *, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -70,7 +88,7 @@ def _as_matrix(a, *, name: str = "matrix", stack: bool = False) -> np.ndarray:
     a (B, d, d) stack of such matrices is accepted too."""
     if isinstance(a, DensityMatrix):
         return a.entries
-    arr = _complex_array(a, name)
+    arr = _numeric_array(a, name)
     if arr.ndim not in ((2, 3) if stack else (2,)) or arr.shape[-1] != arr.shape[-2]:
         raise NotSquare(f"{name} must be a square 2-d array, got shape {arr.shape}")
     if arr.shape[-1] < 2:
@@ -288,7 +306,7 @@ def vectorize(x) -> np.ndarray:
 
 def devectorize(v, dim: int | None = None) -> np.ndarray:
     """Inverse of :func:`vectorize`."""
-    vec = _complex_array(v, "vector").ravel()
+    vec = _numeric_array(v, "vector").ravel()
     if dim is None:
         dim = math.isqrt(vec.size)
     if dim * dim != vec.size:
@@ -307,7 +325,7 @@ class Superoperator:
 
     def __post_init__(self):
         # a copy in the input's memory order, which the products' rounding follows
-        m = np.array(_complex_array(self.matrix, "superoperator matrix"))
+        m = np.array(_numeric_array(self.matrix, "superoperator matrix"))
         if m.shape != (self.dim**2, self.dim**2):
             raise DimensionMismatch(
                 f"superoperator matrix shape {m.shape} does not match dim {self.dim}"
@@ -352,8 +370,8 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     """Random density matrix A A^dag / tr from a complex Ginibre A of the given rank."""
-    if rank is None:
-        rank = dim
+    dim = _integer(dim, "dim", 2, DimensionMismatch)
+    rank = dim if rank is None else _integer(rank, "rank", 1)
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = a @ a.conj().T
     return validate_density(m / np.trace(m).real)

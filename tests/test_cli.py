@@ -82,6 +82,13 @@ class TestDivergence:
         )
         assert code == 2
 
+    def test_unknown_family_lists_the_available_ones(self, capsys):
+        code = main(["divergence", "--rho", GOLDEN_RHO, "--sigma", GOLDEN_SIGMA,
+                     "--family", "sandwiched"])
+        assert code == 2
+        assert "unknown family name 'sandwiched'; available: ht, matsumoto, petz" in \
+            capsys.readouterr().err
+
     def test_singular_sigma_is_precondition_error(self, capsys):
         code = main(
             ["divergence", "--family", "matsumoto", "--rho", GOLDEN_RHO,
@@ -357,6 +364,18 @@ class TestEnvelope:
         code, env = run_json(capsys, argv)
         assert code == 0
         assert env["payload_sha256"] == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["divergence", "--rho", GOLDEN_RHO, "--sigma", GOLDEN_SIGMA],
+        ["sdpi", "--channel", DEPOL, "--restarts", "2"],
+        ["experiment", "--channel", DEPOL, "--n-max", "2", "--restarts", "2"],
+    ], ids=["divergence", "sdpi", "experiment"])
+    def test_repeated_family_runs_once(self, capsys, argv):
+        # --family merges repeats in order of first mention, as --f and --g do
+        once = run_json(capsys, argv + ["--family", "petz"])
+        twice = run_json(capsys, argv + ["--family", "petz", "--family", "petz"])
+        assert once[0] == twice[0] == 0
+        assert twice[1]["payload_sha256"] == once[1]["payload_sha256"]
 
     def test_out_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

@@ -1255,6 +1255,34 @@ class TestExperiment:
                 qc.depolarizing(0.5), [f_cat["kl"]], [gs["max"]], n_max=2
             )
 
+    @pytest.mark.parametrize("p", [1.0, 0.999999])
+    def test_tightness_holds_where_eta_is_rounding(self, f_cat, gs, p):
+        # eta_kappa(E) is 0 (p = 1) or 1e-12: an SVD gives the singular
+        # values sqrt(eta) to rounding of the top one, 1, so eta(E^n) and
+        # eta(E)^n differ by far more than 1e-7 relative, but not sqrt(eta)
+        families = [f_cat["kl"].with_family(fam) for fam in qc.FAMILIES]
+        rep = qc.contraction_experiment(
+            qc.depolarizing(p), families, list(gs.values()), n_max=3,
+            opts=qc.ExperimentOptions(restarts=2),
+        )
+        tight = rep.verdicts["tightness"]
+        for entry in tight["per_family"].values():
+            assert entry["applicable"] and entry["power_equality_pass"]
+            assert entry["power_equality_max_rel_err"] > 1e-7
+        assert tight["pass"]
+
+    @pytest.mark.parametrize("which", ["families", "gs"])
+    def test_repeated_labels_are_input_errors(self, f_cat, gs, which):
+        # rows, CSV columns and verdicts are keyed by label
+        families = [f_cat["kl"].with_family("petz")]
+        weights = [gs["max"]]
+        if which == "families":
+            families, match = families * 2, r"petz\[kl\]"
+        else:
+            weights, match = [gs["max"], gs["kmb"], gs["max"]], "'max'"
+        with pytest.raises(qc.InputError, match=match):
+            qc.contraction_experiment(qc.depolarizing(0.5), families, weights, n_max=1)
+
     def test_n_max_range_enforced(self, f_cat, gs):
         fam = [f_cat["kl"].with_family("petz")]
         with pytest.raises(qc.InputError):

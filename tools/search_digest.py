@@ -1,6 +1,7 @@
 """Print every variational SDPI search of the benchmark pools and of the
 default CLI experiments, with its value, ratio calls, iterations and stop
-reasons, as one JSON document; or compare two such documents.
+reasons, and the output of every public call of the ``library_calls``
+benchmark, as one JSON document; or compare two such documents.
 
 Usage, from the repository root:
 
@@ -17,14 +18,20 @@ extracted with ``git archive``.  The sections are:
 * ``cli``: ``qcontract experiment`` at its defaults (kl under ht, petz and
   matsumoto, g max and kmb, n_max 6, 32 restarts) on depolarizing(0.5),
   random_channel(2, seed=1) and random_channel(3, seed=1); the last takes
-  about 20-30 s on a 2-core x86 host.
+  about 20-30 s on a 2-core x86 host;
+* ``library_calls``: one round of that benchmark workload's single public
+  calls (evaluate, chi2_g, fixed_point, is_primitive, sdpi_chi2,
+  carlen_maas_check), made the same way, each recorded with its label and
+  its output as a flat list of numbers (real parts, then imaginary parts).
 
 A search is recorded by wrapping ``sdpi_variational`` where the public
 package and the experiment look it up, so every search the CLI makes is
 seen with its own diagnostics.  ``--compare`` pairs the searches of two
 digests in order and prints, per section, the ratio calls on both sides,
 the capped (``max_iters``) restarts, how many searches ended higher,
-lower or equal, and the largest relative moves of the values.
+lower or equal, and the largest relative moves of the values; for
+``library_calls`` it pairs the calls by label and prints how many outputs
+are equal bit for bit and the largest relative move of any number.
 """
 
 from __future__ import annotations
@@ -35,8 +42,10 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SECTIONS = ("sdpi_qutrit", "experiment_qubit", "cli")
+SECTIONS = ("sdpi_qutrit", "experiment_qubit", "cli", "library_calls")
 #: depolarizing(0.5), random_channel(2, seed=1) and random_channel(3, seed=1)
 CLI_FIXTURES = (
     {"kind": "depolarizing", "p": 0.5},
@@ -66,16 +75,27 @@ def _record(contraction, qc, inner, log: list) -> None:
     contraction.sdpi_variational = qc.sdpi_variational = traced
 
 
-def _pool(workloads, name: str, workdir: str) -> None:
-    """One round over the whole pool of a benchmark workload."""
+def _pool(workloads, name: str, workdir: str) -> list:
+    """One round over the whole pool of a benchmark workload; returns the
+    label and output of each op."""
     work = workloads.WORKLOADS[name]
     inputs = work.setup(1, workdir)
+    outputs = []
     for k in range(work.cycle):
         for op in work.rounds(inputs, k):
             out = op.fn()
             problem = work.check(inputs, op.label, out)
             if problem:
                 raise SystemExit(f"{name} {op.label}: {problem}")
+            outputs.append((op.label, out))
+    return outputs
+
+
+def _numbers(out) -> list:
+    """The numbers of an op's output (a dict's values in order), as the
+    real parts and then the imaginary parts."""
+    x = np.asarray(list(out.values()) if isinstance(out, dict) else out, complex).ravel()
+    return np.concatenate([x.real, x.imag]).tolist()
 
 
 def _cli(cli, workdir: str) -> None:
@@ -106,6 +126,9 @@ def digest(tree: str, sections) -> dict:
             try:
                 if section == "cli":
                     _cli(cli, workdir)
+                elif section == "library_calls":
+                    log = [{"label": label, "output": _numbers(out)}
+                           for label, out in _pool(workloads, section, workdir)]
                 else:
                     _pool(workloads, section, workdir)
             finally:
@@ -118,19 +141,39 @@ def _capped(log) -> int:
     return sum(stops.count("max_iters") for stops in (s["stops"] for s in log))
 
 
+def _rel_move(a: float, b: float) -> float:
+    """The move from a to b relative to a, or absolute when a is 0."""
+    return (b - a) / abs(a) if a else b - a
+
+
+def _compare_outputs(old: list, new: list) -> dict:
+    """How many ``library_calls`` outputs are equal, and the largest move."""
+    if [a["label"] for a in old] != [b["label"] for b in new] or any(
+            len(a["output"]) != len(b["output"]) for a, b in zip(old, new)):
+        raise SystemExit("library_calls: the two digests hold different calls")
+    moves = [max(abs(m) for m in map(_rel_move, a["output"], b["output"]))
+             for a, b in zip(old, new)]
+    return {"calls": len(old),
+            "equal_outputs": sum(a["output"] == b["output"] for a, b in zip(old, new)),
+            "max_rel_move": max(moves)}
+
+
 def compare(before: dict, after: dict) -> dict:
-    """Per section: calls, capped restarts and value moves from ``before`` to ``after``."""
+    """Per section: calls, capped restarts and value moves from ``before`` to
+    ``after``; for ``library_calls``, equal outputs and the largest move."""
     report = {}
     for section, old in before["sections"].items():
         new = after["sections"].get(section)
         if new is None:
             continue
+        if section == "library_calls":
+            report[section] = _compare_outputs(old, new)
+            continue
         if len(new) != len(old) or any((a["channel"], a["objective"]) !=
                                        (b["channel"], b["objective"])
                                        for a, b in zip(old, new)):
             raise SystemExit(f"{section}: the two digests hold different searches")
-        moves = [(b["value"] - a["value"]) / abs(a["value"]) if a["value"] else
-                 b["value"] - a["value"] for a, b in zip(old, new)]
+        moves = [_rel_move(a["value"], b["value"]) for a, b in zip(old, new)]
         fewer = sum(b["ratio_calls"] < a["ratio_calls"] for a, b in zip(old, new))
         report[section] = {
             "searches": len(old),
