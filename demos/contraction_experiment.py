@@ -42,7 +42,7 @@ tight = report.verdicts["tightness"]
 print(f"\ntightness verdict: {'PASS' if tight['pass'] else 'FAIL'}")
 for label, entry in tight["per_family"].items():
     print(f"  {label}: kappa-residual {entry['db_residual']:.2e}, "
-          f"power-equality max rel err {entry['power_equality_max_rel_err']:.2e}, "
+          f"power-equality max excess {entry['power_equality_max_excess']:+.2e}, "
           f"variational margin {entry['lower_bound_min_margin']:+.3f}")
 
 print("\nrows also carry the n-th roots eta_f^(1/n), which should level")

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import FAMILIES, FDivergenceSpec, SpectralWeight
+from .catalog import FAMILIES, FDivergenceSpec, SpectralWeight, _kl_f
 from .errors import (
     DomainError,
     InputError,
@@ -347,6 +347,14 @@ def _petz_values(f, lam: np.ndarray, phi: np.ndarray, mu: np.ndarray,
     return values, phi @ h @ phi.conj().swapaxes(-1, -2)
 
 
+def _is_umegaki(spec: FDivergenceSpec) -> bool:
+    """Whether spec's generator is kl's: its ht divergence is then the Umegaki
+    relative entropy, as its petz divergence is (Frenkel, Quantum 7, 1102,
+    2023), and both take petz's closed form.  The generator decides, not the
+    name."""
+    return spec.f is _kl_f
+
+
 def _divergence_stacks(spec: FDivergenceSpec, lam: np.ndarray, phi: np.ndarray,
                        ref: _Reference):
     """Values of spec's family, and their Hermitian gradients in rho, for
@@ -360,15 +368,16 @@ def _divergence_stacks(spec: FDivergenceSpec, lam: np.ndarray, phi: np.ndarray,
 
     NaN marks the values and gradients where the public evaluator raises a
     :class:`PreconditionError`: a rank-deficient rho for petz and ht, f not
-    finite on the pencil spectrum for matsumoto.  The ht values and
-    gradients are integrated in one stacked quadrature loop, in which the
-    reference rides in place of a rank-deficient rho.  The spec must have a
-    family, and an operator convex generator for petz.
+    finite on the pencil spectrum for matsumoto.  ht[kl] is petz[kl]
+    (:func:`_is_umegaki`); the other ht values and gradients are integrated
+    in one stacked quadrature loop, in which the reference rides in place of
+    a rank-deficient rho.  The spec must have a family, and an operator
+    convex generator for petz.
     """
     if spec.family == "matsumoto":
         return _matsumoto_values(spec.f, stack_states(lam, phi), ref, spec.f1)[::2]
     full = stack_full_rank(lam)
-    if spec.family == "petz":
+    if spec.family == "petz" or _is_umegaki(spec):
         values, grads = _petz_values(spec.f, lam, phi, ref.mu, ref.psi, spec.f1)
     else:
         rho = np.where(full[..., None, None], stack_states(lam, phi), ref.entries)
@@ -424,8 +433,12 @@ def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     of one in the stacked quadrature loop that the variational search runs
     on whole stacks (:func:`_ht_integrals`), so it gives bit for bit the
     value a state gets inside any stack; ``quad_evals`` counts the
-    integrand nodes of this integral.
+    integrand nodes of this integral.  For kl's generator the integral is the
+    Umegaki relative entropy, and the value is petz[kl]'s closed form, bit for
+    bit (:func:`_is_umegaki`), with no quadrature diagnostics.
     """
+    if _is_umegaki(spec):
+        return DivergenceValue(_petz_value(spec, rho, sigma), {"family": "ht", "f": spec.name})
     r, s = _pair(rho, sigma)
     _require_full_rank(r, "rho")
     ref = _reference(s)
@@ -467,11 +480,14 @@ def petz_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     convex generator (data processing fails otherwise) and full-rank states.
     """
     _require_operator_convex(spec)
+    return DivergenceValue(_petz_value(spec, rho, sigma), {"family": "petz", "f": spec.name})
+
+
+def _petz_value(spec: FDivergenceSpec, rho, sigma) -> float:
     r, s = _pair(rho, sigma)
     _require_full_rank(r, "rho")
-    value = _petz_values(spec.f, r.eigenvalues[None], r.eigenvectors[None],
-                         s.eigenvalues, s.eigenvectors)
-    return DivergenceValue(float(value[0]), {"family": "petz", "f": spec.name})
+    return float(_petz_values(spec.f, r.eigenvalues[None], r.eigenvectors[None],
+                              s.eigenvalues, s.eigenvectors)[0])
 
 
 _FAMILY_FN = {

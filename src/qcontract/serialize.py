@@ -42,14 +42,15 @@ def matrix_to_json(a: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, and not a bool, which is an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _entry(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise InputError(f"{where}: entries must be numbers or [re, im] pairs, got {value!r}")
 
@@ -86,19 +87,14 @@ def _require(obj: dict, key: str, kind: str):
 
 def _number(obj: dict, key: str, kind: str) -> float:
     v = _require(obj, key, kind)
-    if not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise InputError(f'channel field "{key}" must be a number, got {v!r}')
     return float(v)
 
 
 def _integer(v, key: str, minimum: int) -> int:
     """An integral JSON number (2 and 2.0, not 2.7, "2" or true) >= minimum."""
-    if (
-        isinstance(v, bool)
-        or not isinstance(v, (int, float))
-        or not float(v).is_integer()
-        or v < minimum
-    ):
+    if not _is_number(v) or not float(v).is_integer() or v < minimum:
         raise InputError(f'channel field "{key}" must be an integer >= {minimum}, got {v!r}')
     return int(v)
 

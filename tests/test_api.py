@@ -63,6 +63,9 @@ MALFORMED = {
     "depolarizing-string": lambda: qc.depolarizing("x"),
     "depolarizing-none": lambda: qc.depolarizing(None),
     "depolarizing-bool": lambda: qc.depolarizing(True),
+    "channel_from_json-bool": lambda: qc.channel_from_json({"kind": "depolarizing", "p": True}),
+    "state_from_json-bool": lambda: qc.state_from_json([[True, 0], [0, False]]),
+    "matrix_from_json-bool-pair": lambda: qc.matrix_from_json([[[0.5, False], 0], [0, 0.5]]),
     "amplitude_damping-string": lambda: qc.amplitude_damping("x", 0.2),
     "hockey_stick-bool": lambda: qc.hockey_stick(_RHO, _SIGMA, True),
     "random_density-string": lambda: qc.random_density("x", np.random.default_rng(0)),

@@ -268,7 +268,7 @@ class TestExperiment:
         )
         assert code == 0
         assert env["payload_sha256"] == (
-            "8d183e16ec3d8d3924ed2f68550b684b3548117b2175c240346b300b60609efb"
+            "b6a884eb9e2978cf1eed94704af996c54477dd741bc07c716efa7a1bc38729ac"
         )
 
     def test_search_counters_in_envelope_diagnostics(self, capsys):
@@ -348,7 +348,7 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("argv, digest", [
         (["divergence", "--rho", GOLDEN_RHO, "--sigma", GOLDEN_SIGMA],
-         "17ffdf199e8596562fa274986bb1b93e975ee3628c87f10d838ef3c0842260bb"),
+         "1a0f9d3184c496e864f332d3a1e508dbd52d070b09dbda3f91bb43d16452a7da"),
         (["sdpi", "--channel", DEPOL],
          "878b6f875466671d6b688204a44d792399b1c83e0aec55bcaa230719c2bbc068"),
         (["db-check", "--channel", PAULI],
@@ -357,7 +357,7 @@ class TestEnvelope:
         # (one petz restart stops at max_iters, the other five converge)
         (["sdpi", "--channel", '{"kind":"random","dim":3,"seed":1}', "--family", "ht",
           "--family", "petz", "--family", "matsumoto", "--restarts", "2", "--g", "max"],
-         "078343e2e8f0d156588b42a31b8343c0cd1edef62ba80b105f4217d1af7c32a6"),
+         "954c23ef95978c287bbc56cfb90d43b3e7297af7e1ab08e1e1e020e70a70ddfb"),
     ], ids=["divergence", "sdpi", "db-check", "sdpi-variational-d3"])
     def test_payload_hash_pinned(self, capsys, argv, digest):
         # a refactor must reproduce each command's payload bit for bit

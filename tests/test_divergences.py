@@ -135,10 +135,11 @@ class TestHtIntegral:
                 ), spec.name
 
     def test_kl_equals_umegaki_on_random_pairs(self, f_cat):
-        # the single log-gamma integral against Tr rho (log rho - log sigma),
-        # including sigma with an eigenvalue near 1e-4
+        # the kl quadrature, the reference for petz's closed form that ht[kl]
+        # takes, against Tr rho (log rho - log sigma), including sigma with
+        # an eigenvalue near 1e-4
         rng = np.random.default_rng(7)
-        spec = f_cat["kl"].with_family("ht")
+        spec = f_cat["kl"]
         for trial in range(40):
             d = 2 + trial % 2
             rho = qc.random_density(d, rng)
@@ -146,11 +147,33 @@ class TestHtIntegral:
             if trial % 4 == 3:
                 sig = near_singular(sig, rng)
                 assert sig.min_eigenvalue < 1e-3
-            got = qc.ht_divergence(spec, rho, sig).value
+            got = ht_stack(spec, rho.entries[None], sig).value[0]
             assert got == pytest.approx(umegaki(rho, sig), rel=1e-10), trial
 
+    def test_kl_is_the_petz_closed_form(self, f_cat, golden_pair):
+        # the generator, not the name, sends ht to petz's closed form: a
+        # spec named "kl" whose f is another function still integrates
+        rho, sig = golden_pair
+        kl = f_cat["kl"]
+        got = qc.ht_divergence(kl.with_family("ht"), rho, sig)
+        assert got.value == qc.petz_divergence(kl.with_family("petz"), rho, sig).value
+        assert got.diagnostics == {"family": "ht", "f": "kl"}
+        named = qc.fdivergence_spec("kl", lambda x: kl.f(x), kl.f1, kl.f2, kl.f3)
+        integrated = qc.ht_divergence(named.with_family("ht"), rho, sig)
+        assert integrated.diagnostics["quad_evals"] > 0
+        assert integrated.value == ht_stack(kl, rho.entries[None], sig).value[0]
+        # inside a stack, values and gradients too
+        rng = np.random.default_rng(4)
+        lam, phi, *_ = validate_stack(np.array([qc.random_density(3, rng).entries
+                                                for _ in range(5)]))
+        ref = divergences._reference(qc.random_density(3, rng))
+        ht, petz = (divergences._divergence_stacks(kl.with_family(fam), lam, phi, ref)
+                    for fam in ("ht", "petz"))
+        for a, b in zip(ht, petz):
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("f_name", ["kl", "chi2", "hellinger"])
+    @pytest.mark.parametrize("f_name", ["chi2", "hellinger"])
     def test_stack_values_are_the_lone_values(self, f_cat, dim, f_name):
         # stacks of 1 to 20 states, half against a near-singular sigma, so that
         # the integrals of one stack close at different depths; sigma itself
@@ -209,9 +232,10 @@ class TestHtIntegral:
         # perfbench's tracer patches integrate_piecewise on this module
         assert divergences.integrate_piecewise is quadrature.integrate_piecewise
 
-    def test_diagnostics_present(self, f_cat, golden_pair):
+    @pytest.mark.parametrize("f_name", ["chi2", "hellinger"])
+    def test_diagnostics_present(self, f_cat, golden_pair, f_name):
         rho, sig = golden_pair
-        got = qc.ht_divergence(f_cat["kl"].with_family("ht"), rho, sig)
+        got = qc.ht_divergence(f_cat[f_name].with_family("ht"), rho, sig)
         assert got.diagnostics["quad_error"] < 1e-8
         assert got.diagnostics["quad_evals"] > 0
         lo, hi = got.diagnostics["pencil_range"]

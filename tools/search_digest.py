@@ -32,6 +32,11 @@ the capped (``max_iters``) restarts, how many searches ended higher,
 lower or equal, and the largest relative moves of the values; for
 ``library_calls`` it pairs the calls by label and prints how many outputs
 are equal bit for bit and the largest relative move of any number.
+
+The digest also records the wall seconds of each ``cli`` fixture run under
+``cli_wall_s``, outside the sections, so no comparison of values reads them;
+``--compare`` prints them side by side, which makes a pair of digests of
+two trees a paired timing of the three CLI experiments.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -98,14 +104,20 @@ def _numbers(out) -> list:
     return np.concatenate([x.real, x.imag]).tolist()
 
 
-def _cli(cli, workdir: str) -> None:
+def _cli(cli, workdir: str) -> list:
+    """Run the CLI experiment on each fixture; returns the wall seconds of
+    each run."""
     out = os.path.join(workdir, "experiment.json")
+    walls = []
     for spec in CLI_FIXTURES:
         argv = ["experiment", "--channel", json.dumps(spec), "--f", "kl",
                 "--family", "ht", "--family", "petz", "--family", "matsumoto",
                 "--g", "max", "--g", "kmb", "--format", "json", "--out", out]
+        start = time.perf_counter()
         if cli.main(argv) != 0:
             raise SystemExit(f"qcontract experiment failed on {spec}")
+        walls.append({"channel": spec, "wall_s": time.perf_counter() - start})
+    return walls
 
 
 def digest(tree: str, sections) -> dict:
@@ -125,7 +137,7 @@ def digest(tree: str, sections) -> dict:
             _record(contraction, qc, inner, log)
             try:
                 if section == "cli":
-                    _cli(cli, workdir)
+                    result["cli_wall_s"] = _cli(cli, workdir)
                 elif section == "library_calls":
                     log = [{"label": label, "output": _numbers(out)}
                            for label, out in _pool(workloads, section, workdir)]
@@ -160,8 +172,12 @@ def _compare_outputs(old: list, new: list) -> dict:
 
 def compare(before: dict, after: dict) -> dict:
     """Per section: calls, capped restarts and value moves from ``before`` to
-    ``after``; for ``library_calls``, equal outputs and the largest move."""
+    ``after``; for ``library_calls``, equal outputs and the largest move;
+    and the wall seconds of each ``cli`` fixture run on both sides."""
     report = {}
+    if "cli_wall_s" in before and "cli_wall_s" in after:
+        report["cli_wall_s"] = [{"channel": a["channel"], "wall_s": [a["wall_s"], b["wall_s"]]}
+                                for a, b in zip(before["cli_wall_s"], after["cli_wall_s"])]
     for section, old in before["sections"].items():
         new = after["sections"].get(section)
         if new is None:
