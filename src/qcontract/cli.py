@@ -30,6 +30,7 @@ from .contraction import (
     DEFAULT_SEED,
     ExperimentOptions,
     VariationalOptions,
+    _shared_searches,
     _total_counts,
     carlen_maas_check,
     contraction_experiment,
@@ -205,7 +206,7 @@ def cmd_sdpi(config: RunConfig) -> tuple:
     channel = _load_channel(config)
     sigma, sigma_source = _reference_state(config, channel)
     gs = _resolve("g", config.g_names, g_catalog())
-    records, searches = [], {}
+    records, searches, shared = [], {}, {}
     for gname, g in gs.items():
         est = sdpi_chi2(channel, sigma, g)
         records.append(
@@ -228,28 +229,34 @@ def cmd_sdpi(config: RunConfig) -> tuple:
         families = _resolve("family", config.families, dict.fromkeys(FAMILIES))
         specs = _resolve("f", config.f_names, f_catalog())
         opts = VariationalOptions(restarts=config.restarts, seed=config.seed)
-        for fname, spec in specs.items():
-            for fam in families:
-                est = sdpi_variational(spec.with_family(fam), channel, sigma, opts)
-                searches[f"{fam}[{fname}]"] = _total_counts([est.diagnostics])
-                records.append(
-                    {
-                        "family": fam,
-                        "f_name": fname,
-                        "value": est.value,
-                        "method": est.method,
-                        "diagnostics": {
-                            "restarts_used": est.restarts_used,
-                            "valid_restarts": est.diagnostics.get("valid_restarts"),
-                        },
-                    }
-                )
+        runs = {f"{fam}[{fname}]": (fname, spec.with_family(fam))
+                for fname, spec in specs.items() for fam in families}
+        shared = _shared_searches(runs, [spec for _, spec in runs.values()])
+        estimates = {}
+        for label, (fname, spec) in runs.items():
+            if label in shared:
+                est = estimates[shared[label]]
+            else:
+                est = estimates[label] = sdpi_variational(spec, channel, sigma, opts)
+                searches[label] = _total_counts([est.diagnostics])
+            records.append(
+                {
+                    "family": spec.family,
+                    "f_name": fname,
+                    "value": est.value,
+                    "method": est.method,
+                    "diagnostics": {
+                        "restarts_used": est.restarts_used,
+                        "valid_restarts": est.diagnostics.get("valid_restarts"),
+                    },
+                }
+            )
     payload = {
         "channel": channel.label,
         "sigma_source": sigma_source,
         "results": records,
     }
-    return payload, {"searches": searches}
+    return payload, {"searches": searches, "shared_searches": shared}
 
 
 def _sdpi_text(payload: dict) -> list:
@@ -322,7 +329,7 @@ def cmd_experiment(config: RunConfig) -> tuple:
     )
     payload = report_payload(report)
     payload["csv"] = report_csv(report)
-    return payload, {"search_totals": report.diagnostics}
+    return payload, report.diagnostics
 
 
 def _experiment_text(payload: dict) -> list:
@@ -432,8 +439,10 @@ class _Command:
     when the flag is not given: None keeps the RunConfig default, a callable
     is called when the command runs.  ``run`` returns the payload and the
     diagnostics it adds to the envelope (outside the payload hash): the
-    search counters of each variational estimate of ``sdpi``, keyed by
-    record, and their totals over an ``experiment``.  ``text`` renders the
+    search counters of each variational search of ``sdpi``, keyed by the
+    record that ran it, and their totals over an ``experiment``; for both,
+    ``shared_searches`` maps each label that reused another label's search
+    to that label.  ``text`` renders the
     payload as lines, ``csv`` as a CSV document.  ``family_only`` names the
     flags the command reads only when --family is given; any of them
     without it is an InputError."""

@@ -46,6 +46,7 @@ from .channels import (
 from .divergences import (
     _chi2_gradients,
     _divergence_stacks,
+    _kernel_spec,
     _references,
     _rotated_forms,
     _require_family,
@@ -434,6 +435,18 @@ def _total_counts(diagnostics) -> dict:
     return total
 
 
+def _shared_searches(labels, specs) -> dict:
+    """Each label whose spec evaluates with the kernel of an earlier label's
+    spec (:func:`_kernel_spec`), mapped to that earlier label: the two share
+    one search, so ht[kl] and petz[kl] run it once."""
+    owners, shared = {}, {}
+    for label, spec in zip(labels, specs):
+        owner = owners.setdefault(_kernel_spec(spec), label)
+        if owner != label:
+            shared[label] = owner
+    return shared
+
+
 def _param_gradients(a: np.ndarray, t: np.ndarray, rho: np.ndarray,
                      g: np.ndarray) -> np.ndarray:
     """dR/dx for a (B, 2 d^2) stack of parameter vectors x, given its
@@ -727,8 +740,11 @@ class ExperimentOptions:
 @dataclass(frozen=True)
 class ExperimentReport:
     """Per-n contraction data for one channel plus the two verdicts;
-    ``diagnostics`` (outside ``report_payload``) holds the search counters
-    summed over every variational search of the experiment."""
+    ``diagnostics`` (outside ``report_payload``) holds ``search_totals``, the
+    search counters summed over every variational search the experiment
+    ran, and ``shared_searches``, which maps each family label that reused
+    another label's search (same kernel, see :func:`contraction_experiment`)
+    to that label."""
 
     channel_label: str
     dim: int
@@ -786,6 +802,11 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     (b) tightness: whenever the channel is kappa_f-detailed balanced, the
         chi-square constants of powers multiply exactly and the
         variational eta_f(E^n) stays above eta_{chi2_kappa}(E)^n - SLACK.
+
+    Labels whose specs share a kernel share one search per power: ht[kl]
+    is evaluated by petz[kl]'s closed form, so the first of the two labels
+    runs the search, with that label's seed (seed, n, index), and the
+    other takes its value.  Every other label runs its own search.
     """
     opts = opts or ExperimentOptions()
     n_max = _integer(n_max, "n_max", 1)
@@ -826,10 +847,14 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
 
     n0, max_devs = _estimate_n0(channel, pi, n_max, opts)
 
+    shared = _shared_searches(family_labels, families)
     rows, searches = [], []
     for n, e_n in enumerate(powers, start=1):
         eta_f = {}
         for idx, (label, spec) in enumerate(zip(family_labels, families)):
+            if label in shared:
+                eta_f[label] = eta_f[shared[label]]
+                continue
             vopts = VariationalOptions(
                 restarts=opts.restarts,
                 max_iters=opts.max_iters,
@@ -925,7 +950,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
             "slack": SLACK,
             "n0_samples": N0_SAMPLES,
         },
-        diagnostics=_total_counts(searches),
+        diagnostics={"search_totals": _total_counts(searches), "shared_searches": shared},
     )
 
 

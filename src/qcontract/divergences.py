@@ -355,6 +355,14 @@ def _is_umegaki(spec: FDivergenceSpec) -> bool:
     return spec.f is _kl_f
 
 
+def _kernel_spec(spec: FDivergenceSpec) -> FDivergenceSpec:
+    """The spec whose kernel evaluates spec: its petz twin for an Umegaki ht
+    spec (:func:`_is_umegaki`), else spec itself.  Specs are frozen and
+    hashable, so two labels with equal kernel specs can share one search;
+    the key keeps the family, since matsumoto[kl] is another kernel."""
+    return spec.with_family("petz") if spec.family == "ht" and _is_umegaki(spec) else spec
+
+
 def _divergence_stacks(spec: FDivergenceSpec, lam: np.ndarray, phi: np.ndarray,
                        ref: _Reference):
     """Values of spec's family, and their Hermitian gradients in rho, for

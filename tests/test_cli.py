@@ -146,6 +146,23 @@ class TestSdpi:
         assert all("ratio_calls" not in r["diagnostics"]
                    for r in env["payload"]["results"])
 
+    def test_ht_and_petz_kl_share_one_search(self, capsys):
+        # one search serves both records, with the seed each would have had,
+        # so the payload is the one two searches gave
+        code, env = run_json(
+            capsys,
+            ["sdpi", "--channel", DEPOL, "--family", "ht", "--family", "petz",
+             "--f", "kl", "--restarts", "2", "--seed", "5", "--g", "max"],
+        )
+        assert code == 0
+        ht, petz = env["payload"]["results"][1:]
+        assert ht["value"] == petz["value"]
+        assert set(env["diagnostics"]["searches"]) == {"ht[kl]"}
+        assert env["diagnostics"]["shared_searches"] == {"petz[kl]": "ht[kl]"}
+        assert env["payload_sha256"] == (
+            "8c038f22134fd05768fedf980c4c1fbe063f4dd569488d6f5786f260376711ca"
+        )
+
     def test_explicit_sigma_used(self, capsys):
         code, env = run_json(
             capsys,
@@ -261,6 +278,7 @@ class TestExperiment:
 
     def test_payload_hash_pinned(self, capsys):
         # a refactor must reproduce the depolarizing experiment bit for bit
+        # (its petz[kl] rows are ht[kl]'s: the two share one search)
         code, env = run_json(
             capsys,
             ["experiment", "--channel", '{"kind":"depolarizing","p":0.5}',
@@ -268,7 +286,7 @@ class TestExperiment:
         )
         assert code == 0
         assert env["payload_sha256"] == (
-            "b6a884eb9e2978cf1eed94704af996c54477dd741bc07c716efa7a1bc38729ac"
+            "772b1fd3bf6a3ad5881f91cd45b3bb9ecbf9a1cbd1097b4bade3a577673d0bb5"
         )
 
     def test_search_counters_in_envelope_diagnostics(self, capsys):
@@ -281,6 +299,19 @@ class TestExperiment:
         assert set(totals) == {*qc.contraction.COUNTERS, "stop_reasons"}
         assert "curvature_skips" in totals
         assert "search_totals" not in env["payload"]
+
+    def test_shared_search_in_envelope_diagnostics(self, capsys):
+        code, env = run_json(
+            capsys,
+            ["experiment", "--channel", DEPOL, "--n-max", "2", "--restarts", "2"],
+        )
+        assert code == 0
+        assert env["diagnostics"]["shared_searches"] == {"petz[kl]": "ht[kl]"}
+        # ht[kl] and matsumoto[kl] searched at two powers, two restarts each
+        assert sum(env["diagnostics"]["search_totals"]["stop_reasons"].values()) == 2 * 2 * 2
+        for row in env["payload"]["rows"]:
+            assert row["eta_f"]["petz[kl]"] == row["eta_f"]["ht[kl]"]
+        assert "shared_searches" not in env["payload"]
 
     def test_not_primitive_exit_code(self, capsys):
         code = main(

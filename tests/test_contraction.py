@@ -1404,3 +1404,56 @@ class TestExperiment:
         assert rep.n0 is None
         assert rep.verdicts["theorem_rate"]["vacuous"]
         assert rep.verdicts["theorem_rate"]["pass"]
+
+
+class TestSharedSearches:
+    """Labels whose specs evaluate with one kernel share one search per power."""
+
+    OPTS = qc.ExperimentOptions(restarts=2, max_iters=40, seed=7)
+
+    def test_ht_and_petz_kl_share_one_search(self, f_cat, gs):
+        # petz[kl] takes ht[kl]'s rows; ht[kl] and matsumoto[kl] are the lone
+        # searches with their own seed triples, so a key that folds
+        # matsumoto[kl] into petz[kl] (the generator alone) fails here
+        ch = qc.random_channel(2, seed=1)
+        pi = qc.fixed_point(ch)
+        kl = f_cat["kl"]
+        families = [kl.with_family(fam) for fam in qc.FAMILIES]
+        rep = qc.contraction_experiment(ch, families, [gs["max"]], n_max=2, opts=self.OPTS)
+        assert rep.diagnostics["shared_searches"] == {"petz[kl]": "ht[kl]"}
+        calls = 0
+        for row in rep.rows:
+            n = row["n"]
+            assert row["eta_f"]["petz[kl]"] == row["eta_f"]["ht[kl]"]
+            for idx, spec in enumerate(families):
+                if spec.family == "petz":
+                    continue
+                alone = qc.sdpi_variational(spec, qc.channel_power(ch, n), pi,
+                                            qc.VariationalOptions(
+                                                restarts=self.OPTS.restarts,
+                                                max_iters=self.OPTS.max_iters,
+                                                step_tol=contraction.EXPERIMENT_STEP_TOL,
+                                                seed=(self.OPTS.seed, n, idx)))
+                assert row["eta_f"][f"{spec.family}[kl]"] == alone.value
+                calls += alone.diagnostics["ratio_calls"]
+        # search_totals count the four searches that ran, each once
+        totals = rep.diagnostics["search_totals"]
+        assert sum(totals["stop_reasons"].values()) == 2 * 2 * self.OPTS.restarts
+        assert totals["ratio_calls"] == calls
+
+    @pytest.mark.parametrize("generator", ["hellinger", "named_kl"])
+    def test_other_kernels_run_their_own_searches(self, f_cat, gs, generator):
+        # ht[hellinger] integrates; so does a spec named "kl" on another f
+        if generator == "hellinger":
+            spec = f_cat["hellinger"]
+        else:
+            kl = f_cat["kl"]
+            spec = qc.fdivergence_spec("kl", lambda x: kl.f(x), kl.f1, kl.f2, kl.f3,
+                                       operator_convex=True)
+        families = [spec.with_family("ht"), spec.with_family("petz")]
+        assert divergences._kernel_spec(families[0]) == families[0]
+        opts = qc.ExperimentOptions(restarts=1, max_iters=5, seed=7)
+        rep = qc.contraction_experiment(qc.random_channel(2, seed=1), families,
+                                        [gs["max"]], n_max=1, opts=opts)
+        assert rep.diagnostics["shared_searches"] == {}
+        assert sum(rep.diagnostics["search_totals"]["stop_reasons"].values()) == 2

@@ -18,7 +18,7 @@ extracted with ``git archive``.  The sections are:
 * ``cli``: ``qcontract experiment`` at its defaults (kl under ht, petz and
   matsumoto, g max and kmb, n_max 6, 32 restarts) on depolarizing(0.5),
   random_channel(2, seed=1) and random_channel(3, seed=1); the last takes
-  about 20-30 s on a 2-core x86 host;
+  about 5-10 s on a 2-core x86 host;
 * ``library_calls``: one round of that benchmark workload's single public
   calls (evaluate, chi2_g, fixed_point, is_primitive, sdpi_chi2,
   carlen_maas_check), made the same way, each recorded with its label and
@@ -27,11 +27,19 @@ extracted with ``git archive``.  The sections are:
 A search is recorded by wrapping ``sdpi_variational`` where the public
 package and the experiment look it up, so every search the CLI makes is
 seen with its own diagnostics.  ``--compare`` pairs the searches of two
-digests in order and prints, per section, the ratio calls on both sides,
-the capped (``max_iters``) restarts, how many searches ended higher,
-lower or equal, and the largest relative moves of the values; for
-``library_calls`` it pairs the calls by label and prints how many outputs
-are equal bit for bit and the largest relative move of any number.
+digests by (channel, objective, occurrence), lists those only one side
+ran as ``dropped`` or ``added``, and prints, per section, the ratio calls
+on both sides, the capped (``max_iters``) restarts, how many paired
+searches ended higher, lower or equal, and the largest relative moves of
+the values; for ``library_calls`` it pairs the calls by label and prints
+how many outputs are equal bit for bit and the largest relative move of
+any number.
+
+The ``cli`` and ``experiment_qubit`` sections also record each
+experiment payload's eta_f per family label and n under ``eta_f``, and
+``--compare`` prints, per label, how many values are equal and the
+largest relative move: this bounds a label whose value comes from
+another label's search, which no search digest shows.
 
 The digest also records the wall seconds of each ``cli`` fixture run under
 ``cli_wall_s``, outside the sections, so no comparison of values reads them;
@@ -47,6 +55,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -104,11 +113,11 @@ def _numbers(out) -> list:
     return np.concatenate([x.real, x.imag]).tolist()
 
 
-def _cli(cli, workdir: str) -> list:
+def _cli(cli, workdir: str) -> tuple:
     """Run the CLI experiment on each fixture; returns the wall seconds of
-    each run."""
+    each run and the eta_f of each payload, per label and n."""
     out = os.path.join(workdir, "experiment.json")
-    walls = []
+    walls, etas = [], []
     for spec in CLI_FIXTURES:
         argv = ["experiment", "--channel", json.dumps(spec), "--f", "kl",
                 "--family", "ht", "--family", "petz", "--family", "matsumoto",
@@ -117,7 +126,12 @@ def _cli(cli, workdir: str) -> list:
         if cli.main(argv) != 0:
             raise SystemExit(f"qcontract experiment failed on {spec}")
         walls.append({"channel": spec, "wall_s": time.perf_counter() - start})
-    return walls
+        with open(out, encoding="utf-8") as fh:
+            payload = json.load(fh)["payload"]
+        etas.append({"channel": payload["channel"],
+                     "eta_f": {label: [row["eta_f"][label] for row in payload["rows"]]
+                               for label in payload["family_labels"]}})
+    return walls, etas
 
 
 def digest(tree: str, sections) -> dict:
@@ -129,7 +143,7 @@ def digest(tree: str, sections) -> dict:
     import workloads
 
     result = {"tree": os.path.abspath(tree), "counters": list(contraction.COUNTERS),
-              "sections": {}}
+              "sections": {}, "eta_f": {}}
     inner = contraction.sdpi_variational
     with tempfile.TemporaryDirectory() as workdir:
         for section in sections:
@@ -137,12 +151,15 @@ def digest(tree: str, sections) -> dict:
             _record(contraction, qc, inner, log)
             try:
                 if section == "cli":
-                    result["cli_wall_s"] = _cli(cli, workdir)
+                    result["cli_wall_s"], result["eta_f"][section] = _cli(cli, workdir)
                 elif section == "library_calls":
                     log = [{"label": label, "output": _numbers(out)}
                            for label, out in _pool(workloads, section, workdir)]
                 else:
-                    _pool(workloads, section, workdir)
+                    outputs = _pool(workloads, section, workdir)
+                    if section == "experiment_qubit":
+                        result["eta_f"][section] = [{"channel": label, "eta_f": out["eta_f"]}
+                                                    for label, out in outputs]
             finally:
                 contraction.sdpi_variational = qc.sdpi_variational = inner
             result["sections"][section] = log
@@ -170,10 +187,75 @@ def _compare_outputs(old: list, new: list) -> dict:
             "max_rel_move": max(moves)}
 
 
+def _keyed(log) -> dict:
+    """The searches of a log keyed by (channel, objective, occurrence): the
+    k-th search of an objective on a channel pairs with the k-th on the
+    other side, whatever other searches either side ran."""
+    seen, keyed = Counter(), {}
+    for s in log:
+        pair = (s["channel"], s["objective"])
+        keyed[(*pair, seen[pair])] = s
+        seen[pair] += 1
+    return keyed
+
+
+def _one_side(keyed: dict, keys) -> list:
+    return [{"channel": k[0], "objective": k[1], "occurrence": k[2],
+             "calls": keyed[k]["ratio_calls"]} for k in keys]
+
+
+def _compare_searches(old: list, new: list) -> dict:
+    """Calls, capped restarts and value moves of the searches both sides
+    ran; the searches only one side ran are listed as ``dropped`` (before
+    only) or ``added`` (after only)."""
+    a_keyed, b_keyed = _keyed(old), _keyed(new)
+    both = [k for k in a_keyed if k in b_keyed]
+    pairs = [(a_keyed[k], b_keyed[k]) for k in both]
+    moves = [_rel_move(a["value"], b["value"]) for a, b in pairs]
+    return {
+        "searches": [len(old), len(new)],
+        "paired": len(pairs),
+        "dropped": _one_side(a_keyed, [k for k in a_keyed if k not in b_keyed]),
+        "added": _one_side(b_keyed, [k for k in b_keyed if k not in a_keyed]),
+        "ratio_calls": [sum(s["ratio_calls"] for s in old),
+                        sum(s["ratio_calls"] for s in new)],
+        "searches_with_fewer_calls": sum(b["ratio_calls"] < a["ratio_calls"] for a, b in pairs),
+        "capped_restarts": [_capped(old), _capped(new)],
+        "higher_lower_equal": [sum(m > 0 for m in moves), sum(m < 0 for m in moves),
+                               sum(m == 0 for m in moves)],
+        "max_rel_rise": max(moves, default=0.0),
+        "max_rel_fall": min(moves, default=0.0),
+        "moves": [{"channel": k[0], "objective": k[1], "occurrence": k[2],
+                   "stops": [a["stops"].count("max_iters"), b["stops"].count("max_iters")],
+                   "calls": [a["ratio_calls"], b["ratio_calls"]], "rel_move": m}
+                  for k, (a, b), m in zip(both, pairs, moves)],
+    }
+
+
+def _compare_eta(old: list, new: list) -> dict:
+    """Per family label, over every channel and n both payload lists hold:
+    how many eta_f values are equal bit for bit and the largest relative
+    move, so a label whose value comes from another label's search is
+    bounded too."""
+    after = {(p["channel"], label): etas for p in new for label, etas in p["eta_f"].items()}
+    report = {}
+    for p in old:
+        for label, etas in p["eta_f"].items():
+            entry = report.setdefault(label, {"values": 0, "equal": 0, "max_abs_rel_move": 0.0})
+            for a, b in zip(etas, after.get((p["channel"], label), [])):
+                entry["values"] += 1
+                entry["equal"] += a == b
+                entry["max_abs_rel_move"] = max(entry["max_abs_rel_move"],
+                                                abs(_rel_move(a, b)))
+    return report
+
+
 def compare(before: dict, after: dict) -> dict:
     """Per section: calls, capped restarts and value moves from ``before`` to
     ``after``; for ``library_calls``, equal outputs and the largest move;
-    and the wall seconds of each ``cli`` fixture run on both sides."""
+    the eta_f moves per family label of the ``cli`` and
+    ``experiment_qubit`` payloads; and the wall seconds of each ``cli``
+    fixture run on both sides."""
     report = {}
     if "cli_wall_s" in before and "cli_wall_s" in after:
         report["cli_wall_s"] = [{"channel": a["channel"], "wall_s": [a["wall_s"], b["wall_s"]]}
@@ -184,28 +266,12 @@ def compare(before: dict, after: dict) -> dict:
             continue
         if section == "library_calls":
             report[section] = _compare_outputs(old, new)
-            continue
-        if len(new) != len(old) or any((a["channel"], a["objective"]) !=
-                                       (b["channel"], b["objective"])
-                                       for a, b in zip(old, new)):
-            raise SystemExit(f"{section}: the two digests hold different searches")
-        moves = [_rel_move(a["value"], b["value"]) for a, b in zip(old, new)]
-        fewer = sum(b["ratio_calls"] < a["ratio_calls"] for a, b in zip(old, new))
-        report[section] = {
-            "searches": len(old),
-            "ratio_calls": [sum(s["ratio_calls"] for s in old),
-                            sum(s["ratio_calls"] for s in new)],
-            "searches_with_fewer_calls": fewer,
-            "capped_restarts": [_capped(old), _capped(new)],
-            "higher_lower_equal": [sum(m > 0 for m in moves), sum(m < 0 for m in moves),
-                                   sum(m == 0 for m in moves)],
-            "max_rel_rise": max(moves),
-            "max_rel_fall": min(moves),
-            "moves": [{"channel": a["channel"], "objective": a["objective"],
-                       "stops": [a["stops"].count("max_iters"), b["stops"].count("max_iters")],
-                       "calls": [a["ratio_calls"], b["ratio_calls"]], "rel_move": m}
-                      for a, b, m in zip(old, new, moves)],
-        }
+        else:
+            report[section] = _compare_searches(old, new)
+    for section, old in before.get("eta_f", {}).items():
+        new = after.get("eta_f", {}).get(section)
+        if new is not None:
+            report[f"{section}_eta_f"] = _compare_eta(old, new)
     return report
 
 
