@@ -30,7 +30,7 @@ from .contraction import (
     DEFAULT_SEED,
     ExperimentOptions,
     VariationalOptions,
-    _shared_searches,
+    _kernel_searches,
     _total_counts,
     carlen_maas_check,
     contraction_experiment,
@@ -165,25 +165,32 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-def cmd_divergence(config: RunConfig) -> tuple:
-    rho = _load_state(config.rho, "rho")
-    sigma = _load_state(config.sigma, "sigma")
+def _family_specs(config: RunConfig) -> dict:
+    """The catalog spec of each --f under each --family, f-major, keyed by
+    its label family[f]; the one place a command turns those flags into
+    specs."""
     families = _resolve("family", config.families, dict.fromkeys(FAMILIES))
     specs = _resolve("f", config.f_names, f_catalog())
     if not families or not specs:
         raise InputError("need at least one --family and one --f")
+    return {f"{fam}[{fname}]": spec.with_family(fam)
+            for fname, spec in specs.items() for fam in families}
+
+
+def cmd_divergence(config: RunConfig) -> tuple:
+    rho = _load_state(config.rho, "rho")
+    sigma = _load_state(config.sigma, "sigma")
     records = []
-    for fname, spec in specs.items():
-        for fam in families:
-            result = evaluate(spec.with_family(fam), rho, sigma)
-            records.append(
-                {
-                    "family": fam,
-                    "f_name": fname,
-                    "value": result.value,
-                    "diagnostics": result.diagnostics,
-                }
-            )
+    for spec in _family_specs(config).values():
+        result = evaluate(spec, rho, sigma)
+        records.append(
+            {
+                "family": spec.family,
+                "f_name": spec.name,
+                "value": result.value,
+                "diagnostics": result.diagnostics,
+            }
+        )
     return {"results": records}, {}
 
 
@@ -226,23 +233,18 @@ def cmd_sdpi(config: RunConfig) -> tuple:
             }
         )
     if config.families:
-        families = _resolve("family", config.families, dict.fromkeys(FAMILIES))
-        specs = _resolve("f", config.f_names, f_catalog())
+        specs = _family_specs(config)
         opts = VariationalOptions(restarts=config.restarts, seed=config.seed)
-        runs = {f"{fam}[{fname}]": (fname, spec.with_family(fam))
-                for fname, spec in specs.items() for fam in families}
-        shared = _shared_searches(runs, [spec for _, spec in runs.values()])
-        estimates = {}
-        for label, (fname, spec) in runs.items():
-            if label in shared:
-                est = estimates[shared[label]]
-            else:
-                est = estimates[label] = sdpi_variational(spec, channel, sigma, opts)
-                searches[label] = _total_counts([est.diagnostics])
+        estimates, shared = _kernel_searches(
+            specs, lambda idx, spec: sdpi_variational(spec, channel, sigma, opts))
+        searches = {label: _total_counts([est.diagnostics])
+                    for label, est in estimates.items() if label not in shared}
+        for label, spec in specs.items():
+            est = estimates[label]
             records.append(
                 {
                     "family": spec.family,
-                    "f_name": fname,
+                    "f_name": spec.name,
                     "value": est.value,
                     "method": est.method,
                     "diagnostics": {
@@ -317,11 +319,7 @@ def _db_check_csv(payload: dict) -> str:
 
 def cmd_experiment(config: RunConfig) -> tuple:
     channel = _load_channel(config)
-    names = _resolve("family", config.families, dict.fromkeys(FAMILIES))
-    specs = _resolve("f", config.f_names, f_catalog())
-    if not names or not specs:
-        raise InputError("need at least one --family and one --f")
-    families = [spec.with_family(fam) for spec in specs.values() for fam in names]
+    families = list(_family_specs(config).values())
     gs = list(_resolve("g", config.g_names, g_catalog()).values())
     opts = ExperimentOptions(restarts=config.restarts, seed=config.seed)
     report = contraction_experiment(
@@ -440,12 +438,13 @@ class _Command:
     is called when the command runs.  ``run`` returns the payload and the
     diagnostics it adds to the envelope (outside the payload hash): the
     search counters of each variational search of ``sdpi``, keyed by the
-    record that ran it, and their totals over an ``experiment``; for both,
-    ``shared_searches`` maps each label that reused another label's search
-    to that label.  ``text`` renders the
-    payload as lines, ``csv`` as a CSV document.  ``family_only`` names the
-    flags the command reads only when --family is given; any of them
-    without it is an InputError."""
+    record that ran it, and their totals over an ``experiment``.  Both run
+    their searches through ``contraction._kernel_searches``, one per kernel
+    spec (``divergences._kernel_spec``), and ``shared_searches`` maps each
+    label that reused another label's search to that label.  ``text``
+    renders the payload as lines, ``csv`` as a CSV document.
+    ``family_only`` names the flags the command reads only when --family is
+    given; any of them without it is an InputError."""
 
     help: str
     flags: dict

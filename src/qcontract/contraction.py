@@ -22,6 +22,8 @@
 from __future__ import annotations
 
 import copy
+import csv
+import io
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -435,16 +437,21 @@ def _total_counts(diagnostics) -> dict:
     return total
 
 
-def _shared_searches(labels, specs) -> dict:
-    """Each label whose spec evaluates with the kernel of an earlier label's
-    spec (:func:`_kernel_spec`), mapped to that earlier label: the two share
-    one search, so ht[kl] and petz[kl] run it once."""
-    owners, shared = {}, {}
-    for label, spec in zip(labels, specs):
+def _kernel_searches(specs_by_label: dict, search) -> tuple[dict, dict]:
+    """Run ``search(idx, spec)`` once per distinct kernel spec
+    (:func:`_kernel_spec`), in label order, with idx the position of the
+    first label of that kernel, and give its estimate to every label of the
+    kernel, so ht[kl] and petz[kl] run one search.  Returns the estimates
+    by label and the map from each label that reused a search to the label
+    that ran it."""
+    owners, estimates, shared = {}, {}, {}
+    for idx, (label, spec) in enumerate(specs_by_label.items()):
         owner = owners.setdefault(_kernel_spec(spec), label)
-        if owner != label:
-            shared[label] = owner
-    return shared
+        if owner == label:
+            estimates[label] = search(idx, spec)
+        else:
+            estimates[label], shared[label] = estimates[owner], owner
+    return estimates, shared
 
 
 def _param_gradients(a: np.ndarray, t: np.ndarray, rho: np.ndarray,
@@ -743,8 +750,8 @@ class ExperimentReport:
     ``diagnostics`` (outside ``report_payload``) holds ``search_totals``, the
     search counters summed over every variational search the experiment
     ran, and ``shared_searches``, which maps each family label that reused
-    another label's search (same kernel, see :func:`contraction_experiment`)
-    to that label."""
+    another label's search (same kernel spec, :func:`_kernel_spec`) to that
+    label, as :func:`_kernel_searches` returns it."""
 
     channel_label: str
     dim: int
@@ -803,10 +810,10 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
         chi-square constants of powers multiply exactly and the
         variational eta_f(E^n) stays above eta_{chi2_kappa}(E)^n - SLACK.
 
-    Labels whose specs share a kernel share one search per power: ht[kl]
-    is evaluated by petz[kl]'s closed form, so the first of the two labels
-    runs the search, with that label's seed (seed, n, index), and the
-    other takes its value.  Every other label runs its own search.
+    Each power's searches go through :func:`_kernel_searches`: one search
+    per distinct kernel spec (:func:`_kernel_spec`, so ht[kl] and petz[kl]
+    share one), with the seed (seed, n, index) of the first label of that
+    kernel, and every label of the kernel takes its value.
     """
     opts = opts or ExperimentOptions()
     n_max = _integer(n_max, "n_max", 1)
@@ -829,10 +836,8 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
         )
     pi = fixed_point(channel)
 
-    kappas = {
-        label: local_weight(spec.family, spec)
-        for label, spec in zip(family_labels, families)
-    }
+    specs = dict(zip(family_labels, families))
+    kappas = {label: local_weight(spec.family, spec) for label, spec in specs.items()}
     powers = [channel_power(channel, n) for n in range(1, n_max + 1)]
     # one exact constant and one residual per distinct weight and power:
     # kappa_ht is the catalog kmb weight and kappa_matsumoto the max weight
@@ -847,23 +852,16 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
 
     n0, max_devs = _estimate_n0(channel, pi, n_max, opts)
 
-    shared = _shared_searches(family_labels, families)
     rows, searches = [], []
     for n, e_n in enumerate(powers, start=1):
-        eta_f = {}
-        for idx, (label, spec) in enumerate(zip(family_labels, families)):
-            if label in shared:
-                eta_f[label] = eta_f[shared[label]]
-                continue
-            vopts = VariationalOptions(
-                restarts=opts.restarts,
-                max_iters=opts.max_iters,
-                step_tol=EXPERIMENT_STEP_TOL,
-                seed=(opts.seed, n, idx),
-            )
-            est = sdpi_variational(spec, e_n, pi, vopts)
-            eta_f[label] = est.value
-            searches.append(est.diagnostics)
+        def search(idx, spec):
+            vopts = VariationalOptions(restarts=opts.restarts, max_iters=opts.max_iters,
+                                       step_tol=EXPERIMENT_STEP_TOL, seed=(opts.seed, n, idx))
+            return sdpi_variational(spec, e_n, pi, vopts)
+
+        estimates, shared = _kernel_searches(specs, search)
+        searches += [est.diagnostics for label, est in estimates.items() if label not in shared]
+        eta_f = {label: est.value for label, est in estimates.items()}
         row = {
             "n": n,
             "eta_f": eta_f,
@@ -976,17 +974,16 @@ def report_csv(report: ExperimentReport) -> str:
     """Frozen per-n CSV table (schema v1):
     n, eta[label]..., eta_root[label]..., chi2_bound[g]..., db_residual[g]...
     """
-    cols = ["n"]
-    cols += [f"eta[{lab}]" for lab in report.family_labels]
-    cols += [f"eta_root[{lab}]" for lab in report.family_labels]
-    cols += [f"chi2_bound[{g}]" for g in report.g_names]
-    cols += [f"db_residual[{g}]" for g in report.g_names]
-    lines = [",".join(cols)]
+    labels, g_names = report.family_labels, report.g_names
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["n", *(f"eta[{lab}]" for lab in labels),
+                  *(f"eta_root[{lab}]" for lab in labels),
+                  *(f"chi2_bound[{g}]" for g in g_names),
+                  *(f"db_residual[{g}]" for g in g_names)])
     for row in report.rows:
-        vals = [str(row["n"])]
-        vals += [f"{row['eta_f'][lab]:.12g}" for lab in report.family_labels]
-        vals += [f"{row['eta_f_root'][lab]:.12g}" for lab in report.family_labels]
-        vals += [f"{row['chi2_eta_bound'][g]:.12g}" for g in report.g_names]
-        vals += [f"{row['db_residual'][g]:.12g}" for g in report.g_names]
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+        out.writerow([row["n"], *(f"{row['eta_f'][lab]:.12g}" for lab in labels),
+                      *(f"{row['eta_f_root'][lab]:.12g}" for lab in labels),
+                      *(f"{row['chi2_eta_bound'][g]:.12g}" for g in g_names),
+                      *(f"{row['db_residual'][g]:.12g}" for g in g_names)])
+    return buf.getvalue()

@@ -21,6 +21,7 @@ import numpy as np
 
 from .catalog import FAMILIES, FDivergenceSpec, SpectralWeight, _kl_f
 from .errors import (
+    DimensionMismatch,
     DomainError,
     InputError,
     NotOperatorConvex,
@@ -88,9 +89,11 @@ def _require_full_rank(state: DensityMatrix, who: str) -> None:
 
 
 def _pair(rho, sigma) -> tuple[DensityMatrix, DensityMatrix]:
-    """The validated rho and sigma of a public evaluator, with sigma full
-    rank; each error names the argument it concerns."""
+    """The validated rho and sigma of a public evaluator, of one dimension
+    and with sigma full rank; each error names the argument it concerns."""
     r, s = _density(rho, "rho"), _density(sigma, "sigma")
+    if r.dim != s.dim:
+        raise DimensionMismatch(f"rho is {r.dim}x{r.dim} but sigma is {s.dim}x{s.dim}")
     _require_full_rank(s, "sigma")
     return r, s
 
@@ -347,20 +350,15 @@ def _petz_values(f, lam: np.ndarray, phi: np.ndarray, mu: np.ndarray,
     return values, phi @ h @ phi.conj().swapaxes(-1, -2)
 
 
-def _is_umegaki(spec: FDivergenceSpec) -> bool:
-    """Whether spec's generator is kl's: its ht divergence is then the Umegaki
-    relative entropy, as its petz divergence is (Frenkel, Quantum 7, 1102,
-    2023), and both take petz's closed form.  The generator decides, not the
-    name."""
-    return spec.f is _kl_f
-
-
 def _kernel_spec(spec: FDivergenceSpec) -> FDivergenceSpec:
-    """The spec whose kernel evaluates spec: its petz twin for an Umegaki ht
-    spec (:func:`_is_umegaki`), else spec itself.  Specs are frozen and
-    hashable, so two labels with equal kernel specs can share one search;
-    the key keeps the family, since matsumoto[kl] is another kernel."""
-    return spec.with_family("petz") if spec.family == "ht" and _is_umegaki(spec) else spec
+    """The spec whose kernel evaluates spec: its petz twin for an ht spec
+    with kl's generator, else spec itself.  That ht divergence is the
+    Umegaki relative entropy, as petz[kl] is (Frenkel, Quantum 7, 1102,
+    2023), so both take petz's closed form.  The generator decides, not the
+    name.  Specs are frozen and hashable, so two labels with equal kernel
+    specs can share one search; the key keeps the family, since
+    matsumoto[kl] is another kernel."""
+    return spec.with_family("petz") if spec.family == "ht" and spec.f is _kl_f else spec
 
 
 def _divergence_stacks(spec: FDivergenceSpec, lam: np.ndarray, phi: np.ndarray,
@@ -376,16 +374,17 @@ def _divergence_stacks(spec: FDivergenceSpec, lam: np.ndarray, phi: np.ndarray,
 
     NaN marks the values and gradients where the public evaluator raises a
     :class:`PreconditionError`: a rank-deficient rho for petz and ht, f not
-    finite on the pencil spectrum for matsumoto.  ht[kl] is petz[kl]
-    (:func:`_is_umegaki`); the other ht values and gradients are integrated
-    in one stacked quadrature loop, in which the reference rides in place of
-    a rank-deficient rho.  The spec must have a family, and an operator
-    convex generator for petz.
+    finite on the pencil spectrum for matsumoto.  Each spec whose kernel is
+    petz's (:func:`_kernel_spec`: petz, and ht[kl]) takes petz's closed
+    form; the other ht values and gradients are integrated in one stacked
+    quadrature loop, in which the reference rides in place of a
+    rank-deficient rho.  The spec must have a family, and an operator convex
+    generator for petz.
     """
     if spec.family == "matsumoto":
         return _matsumoto_values(spec.f, stack_states(lam, phi), ref, spec.f1)[::2]
     full = stack_full_rank(lam)
-    if spec.family == "petz" or _is_umegaki(spec):
+    if _kernel_spec(spec).family == "petz":
         values, grads = _petz_values(spec.f, lam, phi, ref.mu, ref.psi, spec.f1)
     else:
         rho = np.where(full[..., None, None], stack_states(lam, phi), ref.entries)
@@ -443,9 +442,10 @@ def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     value a state gets inside any stack; ``quad_evals`` counts the
     integrand nodes of this integral.  For kl's generator the integral is the
     Umegaki relative entropy, and the value is petz[kl]'s closed form, bit for
-    bit (:func:`_is_umegaki`), with no quadrature diagnostics.
+    bit, with no quadrature diagnostics; :func:`_kernel_spec`, read for the
+    spec as an ht spec whatever family it carries, states that rule.
     """
-    if _is_umegaki(spec):
+    if _kernel_spec(spec.with_family("ht")).family == "petz":
         return DivergenceValue(_petz_value(spec, rho, sigma), {"family": "ht", "f": spec.name})
     r, s = _pair(rho, sigma)
     _require_full_rank(r, "rho")

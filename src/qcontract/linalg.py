@@ -296,7 +296,10 @@ def schatten_norm(a, order=2) -> float:
 
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference."""
-    return 0.5 * schatten_norm(_as_matrix(rho) - _as_matrix(sigma), 1)
+    a, b = _as_matrix(rho, name="rho"), _as_matrix(sigma, name="sigma")
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"rho has shape {a.shape} but sigma has shape {b.shape}")
+    return 0.5 * schatten_norm(a - b, 1)
 
 
 def vectorize(x) -> np.ndarray:

@@ -85,11 +85,26 @@ MALFORMED = {
         qc.depolarizing(0.5), [_KL_PETZ], [None], n_max=1),
 }
 
+_RHO3 = qc.random_density(3, _RNG).entries
+_SPECS = {fam: qc.f_catalog()["kl"].with_family(fam) for fam in qc.FAMILIES}
 
-@pytest.mark.parametrize("call", list(MALFORMED))
+#: each two-state call with a 2x2 rho and a 3x3 sigma
+MISMATCHED = {
+    "chi2_g-dims": lambda: qc.chi2_g(_RHO, _RHO3, qc.g_catalog()["max"]),
+    "chi2_max-dims": lambda: qc.chi2_max(_RHO, _RHO3),
+    "hockey_stick-dims": lambda: qc.hockey_stick(_RHO, _RHO3, 1.5),
+    **{f"evaluate-{fam}-dims": lambda spec=spec: qc.evaluate(spec, _RHO, _RHO3)
+       for fam, spec in _SPECS.items()},
+    "reverse_pinsker_bound-dims": lambda: qc.reverse_pinsker_bound(_KL_PETZ, _RHO, _RHO3),
+    "local_chi2_estimate-dims": lambda: qc.local_chi2_estimate(_KL_PETZ, _RHO, _RHO3),
+    "trace_distance-dims": lambda: qc.trace_distance(_RHO, _RHO3),
+}
+
+
+@pytest.mark.parametrize("call", [*MALFORMED, *MISMATCHED])
 def test_malformed_argument_is_input_error(call):
     with pytest.raises(qc.QcontractError) as info:
-        MALFORMED[call]()
-    assert type(info.value) is qc.InputError
+        {**MALFORMED, **MISMATCHED}[call]()
+    assert type(info.value) is (qc.DimensionMismatch if call in MISMATCHED else qc.InputError)
     assert info.value.exit_code == 2
 

@@ -52,6 +52,11 @@ class TestDivergence:
             ("petz", "chi2"), ("petz", "hellinger")
         ]
 
+    def test_states_of_two_dimensions_are_input_error(self, capsys):
+        sigma3 = "[[0.4, 0, 0], [0, 0.3, 0], [0, 0, 0.3]]"
+        assert main(["divergence", "--rho", GOLDEN_RHO, "--sigma", sigma3]) == 2
+        assert capsys.readouterr().err.startswith("error[DimensionMismatch]: rho is 2x2")
+
     def test_text_and_csv_formats(self, capsys):
         argv = ["divergence", "--rho", GOLDEN_RHO, "--sigma", GOLDEN_SIGMA,
                 "--family", "ht"]

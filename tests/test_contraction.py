@@ -1,8 +1,10 @@
 """Contraction: Omega weights, exact and variational SDPI constants,
 detailed balance, and the experiment harness."""
 
+import csv
 import functools
 import importlib.util
+import io
 import json
 from pathlib import Path
 
@@ -418,8 +420,10 @@ class TestStackedSearch:
         pi = qc.fixed_point(ch)
         rng = np.random.default_rng([9, dim])
         rho = contraction._rho_from_params(rng.normal(size=(4, 2 * dim * dim)), dim)
-        for fam in qc.FAMILIES:
-            spec = f_cat["kl"].with_family(fam)
+        # every built-in f under every family: the stacked dispatch
+        # (_divergence_stacks) and the public one (evaluate) agree bit for bit
+        for spec in (f_cat[f].with_family(fam) for f in ("kl", "chi2", "hellinger")
+                     for fam in qc.FAMILIES):
             ratios, _ = contraction._objective(spec, ch, pi)
             for r in rho:
                 want = (qc.evaluate(spec, qc.apply(ch, r), qc.apply(ch, pi)).value
@@ -1271,6 +1275,16 @@ class TestExperiment:
         )
         assert header == expect
         assert len(csv_text.splitlines()) == 1 + 3
+
+    def test_csv_quotes_a_label_with_a_comma(self, f_cat, gs):
+        kl = f_cat["kl"]
+        odd = qc.fdivergence_spec('kl,"x"', kl.f, kl.f1, kl.f2, kl.f3, operator_convex=True)
+        rep = qc.contraction_experiment(qc.depolarizing(0.5), [odd.with_family("petz")],
+                                        [gs["max"]], n_max=2,
+                                        opts=qc.ExperimentOptions(restarts=1, max_iters=2))
+        header, *rows = csv.reader(io.StringIO(qc.report_csv(rep)))
+        assert header[1] == 'eta[petz[kl,"x"]]'
+        assert len(header) == 5 and [len(row) for row in rows] == [5, 5]
 
     def test_numpy_integers_give_a_json_ready_payload(self, f_cat, gs):
         opts = qc.ExperimentOptions(restarts=np.int64(1), max_iters=2, seed=np.int64(3))

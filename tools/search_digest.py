@@ -44,7 +44,14 @@ another label's search, which no search digest shows.
 The digest also records the wall seconds of each ``cli`` fixture run under
 ``cli_wall_s``, outside the sections, so no comparison of values reads them;
 ``--compare`` prints them side by side, which makes a pair of digests of
-two trees a paired timing of the three CLI experiments.
+two trees a paired timing of the three CLI experiments.  It records each
+``cli`` payload's SHA-256 under ``cli_payload_sha256``.
+
+``--compare`` opens with ``identical``, the verdict for a change meant to
+move nothing: true only when both digests hold the same sections, no
+search is dropped or added, every paired search has the same value and
+ratio calls, and every eta_f, library_calls output and payload hash is
+equal.
 """
 
 from __future__ import annotations
@@ -115,9 +122,10 @@ def _numbers(out) -> list:
 
 def _cli(cli, workdir: str) -> tuple:
     """Run the CLI experiment on each fixture; returns the wall seconds of
-    each run and the eta_f of each payload, per label and n."""
+    each run, the eta_f of each payload, per label and n, and each
+    payload's SHA-256."""
     out = os.path.join(workdir, "experiment.json")
-    walls, etas = [], []
+    walls, etas, hashes = [], [], []
     for spec in CLI_FIXTURES:
         argv = ["experiment", "--channel", json.dumps(spec), "--f", "kl",
                 "--family", "ht", "--family", "petz", "--family", "matsumoto",
@@ -127,11 +135,13 @@ def _cli(cli, workdir: str) -> tuple:
             raise SystemExit(f"qcontract experiment failed on {spec}")
         walls.append({"channel": spec, "wall_s": time.perf_counter() - start})
         with open(out, encoding="utf-8") as fh:
-            payload = json.load(fh)["payload"]
+            envelope = json.load(fh)
+        payload = envelope["payload"]
+        hashes.append({"channel": spec, "payload_sha256": envelope["payload_sha256"]})
         etas.append({"channel": payload["channel"],
                      "eta_f": {label: [row["eta_f"][label] for row in payload["rows"]]
                                for label in payload["family_labels"]}})
-    return walls, etas
+    return walls, etas, hashes
 
 
 def digest(tree: str, sections) -> dict:
@@ -151,7 +161,8 @@ def digest(tree: str, sections) -> dict:
             _record(contraction, qc, inner, log)
             try:
                 if section == "cli":
-                    result["cli_wall_s"], result["eta_f"][section] = _cli(cli, workdir)
+                    result["cli_wall_s"], result["eta_f"][section], \
+                        result["cli_payload_sha256"] = _cli(cli, workdir)
                 elif section == "library_calls":
                     log = [{"label": label, "output": _numbers(out)}
                            for label, out in _pool(workloads, section, workdir)]
@@ -215,6 +226,8 @@ def _compare_searches(old: list, new: list) -> dict:
     return {
         "searches": [len(old), len(new)],
         "paired": len(pairs),
+        "same_value_and_calls": sum(a["value"] == b["value"] and a["ratio_calls"] == b["ratio_calls"]
+                                    for a, b in pairs),
         "dropped": _one_side(a_keyed, [k for k in a_keyed if k not in b_keyed]),
         "added": _one_side(b_keyed, [k for k in b_keyed if k not in a_keyed]),
         "ratio_calls": [sum(s["ratio_calls"] for s in old),
@@ -250,16 +263,41 @@ def _compare_eta(old: list, new: list) -> dict:
     return report
 
 
+def _identical(before: dict, after: dict, report: dict) -> bool:
+    """Whether ``after`` is ``before`` bit for bit: the same sections, no
+    search dropped or added, every paired search with the same value and
+    ratio calls, and every library_calls output, eta_f value and ``cli``
+    payload hash equal."""
+    if before["sections"].keys() != after["sections"].keys():
+        return False
+    for section in before["sections"]:
+        entry = report[section]
+        if section == "library_calls":
+            same = entry["equal_outputs"] == entry["calls"]
+        else:
+            same = (not entry["dropped"] and not entry["added"]
+                    and entry["same_value_and_calls"] == entry["paired"])
+        if not same:
+            return False
+    return (before.get("eta_f") == after.get("eta_f")
+            and before.get("cli_payload_sha256") == after.get("cli_payload_sha256"))
+
+
 def compare(before: dict, after: dict) -> dict:
-    """Per section: calls, capped restarts and value moves from ``before`` to
-    ``after``; for ``library_calls``, equal outputs and the largest move;
-    the eta_f moves per family label of the ``cli`` and
-    ``experiment_qubit`` payloads; and the wall seconds of each ``cli``
-    fixture run on both sides."""
+    """Whether ``after`` is ``before`` bit for bit (``identical``, see
+    :func:`_identical`); per section: calls, capped restarts and value
+    moves from ``before`` to ``after``; for ``library_calls``, equal outputs
+    and the largest move; the eta_f moves per family label of the ``cli``
+    and ``experiment_qubit`` payloads; and the wall seconds and payload
+    hash of each ``cli`` fixture run on both sides."""
     report = {}
     if "cli_wall_s" in before and "cli_wall_s" in after:
         report["cli_wall_s"] = [{"channel": a["channel"], "wall_s": [a["wall_s"], b["wall_s"]]}
                                 for a, b in zip(before["cli_wall_s"], after["cli_wall_s"])]
+        report["cli_payload_sha256"] = [
+            {"channel": a["channel"], "equal": a["payload_sha256"] == b["payload_sha256"]}
+            for a, b in zip(before.get("cli_payload_sha256", []),
+                            after.get("cli_payload_sha256", []))]
     for section, old in before["sections"].items():
         new = after["sections"].get(section)
         if new is None:
@@ -272,7 +310,7 @@ def compare(before: dict, after: dict) -> dict:
         new = after.get("eta_f", {}).get(section)
         if new is not None:
             report[f"{section}_eta_f"] = _compare_eta(old, new)
-    return report
+    return {"identical": _identical(before, after, report), **report}
 
 
 def main(argv=None) -> int:
