@@ -61,6 +61,7 @@ from .divergences import (
 )
 from .errors import (
     AllRestartsDegenerate,
+    DimensionMismatch,
     InputError,
     NotPrimitive,
     NumericalError,
@@ -68,10 +69,11 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
+    _ginibre_state,
     _integer,
     _real,
+    _validate_states,
     hermitianize,
-    random_density,
     stack_valid,
     validate_density,
     validate_stack,
@@ -158,9 +160,9 @@ def _channel_sigma(channel: QuantumChannel, sigma) -> DensityMatrix:
     """The validated full-rank sigma of a channel entry point, of the
     channel's dimension."""
     s = validate_density(sigma)
-    _require_full_rank(s, "sigma")
     if channel.dim != s.dim:
-        raise InputError("channel and sigma dimensions differ")
+        raise DimensionMismatch("channel and sigma dimensions differ")
+    _require_full_rank(s, "sigma")
     return s
 
 
@@ -781,8 +783,8 @@ def _estimate_n0(channel: QuantumChannel, pi: DensityMatrix, n_max: int,
     """Smallest n with max sampled ||E^n(rho) - pi||_inf < lambda_min(pi)/2."""
     rng = np.random.default_rng([opts.seed, 0xA0])
     d = channel.dim
-    states = np.array([random_density(d, rng, rank=1 if i % 2 == 0 else d).entries
-                       for i in range(N0_SAMPLES)])
+    states = np.array([s.entries for s in _validate_states(
+        [_ginibre_state(d, rng, rank=1 if i % 2 == 0 else d) for i in range(N0_SAMPLES)])])
     radius = pi.min_eigenvalue / 2.0
     n0 = None
     max_devs = []

@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     _real,
+    _validate_states,
     eigvalsh_stack,
     projector_stack,
     stack_full_rank,
@@ -74,13 +75,6 @@ class DivergenceValue:
         return self.value
 
 
-def _density(x, who: str) -> DensityMatrix:
-    try:
-        return validate_density(x)
-    except InputError as exc:
-        raise type(exc)(f"{who}: {exc}") from exc
-
-
 def _require_full_rank(state: DensityMatrix, who: str) -> None:
     if not state.full_rank:
         raise SingularReference(
@@ -90,8 +84,9 @@ def _require_full_rank(state: DensityMatrix, who: str) -> None:
 
 def _pair(rho, sigma) -> tuple[DensityMatrix, DensityMatrix]:
     """The validated rho and sigma of a public evaluator, of one dimension
-    and with sigma full rank; each error names the argument it concerns."""
-    r, s = _density(rho, "rho"), _density(sigma, "sigma")
+    and with sigma full rank; each error names the argument it concerns.  They
+    are one stack, rho first, so a bad rho's error wins (:func:`_validate_states`)."""
+    r, s = _validate_states([rho, sigma], ("rho", "sigma"))
     if r.dim != s.dim:
         raise DimensionMismatch(f"rho is {r.dim}x{r.dim} but sigma is {s.dim}x{s.dim}")
     _require_full_rank(s, "sigma")
@@ -100,7 +95,7 @@ def _pair(rho, sigma) -> tuple[DensityMatrix, DensityMatrix]:
 
 def epsilon_regularize(rho, eps: float) -> DensityMatrix:
     """Deliberate regularization (1-eps) rho + eps I/d."""
-    r = _density(rho, "rho")
+    (r,) = _validate_states([rho], ("rho",))
     eps = _real(eps, "eps")
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must be in (0, 1), got {eps}")
@@ -167,9 +162,13 @@ def _divided_differences(x: np.ndarray, fx: np.ndarray, dfx: np.ndarray) -> np.n
 
 
 def chi2_quadratic_form(x: np.ndarray, sigma: DensityMatrix, g: SpectralWeight) -> float:
-    """<X, Omega_sigma^g(X)> for Hermitian X, via the sigma eigenbasis."""
+    """<X, Omega_sigma^g(X)> for Hermitian X, via the sigma eigenbasis; an X
+    that is not d x d, d sigma's dimension, raises :class:`DimensionMismatch`."""
+    x = np.asarray(x)
+    if x.shape != sigma.entries.shape:
+        raise DimensionMismatch(f"X has shape {x.shape} but sigma is {sigma.dim}x{sigma.dim}")
     w = _sigma_weights(sigma, g)
-    return float(_rotated_forms(np.asarray(x)[None], sigma.eigenvectors, w)[0][0])
+    return float(_rotated_forms(x[None], sigma.eigenvectors, w)[0][0])
 
 
 def chi2_g(rho, sigma, g: SpectralWeight) -> DivergenceValue:
@@ -550,7 +549,7 @@ def local_chi2_estimate(evaluator, rho, sigma, lambda_grid=DEFAULT_LOCAL_GRID):
     family set.  Evaluates the curve on the descending grid and
     Neville-extrapolates the polynomial through (l, D/l^2) to l = 0.
     Returns (limit_estimate, fit_residual) where the residual is the change
-    from adding the final grid point.
+    from adding the final grid point; the grid's mixtures are validated in one stack.
     """
     r, s = _pair(rho, sigma)
     if not np.iterable(lambda_grid):
@@ -562,8 +561,8 @@ def local_chi2_estimate(evaluator, rho, sigma, lambda_grid=DEFAULT_LOCAL_GRID):
     if not callable(evaluator):
         _require_family(evaluator)
     h = np.empty(lam.size)
-    for k, l in enumerate(lam):
-        mix = validate_density(l * r.entries + (1.0 - l) * s.entries)
+    mixes = _validate_states([l * r.entries + (1.0 - l) * s.entries for l in lam])
+    for k, (l, mix) in enumerate(zip(lam, mixes)):
         value = evaluator(mix, s) if callable(evaluator) else evaluate(evaluator, mix, s).value
         h[k] = float(value) / l**2
     # Neville tableau evaluated at lambda = 0

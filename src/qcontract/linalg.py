@@ -142,28 +142,51 @@ def validate_density(entries) -> DensityMatrix:
     ``-DEFAULT_VALIDATION_TOL`` with :class:`NotPositive`), renormalizes
     the trace to one, and caches the spectral decomposition.  Tiny negative
     eigenvalues from iterated channel application are the intended clients
-    of the clipping.
+    of the clipping.  It is :func:`_validate_states` on one matrix.
     """
-    if isinstance(entries, DensityMatrix):
-        return entries
-    arr = _as_matrix(entries)
-    vals, vecs, asym, min_eig, trace = validate_stack(arr[None])
-    if asym[0] > HERMITICITY_REJECT_TOL:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {asym[0]:.3e} "
-            f"(> {HERMITICITY_REJECT_TOL:.0e})"
-        )
-    if min_eig[0] < -DEFAULT_VALIDATION_TOL:
-        raise NotPositive(
-            f"minimum eigenvalue {min_eig[0]:.3e} below -{DEFAULT_VALIDATION_TOL:.0e}"
-        )
-    if trace[0] <= DEFAULT_VALIDATION_TOL:
-        raise TraceZero(f"trace {trace[0]:.3e} too small to normalize")
-    full_rank = bool(stack_full_rank(vals)[0])
-    ents, vals, vecs = stack_states(vals, vecs)[0], vals[0], vecs[0]
+    return _validate_states([entries])[0]
+
+
+def _validate_states(arrays, names=None) -> list:
+    """The one validation path: each raw matrix of ``arrays`` validated as
+    by :func:`validate_density`, all in one :func:`validate_stack` call and
+    bit for bit as alone; a :class:`DensityMatrix` passes through.  Stack
+    order decides which error wins: the first bad matrix raises, checked for
+    asymmetry, then the minimum eigenvalue, then the trace.  Matrices not
+    all finite, square and of one shape are validated one at a time, in
+    order.  Given ``names``, each message opens with its matrix's name."""
+    states, names = list(arrays), names or [None] * len(arrays)
+    raw = [i for i, a in enumerate(states) if not isinstance(a, DensityMatrix)]
+    try:
+        arrs = [_as_matrix(states[i]) for i in raw]
+    except InputError as exc:
+        if len(raw) == 1:
+            name = names[raw[0]]
+            raise type(exc)(f"{name}: {exc}") if name else exc from None
+        arrs = None
+    if arrs is None or len({a.shape for a in arrs}) > 1:
+        return [_validate_states([a], [n])[0] for a, n in zip(states, names)]
+    if not raw:
+        return states
+    vals, vecs, asym, min_eig, trace = validate_stack(np.array(arrs))
+    for k, i in enumerate(raw):
+        if asym[k] > HERMITICITY_REJECT_TOL:
+            exc = NotHermitian(f"matrix deviates from Hermitian by {asym[k]:.3e} "
+                               f"(> {HERMITICITY_REJECT_TOL:.0e})")
+        elif min_eig[k] < -DEFAULT_VALIDATION_TOL:
+            exc = NotPositive(f"minimum eigenvalue {min_eig[k]:.3e} below "
+                              f"-{DEFAULT_VALIDATION_TOL:.0e}")
+        elif trace[k] <= DEFAULT_VALIDATION_TOL:
+            exc = TraceZero(f"trace {trace[k]:.3e} too small to normalize")
+        else:
+            continue
+        raise type(exc)(f"{names[i]}: {exc}") if names[i] else exc
+    ents, full_rank = stack_states(vals, vecs), stack_full_rank(vals).tolist()
     for a in (ents, vals, vecs):
         a.setflags(write=False)
-    return DensityMatrix(ents, arr.shape[0], vals, vecs, full_rank)
+    for k, i in enumerate(raw):
+        states[i] = DensityMatrix(ents[k], ents.shape[-1], vals[k], vecs[k], full_rank[k])
+    return states
 
 
 def validate_stack(arr: np.ndarray):
@@ -373,8 +396,13 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     """Random density matrix A A^dag / tr from a complex Ginibre A of the given rank."""
+    return validate_density(_ginibre_state(dim, rng, rank))
+
+
+def _ginibre_state(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """The raw entries that :func:`random_density` draws and validates."""
     dim = _integer(dim, "dim", 2, DimensionMismatch)
     rank = dim if rank is None else _integer(rank, "rank", 1)
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = a @ a.conj().T
-    return validate_density(m / np.trace(m).real)
+    return m / np.trace(m).real

@@ -98,6 +98,8 @@ MISMATCHED = {
     "reverse_pinsker_bound-dims": lambda: qc.reverse_pinsker_bound(_KL_PETZ, _RHO, _RHO3),
     "local_chi2_estimate-dims": lambda: qc.local_chi2_estimate(_KL_PETZ, _RHO, _RHO3),
     "trace_distance-dims": lambda: qc.trace_distance(_RHO, _RHO3),
+    "chi2_quadratic_form-dims": lambda: qc.chi2_quadratic_form(
+        np.eye(3), qc.validate_density(_RHO), qc.g_catalog()["max"]),
 }
 
 

@@ -243,6 +243,16 @@ class TestDbCheck:
         assert code == 2
         assert "dimensions differ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["db-check", "sdpi"])
+    def test_sigma_dimension_mismatch_names_its_type(self, capsys, command):
+        code = main([
+            command, "--channel", '{"kind": "depolarizing", "p": 0.5, "dim": 3}',
+            "--sigma", "[[0.5, 0], [0, 0.5]]",
+        ])
+        assert code == 2
+        assert "error[DimensionMismatch]: channel and sigma dimensions differ" in \
+            capsys.readouterr().err
+
 
 class TestExperiment:
     ARGS = [

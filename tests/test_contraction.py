@@ -137,6 +137,21 @@ class TestDimensionMismatch:
         with pytest.raises(qc.InputError, match="dimensions differ"):
             calls[entry]()
 
+    @pytest.mark.parametrize("entry", [
+        "sdpi_chi2", "sdpi_variational", "detailed_balance_residual", "carlen_maas_check",
+    ])
+    def test_channel_sigma_dimension_mismatch_type(self, gs, entry):
+        """The type apply raises for the same mismatch, checked before the
+        rank of sigma, as in the two-state evaluators."""
+        ch = qc.depolarizing(0.5, dim=3)
+        fn = getattr(qc, entry)
+        for sig in (np.eye(2) / 2, np.diag([1.0, 0.0])):
+            args = {"sdpi_variational": (gs["max"], ch, sig), "carlen_maas_check": (ch, sig)}
+            with pytest.raises(qc.QcontractError) as info:
+                fn(*args.get(entry, (ch, sig, gs["max"])))
+            assert type(info.value) is qc.DimensionMismatch
+            assert str(info.value) == "channel and sigma dimensions differ"
+
 
 class TestExactSdpi:
     def test_depolarizing_known_values(self, gs):

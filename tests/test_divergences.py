@@ -9,7 +9,7 @@ from scipy.linalg import inv, logm, sqrtm
 import qcontract as qc
 from conftest import classical_f_divergence, commuting_pair
 from qcontract import divergences, quadrature
-from qcontract.linalg import eigvalsh_stack, stack_full_rank, validate_stack
+from qcontract.linalg import _validate_states, eigvalsh_stack, stack_full_rank, validate_stack
 
 FAMILY_FN = {
     "ht": qc.ht_divergence,
@@ -283,6 +283,80 @@ class TestPairValidation:
             fn(rho + skew, sig + skew)
         with pytest.raises(qc.SingularReference, match="sigma must be full rank"):
             fn(rho, np.diag([1.0, 0.0]))
+
+    @staticmethod
+    def lone_pair(rho, sigma):
+        """rho, then sigma, each validated alone and named in its error, then
+        the dimension check: what _pair did before it stacked the pair."""
+        states = []
+        for x, who in ((rho, "rho"), (sigma, "sigma")):
+            try:
+                states.append(qc.validate_density(x))
+            except qc.InputError as exc:
+                raise type(exc)(f"{who}: {exc}") from exc
+        r, s = states
+        if r.dim != s.dim:
+            raise qc.DimensionMismatch(f"rho is {r.dim}x{r.dim} but sigma is {s.dim}x{s.dim}")
+        return r, s
+
+    @staticmethod
+    def valid_pairs():
+        rng = np.random.default_rng(41)
+        for d in (2, 3):
+            for _ in range(4):
+                yield qc.random_density(d, rng).entries, qc.random_density(d, rng).entries
+            sig = qc.random_density(d, rng)
+            yield qc.random_density(d, rng).entries, near_singular(sig, rng).entries
+            # rho with a near-degenerate spectrum, and rank one
+            v = qc.random_density(d, rng).eigenvectors
+            lam = np.full(d, 1.0 / d) + np.r_[1e-12, -1e-12, 0.0][:d]
+            yield (v * lam) @ v.conj().T, sig.entries
+            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            yield np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, sig.entries
+
+    def test_stacked_pair_equals_lone_validation(self):
+        for rho, sigma in self.valid_pairs():
+            stacked, lone = divergences._pair(rho, sigma), self.lone_pair(rho, sigma)
+            # a validated argument passes through as it is
+            assert divergences._pair(lone[0], sigma)[0] is lone[0]
+            assert divergences._pair(rho, lone[1])[1] is lone[1]
+            for a, b in zip(stacked, lone):
+                assert a.dim == b.dim and a.full_rank == b.full_rank
+                for part in ("entries", "eigenvalues", "eigenvectors"):
+                    assert (getattr(a, part) == getattr(b, part)).all(), part
+                    assert not getattr(a, part).flags.writeable
+
+    def test_stacked_grid_equals_lone_validation(self):
+        rho, sigma = next(self.valid_pairs())
+        mixes = [l * rho + (1.0 - l) * sigma for l in divergences.DEFAULT_LOCAL_GRID]
+        for a, x in zip(_validate_states(mixes), mixes):
+            b = qc.validate_density(x)
+            assert (a.entries == b.entries).all() and (a.eigenvectors == b.eigenvectors).all()
+
+    BAD = {
+        "good": np.diag([0.7, 0.3]),
+        "good3": np.diag([0.5, 0.3, 0.2]),
+        "non-square": np.ones((2, 3)) / 2,
+        "non-finite": np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        "1x1": np.array([[1.0]]),
+        "non-Hermitian": np.array([[0.5, 0.3], [-0.3, 0.5]]),
+        "not-psd": np.diag([1.5, -0.5]),
+        "zero-trace": np.zeros((2, 2)),
+    }
+
+    @pytest.mark.parametrize("rho_kind", list(BAD))
+    @pytest.mark.parametrize("sigma_kind", list(BAD))
+    def test_stacked_pair_raises_what_lone_validation_raises(self, rho_kind, sigma_kind):
+        rho, sigma = self.BAD[rho_kind], self.BAD[sigma_kind]
+        try:
+            expected = self.lone_pair(rho, sigma)
+        except qc.InputError as exc:
+            with pytest.raises(qc.InputError) as info:
+                divergences._pair(rho, sigma)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        else:
+            assert rho_kind == sigma_kind in ("good", "good3")
+            assert divergences._pair(rho, sigma)[0].dim == expected[0].dim
 
 
 class TestPetz:

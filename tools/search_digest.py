@@ -17,23 +17,25 @@ extracted with ``git archive``.  The sections are:
   ``setup`` and ``rounds`` (``perfbench/workloads.py``, imported as is);
 * ``cli``: ``qcontract experiment`` at its defaults (kl under ht, petz and
   matsumoto, g max and kmb, n_max 6, 32 restarts) on depolarizing(0.5),
-  random_channel(2, seed=1) and random_channel(3, seed=1); the last takes
-  about 5-10 s on a 2-core x86 host;
+  random_channel(2, seed=1) and random_channel(3, seed=1), the last taking
+  about 5-10 s on a 2-core x86 host; then ``qcontract sdpi`` on
+  random_channel(3, seed=1) (kl under ht, petz and matsumoto, g max,
+  4 restarts);
 * ``library_calls``: one round of that benchmark workload's single public
   calls (evaluate, chi2_g, fixed_point, is_primitive, sdpi_chi2,
   carlen_maas_check), made the same way, each recorded with its label and
   its output as a flat list of numbers (real parts, then imaginary parts).
 
 A search is recorded by wrapping ``sdpi_variational`` where the public
-package and the experiment look it up, so every search the CLI makes is
-seen with its own diagnostics.  ``--compare`` pairs the searches of two
-digests by (channel, objective, occurrence), lists those only one side
-ran as ``dropped`` or ``added``, and prints, per section, the ratio calls
-on both sides, the capped (``max_iters``) restarts, how many paired
-searches ended higher, lower or equal, and the largest relative moves of
-the values; for ``library_calls`` it pairs the calls by label and prints
-how many outputs are equal bit for bit and the largest relative move of
-any number.
+package, the experiment and the ``sdpi`` command look it up, so every
+search the CLI makes is seen with its own diagnostics.  ``--compare``
+pairs the searches of two digests by (channel, objective, occurrence),
+lists those only one side ran as ``dropped`` or ``added``, and prints,
+per section, the ratio calls on both sides, the capped (``max_iters``)
+restarts, how many paired searches ended higher, lower or equal, and the
+largest relative moves of the values; for ``library_calls`` it pairs the
+calls by label and prints how many outputs are equal bit for bit and the
+largest relative move of any number.
 
 The ``cli`` and ``experiment_qubit`` sections also record each
 experiment payload's eta_f per family label and n under ``eta_f``, and
@@ -44,8 +46,8 @@ another label's search, which no search digest shows.
 The digest also records the wall seconds of each ``cli`` fixture run under
 ``cli_wall_s``, outside the sections, so no comparison of values reads them;
 ``--compare`` prints them side by side, which makes a pair of digests of
-two trees a paired timing of the three CLI experiments.  It records each
-``cli`` payload's SHA-256 under ``cli_payload_sha256``.
+two trees a paired timing of the four CLI runs.  It records each ``cli``
+payload's SHA-256 under ``cli_payload_sha256``.
 
 ``--compare`` opens with ``identical``, the verdict for a change meant to
 move nothing: true only when both digests hold the same sections, no
@@ -74,11 +76,16 @@ CLI_FIXTURES = (
     {"kind": "random", "dim": 2, "seed": 1},
     {"kind": "random", "dim": 3, "seed": 1},
 )
+KL_FAMILIES = ["--f", "kl", "--family", "ht", "--family", "petz", "--family", "matsumoto"]
+#: the ``qcontract sdpi`` run of the ``cli`` section, after the experiments
+SDPI_FIXTURE = ({"kind": "random", "dim": 3, "seed": 1},
+                [*KL_FAMILIES, "--g", "max", "--restarts", "4"])
 
 
-def _record(contraction, qc, inner, log: list) -> None:
-    """Wrap ``inner``, the library's sdpi_variational, so that each search
-    appends its digest to ``log``."""
+def _record(modules, counters, inner, log: list) -> None:
+    """Wrap ``inner``, the library's sdpi_variational, under that name in
+    each of ``modules``, so that each search appends its digest, with its
+    ``counters``, to ``log``."""
 
     def traced(evaluator, channel, sigma, opts=None):
         est = inner(evaluator, channel, sigma, opts)
@@ -90,11 +97,12 @@ def _record(contraction, qc, inner, log: list) -> None:
             "raw_best": diag["raw_best"],
             "iterations": diag["restart_iterations"],
             "stops": diag["restart_stops"],
-            **{key: diag[key] for key in contraction.COUNTERS},
+            **{key: diag[key] for key in counters},
         })
         return est
 
-    contraction.sdpi_variational = qc.sdpi_variational = traced
+    for module in modules:
+        module.sdpi_variational = traced
 
 
 def _pool(workloads, name: str, workdir: str) -> list:
@@ -121,26 +129,29 @@ def _numbers(out) -> list:
 
 
 def _cli(cli, workdir: str) -> tuple:
-    """Run the CLI experiment on each fixture; returns the wall seconds of
-    each run, the eta_f of each payload, per label and n, and each
-    payload's SHA-256."""
-    out = os.path.join(workdir, "experiment.json")
+    """Run the CLI experiment on each fixture, then the ``sdpi`` fixture;
+    returns the wall seconds of each run, the eta_f of each experiment
+    payload, per label and n, and each payload's SHA-256."""
+    out = os.path.join(workdir, "payload.json")
+    runs = [("experiment", spec, [*KL_FAMILIES, "--g", "max", "--g", "kmb"])
+            for spec in CLI_FIXTURES] + [("sdpi", *SDPI_FIXTURE)]
     walls, etas, hashes = [], [], []
-    for spec in CLI_FIXTURES:
-        argv = ["experiment", "--channel", json.dumps(spec), "--f", "kl",
-                "--family", "ht", "--family", "petz", "--family", "matsumoto",
-                "--g", "max", "--g", "kmb", "--format", "json", "--out", out]
+    for command, spec, args in runs:
+        argv = [command, "--channel", json.dumps(spec), *args, "--format", "json", "--out", out]
         start = time.perf_counter()
         if cli.main(argv) != 0:
-            raise SystemExit(f"qcontract experiment failed on {spec}")
-        walls.append({"channel": spec, "wall_s": time.perf_counter() - start})
+            raise SystemExit(f"qcontract {command} failed on {spec}")
+        walls.append({"command": command, "channel": spec,
+                      "wall_s": time.perf_counter() - start})
         with open(out, encoding="utf-8") as fh:
             envelope = json.load(fh)
         payload = envelope["payload"]
-        hashes.append({"channel": spec, "payload_sha256": envelope["payload_sha256"]})
-        etas.append({"channel": payload["channel"],
-                     "eta_f": {label: [row["eta_f"][label] for row in payload["rows"]]
-                               for label in payload["family_labels"]}})
+        hashes.append({"command": command, "channel": spec,
+                       "payload_sha256": envelope["payload_sha256"]})
+        if command == "experiment":
+            etas.append({"channel": payload["channel"],
+                         "eta_f": {label: [row["eta_f"][label] for row in payload["rows"]]
+                                   for label in payload["family_labels"]}})
     return walls, etas, hashes
 
 
@@ -155,10 +166,11 @@ def digest(tree: str, sections) -> dict:
     result = {"tree": os.path.abspath(tree), "counters": list(contraction.COUNTERS),
               "sections": {}, "eta_f": {}}
     inner = contraction.sdpi_variational
+    modules = (contraction, qc, cli)
     with tempfile.TemporaryDirectory() as workdir:
         for section in sections:
             log = []
-            _record(contraction, qc, inner, log)
+            _record(modules, contraction.COUNTERS, inner, log)
             try:
                 if section == "cli":
                     result["cli_wall_s"], result["eta_f"][section], \
@@ -172,7 +184,8 @@ def digest(tree: str, sections) -> dict:
                         result["eta_f"][section] = [{"channel": label, "eta_f": out["eta_f"]}
                                                     for label, out in outputs]
             finally:
-                contraction.sdpi_variational = qc.sdpi_variational = inner
+                for module in modules:
+                    module.sdpi_variational = inner
             result["sections"][section] = log
     return result
 
@@ -292,10 +305,12 @@ def compare(before: dict, after: dict) -> dict:
     hash of each ``cli`` fixture run on both sides."""
     report = {}
     if "cli_wall_s" in before and "cli_wall_s" in after:
-        report["cli_wall_s"] = [{"channel": a["channel"], "wall_s": [a["wall_s"], b["wall_s"]]}
+        report["cli_wall_s"] = [{"command": a.get("command"), "channel": a["channel"],
+                                 "wall_s": [a["wall_s"], b["wall_s"]]}
                                 for a, b in zip(before["cli_wall_s"], after["cli_wall_s"])]
         report["cli_payload_sha256"] = [
-            {"channel": a["channel"], "equal": a["payload_sha256"] == b["payload_sha256"]}
+            {"command": a.get("command"), "channel": a["channel"],
+             "equal": a["payload_sha256"] == b["payload_sha256"]}
             for a, b in zip(before.get("cli_payload_sha256", []),
                             after.get("cli_payload_sha256", []))]
     for section, old in before["sections"].items():
