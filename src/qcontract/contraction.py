@@ -8,12 +8,13 @@
 * Variational lower-bound estimation of SDPI constants for the
   chi-square weights and the ht, petz and matsumoto families (seeded
   multi-start BFGS ascent on log R, with Armijo line-search trials
-  evaluated two per stacked ratio call, (1, 1/2), (1/4, 1/8), ..., or
+  evaluated two per restart and round, (1, 1/2), (1/4, 1/8), ..., or
   (2, 1), (1/2, 1/4), ... after a step that took alpha >= 1, and the
   inverse Hessian reset to steepest ascent when a line search fails on
-  valid points; each call returns the ratios with their exact gradients
-  from one validation and one kernel call on the stack of rho and E(rho);
-  sigma's and E(sigma)'s eigen-data are computed once per search).
+  valid points; a call's restarts run in lockstep, each round one stacked
+  ratio call with exact gradients from one validation and one call per
+  kernel on the stack of rho and E(rho); sigma's and E(sigma)'s eigen-data
+  are computed once per wave).
 * Detailed-balance residuals and the GNS implies-all-g check.
 * The contraction-rate experiment harness with rate-bound and
   tightness verdicts.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -296,38 +298,42 @@ def _outside_ball(rho: np.ndarray, sigma: np.ndarray):
     return keep, x
 
 
-def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
-    """Build the objective ``ratios`` of the SDPI search and its label.
+def _objective(evaluators, channel: QuantumChannel, sigma: DensityMatrix):
+    """Build the objective ``ratios`` of a wave of SDPI searches and the
+    label of each evaluator.
 
-    ``ratios`` maps a (B, d, d) stack of states rho to the B values
-    R = D(E(rho) || E(sigma)) / D(rho || sigma) and their (B, d, d)
-    Hermitian gradients in rho, in one call.  The evaluator is a
-    SpectralWeight (chi-square objective, computed on differences by
-    linearity) or an FDivergenceSpec with family set; anything else raises
-    :class:`InputError`.  NaN marks an invalid point: within trace
-    distance EXCLUSION of sigma, a denominator that is not positive or a
-    numerator that is not finite, rho or E(rho) rejected by state
-    validation, or outside an evaluator's domain; its gradient is NaN too.
+    ``ratios(rho, parts)`` maps a (B, d, d) stack of states rho to the B
+    values R = D(E(rho) || E(sigma)) / D(rho || sigma) and their (B, d, d)
+    Hermitian gradients in rho, in one call; ``parts`` lists pairs
+    (i, stop), in row order: the rows up to stop, from the previous stop,
+    are points of ``evaluators[i]``.  The evaluators are FDivergenceSpecs
+    with family set, each resolved here to its kernel (:func:`_kernel_spec`),
+    or one SpectralWeight (chi-square objective, computed on differences by
+    linearity); anything else raises :class:`InputError`.  NaN marks an
+    invalid point: within trace distance EXCLUSION of sigma, a denominator
+    that is not positive or a numerator that is not finite, rho or E(rho)
+    rejected by state validation, or outside an evaluator's domain; its
+    gradient is NaN too.
 
     E acts on the whole stack, and the denominators and numerators are one
     (2, B, d, d) stack: group 0 is rho against sigma, group 1 is E(rho)
     against E(sigma).  sigma's and E(sigma)'s eigen-data are computed
-    here, once per search, as (2, 1, ...) references.  A call makes one
-    :func:`validate_stack` call on that stack (none for chi-square, whose
-    two quadratic forms are one call) and one family kernel call, so ht with
-    f other than kl integrates both groups in one quadrature loop.  The
-    gradients are exact: G = (E*(grad N) - R grad D) / D with grad N and
-    grad D the kernel's gradients at E(rho) and rho, and E* the adjoint
-    channel, built here once.  E and E* act through
-    ``Superoperator._apply``, with no input checks, on stacks built here; a
-    call runs under one ``np.errstate`` and skips the NaN masking when every
-    point is valid.
+    here, once per wave, as (2, 1, ...) references.  A call makes one
+    :func:`validate_stack` call on that stack (none for chi-square) and one
+    family kernel call per part, so ht with f other than kl integrates both
+    groups in one quadrature loop.  The gradients are exact:
+    G = (E*(grad N) - R grad D) / D with grad N and grad D the kernel's
+    gradients at E(rho) and rho, and E* the adjoint channel, built here
+    once.  E and E* act through ``Superoperator._apply``, with no input
+    checks; a call runs under one ``np.errstate`` and skips the NaN masking
+    when every point is valid.
     """
-    if not isinstance(evaluator, (SpectralWeight, FDivergenceSpec)):
-        raise InputError(
-            "evaluator must be a SpectralWeight or an FDivergenceSpec with family, "
-            f"got {type(evaluator).__name__}"
-        )
+    for evaluator in evaluators:
+        if not isinstance(evaluator, (SpectralWeight, FDivergenceSpec)):
+            raise InputError(
+                "evaluator must be a SpectralWeight or an FDivergenceSpec with family, "
+                f"got {type(evaluator).__name__}"
+            )
     e_sigma = apply(channel, sigma)
     if not e_sigma.full_rank:
         raise SingularReference("E(sigma) must be full rank for the search objective")
@@ -350,12 +356,13 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
             return r, g
         return np.where(ok, r, np.nan), np.where(fin & ok[:, None, None], g, np.nan)
 
-    if isinstance(evaluator, SpectralWeight):
+    if isinstance(evaluators[0], SpectralWeight):
+        weight = evaluators[0]
         v = np.stack([sigma.eigenvectors, e_sigma.eigenvectors])[:, None]
-        w = np.stack([_sigma_weights(sigma, evaluator),
-                      _sigma_weights(e_sigma, evaluator)])[:, None]
+        w = np.stack([_sigma_weights(sigma, weight),
+                      _sigma_weights(e_sigma, weight)])[:, None]
 
-        def ratios(rho):
+        def ratios(rho, parts):
             keep, x = _outside_ball(rho, sigma.entries)
             ex = channel.superop._apply(x)
             pair = np.concatenate([x, 0.5 * (ex + ex.conj().transpose(0, 2, 1))])
@@ -363,29 +370,34 @@ def _objective(evaluator, channel: QuantumChannel, sigma: DensityMatrix):
             with np.errstate(all="ignore"):
                 return ratio_gradients(keep, forms, _chi2_gradients(xt, v, w))
 
-        return ratios, f"chi2[{evaluator.name}]"
+        return ratios, [f"chi2[{weight.name}]"]
 
-    spec = evaluator
-    _require_family(spec)
+    for spec in evaluators:
+        _require_family(spec)
+    kernels = [_kernel_spec(spec) for spec in evaluators]
     ref = _references(sigma, e_sigma)
 
-    def ratios(rho):
+    def ratios(rho, parts):
         keep, _ = _outside_ball(rho, sigma.entries)
         pair = np.concatenate([rho, channel.superop._apply(rho)]).reshape((2,) + rho.shape)
         lam, phi, *checks = validate_stack(pair)
         valid = stack_valid(*checks)
         with np.errstate(all="ignore"):
-            values, grads = _divergence_stacks(spec, lam, phi, ref)
+            if len(parts) == 1:
+                values, grads = _divergence_stacks(kernels[parts[0][0]], lam, phi, ref)
+            else:
+                out = [_divergence_stacks(kernels[i], lam[:, a:b], phi[:, a:b], ref)
+                       for (i, b), a in zip(parts, [0] + [stop for _, stop in parts])]
+                values, grads = (np.concatenate(z, axis=1) for z in zip(*out))
             return ratio_gradients(keep & valid[0] & valid[1], values, grads)
 
-    return ratios, f"{spec.family}[{spec.name}]"
+    return ratios, [f"{spec.family}[{spec.name}]" for spec in evaluators]
 
 
-def _param_states(x: np.ndarray, d: int, counts: dict | None = None):
+def _param_states(x: np.ndarray, d: int):
     """The matrices A (B, d, d) of a (B, 2 d^2) stack of parameter vectors
     x, the real then the imaginary parts of A, with t = ||x||^2 and the
-    states A A^dag / tr: I/d where the trace vanishes, that is where A = 0,
-    which adds to ``counts["identity_fallbacks"]`` when counts are given."""
+    states A A^dag / tr: I/d where the trace vanishes, that is where A = 0."""
     a = (x[:, : d * d] + 1j * x[:, d * d:]).reshape(-1, d, d)
     m = a @ a.conj().transpose(0, 2, 1)
     tr = m.trace(axis1=1, axis2=2).real
@@ -393,8 +405,6 @@ def _param_states(x: np.ndarray, d: int, counts: dict | None = None):
     if zero.any():
         m[zero] = np.eye(d)
         tr[zero] = d
-        if counts is not None:
-            counts["identity_fallbacks"] += int(zero.sum())
     return a, (x * x).sum(axis=1), m / tr[:, None, None]
 
 
@@ -439,21 +449,24 @@ def _total_counts(diagnostics) -> dict:
     return total
 
 
-def _kernel_searches(specs_by_label: dict, search) -> tuple[dict, dict]:
-    """Run ``search(idx, spec)`` once per distinct kernel spec
-    (:func:`_kernel_spec`), in label order, with idx the position of the
-    first label of that kernel, and give its estimate to every label of the
+def _kernel_searches(specs_by_label: dict, channel: QuantumChannel, sigma,
+                     options) -> tuple[dict, dict]:
+    """Run one search per distinct kernel spec (:func:`_kernel_spec`) on
+    channel and sigma, all in one wave (:func:`_sdpi_searches`), in label
+    order, with the options ``options(idx)``, idx the position of the first
+    label of that kernel, and give its estimate to every label of the
     kernel, so ht[kl] and petz[kl] run one search.  Returns the estimates
     by label and the map from each label that reused a search to the label
     that ran it."""
-    owners, estimates, shared = {}, {}, {}
+    owners, runs, shared = {}, {}, {}
     for idx, (label, spec) in enumerate(specs_by_label.items()):
         owner = owners.setdefault(_kernel_spec(spec), label)
         if owner == label:
-            estimates[label] = search(idx, spec)
+            runs[label] = (spec, options(idx))
         else:
-            estimates[label], shared[label] = estimates[owner], owner
-    return estimates, shared
+            shared[label] = owner
+    estimates = dict(zip(runs, _sdpi_searches(channel, sigma, list(runs.values()))))
+    return {label: estimates[shared.get(label, label)] for label in specs_by_label}, shared
 
 
 def _param_gradients(a: np.ndarray, t: np.ndarray, rho: np.ndarray,
@@ -471,9 +484,11 @@ def _param_gradients(a: np.ndarray, t: np.ndarray, rho: np.ndarray,
     return np.concatenate([m.real, m.imag], axis=1)
 
 
-def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: dict):
-    """One quasi-Newton restart on log R; returns (value, rho, iterations,
-    stop reason) or None when x0 is not a valid point.
+def _ascend(x0: np.ndarray, d: int, opts: VariationalOptions, counts: dict):
+    """One quasi-Newton restart on log R, as a generator: it yields each
+    stack of points to evaluate and is sent their ratios and gradients in x
+    (:func:`_lockstep`); returns (value, rho, iterations, stop reason), or
+    None when x0 is not a valid point.
 
     BFGS with a dense inverse Hessian H of -log R over the 2 d^2
     parameters (Nocedal & Wright, *Numerical Optimization*, ch. 6).  Until
@@ -481,18 +496,15 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     gradient scaled to INIT_STEP ||x||; that pair starts H as
     (s.y / y.y) I, and each later pair updates it, except that a pair with
     s.y <= 0 leaves H as it is (``counts["curvature_skips"]``).  The
-    gradient of log R is that of R over R.  Each call of ``ratios``
-    returns the values and the exact gradients of the points it holds (see
+    gradient of log R is that of R over R.  Each evaluation returns the
+    values and the exact gradients of the points it holds (see
     ``_objective``), so the accepted trial's gradient is the next one and
-    no call is made for a gradient alone.  A point whose A is 0 stands for
-    I/d and has no gradient, so it is invalid, and so is a point whose
-    gradient is not finite (``counts["nonfinite_gradients"]``).
+    no call is made for a gradient alone.
 
     The line search passes a trial whose log R rises by at least
     ARMIJO alpha (grad log R . p); a trial whose ratio is not finite and
-    positive is rejected.  Its trials go two per stacked call while
-    ||alpha p|| >= ``step_tol``; a point's ratio does not depend on the
-    stack it is evaluated in.  Each pair is formed when the previous one
+    positive is rejected.  Its trials go two per yield while
+    ||alpha p|| >= ``step_tol``, each pair formed when the previous one
     fails; the log is taken only of a rise.  The pairs are (1, 1/2), then
     (1/4, 1/8) and so on, and the first passing trial, in order, is taken.
     After an iteration that took alpha >= 1, the quasi-Newton step may be
@@ -508,39 +520,19 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     steepest-ascent step, as at the start, with no extrapolation.
 
     A start point whose ratio is 0 (or below) has no log R: it is a
-    converged restart at once, with that value.  Every call adds to
-    ``counts["ratio_calls"]``, every evaluated point to
-    ``counts["ratio_evaluations"]``, and a point whose A is 0 to
-    ``counts["identity_fallbacks"]``.  Only improvements are accepted, so
-    the final point is the best.  The iterations are the gradients used.
-    Since R(c x) = R(x), the stop test ||x|| ||grad log R|| does not
-    depend on the scale of x: below GRAD_TOL the restart has
-    ``converged``, as it has when no trial passes while that test is below
-    STALL_TOL (rounding then hides the rise); no passing trial otherwise,
-    with no inverse Hessian to reset or an invalid trial, is
-    ``line_search_exhausted``; or the restart stops after ``max_iters``.
+    converged restart at once, with that value.  Only improvements are
+    accepted, so the final point is the best.  The iterations are the
+    gradients used.  Since R(c x) = R(x), the stop test
+    ||x|| ||grad log R|| does not depend on the scale of x: below GRAD_TOL
+    the restart has ``converged``, as it has when no trial passes while
+    that test is below STALL_TOL (rounding then hides the rise); no
+    passing trial otherwise, with no inverse Hessian to reset or an
+    invalid trial, is ``line_search_exhausted``; or the restart stops
+    after ``max_iters``.
     """
     n = x0.size
-
-    def probe(params):
-        """The ratios at a stack of points, in one call, and their gradients in x."""
-        counts["ratio_calls"] += 1
-        counts["ratio_evaluations"] += len(params)
-        a, t, rho = _param_states(params, d, counts)
-        f, g = ratios(rho)
-        g = _param_gradients(a, t, rho, g)
-        # A = 0 stands for I/d, which has no gradient: an invalid point, as
-        # is a point whose gradient is not finite
-        if not (t > 0.0).all():
-            f[t <= 0.0] = np.nan
-        if not np.isfinite(g).all():
-            lost = np.isfinite(f) & ~np.isfinite(g).all(axis=1)
-            counts["nonfinite_gradients"] += int(lost.sum())
-            f[lost] = np.nan
-        return f, g
-
     x = x0.copy()
-    f, grads = probe(x[None])
+    f, grads = yield x[None]
     f0, dr = f[0], grads[0]
     if not np.isfinite(f0):
         return None
@@ -579,7 +571,7 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
             half = 0.5 * alpha
             a = [alpha, half] if half * p_norm >= opts.step_tol else [alpha]
             x_try = x + np.array(a)[:, None] * p
-            f_try, g_try = probe(x_try)
+            f_try, g_try = yield x_try
             valid = valid and bool(np.isfinite(f_try).all())
             # f0 > 0, so the log is taken of a ratio above 1 only
             ok = [k for k, fk in enumerate(f_try.tolist())
@@ -606,13 +598,123 @@ def _ascend(ratios, x0: np.ndarray, d: int, opts: VariationalOptions, counts: di
     return float(f0), _rho_from_params(x[None], d)[0], it + 1, stop
 
 
+def _restart(rng: np.random.Generator, sigma: DensityMatrix, k: int,
+             opts: VariationalOptions, counts: dict):
+    """Restart k of a search: :func:`_ascend` from up to four starting points
+    drawn from ``rng``, each after an invalid one (``counts["reinits"]``)."""
+    for attempt in range(4):
+        counts["reinits"] += attempt > 0
+        res = yield from _ascend(_init_params(rng, sigma, k), sigma.dim, opts, counts)
+        if res is not None:
+            return res
+
+
+def _lockstep(ratios, d: int, restarts: list) -> tuple[list, int]:
+    """Run restart generators (:func:`_restart`, :func:`_ascend`) in
+    lockstep on the ``ratios`` of :func:`_objective`; returns their
+    results, in order, and the number of rounds.
+
+    ``restarts`` holds (generator, counts, i), in order of i, the index of
+    the restart's evaluator.  Each round makes one ratios call, with one
+    :func:`_param_states` and one :func:`_param_gradients` call, on the
+    points the active restarts yielded, in order, and sends each restart
+    its rows, NaN where A is 0 (I/d has no gradient) or the gradient is not
+    finite; a restart leaves when its generator returns, and a lone one's
+    round stacks and splits nothing.  Each restart in a round adds 1 to its
+    ``ratio_calls`` and its points to ``ratio_evaluations``,
+    ``identity_fallbacks`` and ``nonfinite_gradients``.
+    """
+    results = [None] * len(restarts)
+    active = [(j, gen, counts, i, next(gen)) for j, (gen, counts, i) in enumerate(restarts)]
+    rounds = 0
+    while active:
+        rounds += 1
+        lone = len(active) == 1
+        if lone:
+            x, parts = active[0][4], [(active[0][3], len(active[0][4]))]
+        else:
+            x = np.concatenate([r[4] for r in active])
+            ends = itertools.accumulate(len(r[4]) for r in active)
+            parts = list(dict(zip([r[3] for r in active], ends)).items())
+        a, t, rho = _param_states(x, d)
+        f, g = ratios(rho, parts)
+        g = _param_gradients(a, t, rho, g)
+        zero = None if (t > 0.0).all() else t <= 0.0
+        if zero is not None:
+            f[zero] = np.nan
+        lost = None if np.isfinite(g).all() else np.isfinite(f) & ~np.isfinite(g).all(axis=1)
+        if lost is not None:
+            f[lost] = np.nan
+        still, start = [], 0
+        for j, gen, counts, i, trial in active:
+            stop = start + len(trial)
+            counts["ratio_calls"] += 1
+            counts["ratio_evaluations"] += stop - start
+            if zero is not None:
+                counts["identity_fallbacks"] += int(zero[start:stop].sum())
+            if lost is not None:
+                counts["nonfinite_gradients"] += int(lost[start:stop].sum())
+            sent = (f, g) if lone else (f[start:stop], g[start:stop])
+            try:
+                still.append((j, gen, counts, i, gen.send(sent)))
+            except StopIteration as done:
+                results[j] = done.value
+            start = stop
+        active = still
+    return results, rounds
+
+
+def _sdpi_searches(channel: QuantumChannel, sigma, searches: list) -> list:
+    """The estimates of the searches (evaluator, VariationalOptions) on one
+    channel and sigma, whose restarts (restart k seeded seed + [k]) run as
+    one wave (:func:`_lockstep`); the evaluators are family specs of
+    distinct kernels or one SpectralWeight.  A point's ratio does not depend
+    on its stack, so each search gives, bit for bit, what it gives alone."""
+    s = _channel_sigma(channel, sigma)
+    ratios, labels = _objective([evaluator for evaluator, _ in searches], channel, s)
+    counts = [_new_counts() for _ in searches]
+    results, rounds = _lockstep(ratios, channel.dim, [
+        (_restart(np.random.default_rng(_seed_list(opts.seed) + [k]), s, k, opts, c), c, i)
+        for i, ((_, opts), c) in enumerate(zip(searches, counts)) for k in range(opts.restarts)])
+    ordered, estimates = iter(results), []
+    for (_, opts), label, count in zip(searches, labels, counts):
+        valid = [r for r in itertools.islice(ordered, opts.restarts) if r is not None]
+        if not valid:
+            raise AllRestartsDegenerate(
+                f"no restart of {opts.restarts} found a valid starting point (outside the "
+                f"ball of radius {EXCLUSION:g} around sigma, with a finite ratio of positive "
+                f"denominator and a finite gradient); {count['reinits']} reinits, "
+                f"{count['ratio_evaluations']} ratio evaluations")
+        best_f, best_rho, _, _ = max(valid, key=lambda r: r[0])
+        top = sorted((float(r[0]) for r in valid), reverse=True)[:TOP_RESTARTS]
+        estimates.append(SdpiEstimate(
+            value=min(max(float(best_f), 0.0), 1.0),
+            method="variational",
+            argmax_state=validate_density(best_rho),
+            restarts_used=opts.restarts,
+            diagnostics={
+                "objective": label,
+                "raw_best": float(best_f),
+                "clipped_above_one": bool(best_f > 1.0),
+                "valid_restarts": len(valid),
+                "restart_values": [float(r[0]) for r in valid],
+                "restart_iterations": [r[2] for r in valid],
+                "restart_stops": [r[3] for r in valid],
+                "top_spread": top[0] - top[-1],
+                **count,
+                "stacked_calls": rounds,
+            },
+        ))
+    return estimates
+
+
 def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
                      opts: VariationalOptions | None = None) -> SdpiEstimate:
     """Variational lower-bound estimate of the SDPI constant.
 
     Maximizes R = D(E(rho) || E(sigma)) / D(rho || sigma) over rho = A A^dag
     / tr, with seeded multi-start BFGS ascent on log R and an Armijo
-    line search whose trials go two per stacked ratio call: it backtracks
+    line search whose trials go two per restart and round: it backtracks
     from alpha = 1, or, after a step that took alpha >= 1, first tries
     alpha = 2 beside 1; a line search that fails on valid points only
     drops the inverse Hessian and goes on from steepest ascent once (see
@@ -623,11 +725,12 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     distance ``EXCLUSION`` of sigma are excluded, as are points whose ratio
     is not finite or whose states the evaluator rejects; if no restart
     finds a valid starting point, :class:`AllRestartsDegenerate` is raised.
-    A starting point whose ratio is 0 is a valid restart of value 0.
-    Restarts run serially and the result is deterministic per seed.
+    A starting point whose ratio is 0 is a valid restart of value 0.  The
+    restarts run in lockstep (``_sdpi_searches``), each on the path it takes
+    alone, and the result is deterministic per seed.
 
-    ``diagnostics`` counts, summed over restarts, the stacked ratio calls
-    (``ratio_calls``) and the points they evaluated
+    ``diagnostics`` counts, summed over restarts, the ratio calls each
+    restart took part in (``ratio_calls``) and the points they evaluated
     (``ratio_evaluations``), the BFGS updates skipped because s.y <= 0
     (``curvature_skips``), the points with a ratio but no finite gradient
     (``nonfinite_gradients``), the extra starting points tried after an
@@ -636,60 +739,14 @@ def sdpi_variational(evaluator, channel: QuantumChannel, sigma,
     failed on valid points (``hessian_resets``), the accepted alpha = 2
     steps (``extrapolations``), and how many restarts stopped for each reason
     (``stop_reasons``: ``converged``, ``line_search_exhausted`` or
-    ``max_iters``).
+    ``max_iters``); ``stacked_calls`` counts the stacked calls it made.
     Per valid restart it lists the value, the iterations and the stop
     reason; ``top_spread`` is the best value minus the lowest of the best
     ``TOP_RESTARTS`` values, 0 for one valid restart.
     ``clipped_above_one`` records whether the best ratio exceeded 1 and was
     clipped to 1, which flags an objective that breaks data processing.
     """
-    opts = opts or VariationalOptions()
-    s = _channel_sigma(channel, sigma)
-    ratios, obj_label = _objective(evaluator, channel, s)
-    d = channel.dim
-    seed_base = _seed_list(opts.seed)
-    counts = _new_counts()
-
-    def run_restart(k: int):
-        rng = np.random.default_rng(seed_base + [k])
-        for attempt in range(4):
-            counts["reinits"] += attempt > 0
-            x0 = _init_params(rng, s, k)
-            res = _ascend(ratios, x0, d, opts, counts)
-            if res is not None:
-                return res
-        return None
-
-    results = [run_restart(k) for k in range(opts.restarts)]
-    valid = [r for r in results if r is not None]
-    if not valid:
-        raise AllRestartsDegenerate(
-            f"no restart of {opts.restarts} found a valid starting point "
-            f"(outside the ball of radius {EXCLUSION:g} around sigma, with a "
-            f"finite ratio of positive denominator and a finite gradient); "
-            f"{counts['reinits']} reinits, "
-            f"{counts['ratio_evaluations']} ratio evaluations"
-        )
-    best_f, best_rho, _, _ = max(valid, key=lambda r: r[0])
-    top = sorted((float(r[0]) for r in valid), reverse=True)[:TOP_RESTARTS]
-    return SdpiEstimate(
-        value=min(max(float(best_f), 0.0), 1.0),
-        method="variational",
-        argmax_state=validate_density(best_rho),
-        top_eigenvalue_check=None,
-        restarts_used=opts.restarts,
-        diagnostics={
-            "objective": obj_label,
-            "raw_best": float(best_f),
-            "clipped_above_one": bool(best_f > 1.0),
-            "valid_restarts": len(valid),
-            "restart_values": [float(r[0]) for r in valid],
-            "restart_iterations": [r[2] for r in valid],
-            "restart_stops": [r[3] for r in valid],
-            "top_spread": top[0] - top[-1],
-            **counts,
-        },
-    )
+    return _sdpi_searches(channel, sigma, [(evaluator, opts or VariationalOptions())])[0]
 
 
 def detailed_balance_residual(channel: QuantumChannel, sigma, g: SpectralWeight) -> float:
@@ -751,9 +808,10 @@ class ExperimentReport:
     """Per-n contraction data for one channel plus the two verdicts;
     ``diagnostics`` (outside ``report_payload``) holds ``search_totals``, the
     search counters summed over every variational search the experiment
-    ran, and ``shared_searches``, which maps each family label that reused
+    ran, ``shared_searches``, which maps each family label that reused
     another label's search (same kernel spec, :func:`_kernel_spec`) to that
-    label, as :func:`_kernel_searches` returns it."""
+    label, as :func:`_kernel_searches` returns it, and ``stacked_calls``,
+    the stacked ratio calls of the searches' waves, one wave per power."""
 
     channel_label: str
     dim: int
@@ -815,7 +873,8 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     Each power's searches go through :func:`_kernel_searches`: one search
     per distinct kernel spec (:func:`_kernel_spec`, so ht[kl] and petz[kl]
     share one), with the seed (seed, n, index) of the first label of that
-    kernel, and every label of the kernel takes its value.
+    kernel, and every label of the kernel takes its value.  A power's
+    searches run as one wave (:func:`_sdpi_searches`).
     """
     opts = opts or ExperimentOptions()
     n_max = _integer(n_max, "n_max", 1)
@@ -854,15 +913,13 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
 
     n0, max_devs = _estimate_n0(channel, pi, n_max, opts)
 
-    rows, searches = [], []
+    rows, searches, stacked_calls = [], [], 0
     for n, e_n in enumerate(powers, start=1):
-        def search(idx, spec):
-            vopts = VariationalOptions(restarts=opts.restarts, max_iters=opts.max_iters,
-                                       step_tol=EXPERIMENT_STEP_TOL, seed=(opts.seed, n, idx))
-            return sdpi_variational(spec, e_n, pi, vopts)
-
-        estimates, shared = _kernel_searches(specs, search)
+        estimates, shared = _kernel_searches(specs, e_n, pi, lambda idx: VariationalOptions(
+            restarts=opts.restarts, max_iters=opts.max_iters, step_tol=EXPERIMENT_STEP_TOL,
+            seed=(opts.seed, n, idx)))
         searches += [est.diagnostics for label, est in estimates.items() if label not in shared]
+        stacked_calls += searches[-1]["stacked_calls"]
         eta_f = {label: est.value for label, est in estimates.items()}
         row = {
             "n": n,
@@ -950,7 +1007,8 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
             "slack": SLACK,
             "n0_samples": N0_SAMPLES,
         },
-        diagnostics={"search_totals": _total_counts(searches), "shared_searches": shared},
+        diagnostics={"search_totals": _total_counts(searches), "shared_searches": shared,
+                     "stacked_calls": stacked_calls},
     )
 
 

@@ -151,6 +151,24 @@ class TestSdpi:
         assert all("ratio_calls" not in r["diagnostics"]
                    for r in env["payload"]["results"])
 
+    @pytest.mark.parametrize("families, restarts", [(["petz"], 1), (["petz", "matsumoto"], 2)])
+    def test_stacked_calls_in_envelope_diagnostics(self, capsys, families, restarts):
+        # the searches run as one wave, one stacked call per round: as many
+        # as the ratio calls of one restart alone, fewer for more restarts
+        code, env = run_json(
+            capsys,
+            ["sdpi", "--channel", DEPOL, *(a for fam in families for a in ("--family", fam)),
+             "--restarts", str(restarts), "--seed", "5", "--g", "max"],
+        )
+        assert code == 0
+        diag = env["diagnostics"]
+        calls = sum(counts["ratio_calls"] for counts in diag["searches"].values())
+        assert 0 < diag["stacked_calls"] <= calls
+        assert (diag["stacked_calls"] == calls) == (restarts == 1)
+        assert "stacked_calls" not in env["payload"]
+        code, env = run_json(capsys, ["sdpi", "--channel", DEPOL])
+        assert env["diagnostics"]["stacked_calls"] == 0
+
     def test_ht_and_petz_kl_share_one_search(self, capsys):
         # one search serves both records, with the seed each would have had,
         # so the payload is the one two searches gave
@@ -314,6 +332,14 @@ class TestExperiment:
         assert set(totals) == {*qc.contraction.COUNTERS, "stop_reasons"}
         assert "curvature_skips" in totals
         assert "search_totals" not in env["payload"]
+
+    def test_stacked_calls_in_envelope_diagnostics(self, capsys):
+        # one wave per power: fewer rounds than the calls of its 4 restarts
+        code, env = run_json(capsys, self.ARGS)
+        assert code == 0
+        diag = env["diagnostics"]
+        assert 0 < diag["stacked_calls"] < diag["search_totals"]["ratio_calls"]
+        assert "stacked_calls" not in env["payload"]
 
     def test_shared_search_in_envelope_diagnostics(self, capsys):
         code, env = run_json(

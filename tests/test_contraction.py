@@ -25,8 +25,22 @@ def gs():
 def _fake_objective(monkeypatch, ratios):
     """Make every search of the test run on ``ratios``: a map from a
     (B, d, d) stack of states to B ratios and their (B, d, d) gradients."""
-    monkeypatch.setattr(contraction, "_objective", lambda evaluator, channel, sigma:
-                        (ratios, "fake"))
+    monkeypatch.setattr(contraction, "_objective", lambda evaluators, channel, sigma:
+                        (lambda rho, parts: ratios(rho), ["fake"] * len(evaluators)))
+
+
+def _objective(evaluator, channel, sigma):
+    """The objective of one search on its own, as such a map, and its label."""
+    ratios, labels = contraction._objective([evaluator], channel, sigma)
+    return (lambda rho: ratios(rho, [(0, len(rho))])), labels[0]
+
+
+def _ascend(ratios, x0, d, opts, counts):
+    """One restart of ``contraction._ascend`` from x0, driven alone by the
+    search's driver ``contraction._lockstep`` on such a map ``ratios``."""
+    results, _ = contraction._lockstep(lambda rho, parts: ratios(rho), d,
+                                       [(contraction._ascend(x0, d, opts, counts), counts, 0)])
+    return results[0]
 
 
 def _apply_weights(sig, w, x):
@@ -393,7 +407,7 @@ class TestStackedSearch:
         rng = np.random.default_rng([7, dim])
         rho = contraction._rho_from_params(rng.normal(size=(20, 2 * dim * dim)), dim)
         for obj in _search_objectives(f_cat, gs):
-            ratios, _ = contraction._objective(obj, ch, pi)
+            ratios, _ = _objective(obj, ch, pi)
             got = ratios(rho)[0]
             want = np.array([_scalar_ratio(obj, ch, pi, r) for r in rho], float)
             assert np.all(np.isfinite(want))
@@ -416,14 +430,14 @@ class TestStackedSearch:
             0.5 * pure + 0.5 * qc.random_density(dim, rng).entries,
         ], dtype=complex)
         for obj in _search_objectives(f_cat, gs):
-            ratios, _ = contraction._objective(obj, ch, pi)
+            ratios, _ = _objective(obj, ch, pi)
             got = ratios(rho)[0]
             want = [_scalar_ratio(obj, ch, pi, r) for r in rho]
             assert [w is None for w in want] == list(np.isnan(got))
             finite = [i for i, w in enumerate(want) if w is not None]
             np.testing.assert_allclose(got[finite], [want[i] for i in finite],
                                        rtol=1e-12, atol=0)
-        kl = {fam: contraction._objective(f_cat["kl"].with_family(fam), ch, pi)[0]
+        kl = {fam: _objective(f_cat["kl"].with_family(fam), ch, pi)[0]
               for fam in qc.FAMILIES}
         assert np.isnan(kl["petz"](rho[3:4])[0][0])
         assert np.isnan(kl["ht"](rho[3:4])[0][0])
@@ -439,7 +453,7 @@ class TestStackedSearch:
         # (_divergence_stacks) and the public one (evaluate) agree bit for bit
         for spec in (f_cat[f].with_family(fam) for f in ("kl", "chi2", "hellinger")
                      for fam in qc.FAMILIES):
-            ratios, _ = contraction._objective(spec, ch, pi)
+            ratios, _ = _objective(spec, ch, pi)
             for r in rho:
                 want = (qc.evaluate(spec, qc.apply(ch, r), qc.apply(ch, pi)).value
                         / qc.evaluate(spec, r, pi).value)
@@ -594,11 +608,11 @@ class TestStackedIterations:
     def test_path_is_the_sequential_one(self, f_cat, gs, name, dim, seed):
         ch = qc.random_channel(dim, seed=seed)
         pi = qc.fixed_point(ch)
-        ratios, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
+        ratios, _ = _objective(_oracle_objective(name, f_cat, gs), ch, pi)
         opts = qc.VariationalOptions(max_iters=40)
         x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
         want = _sequential_ascend(ratios, x0, dim, opts)
-        got = contraction._ascend(ratios, x0, dim, opts, contraction._new_counts())
+        got = _ascend(ratios, x0, dim, opts, contraction._new_counts())
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
         assert got[2:] == want[2:]
@@ -611,12 +625,12 @@ class TestStackedIterations:
         n = 6 if fam == "petz" else 3
         ch = qc.channel_power(qc.random_channel(2, seed=1), n)
         pi = qc.fixed_point(ch)
-        ratios, _ = contraction._objective(f_cat["kl"].with_family(fam), ch, pi)
+        ratios, _ = _objective(f_cat["kl"].with_family(fam), ch, pi)
         opts = qc.VariationalOptions(max_iters=100, step_tol=contraction.EXPERIMENT_STEP_TOL)
         x0 = contraction._init_params(np.random.default_rng([qc.DEFAULT_SEED, n, restart]),
                                       pi, restart)
         counts = contraction._new_counts()
-        got = contraction._ascend(ratios, x0, 2, opts, counts)
+        got = _ascend(ratios, x0, 2, opts, counts)
         want = _sequential_ascend(ratios, x0, 2, opts)
         assert counts["hessian_resets"] == 1
         assert got[0] == want[0]
@@ -631,12 +645,112 @@ class TestStackedIterations:
                                                                dim, seed):
         ch = qc.random_channel(dim, seed=seed)
         pi = qc.fixed_point(ch)
-        ratios, _ = contraction._objective(_oracle_objective(name, f_cat, gs), ch, pi)
+        ratios, _ = _objective(_oracle_objective(name, f_cat, gs), ch, pi)
         opts = qc.VariationalOptions(max_iters=150)
         x0 = contraction._init_params(np.random.default_rng([seed, dim]), pi, seed)
         want = _sequential_ascend(ratios, x0, dim, opts, stencil=True)
-        got = contraction._ascend(ratios, x0, dim, opts, contraction._new_counts())
+        got = _ascend(ratios, x0, dim, opts, contraction._new_counts())
         assert got[0] == pytest.approx(want[0], rel=1e-9, abs=0), (got[2:], want[2:])
+
+
+def _restarts_alone(evaluator, ch, pi, opts):
+    """The restarts of a search, each run alone, one after another, as a
+    wave of one restart: their results and the summed counters."""
+    ratios, _ = contraction._objective([evaluator], ch, pi)
+    counts = contraction._new_counts()
+    seed = contraction._seed_list(opts.seed)
+    results = []
+    for k in range(opts.restarts):
+        gen = contraction._restart(np.random.default_rng(seed + [k]), pi, k, opts, counts)
+        one, rounds = contraction._lockstep(ratios, ch.dim, [(gen, counts, 0)])
+        results += one
+    return [r for r in results if r is not None], counts
+
+
+class TestWaves:
+    """Every restart of every search of one call runs in one wave, one
+    stacked ratio call per round; each search, and each restart, takes
+    the path it takes alone, bit for bit."""
+
+    def _assert_alone(self, est, evaluator, ch, pi, opts):
+        valid, counts = _restarts_alone(evaluator, ch, pi, opts)
+        diag = est.diagnostics
+        assert diag["restart_values"] == [r[0] for r in valid]
+        assert diag["restart_iterations"] == [r[2] for r in valid]
+        assert diag["restart_stops"] == [r[3] for r in valid]
+        best = max(valid, key=lambda r: r[0])
+        assert est.value == best[0]
+        assert np.array_equal(est.argmax_state.entries, qc.validate_density(best[1]).entries)
+        for key in (*contraction.COUNTERS, "stop_reasons"):
+            assert diag[key] == counts[key], key
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_kernels_of_one_wave_search_as_alone(self, f_cat, dim):
+        ch = qc.random_channel(dim, seed=dim)
+        pi = qc.fixed_point(ch)
+        specs = [f_cat["kl"].with_family("ht"), f_cat["kl"].with_family("matsumoto"),
+                 f_cat["hellinger"].with_family("ht")]
+        opts = [qc.VariationalOptions(restarts=4, max_iters=30, seed=(5, i))
+                for i in range(len(specs))]
+        wave = contraction._sdpi_searches(ch, pi, list(zip(specs, opts)))
+        for est, spec, o in zip(wave, specs, opts):
+            self._assert_alone(est, spec, ch, pi, o)
+            alone = qc.sdpi_variational(spec, ch, pi, o)
+            assert est.value == alone.value
+            assert est.diagnostics["ratio_calls"] == alone.diagnostics["ratio_calls"]
+        rounds = {est.diagnostics["stacked_calls"] for est in wave}
+        assert len(rounds) == 1
+        assert rounds.pop() <= min(sum(est.diagnostics["ratio_calls"] for est in wave),
+                                   max(est.diagnostics["ratio_calls"] for est in wave))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_chi2_wave_searches_as_alone(self, gs, dim):
+        ch = qc.random_channel(dim, seed=dim)
+        pi = qc.fixed_point(ch)
+        opts = qc.VariationalOptions(restarts=4, max_iters=30, seed=5)
+        est = qc.sdpi_variational(gs["max"], ch, pi, opts)
+        self._assert_alone(est, gs["max"], ch, pi, opts)
+
+    @pytest.mark.parametrize("fam, restart", [("petz", 11), ("matsumoto", 4)])
+    def test_reset_path_is_the_sequential_one_inside_a_wave(self, f_cat, fam, restart):
+        # the restarts of test_reset_path_is_the_sequential_one, each among
+        # 32 restarts of one wave
+        n = 6 if fam == "petz" else 3
+        ch = qc.channel_power(qc.random_channel(2, seed=1), n)
+        pi = qc.fixed_point(ch)
+        spec = f_cat["kl"].with_family(fam)
+        opts = qc.VariationalOptions(max_iters=100, step_tol=contraction.EXPERIMENT_STEP_TOL)
+        x0s = [contraction._init_params(np.random.default_rng([qc.DEFAULT_SEED, n, k]), pi, k)
+               for k in range(32)]
+        counts = [contraction._new_counts() for _ in x0s]
+        ratios, _ = contraction._objective([spec], ch, pi)
+        results, rounds = contraction._lockstep(
+            ratios, 2, [(contraction._ascend(x0, 2, opts, c), c, 0)
+                        for x0, c in zip(x0s, counts)])
+        got = results[restart]
+        want = _sequential_ascend(_objective(spec, ch, pi)[0], x0s[restart], 2, opts)
+        assert counts[restart]["hessian_resets"] == 1
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+        assert rounds == max(c["ratio_calls"] for c in counts)
+
+    def test_stacked_calls_count_the_rounds(self, f_cat, gs):
+        ch = qc.random_channel(2, seed=3)
+        pi = qc.fixed_point(ch)
+        for obj in (gs["max"], f_cat["kl"].with_family("petz")):
+            for restarts in (1, 3):
+                diag = qc.sdpi_variational(obj, ch, pi, qc.VariationalOptions(
+                    restarts=restarts, max_iters=20, seed=2)).diagnostics
+                assert 0 < diag["stacked_calls"] <= diag["ratio_calls"]
+                assert (diag["stacked_calls"] == diag["ratio_calls"]) == (restarts == 1)
+        rep = qc.contraction_experiment(
+            ch, [f_cat["kl"].with_family(fam) for fam in qc.FAMILIES], [gs["max"]], n_max=2,
+            opts=qc.ExperimentOptions(restarts=2, max_iters=20, seed=7))
+        assert 0 < rep.diagnostics["stacked_calls"] \
+            < rep.diagnostics["search_totals"]["ratio_calls"]
+        assert "stacked_calls" not in rep.diagnostics["search_totals"]
+        assert "stacked_calls" not in contraction.COUNTERS
 
 
 #: embedded classical chains whose supremum lies off pi: two asymmetric
@@ -844,7 +958,7 @@ class TestExactGradients:
         objectives = _exact_objectives(f_cat, gs) + [_KL_CHI2.with_family(fam)
                                                      for fam in qc.FAMILIES]
         for obj in objectives:
-            ratios, name = contraction._objective(obj, ch, pi)
+            ratios, name = _objective(obj, ch, pi)
             values, g = ratios(rho)
             grads = contraction._param_gradients(a, t, rho, g)
             for b in range(len(x)):
@@ -865,7 +979,7 @@ class TestExactGradients:
         rho = np.array([pi.entries, np.diag([1.0, 0.0]),
                         qc.random_density(2, np.random.default_rng(4)).entries])
         for obj in _exact_objectives(f_cat, gs):
-            ratios, name = contraction._objective(obj, ch, pi)
+            ratios, name = _objective(obj, ch, pi)
             values, g = ratios(rho)
             assert np.isnan(values[0]) and np.isfinite(values[2]), name
             assert np.isnan(g[np.isnan(values)]).all() and np.isfinite(g[2]).all(), name
@@ -930,7 +1044,7 @@ class TestExclusionBall:
         rho = pi.entries + np.array(rows)
 
         def ratios(obj):
-            return contraction._objective(obj, ch, pi)[0](rho)[0]
+            return _objective(obj, ch, pi)[0](rho)[0]
 
         def kl_quadrature(states, s):
             ref = divergences._reference(s)
@@ -951,7 +1065,7 @@ class TestExclusionBall:
 
 
 def _chi2_max_ratios(ch, pi):
-    return contraction._objective(qc.g_catalog()["max"], ch, pi)[0]
+    return _objective(qc.g_catalog()["max"], ch, pi)[0]
 
 
 class TestSearchFallbacks:
@@ -985,7 +1099,7 @@ class TestSearchFallbacks:
         counts = contraction._new_counts()
         opts = qc.VariationalOptions(restarts=1, max_iters=150, seed=1)
         no_gradient = lambda rho: (chi2(rho)[0], np.full(rho.shape, np.nan, complex))
-        assert contraction._ascend(no_gradient, x0, 2, opts, counts) is None
+        assert _ascend(no_gradient, x0, 2, opts, counts) is None
         assert counts["nonfinite_gradients"] == counts["ratio_evaluations"] == 1
         _fake_objective(monkeypatch, no_gradient)
         with pytest.raises(qc.AllRestartsDegenerate, match="finite gradient"):
@@ -1032,9 +1146,9 @@ class TestSearchFallbacks:
         # gradient: there A = 0 is an invalid start
         ch = qc.random_channel(2, seed=3)
         pi = qc.fixed_point(ch)
-        ratios, _ = contraction._objective(gs["max"], ch, pi)
+        ratios, _ = _objective(gs["max"], ch, pi)
         counts = contraction._new_counts()
-        assert contraction._ascend(ratios, np.zeros(8), 2,
+        assert _ascend(ratios, np.zeros(8), 2,
                                    qc.VariationalOptions(max_iters=2), counts) is None
         assert counts["identity_fallbacks"] == 1
         assert counts["ratio_evaluations"] == 1

@@ -26,9 +26,12 @@ extracted with ``git archive``.  The sections are:
   carlen_maas_check), made the same way, each recorded with its label and
   its output as a flat list of numbers (real parts, then imaginary parts).
 
-A search is recorded by wrapping ``sdpi_variational`` where the public
-package, the experiment and the ``sdpi`` command look it up, so every
-search the CLI makes is seen with its own diagnostics.  ``--compare``
+A search is recorded once, with its own diagnostics, where it enters the
+library: at the wave entry ``contraction._sdpi_searches``, which every
+search runs through, or, on a tree that has none, by wrapping
+``sdpi_variational`` where the public package, the experiment and the
+``sdpi`` command look it up.  So two trees on either side of that change
+pair every search.  ``--compare``
 pairs the searches of two digests by (channel, objective, occurrence),
 lists those only one side ran as ``dropped`` or ``added``, and prints,
 per section, the ratio calls on both sides, the capped (``max_iters``)
@@ -82,13 +85,13 @@ SDPI_FIXTURE = ({"kind": "random", "dim": 3, "seed": 1},
                 [*KL_FAMILIES, "--g", "max", "--restarts", "4"])
 
 
-def _record(modules, counters, inner, log: list) -> None:
-    """Wrap ``inner``, the library's sdpi_variational, under that name in
-    each of ``modules``, so that each search appends its digest, with its
-    ``counters``, to ``log``."""
+def _record(contraction, modules, log: list):
+    """Wrap the entry of every search, so that each search appends its
+    digest, with the search counters, to ``log``: ``_sdpi_searches`` in
+    ``contraction`` where it exists, else ``sdpi_variational`` in each of
+    ``modules``.  Returns a function that undoes the wrapping."""
 
-    def traced(evaluator, channel, sigma, opts=None):
-        est = inner(evaluator, channel, sigma, opts)
+    def append(channel, est) -> None:
         diag = est.diagnostics
         log.append({
             "channel": channel.label,
@@ -97,12 +100,36 @@ def _record(modules, counters, inner, log: list) -> None:
             "raw_best": diag["raw_best"],
             "iterations": diag["restart_iterations"],
             "stops": diag["restart_stops"],
-            **{key: diag[key] for key in counters},
+            **{key: diag[key] for key in contraction.COUNTERS},
         })
-        return est
 
-    for module in modules:
-        module.sdpi_variational = traced
+    if hasattr(contraction, "_sdpi_searches"):
+        inner, targets = contraction._sdpi_searches, (contraction,)
+
+        def traced(channel, sigma, searches):
+            estimates = inner(channel, sigma, searches)
+            for est in estimates:
+                append(channel, est)
+            return estimates
+
+        name = "_sdpi_searches"
+    else:
+        inner, targets = contraction.sdpi_variational, modules
+
+        def traced(evaluator, channel, sigma, opts=None):
+            est = inner(evaluator, channel, sigma, opts)
+            append(channel, est)
+            return est
+
+        name = "sdpi_variational"
+    for module in targets:
+        setattr(module, name, traced)
+
+    def undo() -> None:
+        for module in targets:
+            setattr(module, name, inner)
+
+    return undo
 
 
 def _pool(workloads, name: str, workdir: str) -> list:
@@ -165,12 +192,10 @@ def digest(tree: str, sections) -> dict:
 
     result = {"tree": os.path.abspath(tree), "counters": list(contraction.COUNTERS),
               "sections": {}, "eta_f": {}}
-    inner = contraction.sdpi_variational
-    modules = (contraction, qc, cli)
     with tempfile.TemporaryDirectory() as workdir:
         for section in sections:
             log = []
-            _record(modules, contraction.COUNTERS, inner, log)
+            undo = _record(contraction, (contraction, qc, cli), log)
             try:
                 if section == "cli":
                     result["cli_wall_s"], result["eta_f"][section], \
@@ -184,8 +209,7 @@ def digest(tree: str, sections) -> dict:
                         result["eta_f"][section] = [{"channel": label, "eta_f": out["eta_f"]}
                                                     for label, out in outputs]
             finally:
-                for module in modules:
-                    module.sdpi_variational = inner
+                undo()
             result["sections"][section] = log
     return result
 
