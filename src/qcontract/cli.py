@@ -31,7 +31,6 @@ from .contraction import (
     ExperimentOptions,
     VariationalOptions,
     _kernel_searches,
-    _total_counts,
     carlen_maas_check,
     contraction_experiment,
     report_csv,
@@ -214,7 +213,7 @@ def cmd_sdpi(config: RunConfig) -> tuple:
     channel = _load_channel(config)
     sigma, sigma_source = _reference_state(config, channel)
     gs = _resolve("g", config.g_names, g_catalog())
-    records, searches, shared, stacked = [], {}, {}, 0
+    records, summary = [], {"searches": {}, "shared_searches": {}, "stacked_calls": 0}
     for gname, g in gs.items():
         est = sdpi_chi2(channel, sigma, g)
         records.append(
@@ -236,10 +235,7 @@ def cmd_sdpi(config: RunConfig) -> tuple:
     if config.families:
         specs = _family_specs(config)
         opts = VariationalOptions(restarts=config.restarts, seed=config.seed)
-        estimates, shared = _kernel_searches(specs, channel, sigma, lambda idx: opts)
-        searches = {label: _total_counts([est.diagnostics])
-                    for label, est in estimates.items() if label not in shared}
-        stacked = next(iter(estimates.values())).diagnostics["stacked_calls"]
+        estimates, summary = _kernel_searches(specs, channel, sigma, lambda idx: opts)
         for label, spec in specs.items():
             est = estimates[label]
             records.append(
@@ -259,7 +255,7 @@ def cmd_sdpi(config: RunConfig) -> tuple:
         "sigma_source": sigma_source,
         "results": records,
     }
-    return payload, {"searches": searches, "shared_searches": shared, "stacked_calls": stacked}
+    return payload, summary
 
 
 def _sdpi_text(payload: dict) -> list:
@@ -438,13 +434,10 @@ class _Command:
     when the flag is not given: None keeps the RunConfig default, a callable
     is called when the command runs.  ``run`` returns the payload and the
     diagnostics it adds to the envelope (outside the payload hash): the
-    search counters of each variational search of ``sdpi``, keyed by the
-    record that ran it, and their totals over an ``experiment``.  Both run
-    their searches through ``contraction._kernel_searches``, one per kernel
-    spec (``divergences._kernel_spec``), in one wave per channel power;
-    ``shared_searches`` maps each label that reused another label's search
-    to that label, and ``stacked_calls`` counts the waves' rounds.  ``text``
-    renders the payload as lines, ``csv`` as a CSV document.
+    summary of its variational searches that ``contraction._kernel_searches``
+    returns, as is for ``sdpi`` and folded over the channel powers
+    (``ExperimentReport``) for ``experiment``.  ``text`` renders the payload
+    as lines, ``csv`` as a CSV document.
     ``family_only`` names the flags the command reads only when --family is
     given; any of them without it is an InputError."""
 
@@ -491,7 +484,8 @@ _COMMANDS = {
 def _emit(envelope: ReportEnvelope, config: RunConfig) -> None:
     command = _COMMANDS[config.command]
     if config.fmt == "json":
-        text = json.dumps(asdict(envelope), indent=2, sort_keys=True) + "\n"
+        text = json.dumps({**vars(envelope), "config": asdict(envelope.config)},
+                          indent=2, sort_keys=True) + "\n"
     elif config.fmt == "csv":
         text = command.csv(envelope.payload)
     else:

@@ -43,6 +43,23 @@ class TestConstruction:
         with pytest.raises(qc.NotTracePreserving):
             qc.channel_from_kraus([0.5 * np.eye(2)])
 
+    @pytest.mark.parametrize("make, error", [
+        (lambda: qc.channel_from_kraus([np.ones((2, 3))]), qc.NotSquare),
+        (lambda: qc.channel_from_kraus([np.eye(2), np.eye(3)]), qc.DimensionMismatch),
+        (lambda: qc.channel_from_kraus([]), qc.InputError),
+        (lambda: qc.channel_from_kraus([np.eye(1)]), qc.DimensionMismatch),
+        (lambda: qc.embedded_classical(np.full((2, 3), 0.5)), qc.NotSquare),
+        (lambda: qc.embedded_classical(np.array([[1.1, 0.0], [-0.1, 1.0]])),
+         qc.NotStochastic),
+        (lambda: qc.pauli_channel([0.5, 0.25, 0.25]), qc.NotProbability),
+    ], ids=["kraus-non-square", "kraus-mixed-dims", "kraus-empty", "kraus-1x1",
+            "classical-non-square", "classical-negative", "pauli-3-probs"])
+    def test_bad_constructor_input_is_input_error(self, make, error):
+        with pytest.raises(qc.InputError) as info:
+            make()
+        assert type(info.value) is error
+        assert info.value.exit_code == 2
+
     def test_non_completely_positive_superop_rejected(self):
         # the transpose map is positive but not completely positive
         transpose = np.array(

@@ -186,6 +186,26 @@ class TestSdpi:
             "8c038f22134fd05768fedf980c4c1fbe063f4dd569488d6f5786f260376711ca"
         )
 
+    def test_text_and_csv_formats(self, capsys):
+        argv = ["sdpi", "--channel", DEPOL, "--family", "petz", "--restarts", "1", "--g", "max"]
+        code, env = run_json(capsys, argv)
+        assert code == 0
+        recs = env["payload"]["results"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "channel: depolarizing(p=0.5,d=2)  (sigma: fixed_point)"
+        assert lines[1].split() == ["kind", "name", "method", "eta"]
+        assert len(lines) == 2 + len(recs)
+        assert lines[2].split() == ["chi2_g", "max", "exact_lambda2", f"{recs[0]['value']:.12g}"]
+        assert lines[3].startswith("f-divergence")
+        assert lines[3].endswith(f"petz[kl]      variational     {recs[1]['value']:>18.12g}")
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "family,name,method,value",
+            f"chi2,max,exact_lambda2,{recs[0]['value']:.12g}",
+            f"petz,kl,variational,{recs[1]['value']:.12g}",
+        ]
+
     def test_explicit_sigma_used(self, capsys):
         code, env = run_json(
             capsys,
@@ -252,6 +272,17 @@ class TestDbCheck:
         assert "verdict: PASS" in out
         assert "residual[gns]" in out
 
+    def test_csv_format(self, capsys):
+        code, env = run_json(capsys, ["db-check", "--channel", PAULI])
+        assert code == 0
+        residuals = env["payload"]["residuals"]
+        assert main(["db-check", "--channel", PAULI, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "g_name,residual",
+            *(f"{name},{residuals[name]:.12g}" for name in ("gns", "max", "kmb")),
+            "verdict,PASS",
+        ]
+
     def test_sigma_dimension_mismatch_is_input_error(self, capsys):
         code = main([
             "db-check", "--channel",
@@ -298,6 +329,19 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert "verdict rate-bound: PASS" in out
         assert "verdict tightness: PASS" in out
+
+    def test_text_format_marks_a_vacuous_rate_verdict(self, capsys):
+        # at p = 0.05 the iterates need more than one power to enter the
+        # convergence radius, so no power is checked
+        argv = ["experiment", "--channel", '{"kind": "depolarizing", "p": 0.05}',
+                "--n-max", "1", "--restarts", "1", "--family", "petz", "--g", "max"]
+        code, env = run_json(capsys, argv)
+        assert code == 0
+        assert env["payload"]["verdicts"]["theorem_rate"]["vacuous"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "verdict rate-bound: PASS (vacuous: convergence radius not reached)" in lines
+        assert "verdict tightness: PASS" in lines
 
     def test_n_max_out_of_range(self, capsys):
         code = main(["experiment", "--channel", DEPOL, "--n-max", "40"])
@@ -384,6 +428,18 @@ class TestCatalog:
         code, env = run_json(capsys, ["catalog", "--f", "bogus"])
         assert code == 0
         assert env["payload"]["f"] == []
+
+    def test_csv_format(self, capsys):
+        assert main(["catalog", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "kind,name,flag",
+            "f,chi2,operator_convex=True",
+            "f,hellinger,operator_convex=True",
+            "f,kl,operator_convex=True",
+            "g,kmb,standard_monotone=True",
+            "g,max,standard_monotone=True",
+            "g,gns,standard_monotone=False",
+        ]
 
     def test_text_format(self, capsys):
         assert main(["catalog"]) == 0

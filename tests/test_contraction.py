@@ -1584,6 +1584,20 @@ class TestSharedSearches:
         assert sum(totals["stop_reasons"].values()) == 2 * 2 * self.OPTS.restarts
         assert totals["ratio_calls"] == calls
 
+    def test_wave_summary_counts_each_search_that_ran(self, f_cat):
+        ch = qc.random_channel(2, seed=1)
+        specs = {f"{fam}[kl]": f_cat["kl"].with_family(fam) for fam in qc.FAMILIES}
+        opts = qc.VariationalOptions(restarts=2, max_iters=40, seed=7)
+        estimates, summary = contraction._kernel_searches(specs, ch, qc.fixed_point(ch),
+                                                          lambda idx: opts)
+        assert summary["shared_searches"] == {"petz[kl]": "ht[kl]"}
+        assert set(summary["searches"]) == {"ht[kl]", "matsumoto[kl]"}
+        for label, counts in summary["searches"].items():
+            diag = estimates[label].diagnostics
+            assert counts == {**{key: diag[key] for key in contraction.COUNTERS},
+                              "stop_reasons": diag["stop_reasons"]}
+            assert summary["stacked_calls"] == diag["stacked_calls"]
+
     @pytest.mark.parametrize("generator", ["hellinger", "named_kl"])
     def test_other_kernels_run_their_own_searches(self, f_cat, gs, generator):
         # ht[hellinger] integrates; so does a spec named "kl" on another f

@@ -9,6 +9,7 @@ from scipy.linalg import inv, logm, sqrtm
 import qcontract as qc
 from conftest import classical_f_divergence, commuting_pair
 from qcontract import divergences, quadrature
+from qcontract.catalog import FDivergenceSpec
 from qcontract.linalg import _validate_states, eigvalsh_stack, stack_full_rank, validate_stack
 
 FAMILY_FN = {
@@ -54,6 +55,11 @@ def ht_stack(spec, rho, sigma):
     ref = divergences._reference(sigma)
     t = eigvalsh_stack(divergences._pencil(rho, ref))
     return divergences._ht_integrals(spec.f2, rho, np.broadcast_to(ref.entries, rho.shape), t)
+
+
+#: f(x) = x - 1 - log x, whose f(0) is not finite
+REVERSE_KL = FDivergenceSpec("reverse_kl", lambda x: x - 1.0 - np.log(x), lambda x: 1.0 - 1.0 / x,
+                             lambda x: x ** -2.0, lambda x: -2.0 * x ** -3.0)
 
 
 def near_singular(sig, rng):
@@ -405,6 +411,15 @@ class TestMatsumoto:
             )
             assert got == pytest.approx(expect, abs=1e-10)
 
+    def test_f_not_finite_on_the_pencil_spectrum_is_domain_error(self):
+        # f(x) = x - 1 - log x has f(0) = inf, so a rank-one rho has no value;
+        # fdivergence_spec rejects such an f, so the spec is built directly
+        spec = REVERSE_KL.with_family("matsumoto")
+        rho = qc.validate_density(np.diag([1.0, 0.0]))
+        sig = qc.validate_density(np.diag([0.7, 0.3]))
+        with pytest.raises(qc.DomainError, match=r"pencil spectrum \[0\.000e\+00, 1\.429e\+00\]"):
+            qc.matsumoto_divergence(spec, rho, sig)
+
     def test_singular_sigma_rejected(self, f_cat, rng):
         rho = qc.random_density(2, rng)
         sig = qc.validate_density(np.diag([1.0, 0.0]))
@@ -478,6 +493,17 @@ class TestStackedKernels:
                 np.testing.assert_array_equal(one[1][0], grads[g, k])
         assert np.isnan(values[0, -1]) == (family != "matsumoto")
         assert np.isfinite(values[1]).all()
+
+    @np.errstate(all="ignore")
+    def test_matsumoto_marks_only_the_row_where_f_is_not_finite(self, rng):
+        spec = REVERSE_KL.with_family("matsumoto")
+        sig = qc.validate_density(np.diag([0.7, 0.3]))
+        raw = np.array([np.diag([1.0, 0.0]), qc.random_density(2, rng).entries])
+        lam, phi, *_ = validate_stack(raw)
+        values, grads = divergences._divergence_stacks(spec, lam, phi, divergences._reference(sig))
+        assert np.isnan(values[0]) and np.isnan(grads[0]).all()
+        assert values[1] == qc.matsumoto_divergence(spec, raw[1], sig).value
+        assert np.isfinite(grads[1]).all()
 
 
 class TestDataProcessing:
@@ -754,6 +780,13 @@ class TestLocalChi2Limits:
                 ).value
                 assert limit == pytest.approx(expect, rel=2e-6), (fname, fam)
                 assert residual < 1e-4
+
+    @pytest.mark.parametrize("family", qc.FAMILIES)
+    def test_family_spec_is_its_evaluate_callable(self, f_cat, golden_pair, family):
+        rho, sig = golden_pair
+        spec = f_cat["hellinger"].with_family(family)
+        assert qc.local_chi2_estimate(spec, rho, sig) == \
+            qc.local_chi2_estimate(lambda r, s: qc.evaluate(spec, r, s).value, rho, sig)
 
     def test_grid_validation(self, f_cat, golden_pair):
         rho, sig = golden_pair

@@ -159,6 +159,12 @@ class TestChannel:
         with pytest.raises(qc.InputError):
             qc.channel_from_json({"kind": "kraus"})
 
+    def test_pauli_probs_must_be_a_list(self):
+        with pytest.raises(qc.InputError, match='"probs" must be a list') as info:
+            qc.channel_from_json({"kind": "pauli", "probs": 0.25})
+        assert type(info.value) is qc.InputError
+        assert info.value.exit_code == 2
+
     def test_bad_kraus_operators_propagate(self):
         # valid JSON but not trace preserving
         with pytest.raises(qc.NotTracePreserving):

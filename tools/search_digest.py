@@ -26,12 +26,8 @@ extracted with ``git archive``.  The sections are:
   carlen_maas_check), made the same way, each recorded with its label and
   its output as a flat list of numbers (real parts, then imaginary parts).
 
-A search is recorded once, with its own diagnostics, where it enters the
-library: at the wave entry ``contraction._sdpi_searches``, which every
-search runs through, or, on a tree that has none, by wrapping
-``sdpi_variational`` where the public package, the experiment and the
-``sdpi`` command look it up.  So two trees on either side of that change
-pair every search.  ``--compare``
+A search is recorded once, with its own diagnostics, at the wave entry
+``contraction._sdpi_searches``, which every search runs through.  ``--compare``
 pairs the searches of two digests by (channel, objective, occurrence),
 lists those only one side ran as ``dropped`` or ``added``, and prints,
 per section, the ratio calls on both sides, the capped (``max_iters``)
@@ -85,49 +81,31 @@ SDPI_FIXTURE = ({"kind": "random", "dim": 3, "seed": 1},
                 [*KL_FAMILIES, "--g", "max", "--restarts", "4"])
 
 
-def _record(contraction, modules, log: list):
-    """Wrap the entry of every search, so that each search appends its
-    digest, with the search counters, to ``log``: ``_sdpi_searches`` in
-    ``contraction`` where it exists, else ``sdpi_variational`` in each of
-    ``modules``.  Returns a function that undoes the wrapping."""
+def _record(contraction, log: list):
+    """Wrap ``contraction._sdpi_searches``, the entry of every search, so
+    that each search appends its digest, with the search counters, to
+    ``log``.  Returns a function that undoes the wrapping."""
+    inner = contraction._sdpi_searches
 
-    def append(channel, est) -> None:
-        diag = est.diagnostics
-        log.append({
-            "channel": channel.label,
-            "objective": diag["objective"],
-            "value": est.value,
-            "raw_best": diag["raw_best"],
-            "iterations": diag["restart_iterations"],
-            "stops": diag["restart_stops"],
-            **{key: diag[key] for key in contraction.COUNTERS},
-        })
+    def traced(channel, sigma, searches):
+        estimates = inner(channel, sigma, searches)
+        for est in estimates:
+            diag = est.diagnostics
+            log.append({
+                "channel": channel.label,
+                "objective": diag["objective"],
+                "value": est.value,
+                "raw_best": diag["raw_best"],
+                "iterations": diag["restart_iterations"],
+                "stops": diag["restart_stops"],
+                **{key: diag[key] for key in contraction.COUNTERS},
+            })
+        return estimates
 
-    if hasattr(contraction, "_sdpi_searches"):
-        inner, targets = contraction._sdpi_searches, (contraction,)
-
-        def traced(channel, sigma, searches):
-            estimates = inner(channel, sigma, searches)
-            for est in estimates:
-                append(channel, est)
-            return estimates
-
-        name = "_sdpi_searches"
-    else:
-        inner, targets = contraction.sdpi_variational, modules
-
-        def traced(evaluator, channel, sigma, opts=None):
-            est = inner(evaluator, channel, sigma, opts)
-            append(channel, est)
-            return est
-
-        name = "sdpi_variational"
-    for module in targets:
-        setattr(module, name, traced)
+    contraction._sdpi_searches = traced
 
     def undo() -> None:
-        for module in targets:
-            setattr(module, name, inner)
+        contraction._sdpi_searches = inner
 
     return undo
 
@@ -185,7 +163,6 @@ def _cli(cli, workdir: str) -> tuple:
 def digest(tree: str, sections) -> dict:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
-    import qcontract as qc
     import qcontract.cli as cli
     import qcontract.contraction as contraction
     import workloads
@@ -195,7 +172,7 @@ def digest(tree: str, sections) -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         for section in sections:
             log = []
-            undo = _record(contraction, (contraction, qc, cli), log)
+            undo = _record(contraction, log)
             try:
                 if section == "cli":
                     result["cli_wall_s"], result["eta_f"][section], \
