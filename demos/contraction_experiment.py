@@ -5,8 +5,8 @@ For each power n of the channel the harness estimates the f-divergence
 contraction constant eta_f(E^n) variationally, computes the exact
 chi-square constants, and checks two things:
 
-  (a) rate bound: eta_f(E^n)^(1/n) <= eta_chi2_g(E) + slack once the
-      sampled iterates are inside the convergence radius, and
+  (a) rate bound: eta_f(E^n)^(1/n) <= eta_chi2_g(E) + slack once every
+      iterate is certified inside the convergence radius, and
   (b) tightness: when the channel is detailed-balanced for the local
       weight of the family, eta_chi2(E^n) = eta_chi2(E)^n exactly and
       the variational eta_f(E^n) reaches eta_kappa(E)^n - slack.
@@ -27,7 +27,7 @@ report = qc.contraction_experiment(
 
 print(f"channel: {report.channel_label}  dim={report.dim}")
 print(f"convergence index n0 = {report.n0} "
-      f"(first power inside the sampling radius)\n")
+      f"(first power whose certified deviation bound is inside the radius)\n")
 print(qc.report_csv(report))
 
 rate = report.verdicts["theorem_rate"]

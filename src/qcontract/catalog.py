@@ -124,37 +124,41 @@ def _hell_f(x):
     return (np.sqrt(x) - 1.0) ** 2
 
 
+_F_CATALOG = {
+    "kl": fdivergence_spec(
+        "kl",
+        _kl_f,
+        _kl_f1,
+        lambda x: 1.0 / np.asarray(x, float),
+        lambda x: -1.0 / np.asarray(x, float) ** 2,
+        operator_convex=True,
+        pinsker_constant=0.5,
+    ),
+    "chi2": fdivergence_spec(
+        "chi2",
+        _chi2_f,
+        lambda x: 2.0 * (np.asarray(x, float) - 1.0),
+        lambda x: np.full_like(np.asarray(x, float), 2.0),
+        lambda x: np.zeros_like(np.asarray(x, float)),
+        operator_convex=True,
+        pinsker_constant=1.0,
+    ),
+    "hellinger": fdivergence_spec(
+        "hellinger",
+        _hell_f,
+        lambda x: 1.0 - np.asarray(x, float) ** -0.5,
+        lambda x: 0.5 * np.asarray(x, float) ** -1.5,
+        lambda x: -0.75 * np.asarray(x, float) ** -2.5,
+        operator_convex=True,
+        pinsker_constant=0.25,
+    ),
+}
+
+
 def f_catalog() -> dict:
-    """The built-in generators: kl, chi2, hellinger (all operator convex)."""
-    return {
-        "kl": fdivergence_spec(
-            "kl",
-            _kl_f,
-            _kl_f1,
-            lambda x: 1.0 / np.asarray(x, float),
-            lambda x: -1.0 / np.asarray(x, float) ** 2,
-            operator_convex=True,
-            pinsker_constant=0.5,
-        ),
-        "chi2": fdivergence_spec(
-            "chi2",
-            _chi2_f,
-            lambda x: 2.0 * (np.asarray(x, float) - 1.0),
-            lambda x: np.full_like(np.asarray(x, float), 2.0),
-            lambda x: np.zeros_like(np.asarray(x, float)),
-            operator_convex=True,
-            pinsker_constant=1.0,
-        ),
-        "hellinger": fdivergence_spec(
-            "hellinger",
-            _hell_f,
-            lambda x: 1.0 - np.asarray(x, float) ** -0.5,
-            lambda x: 0.5 * np.asarray(x, float) ** -1.5,
-            lambda x: -0.75 * np.asarray(x, float) ** -2.5,
-            operator_convex=True,
-            pinsker_constant=0.25,
-        ),
-    }
+    """The built-in generators: kl, chi2, hellinger (all operator convex),
+    as a fresh dict of the specs built and grid-checked once, at import."""
+    return dict(_F_CATALOG)
 
 
 @dataclass(frozen=True)
@@ -216,12 +220,16 @@ def _g_kmb_fn(x):
     return np.log(x) / (x - 1.0)
 
 
+_G_CATALOG = {
+    "max": standard_monotone("max", _g_max_fn, (1.0, -0.5, 0.5)),
+    "kmb": standard_monotone("kmb", _g_kmb_fn, (1.0, -0.5, 1.0 / 3.0), 1e-4),
+}
+
+
 def g_catalog() -> dict:
-    """Built-in standard monotone weights: max and kmb."""
-    return {
-        "max": standard_monotone("max", _g_max_fn, (1.0, -0.5, 0.5)),
-        "kmb": standard_monotone("kmb", _g_kmb_fn, (1.0, -0.5, 1.0 / 3.0), 1e-4),
-    }
+    """Built-in standard monotone weights: max and kmb, as a fresh dict of
+    the weights built and grid-checked once, at import."""
+    return dict(_G_CATALOG)
 
 
 def gns_weight() -> SpectralWeight:
@@ -263,9 +271,9 @@ def local_weight(family: str, spec: FDivergenceSpec) -> SpectralWeight:
     of the given divergence family: kmb for ht, max for matsumoto, and
     kappa_f for petz."""
     if family == "ht":
-        return g_catalog()["kmb"]
+        return _G_CATALOG["kmb"]
     if family == "matsumoto":
-        return g_catalog()["max"]
+        return _G_CATALOG["max"]
     if family == "petz":
         return kappa_for_petz(spec)
     raise InputError(f"unknown family {family!r}, expected one of {FAMILIES}")

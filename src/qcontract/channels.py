@@ -250,6 +250,12 @@ def is_primitive(channel: QuantumChannel) -> PrimitivityReport:
     ``spectral_gap`` is 1 minus the second-largest eigenvalue modulus.
     One eigendecomposition gives both the moduli and the fixed point.
     """
+    return _primitivity(channel)[0]
+
+
+def _primitivity(channel: QuantumChannel) -> tuple:
+    """:func:`is_primitive`'s report and the fixed point its eigendecomposition
+    gave, bit for bit :func:`fixed_point`'s (None when it gave none)."""
     vals, vecs = np.linalg.eig(channel.superop.matrix)
     mods = np.sort(np.abs(vals))[::-1]
     peripheral = int(np.sum(mods >= 1.0 - SPECTRAL_TOL))
@@ -260,7 +266,7 @@ def is_primitive(channel: QuantumChannel) -> PrimitivityReport:
         reasons.append(f"eigenvalue 1 has multiplicity {one_mult}")
     if peripheral != 1:
         reasons.append(f"{peripheral} eigenvalues on the unit circle")
-    min_eig = float("nan")
+    min_eig, pi = float("nan"), None
     if one_mult == 1:
         try:
             pi = _fixed_point(channel, vals, vecs)
@@ -275,7 +281,7 @@ def is_primitive(channel: QuantumChannel) -> PrimitivityReport:
         fixed_point_min_eigenvalue=min_eig,
         peripheral_count=peripheral,
         reasons=tuple(reasons),
-    )
+    ), pi
 
 
 # -- constructors -----------------------------------------------------------

@@ -261,12 +261,12 @@ def cmd_sdpi(config: RunConfig) -> tuple:
 def _sdpi_text(payload: dict) -> list:
     lines = [
         f"channel: {payload['channel']}  (sigma: {payload['sigma_source']})",
-        f"{'kind':<12}{'name':<14}{'method':<16}{'eta':>18}",
+        f"{'kind':<14}{'name':<14}{'method':<16}{'eta':>18}",
     ]
     for rec in payload["results"]:
         name = rec.get("g_name") or f"{rec['family']}[{rec['f_name']}]"
         kind = "chi2_g" if "g_name" in rec else "f-divergence"
-        lines.append(f"{kind:<12}{name:<14}{rec['method']:<16}{rec['value']:>18.12g}")
+        lines.append(f"{kind:<14}{name:<14}{rec['method']:<16}{rec['value']:>18.12g}")
     return lines
 
 
@@ -404,11 +404,6 @@ def _catalog_csv(payload: dict) -> str:
     )
 
 
-def _catalog_g_names() -> tuple:
-    """Every catalog g, looked up when a command runs (import builds no catalog)."""
-    return tuple(sorted(g_catalog()))
-
-
 #: argparse settings of every flag a command may read; dest is its RunConfig field
 _FLAGS = {
     "channel": {"dest": "channel", "help": "channel spec: JSON file path or inline JSON"},
@@ -422,7 +417,7 @@ _FLAGS = {
                "help": "divergence family: ht, petz, matsumoto (repeatable)"},
     "n-max": {"dest": "n_max", "type": int, "help": "largest channel power (1..32)"},
     "seed": {"dest": "seed", "type": int,
-             "help": "seed for variational restarts and sampling"},
+             "help": "seed for variational restarts"},
     "restarts": {"dest": "restarts", "type": int,
                  "help": "variational restarts per estimate"},
 }
@@ -431,8 +426,7 @@ _FLAGS = {
 @dataclass(frozen=True)
 class _Command:
     """One subcommand.  ``flags`` maps each flag it reads to the value used
-    when the flag is not given: None keeps the RunConfig default, a callable
-    is called when the command runs.  ``run`` returns the payload and the
+    when the flag is not given: None keeps the RunConfig default.  ``run`` returns the payload and the
     diagnostics it adds to the envelope (outside the payload hash): the
     summary of its variational searches that ``contraction._kernel_searches``
     returns, as is for ``sdpi`` and folded over the channel powers
@@ -457,7 +451,7 @@ _COMMANDS = {
     ),
     "sdpi": _Command(
         "exact chi-square and variational SDPI constants of a channel",
-        {"channel": None, "sigma": None, "f": ("kl",), "g": _catalog_g_names,
+        {"channel": None, "sigma": None, "f": ("kl",), "g": tuple(sorted(g_catalog())),
          "family": None, "seed": None, "restarts": None},
         cmd_sdpi, _sdpi_text, _sdpi_csv,
         family_only=("f", "seed", "restarts"),
@@ -469,7 +463,7 @@ _COMMANDS = {
     ),
     "experiment": _Command(
         "contraction-rate experiment over channel powers, at the fixed point",
-        {"channel": None, "f": ("kl",), "g": _catalog_g_names, "family": FAMILIES,
+        {"channel": None, "f": ("kl",), "g": tuple(sorted(g_catalog())), "family": FAMILIES,
          "n-max": None, "seed": None, "restarts": None},
         cmd_experiment, _experiment_text, _experiment_csv,
     ),
@@ -529,8 +523,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for flag, default in command.flags.items():
         field = _FLAGS[flag]["dest"]
         value = getattr(args, field)
-        if value is None:
-            value = default() if callable(default) else default
+        value = default if value is None else value
         if value is not None:
             values[field] = tuple(value) if isinstance(value, list) else value
     config = RunConfig(command=args.command, fmt=args.fmt, out=args.out, **values)

@@ -116,6 +116,17 @@ class TestGCatalog:
         assert not g.standard_monotone
 
 
+@pytest.mark.parametrize("make", [qc.f_catalog, qc.g_catalog])
+def test_catalog_calls_return_fresh_dicts_of_one_build(make):
+    # built once at import: a caller's edits do not reach the next call
+    cat = make()
+    want = dict(cat)
+    del cat[next(iter(cat))]
+    cat["extra"] = None
+    again = make()
+    assert again == want and all(again[k] is v for k, v in want.items())
+
+
 class TestLocalWeights:
     def test_kappa_of_quadratic_generator_is_max_weight(self, f_cat, g_cat):
         kappa = qc.kappa_for_petz(f_cat["chi2"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qcontract as qc
-from qcontract.channels import SPECTRAL_TOL
+from qcontract.channels import SPECTRAL_TOL, _primitivity
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -257,7 +257,8 @@ class TestPrimitivity:
             np.array([[0, np.sqrt(0.5)], [0, 0]], dtype=complex)]),
     ])
     def test_report_matches_separate_spectrum_and_fixed_point(self, make):
-        # the report from one eig equals eigvals moduli plus a fixed_point call
+        # the report from one eig equals eigvals moduli plus a fixed_point call,
+        # and its fixed point is fixed_point's bit for bit
         ch = make()
         rep = qc.is_primitive(ch)
         vals = np.linalg.eigvals(ch.superop.matrix)
@@ -265,7 +266,10 @@ class TestPrimitivity:
         assert rep.spectral_gap == float(1.0 - mods[1])
         assert rep.peripheral_count == int(np.sum(mods >= 1.0 - SPECTRAL_TOL))
         if np.sum(np.abs(vals - 1.0) <= SPECTRAL_TOL) == 1:
-            assert rep.fixed_point_min_eigenvalue == qc.fixed_point(ch).min_eigenvalue
+            pi = qc.fixed_point(ch)
+            assert rep.fixed_point_min_eigenvalue == pi.min_eigenvalue
+            # the experiment takes pi from the report's eigendecomposition
+            assert _primitivity(ch)[1].entries.tobytes() == pi.entries.tobytes()
         else:
             assert np.isnan(rep.fixed_point_min_eigenvalue)
 

@@ -198,6 +198,7 @@ class TestSdpi:
         assert len(lines) == 2 + len(recs)
         assert lines[2].split() == ["chi2_g", "max", "exact_lambda2", f"{recs[0]['value']:.12g}"]
         assert lines[3].startswith("f-divergence")
+        assert lines[3].split()[:3] == ["f-divergence", "petz[kl]", "variational"]
         assert lines[3].endswith(f"petz[kl]      variational     {recs[1]['value']:>18.12g}")
         assert main(argv + ["--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -363,7 +364,7 @@ class TestExperiment:
         )
         assert code == 0
         assert env["payload_sha256"] == (
-            "772b1fd3bf6a3ad5881f91cd45b3bb9ecbf9a1cbd1097b4bade3a577673d0bb5"
+            "cf66df23d2032d30e0d415012abdb34824d0ee32f6ed7dbf7e4e14e686c69268"
         )
 
     def test_search_counters_in_envelope_diagnostics(self, capsys):

@@ -1425,21 +1425,42 @@ class TestExperiment:
         assert type(vopts.restarts) is int and vopts.seed == (1, 2)
         assert all(type(x) is int for x in vopts.seed)
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_n0_sample_matches_per_state_loop(self, dim):
-        # the stacked propagation reproduces the state-by-state loop bit for bit
-        ch = qc.random_channel(dim, seed=1)
+    @pytest.mark.parametrize("make", [
+        lambda: qc.depolarizing(0.5),
+        lambda: qc.pauli_channel([0.7, 0.1, 0.1, 0.1]),
+        lambda: qc.amplitude_damping(0.3, 0.2),
+        lambda: qc.random_channel(2, seed=1),
+        lambda: qc.random_channel(3, seed=1),
+        lambda: qc.random_channel(3, seed=4),
+    ], ids=["depolarizing", "pauli", "amplitude-damping", "random-2-1", "random-3-1",
+            "random-3-4"])
+    def test_deviation_bound_covers_every_state(self, make):
+        # n0 is certified: bound_n >= ||E^n(rho) - pi||_inf on seeded pure and
+        # mixed states, with equality on depolarizing, where every pure state
+        # attains it
+        ch = make()
         pi = qc.fixed_point(ch)
-        opts = qc.ExperimentOptions(seed=5)
-        rng = np.random.default_rng([opts.seed, 0xA0])
-        states = [qc.random_density(dim, rng, rank=1 if i % 2 == 0 else dim).entries
-                  for i in range(contraction.N0_SAMPLES)]
-        devs = []
-        for _ in range(4):
-            states = [qc.hermitianize(ch.superop.apply(s)) for s in states]
-            devs.append(max(float(np.max(np.abs(np.linalg.eigvalsh(s - pi.entries))))
-                            for s in states))
-        assert contraction._estimate_n0(ch, pi, 4, opts)[1] == devs
+        powers = [qc.channel_power(ch, n) for n in range(1, 7)]
+        rng = np.random.default_rng(17)
+        states = np.array([qc.random_density(ch.dim, rng, rank=1 if i % 2 == 0 else None).entries
+                           for i in range(40)])
+        for e_n, bound in zip(powers, contraction._deviation_bounds(pi, powers)):
+            dev = float(np.abs(np.linalg.eigvalsh(
+                qc.hermitianize(e_n.superop.apply(states)) - pi.entries)).max())
+            assert dev <= bound * (1.0 + 1e-12)
+            if ch.label.startswith("depolarizing"):
+                assert dev == pytest.approx(bound, rel=1e-12)
+
+    def test_rate_verdict_reports_signed_margin(self, f_cat, gs):
+        # the depolarizing roots sit at the bound, so the margin is about -SLACK
+        rep = qc.contraction_experiment(
+            qc.depolarizing(0.5), [f_cat["kl"].with_family("petz")], [gs["max"]], n_max=3,
+            opts=qc.ExperimentOptions(restarts=2, max_iters=40, seed=3))
+        entry = rep.verdicts["theorem_rate"]["per_family"]["petz[kl]"]["max"]
+        assert rep.n0 == 2 and entry["n_checked"] == [2, 3]
+        assert entry["max_excess"] == max(row["eta_f_root"]["petz[kl]"] for row in rep.rows[1:]) \
+            - rep.base_eta["max"] - contraction.SLACK
+        assert -contraction.SLACK - 1e-5 < entry["max_excess"] < 0.0 and entry["pass"]
 
     def test_deterministic_reports_bit_identical(self, f_cat, gs):
         families = [f_cat["kl"].with_family("petz")]
@@ -1537,7 +1558,7 @@ class TestExperiment:
             )
 
     def test_vacuous_rate_verdict_when_convergence_not_reached(self, f_cat, gs):
-        # a barely-contracting channel cannot reach the sampling radius in
+        # a barely-contracting channel cannot reach the convergence radius in
         # one step, so the rate verdict is vacuous but still reported PASS
         ch = qc.depolarizing(0.02)
         rep = qc.contraction_experiment(
@@ -1547,6 +1568,7 @@ class TestExperiment:
         assert rep.n0 is None
         assert rep.verdicts["theorem_rate"]["vacuous"]
         assert rep.verdicts["theorem_rate"]["pass"]
+        assert rep.verdicts["theorem_rate"]["per_family"]["petz[kl]"]["max"]["max_excess"] is None
 
 
 class TestSharedSearches:

@@ -45,8 +45,13 @@ another label's search, which no search digest shows.
 The digest also records the wall seconds of each ``cli`` fixture run under
 ``cli_wall_s``, outside the sections, so no comparison of values reads them;
 ``--compare`` prints them side by side, which makes a pair of digests of
-two trees a paired timing of the four CLI runs.  It records each ``cli``
-payload's SHA-256 under ``cli_payload_sha256``.
+two trees a paired timing of the four CLI runs.  Under ``payloads`` it
+records, per ``cli`` and ``experiment_qubit`` section, each envelope the
+CLI built: its command, channel and payload SHA-256, and for an
+experiment its ``n0`` and the ``sample_max_dev`` of each row.
+``--compare`` lists them per run as ``<section>_payloads``: whether the
+hashes are equal, n0 on both sides and the largest relative move of
+``sample_max_dev``, which bounds a declared move of those fields.
 
 ``--compare`` opens with ``identical``, the verdict for a change meant to
 move nothing: true only when both digests hold the same sections, no
@@ -81,14 +86,26 @@ SDPI_FIXTURE = ({"kind": "random", "dim": 3, "seed": 1},
                 [*KL_FAMILIES, "--g", "max", "--restarts", "4"])
 
 
+def _wrap(module, name: str, record):
+    """Replace ``module.name`` by a function that calls it and passes its
+    arguments and result to ``record``.  Returns a function that undoes
+    the wrapping."""
+    inner = getattr(module, name)
+
+    def traced(*args):
+        out = inner(*args)
+        record(*args, out)
+        return out
+
+    setattr(module, name, traced)
+    return lambda: setattr(module, name, inner)
+
+
 def _record(contraction, log: list):
     """Wrap ``contraction._sdpi_searches``, the entry of every search, so
     that each search appends its digest, with the search counters, to
     ``log``.  Returns a function that undoes the wrapping."""
-    inner = contraction._sdpi_searches
-
-    def traced(channel, sigma, searches):
-        estimates = inner(channel, sigma, searches)
+    def record(channel, sigma, searches, estimates):
         for est in estimates:
             diag = est.diagnostics
             log.append({
@@ -100,14 +117,23 @@ def _record(contraction, log: list):
                 "stops": diag["restart_stops"],
                 **{key: diag[key] for key in contraction.COUNTERS},
             })
-        return estimates
 
-    contraction._sdpi_searches = traced
+    return _wrap(contraction, "_sdpi_searches", record)
 
-    def undo() -> None:
-        contraction._sdpi_searches = inner
 
-    return undo
+def _record_payloads(cli, log: list):
+    """Wrap ``cli._build_envelope``, which hashes every payload the CLI
+    emits, so that each envelope appends its command, channel and payload
+    hash, and for an experiment its n0 and sample_max_dev, to ``log``.
+    Returns a function that undoes the wrapping."""
+    def record(config, payload, diagnostics, started, envelope):
+        rows = envelope.payload.get("rows", [])
+        log.append({"command": config.command, "channel": envelope.payload["channel"],
+                    "payload_sha256": envelope.payload_sha256,
+                    "n0": envelope.payload.get("n0"),
+                    "sample_max_dev": [row["sample_max_dev"] for row in rows]})
+
+    return _wrap(cli, "_build_envelope", record)
 
 
 def _pool(workloads, name: str, workdir: str) -> list:
@@ -135,12 +161,12 @@ def _numbers(out) -> list:
 
 def _cli(cli, workdir: str) -> tuple:
     """Run the CLI experiment on each fixture, then the ``sdpi`` fixture;
-    returns the wall seconds of each run, the eta_f of each experiment
-    payload, per label and n, and each payload's SHA-256."""
+    returns the wall seconds of each run and the eta_f of each experiment
+    payload, per label and n."""
     out = os.path.join(workdir, "payload.json")
     runs = [("experiment", spec, [*KL_FAMILIES, "--g", "max", "--g", "kmb"])
             for spec in CLI_FIXTURES] + [("sdpi", *SDPI_FIXTURE)]
-    walls, etas, hashes = [], [], []
+    walls, etas = [], []
     for command, spec, args in runs:
         argv = [command, "--channel", json.dumps(spec), *args, "--format", "json", "--out", out]
         start = time.perf_counter()
@@ -151,13 +177,11 @@ def _cli(cli, workdir: str) -> tuple:
         with open(out, encoding="utf-8") as fh:
             envelope = json.load(fh)
         payload = envelope["payload"]
-        hashes.append({"command": command, "channel": spec,
-                       "payload_sha256": envelope["payload_sha256"]})
         if command == "experiment":
             etas.append({"channel": payload["channel"],
                          "eta_f": {label: [row["eta_f"][label] for row in payload["rows"]]
                                    for label in payload["family_labels"]}})
-    return walls, etas, hashes
+    return walls, etas
 
 
 def digest(tree: str, sections) -> dict:
@@ -168,15 +192,17 @@ def digest(tree: str, sections) -> dict:
     import workloads
 
     result = {"tree": os.path.abspath(tree), "counters": list(contraction.COUNTERS),
-              "sections": {}, "eta_f": {}}
+              "sections": {}, "eta_f": {}, "payloads": {}}
     with tempfile.TemporaryDirectory() as workdir:
         for section in sections:
-            log = []
-            undo = _record(contraction, log)
+            log, payloads = [], []
+            undos = [_record(contraction, log)]
+            if section in ("cli", "experiment_qubit"):
+                result["payloads"][section] = payloads
+                undos.append(_record_payloads(cli, payloads))
             try:
                 if section == "cli":
-                    result["cli_wall_s"], result["eta_f"][section], \
-                        result["cli_payload_sha256"] = _cli(cli, workdir)
+                    result["cli_wall_s"], result["eta_f"][section] = _cli(cli, workdir)
                 elif section == "library_calls":
                     log = [{"label": label, "output": _numbers(out)}
                            for label, out in _pool(workloads, section, workdir)]
@@ -186,7 +212,8 @@ def digest(tree: str, sections) -> dict:
                         result["eta_f"][section] = [{"channel": label, "eta_f": out["eta_f"]}
                                                     for label, out in outputs]
             finally:
-                undo()
+                for undo in undos:
+                    undo()
             result["sections"][section] = log
     return result
 
@@ -277,11 +304,23 @@ def _compare_eta(old: list, new: list) -> dict:
     return report
 
 
+def _compare_payloads(old: list, new: list) -> list:
+    """Per CLI run, in order: whether the payload hashes are equal, n0 on
+    both sides and the largest relative move of sample_max_dev."""
+    return [{"command": a["command"], "channel": a["channel"],
+             "payload_sha256_equal": a["payload_sha256"] == b["payload_sha256"],
+             "n0": [a["n0"], b["n0"]],
+             "sample_max_dev_max_rel_move": max(
+                 map(abs, map(_rel_move, a["sample_max_dev"], b["sample_max_dev"])),
+                 default=0.0)}
+            for a, b in zip(old, new)]
+
+
 def _identical(before: dict, after: dict, report: dict) -> bool:
     """Whether ``after`` is ``before`` bit for bit: the same sections, no
     search dropped or added, every paired search with the same value and
-    ratio calls, and every library_calls output, eta_f value and ``cli``
-    payload hash equal."""
+    ratio calls, and every library_calls output, eta_f value and payload
+    hash equal."""
     if before["sections"].keys() != after["sections"].keys():
         return False
     for section in before["sections"]:
@@ -293,8 +332,11 @@ def _identical(before: dict, after: dict, report: dict) -> bool:
                     and entry["same_value_and_calls"] == entry["paired"])
         if not same:
             return False
-    return (before.get("eta_f") == after.get("eta_f")
-            and before.get("cli_payload_sha256") == after.get("cli_payload_sha256"))
+    def hashes(digest: dict) -> dict:
+        return {section: [p["payload_sha256"] for p in runs]
+                for section, runs in digest.get("payloads", {}).items()}
+
+    return before.get("eta_f") == after.get("eta_f") and hashes(before) == hashes(after)
 
 
 def compare(before: dict, after: dict) -> dict:
@@ -302,18 +344,15 @@ def compare(before: dict, after: dict) -> dict:
     :func:`_identical`); per section: calls, capped restarts and value
     moves from ``before`` to ``after``; for ``library_calls``, equal outputs
     and the largest move; the eta_f moves per family label of the ``cli``
-    and ``experiment_qubit`` payloads; and the wall seconds and payload
-    hash of each ``cli`` fixture run on both sides."""
+    and ``experiment_qubit`` payloads; the wall seconds of each ``cli``
+    fixture run on both sides; and per CLI run of the ``cli`` and
+    ``experiment_qubit`` sections, its payload hash, n0 and sample_max_dev
+    moves (:func:`_compare_payloads`)."""
     report = {}
     if "cli_wall_s" in before and "cli_wall_s" in after:
         report["cli_wall_s"] = [{"command": a.get("command"), "channel": a["channel"],
                                  "wall_s": [a["wall_s"], b["wall_s"]]}
                                 for a, b in zip(before["cli_wall_s"], after["cli_wall_s"])]
-        report["cli_payload_sha256"] = [
-            {"command": a.get("command"), "channel": a["channel"],
-             "equal": a["payload_sha256"] == b["payload_sha256"]}
-            for a, b in zip(before.get("cli_payload_sha256", []),
-                            after.get("cli_payload_sha256", []))]
     for section, old in before["sections"].items():
         new = after["sections"].get(section)
         if new is None:
@@ -326,6 +365,10 @@ def compare(before: dict, after: dict) -> dict:
         new = after.get("eta_f", {}).get(section)
         if new is not None:
             report[f"{section}_eta_f"] = _compare_eta(old, new)
+    for section, old in before.get("payloads", {}).items():
+        new = after.get("payloads", {}).get(section)
+        if new is not None:
+            report[f"{section}_payloads"] = _compare_payloads(old, new)
     return {"identical": _identical(before, after, report), **report}
 
 
