@@ -73,6 +73,17 @@ class FDivergenceSpec:
         )
 
 
+def _require_spec(spec) -> None:
+    """:class:`InputError` unless ``spec`` is an :class:`FDivergenceSpec`."""
+    if not isinstance(spec, FDivergenceSpec):
+        raise InputError(f"spec must be an FDivergenceSpec, got {type(spec).__name__}")
+
+
+def _label(spec: FDivergenceSpec) -> str:
+    """family[f], the label of a spec with its family set."""
+    return f"{spec.family}[{spec.name}]"
+
+
 def _fd_check(fn, deriv, grid, h=1e-5, tol=1e-6, what="f"):
     """Central finite difference of fn must match deriv on the grid."""
     approx = (np.asarray(fn(grid + h), float) - np.asarray(fn(grid - h), float)) / (2 * h)
@@ -250,6 +261,7 @@ def kappa_for_petz(spec: FDivergenceSpec) -> SpectralWeight:
     c2 = 1/2 + f'''(1)/(3 f''(1)) + f''''(1)/(12 f''(1)); the missing
     fourth derivative is estimated by a central difference of f3.
     """
+    _require_spec(spec)
     a = float(np.asarray(spec.f2(np.asarray(1.0))))
     b = float(np.asarray(spec.f3(np.asarray(1.0))))
     h = 1e-3

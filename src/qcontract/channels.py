@@ -99,9 +99,30 @@ class PrimitivityReport:
     reasons: tuple
 
 
+def _kraus_operators(kraus) -> tuple:
+    """The operators of a Kraus list as read-only complex arrays: the one
+    home of its rules, a nonempty list of numeric square matrices of one
+    dimension d >= 2."""
+    if not np.iterable(kraus):
+        raise InputError(f"Kraus list must be a sequence of matrices, got {kraus!r}")
+    mats = tuple(_numeric_array(k, "Kraus operator").copy() for k in kraus)
+    if not mats:
+        raise InputError("empty Kraus list")
+    for arr in mats:
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise NotSquare(f"Kraus operator has shape {arr.shape}")
+        if arr.shape != mats[0].shape:
+            raise DimensionMismatch("Kraus operators have mixed dimensions")
+        arr.setflags(write=False)
+    if mats[0].shape[0] < 2:
+        raise DimensionMismatch(f"channel dimension must be >= 2, got {mats[0].shape[0]}")
+    return mats
+
+
 def kraus_to_superop(kraus) -> np.ndarray:
-    """Superoperator matrix sum_K kron(conj(K), K)."""
-    mats = [np.asarray(k, dtype=complex) for k in kraus]
+    """Superoperator matrix sum_K kron(conj(K), K) of a Kraus list (see
+    :func:`_kraus_operators` for its rules)."""
+    mats = _kraus_operators(kraus)
     d = mats[0].shape[0]
     m = np.zeros((d * d, d * d), dtype=complex)
     for k in mats:
@@ -116,14 +137,22 @@ def choi_matrix(superop) -> np.ndarray:
     column-stacking convention this is an index shuffle of the
     superoperator: J[(i,k),(j,l)] = M[(l,k),(j,i)].
     """
-    m = superop.matrix if isinstance(superop, Superoperator) else np.asarray(superop)
-    d = int(round(np.sqrt(m.shape[0])))
+    if isinstance(superop, Superoperator):
+        m = superop.matrix
+    else:
+        m = _numeric_array(superop, "superoperator matrix")
+    d = int(round(np.sqrt(m.shape[0]))) if m.ndim == 2 else 0
+    if m.shape != (d * d, d * d):
+        raise NotSquare(f"superoperator matrix has shape {m.shape}")
     m4 = m.reshape(d, d, d, d)
     return m4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
-def _check_cptp(m: np.ndarray, d: int) -> None:
+def _check_cptp(m: np.ndarray) -> int:
+    """The dimension d of a CPTP superoperator matrix m; NotSquare unless m
+    is d^2 x d^2, and the typed error of the property it lacks otherwise."""
     j = choi_matrix(m)
+    d = int(round(np.sqrt(j.shape[0])))
     jmin = float(np.linalg.eigvalsh(hermitianize(j))[0])
     asym = float(np.linalg.norm(j - j.conj().T))
     if asym > 1e-8 or jmin < -CPTP_TOL:
@@ -135,27 +164,13 @@ def _check_cptp(m: np.ndarray, d: int) -> None:
     tp_err = float(np.linalg.norm(ptr - np.eye(d)))
     if tp_err > CPTP_TOL * d:
         raise NotTracePreserving(f"partial trace of Choi deviates from I by {tp_err:.3e}")
+    return d
 
 
 def channel_from_kraus(kraus, label: str = "kraus") -> QuantumChannel:
     """Build a channel from Kraus operators, verifying sum K^dag K = I."""
-    mats = []
-    d = None
-    for k in kraus:
-        arr = _numeric_array(k, "Kraus operator")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NotSquare(f"Kraus operator has shape {arr.shape}")
-        if d is None:
-            d = arr.shape[0]
-        elif arr.shape[0] != d:
-            raise DimensionMismatch("Kraus operators have mixed dimensions")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        mats.append(arr)
-    if not mats:
-        raise InputError("empty Kraus list")
-    if d < 2:
-        raise DimensionMismatch(f"channel dimension must be >= 2, got {d}")
+    mats = _kraus_operators(kraus)
+    d = mats[0].shape[0]
     acc = sum(k.conj().T @ k for k in mats)
     tp_err = float(np.linalg.norm(acc - np.eye(d)))
     if tp_err > CPTP_TOL * d:
@@ -163,17 +178,14 @@ def channel_from_kraus(kraus, label: str = "kraus") -> QuantumChannel:
             f"sum K^dag K deviates from identity by {tp_err:.3e} (atol {CPTP_TOL:.0e})"
         )
     m = kraus_to_superop(mats)
-    _check_cptp(m, d)
-    return QuantumChannel(dim=d, superop=Superoperator(m, d), kraus=tuple(mats), label=label)
+    _check_cptp(m)
+    return QuantumChannel(dim=d, superop=Superoperator(m, d), kraus=mats, label=label)
 
 
 def channel_from_superop(matrix, label: str = "superop") -> QuantumChannel:
     """Build a channel from a superoperator matrix, verifying CPTP."""
     m = _numeric_array(matrix, "superoperator matrix")
-    d = int(round(np.sqrt(m.shape[0]))) if m.ndim == 2 else 0
-    if m.shape != (d * d, d * d):
-        raise NotSquare(f"superoperator matrix has shape {m.shape}")
-    _check_cptp(m, d)
+    d = _check_cptp(m)
     return QuantumChannel(dim=d, superop=Superoperator(m, d), kraus=None, label=label)
 
 

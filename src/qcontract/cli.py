@@ -2,7 +2,8 @@
 
 Subcommands: divergence, sdpi, db-check, experiment, catalog.  Each is one
 entry of ``_COMMANDS``, which names the flags it reads, the function that
-runs it and its text and CSV renderers; a subcommand accepts no other flag.
+runs it, its CSV table and the lines that ``--format text`` prints around
+that table; a subcommand accepts no other flag.
 Every run emits a ReportEnvelope; the results payload is deterministic for
 a given config (timestamps live outside the payload hash).
 """
@@ -19,10 +20,8 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
-from .catalog import FAMILIES, f_catalog, g_catalog, gns_weight
+from .catalog import FAMILIES, _label, f_catalog, g_catalog, gns_weight
 from .channels import QuantumChannel, fixed_point
 from .contraction import (
     CSV_SCHEMA_VERSION,
@@ -83,41 +82,12 @@ class ReportEnvelope:
     timestamps: dict
 
 
-def _jsonsafe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonsafe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonsafe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonsafe(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
-
-
 def _build_envelope(config: RunConfig, payload: dict, diagnostics: dict,
                     started: str) -> ReportEnvelope:
-    payload = _jsonsafe(payload)
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
-    return ReportEnvelope(
-        version=__version__,
-        config=config,
-        payload=payload,
-        payload_sha256=digest,
-        diagnostics=_jsonsafe(diagnostics),
-        timestamps={
-            "started": started,
-            "finished": datetime.now(timezone.utc).isoformat(),
-        },
-    )
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    finished = datetime.now(timezone.utc).isoformat()
+    return ReportEnvelope(__version__, config, payload, digest, diagnostics,
+                          {"started": started, "finished": finished})
 
 
 def _load_channel(config: RunConfig) -> QuantumChannel:
@@ -173,8 +143,8 @@ def _family_specs(config: RunConfig) -> dict:
     specs = _resolve("f", config.f_names, f_catalog())
     if not families or not specs:
         raise InputError("need at least one --family and one --f")
-    return {f"{fam}[{fname}]": spec.with_family(fam)
-            for fname, spec in specs.items() for fam in families}
+    labeled = [spec.with_family(fam) for spec in specs.values() for fam in families]
+    return {_label(spec): spec for spec in labeled}
 
 
 def cmd_divergence(config: RunConfig) -> tuple:
@@ -183,22 +153,9 @@ def cmd_divergence(config: RunConfig) -> tuple:
     records = []
     for spec in _family_specs(config).values():
         result = evaluate(spec, rho, sigma)
-        records.append(
-            {
-                "family": spec.family,
-                "f_name": spec.name,
-                "value": result.value,
-                "diagnostics": result.diagnostics,
-            }
-        )
+        records.append({"family": spec.family, "f_name": spec.name, "value": result.value,
+                        "diagnostics": result.diagnostics})
     return {"results": records}, {}
-
-
-def _divergence_text(payload: dict) -> list:
-    lines = [f"{'family':<12}{'f':<12}{'value':>20}"]
-    for rec in payload["results"]:
-        lines.append(f"{rec['family']:<12}{rec['f_name']:<12}{rec['value']:>20.12g}")
-    return lines
 
 
 def _divergence_csv(payload: dict) -> str:
@@ -216,58 +173,31 @@ def cmd_sdpi(config: RunConfig) -> tuple:
     records, summary = [], {"searches": {}, "shared_searches": {}, "stacked_calls": 0}
     for gname, g in gs.items():
         est = sdpi_chi2(channel, sigma, g)
-        records.append(
-            {
-                "family": "chi2",
-                "g_name": gname,
-                "value": est.value,
-                "method": est.method,
-                "diagnostics": {
-                    "top_singular_value": est.top_eigenvalue_check,
-                    **{
-                        k: v
-                        for k, v in est.diagnostics.items()
-                        if k in ("fixed_point_error", "top_overlap", "warning")
-                    },
-                },
-            }
-        )
+        records.append({
+            "family": "chi2", "g_name": gname, "value": est.value, "method": est.method,
+            "diagnostics": {
+                "top_singular_value": est.top_eigenvalue_check,
+                **{k: v for k, v in est.diagnostics.items()
+                   if k in ("fixed_point_error", "top_overlap", "warning")},
+            },
+        })
     if config.families:
         specs = _family_specs(config)
         opts = VariationalOptions(restarts=config.restarts, seed=config.seed)
         estimates, summary = _kernel_searches(specs, channel, sigma, lambda idx: opts)
         for label, spec in specs.items():
             est = estimates[label]
-            records.append(
-                {
-                    "family": spec.family,
-                    "f_name": spec.name,
-                    "value": est.value,
-                    "method": est.method,
-                    "diagnostics": {
-                        "restarts_used": est.restarts_used,
-                        "valid_restarts": est.diagnostics.get("valid_restarts"),
-                    },
-                }
-            )
-    payload = {
-        "channel": channel.label,
-        "sigma_source": sigma_source,
-        "results": records,
-    }
-    return payload, summary
+            records.append({
+                "family": spec.family, "f_name": spec.name, "value": est.value,
+                "method": est.method,
+                "diagnostics": {"restarts_used": est.restarts_used,
+                                "valid_restarts": est.diagnostics.get("valid_restarts")},
+            })
+    return {"channel": channel.label, "sigma_source": sigma_source, "results": records}, summary
 
 
-def _sdpi_text(payload: dict) -> list:
-    lines = [
-        f"channel: {payload['channel']}  (sigma: {payload['sigma_source']})",
-        f"{'kind':<14}{'name':<14}{'method':<16}{'eta':>18}",
-    ]
-    for rec in payload["results"]:
-        name = rec.get("g_name") or f"{rec['family']}[{rec['f_name']}]"
-        kind = "chi2_g" if "g_name" in rec else "f-divergence"
-        lines.append(f"{kind:<14}{name:<14}{rec['method']:<16}{rec['value']:>18.12g}")
-    return lines
+def _sigma_head(payload: dict) -> list:
+    return [f"channel: {payload['channel']}  (sigma: {payload['sigma_source']})"]
 
 
 def _sdpi_csv(payload: dict) -> str:
@@ -296,22 +226,17 @@ def cmd_db_check(config: RunConfig) -> tuple:
     }, {}
 
 
-def _db_check_text(payload: dict) -> list:
-    return [
-        f"channel: {payload['channel']}  (sigma: {payload['sigma_source']})",
-        *(f"  residual[{name}] = {value:.12g}"
-          for name, value in payload["residuals"].items()),
-        f"verdict: {payload['verdict']}  "
-        f"(max residual {payload['max_residual']:.12g}, tol {payload['tolerance']:g})",
-    ]
-
-
 def _db_check_csv(payload: dict) -> str:
     return _csv(
         [["g_name", "residual"]]
         + [[name, f"{value:.12g}"] for name, value in payload["residuals"].items()]
         + [["verdict", payload["verdict"]]]
     )
+
+
+def _db_check_tail(payload: dict) -> list:
+    return [f"verdict: {payload['verdict']}  "
+            f"(max residual {payload['max_residual']:.12g}, tol {payload['tolerance']:g})"]
 
 
 def cmd_experiment(config: RunConfig) -> tuple:
@@ -327,17 +252,22 @@ def cmd_experiment(config: RunConfig) -> tuple:
     return payload, report.diagnostics
 
 
-def _experiment_text(payload: dict) -> list:
+def _experiment_csv(payload: dict) -> str:
+    return payload["csv"]
+
+
+def _experiment_head(payload: dict) -> list:
+    return [f"channel: {payload['channel']}  dim={payload['dim']}",
+            f"n_max={payload['n_max']}  n0={payload['n0']}  csv_schema={payload['csv_schema']}"]
+
+
+def _experiment_tail(payload: dict) -> list:
     rate = payload["verdicts"]["theorem_rate"]
     tight = payload["verdicts"]["tightness"]
     rate_word = "PASS" if rate["pass"] else "FAIL"
     if rate.get("vacuous"):
         rate_word += " (vacuous: convergence radius not reached)"
     return [
-        f"channel: {payload['channel']}  dim={payload['dim']}",
-        f"n_max={payload['n_max']}  n0={payload['n0']}  "
-        f"csv_schema={payload['csv_schema']}",
-        payload["csv"].rstrip("\n"),
         f"verdict rate-bound: {rate_word}",
         f"verdict tightness: {'PASS' if tight['pass'] else 'FAIL'}",
         *(f"  {label}: db_residual={entry['db_residual']:.3e} -> {entry['pass']}"
@@ -345,63 +275,33 @@ def _experiment_text(payload: dict) -> list:
     ]
 
 
-def _experiment_csv(payload: dict) -> str:
-    return payload["csv"]
-
-
 def cmd_catalog(config: RunConfig) -> tuple:
-    f_filter = set(config.f_names) if config.f_names else None
-    g_filter = set(config.g_names) if config.g_names else None
-    f_records = [
-        {
-            "name": name,
-            "operator_convex": spec.operator_convex,
-            "pinsker_constant": spec.pinsker_constant,
-        }
-        for name, spec in sorted(f_catalog().items())
-        if f_filter is None or name in f_filter
-    ]
-    g_records = [
-        {
-            "name": name,
-            "standard_monotone": g.standard_monotone,
-            "symmetry_convention": "g(1/x) = x g(x)",
-        }
-        for name, g in sorted(g_catalog().items())
-        if g_filter is None or name in g_filter
-    ]
+    fs = dict(sorted(f_catalog().items()))
     gns = gns_weight()
-    if g_filter is None or gns.name in g_filter:
-        g_records.append(
-            {
-                "name": gns.name,
-                "standard_monotone": False,
-                "symmetry_convention": "unweighted (g = 1)",
-            }
-        )
+    gs = {**dict(sorted(g_catalog().items())), gns.name: gns}
+    f_records = [{"name": name, "operator_convex": spec.operator_convex,
+                  "pinsker_constant": spec.pinsker_constant}
+                 for name, spec in fs.items() if name in (config.f_names or fs)]
+    # the catalog weights are standard monotone; gns, the one other, is g = 1
+    g_records = [{"name": name, "standard_monotone": g.standard_monotone,
+                  "symmetry_convention": "g(1/x) = x g(x)" if g.standard_monotone
+                  else "unweighted (g = 1)"}
+                 for name, g in gs.items() if name in (config.g_names or gs)]
     return {"f": f_records, "g": g_records, "families": list(FAMILIES)}, {}
-
-
-def _catalog_text(payload: dict) -> list:
-    return [
-        "f-divergence generators:",
-        *(f"  {rec['name']:<12} operator_convex={rec['operator_convex']} "
-          f"pinsker_constant={rec['pinsker_constant']}" for rec in payload["f"]),
-        "spectral weight functions:",
-        *(f"  {rec['name']:<12} standard_monotone={rec['standard_monotone']} "
-          f"({rec['symmetry_convention']})" for rec in payload["g"]),
-        f"families: {', '.join(payload['families'])}",
-    ]
 
 
 def _catalog_csv(payload: dict) -> str:
     return _csv(
-        [["kind", "name", "flag"]]
-        + [["f", rec["name"], f"operator_convex={rec['operator_convex']}"]
-           for rec in payload["f"]]
-        + [["g", rec["name"], f"standard_monotone={rec['standard_monotone']}"]
-           for rec in payload["g"]]
+        [["kind", "name", "flag", "detail"]]
+        + [["f", rec["name"], f"operator_convex={rec['operator_convex']}",
+            f"pinsker_constant={rec['pinsker_constant']}"] for rec in payload["f"]]
+        + [["g", rec["name"], f"standard_monotone={rec['standard_monotone']}",
+            f"symmetry_convention={rec['symmetry_convention']}"] for rec in payload["g"]]
     )
+
+
+def _catalog_tail(payload: dict) -> list:
+    return [f"families: {', '.join(payload['families'])}"]
 
 
 #: argparse settings of every flag a command may read; dest is its RunConfig field
@@ -430,16 +330,18 @@ class _Command:
     diagnostics it adds to the envelope (outside the payload hash): the
     summary of its variational searches that ``contraction._kernel_searches``
     returns, as is for ``sdpi`` and folded over the channel powers
-    (``ExperimentReport``) for ``experiment``.  ``text`` renders the payload
-    as lines, ``csv`` as a CSV document.
+    (``ExperimentReport``) for ``experiment``.  ``csv`` renders the payload
+    as one CSV table; ``--format text`` prints the ``head`` lines, that
+    table and the ``tail`` lines.
     ``family_only`` names the flags the command reads only when --family is
     given; any of them without it is an InputError."""
 
     help: str
     flags: dict
     run: Callable[[RunConfig], tuple]
-    text: Callable[[dict], list]
     csv: Callable[[dict], str]
+    head: Callable[[dict], list] = lambda payload: []
+    tail: Callable[[dict], list] = lambda payload: []
     family_only: tuple = ()
 
 
@@ -447,30 +349,30 @@ _COMMANDS = {
     "divergence": _Command(
         "evaluate f-divergence families on a pair of states",
         {"rho": None, "sigma": None, "f": ("kl",), "family": FAMILIES},
-        cmd_divergence, _divergence_text, _divergence_csv,
+        cmd_divergence, _divergence_csv,
     ),
     "sdpi": _Command(
         "exact chi-square and variational SDPI constants of a channel",
         {"channel": None, "sigma": None, "f": ("kl",), "g": tuple(sorted(g_catalog())),
          "family": None, "seed": None, "restarts": None},
-        cmd_sdpi, _sdpi_text, _sdpi_csv,
+        cmd_sdpi, _sdpi_csv, _sigma_head,
         family_only=("f", "seed", "restarts"),
     ),
     "db-check": _Command(
         "detailed-balance residuals per weight function",
         {"channel": None, "sigma": None},
-        cmd_db_check, _db_check_text, _db_check_csv,
+        cmd_db_check, _db_check_csv, _sigma_head, _db_check_tail,
     ),
     "experiment": _Command(
         "contraction-rate experiment over channel powers, at the fixed point",
         {"channel": None, "f": ("kl",), "g": tuple(sorted(g_catalog())), "family": FAMILIES,
          "n-max": None, "seed": None, "restarts": None},
-        cmd_experiment, _experiment_text, _experiment_csv,
+        cmd_experiment, _experiment_csv, _experiment_head, _experiment_tail,
     ),
     "catalog": _Command(
         "list shipped f generators and weight functions",
         {"f": None, "g": None},
-        cmd_catalog, _catalog_text, _catalog_csv,
+        cmd_catalog, _catalog_csv, tail=_catalog_tail,
     ),
 }
 
@@ -483,7 +385,9 @@ def _emit(envelope: ReportEnvelope, config: RunConfig) -> None:
     elif config.fmt == "csv":
         text = command.csv(envelope.payload)
     else:
-        text = "\n".join(command.text(envelope.payload)) + "\n"
+        payload = envelope.payload
+        text = "\n".join([*command.head(payload), command.csv(payload).rstrip("\n"),
+                          *command.tail(payload)]) + "\n"
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text)

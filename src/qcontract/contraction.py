@@ -35,6 +35,7 @@ import numpy as np
 from .catalog import (
     FDivergenceSpec,
     SpectralWeight,
+    _label,
     g_catalog,
     gns_weight,
     local_weight,
@@ -388,7 +389,7 @@ def _objective(evaluators, channel: QuantumChannel, sigma: DensityMatrix):
                 values, grads = (np.concatenate(z, axis=1) for z in zip(*out))
             return ratio_gradients(keep & valid[0] & valid[1], values, grads)
 
-    return ratios, [f"{spec.family}[{spec.name}]" for spec in evaluators]
+    return ratios, [_label(spec) for spec in evaluators]
 
 
 def _param_states(x: np.ndarray, d: int):
@@ -887,7 +888,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
         _require_family(spec)
     for g in gs:
         _require_weight(g)
-    family_labels = _distinct("family spec", [f"{spec.family}[{spec.name}]" for spec in families])
+    family_labels = _distinct("family spec", [_label(spec) for spec in families])
     g_names = _distinct("g weight", [g.name for g in gs])
     prim, pi = _primitivity(channel)
     if not prim.is_primitive:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import FAMILIES, FDivergenceSpec, SpectralWeight, _kl_f
+from .catalog import FAMILIES, FDivergenceSpec, SpectralWeight, _kl_f, _require_spec
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -402,8 +402,7 @@ def _require_family(spec) -> None:
     :class:`InputError` unless it is an :class:`FDivergenceSpec` whose
     family is one of :data:`FAMILIES`, and :class:`NotOperatorConvex` for a
     petz spec whose generator is not operator convex."""
-    if not isinstance(spec, FDivergenceSpec):
-        raise InputError(f"spec must be an FDivergenceSpec, got {type(spec).__name__}")
+    _require_spec(spec)
     if spec.family not in FAMILIES:
         raise InputError(
             f"spec {spec.name!r} has family {spec.family!r}; set one of {FAMILIES}"
@@ -518,6 +517,7 @@ def reverse_pinsker_bound(spec: FDivergenceSpec, rho, sigma):
     Returns (bound, applicable); the bound is valid only when
     |rho - sigma| <= rho + sigma (checked spectrally).
     """
+    _require_spec(spec)
     r, s = _pair(rho, sigma)
     t = np.linalg.eigvalsh(_pencil(r.entries[None], _reference(s))[0])
     m, big_m = float(t[0]), float(t[-1])

@@ -23,7 +23,7 @@ from .channels import (
     random_channel,
 )
 from .errors import InputError
-from .linalg import DensityMatrix, validate_density
+from .linalg import DensityMatrix, _numeric_array, validate_density
 
 __all__ = [
     "matrix_to_json",
@@ -38,7 +38,9 @@ __all__ = [
 
 def matrix_to_json(a: np.ndarray) -> list:
     """Row-major nested list of [re, im] pairs."""
-    m = np.asarray(a, dtype=complex)
+    m = _numeric_array(a, "matrix")
+    if m.ndim != 2:
+        raise InputError(f"matrix must be a 2-d array, got shape {m.shape}")
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 

@@ -110,3 +110,28 @@ def test_malformed_argument_is_input_error(call):
     assert type(info.value) is (qc.DimensionMismatch if call in MISMATCHED else qc.InputError)
     assert info.value.exit_code == 2
 
+
+#: each call with a malformed operator, matrix or spec, and its typed error
+MALFORMED_OPERATOR = {
+    "kraus_to_superop-empty": (lambda: qc.kraus_to_superop([]), qc.InputError),
+    "kraus_to_superop-none": (lambda: qc.kraus_to_superop(None), qc.InputError),
+    "kraus_to_superop-1d": (lambda: qc.kraus_to_superop([[1, 0]]), qc.NotSquare),
+    "kraus_to_superop-string": (lambda: qc.kraus_to_superop(["ab"]), qc.InputError),
+    "choi_matrix-3x3": (lambda: qc.choi_matrix(np.eye(3)), qc.NotSquare),
+    "choi_matrix-string": (lambda: qc.choi_matrix("ab"), qc.InputError),
+    "matrix_to_json-string": (lambda: qc.matrix_to_json("ab"), qc.InputError),
+    "matrix_to_json-1d": (lambda: qc.matrix_to_json([1, 0]), qc.InputError),
+    "kappa_for_petz-none": (lambda: qc.kappa_for_petz(None), qc.InputError),
+    "reverse_pinsker_bound-none": (lambda: qc.reverse_pinsker_bound(None, _RHO, _SIGMA),
+                                   qc.InputError),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_OPERATOR)
+def test_malformed_operator_is_typed_input_error(call):
+    make, error = MALFORMED_OPERATOR[call]
+    with pytest.raises(qc.QcontractError) as info:
+        make()
+    assert type(info.value) is error
+    assert info.value.exit_code == 2
+

@@ -191,21 +191,24 @@ class TestSdpi:
         code, env = run_json(capsys, argv)
         assert code == 0
         recs = env["payload"]["results"]
-        assert main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "channel: depolarizing(p=0.5,d=2)  (sigma: fixed_point)"
-        assert lines[1].split() == ["kind", "name", "method", "eta"]
-        assert len(lines) == 2 + len(recs)
-        assert lines[2].split() == ["chi2_g", "max", "exact_lambda2", f"{recs[0]['value']:.12g}"]
-        assert lines[3].startswith("f-divergence")
-        assert lines[3].split()[:3] == ["f-divergence", "petz[kl]", "variational"]
-        assert lines[3].endswith(f"petz[kl]      variational     {recs[1]['value']:>18.12g}")
-        assert main(argv + ["--format", "csv"]) == 0
-        assert capsys.readouterr().out.splitlines() == [
+        table = [
             "family,name,method,value",
             f"chi2,max,exact_lambda2,{recs[0]['value']:.12g}",
             f"petz,kl,variational,{recs[1]['value']:.12g}",
         ]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "channel: depolarizing(p=0.5,d=2)  (sigma: fixed_point)", *table,
+        ]
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == table
+
+    def test_text_puts_a_long_label_in_its_own_cells(self, capsys):
+        argv = ["sdpi", "--channel", DEPOL, "--family", "matsumoto", "--f", "hellinger",
+                "--restarts", "1", "--g", "max"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].split(",")[:3] == ["matsumoto", "hellinger", "variational"]
 
     def test_explicit_sigma_used(self, capsys):
         code, env = run_json(
@@ -268,10 +271,15 @@ class TestDbCheck:
         assert env["payload"]["max_residual"] > 1e-3
 
     def test_text_format_shows_verdict(self, capsys):
+        code, env = run_json(capsys, ["db-check", "--channel", PAULI])
+        assert code == 0
+        payload = env["payload"]
         assert main(["db-check", "--channel", PAULI]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: PASS" in out
-        assert "residual[gns]" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "g_name,residual"
+        assert lines[2] == f"gns,{payload['residuals']['gns']:.12g}"
+        assert lines[-1] == (f"verdict: PASS  (max residual {payload['max_residual']:.12g}, "
+                             f"tol {payload['tolerance']:g})")
 
     def test_csv_format(self, capsys):
         code, env = run_json(capsys, ["db-check", "--channel", PAULI])
@@ -408,6 +416,19 @@ class TestExperiment:
         assert code == 3
 
 
+#: the catalog table, each f with its Pinsker constant and each g with its
+#: symmetry convention
+CATALOG_TABLE = [
+    "kind,name,flag,detail",
+    "f,chi2,operator_convex=True,pinsker_constant=1.0",
+    "f,hellinger,operator_convex=True,pinsker_constant=0.25",
+    "f,kl,operator_convex=True,pinsker_constant=0.5",
+    "g,kmb,standard_monotone=True,symmetry_convention=g(1/x) = x g(x)",
+    "g,max,standard_monotone=True,symmetry_convention=g(1/x) = x g(x)",
+    "g,gns,standard_monotone=False,symmetry_convention=unweighted (g = 1)",
+]
+
+
 class TestCatalog:
     def test_lists_everything_by_default(self, capsys):
         code, env = run_json(capsys, ["catalog"])
@@ -432,21 +453,13 @@ class TestCatalog:
 
     def test_csv_format(self, capsys):
         assert main(["catalog", "--format", "csv"]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            "kind,name,flag",
-            "f,chi2,operator_convex=True",
-            "f,hellinger,operator_convex=True",
-            "f,kl,operator_convex=True",
-            "g,kmb,standard_monotone=True",
-            "g,max,standard_monotone=True",
-            "g,gns,standard_monotone=False",
-        ]
+        assert capsys.readouterr().out.splitlines() == CATALOG_TABLE
 
     def test_text_format(self, capsys):
         assert main(["catalog"]) == 0
-        out = capsys.readouterr().out
-        assert "f-divergence generators:" in out
-        assert "families: ht, petz, matsumoto" in out
+        assert capsys.readouterr().out.splitlines() == [
+            *CATALOG_TABLE, "families: ht, petz, matsumoto",
+        ]
 
 
 class TestEnvelope:

@@ -397,6 +397,19 @@ def _scalar_ratio(obj, ch, sig, rho):
         return None
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_chi2_family_searches_find_the_exact_constant(f_cat, gs, dim):
+    # under f = chi2, ht is chi2_kmb and petz and matsumoto are chi2_max, so
+    # each search, ht's through its quadrature and gradient rider, ends at
+    # the exact constant of that weight
+    ch = qc.random_channel(dim, seed=1)
+    pi = qc.fixed_point(ch)
+    for fam, weight in (("ht", "kmb"), ("petz", "max"), ("matsumoto", "max")):
+        est = qc.sdpi_variational(f_cat["chi2"].with_family(fam), ch, pi,
+                                  qc.VariationalOptions(restarts=4))
+        assert est.value == pytest.approx(qc.sdpi_chi2(ch, pi, gs[weight]).value, rel=1e-9)
+
+
 class TestStackedSearch:
     """The search's stacked ratio against the public evaluators, point by point."""
 

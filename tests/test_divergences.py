@@ -599,6 +599,32 @@ class TestChi2:
             qc.chi2_g(rho, sig, g_cat["max"])
 
 
+class TestChi2Oracle:
+    """Under f = chi2 each family is the chi2 form of its local weight:
+    ht[chi2] = chi2_kmb and petz[chi2] = matsumoto[chi2] = chi2_max."""
+
+    #: ht's quadrature works to rtol 1e-8; petz and matsumoto are closed
+    #: forms, and matsumoto's sigma^(-1/2) adds rounding of order eps / mu_min
+    #: (0.74 eps / mu_min at most over these pairs)
+    RTOL = {"ht": lambda mu_min: 1e-9, "petz": lambda mu_min: 1e-12,
+            "matsumoto": lambda mu_min: 1e-12 + 2 * np.finfo(float).eps / mu_min}
+
+    def test_each_family_is_the_chi2_form_of_its_weight(self, f_cat, g_cat):
+        rng = np.random.default_rng(28)
+        for k in range(60):
+            d = 2 + k % 2
+            rho = qc.random_density(d, rng)
+            sig = qc.random_density(d, rng)
+            # sigma's smallest eigenvalue spread over [1e-5, 1e-1]
+            mu = np.concatenate([[10 ** rng.uniform(-5, -1)], rng.dirichlet(np.ones(d - 1))])
+            v = sig.eigenvectors
+            sig = qc.validate_density((v * (mu / mu.sum())) @ v.conj().T)
+            for fam, rtol in self.RTOL.items():
+                exact = qc.chi2_g(rho, sig, g_cat["kmb" if fam == "ht" else "max"]).value
+                value = qc.evaluate(f_cat["chi2"].with_family(fam), rho, sig).value
+                assert value == pytest.approx(exact, rel=rtol(mu[0] / mu.sum())), (k, fam)
+
+
 class TestHockeyStick:
     def test_gamma_one_is_trace_distance(self, rng):
         rho = qc.random_density(3, rng)

@@ -20,7 +20,9 @@ extracted with ``git archive``.  The sections are:
   random_channel(2, seed=1) and random_channel(3, seed=1), the last taking
   about 5-10 s on a 2-core x86 host; then ``qcontract sdpi`` on
   random_channel(3, seed=1) (kl under ht, petz and matsumoto, g max,
-  4 restarts);
+  4 restarts) and on random_channel(2, seed=1) (hellinger and chi2 under
+  ht, g max, 4 restarts), the one run whose searches go through the ht
+  quadrature;
 * ``library_calls``: one round of that benchmark workload's single public
   calls (evaluate, chi2_g, fixed_point, is_primitive, sdpi_chi2,
   carlen_maas_check), made the same way, each recorded with its label and
@@ -81,9 +83,12 @@ CLI_FIXTURES = (
     {"kind": "random", "dim": 3, "seed": 1},
 )
 KL_FAMILIES = ["--f", "kl", "--family", "ht", "--family", "petz", "--family", "matsumoto"]
-#: the ``qcontract sdpi`` run of the ``cli`` section, after the experiments
-SDPI_FIXTURE = ({"kind": "random", "dim": 3, "seed": 1},
-                [*KL_FAMILIES, "--g", "max", "--restarts", "4"])
+#: the ``qcontract sdpi`` runs of the ``cli`` section, after the experiments
+SDPI_FIXTURES = (
+    ({"kind": "random", "dim": 3, "seed": 1}, [*KL_FAMILIES, "--g", "max", "--restarts", "4"]),
+    ({"kind": "random", "dim": 2, "seed": 1},
+     ["--family", "ht", "--f", "hellinger", "--f", "chi2", "--g", "max", "--restarts", "4"]),
+)
 
 
 def _wrap(module, name: str, record):
@@ -160,12 +165,12 @@ def _numbers(out) -> list:
 
 
 def _cli(cli, workdir: str) -> tuple:
-    """Run the CLI experiment on each fixture, then the ``sdpi`` fixture;
+    """Run the CLI experiment on each fixture, then the ``sdpi`` fixtures;
     returns the wall seconds of each run and the eta_f of each experiment
     payload, per label and n."""
     out = os.path.join(workdir, "payload.json")
     runs = [("experiment", spec, [*KL_FAMILIES, "--g", "max", "--g", "kmb"])
-            for spec in CLI_FIXTURES] + [("sdpi", *SDPI_FIXTURE)]
+            for spec in CLI_FIXTURES] + [("sdpi", *run) for run in SDPI_FIXTURES]
     walls, etas = [], []
     for command, spec, args in runs:
         argv = [command, "--channel", json.dumps(spec), *args, "--format", "json", "--out", out]
