@@ -175,11 +175,8 @@ def cmd_sdpi(config: RunConfig) -> tuple:
         est = sdpi_chi2(channel, sigma, g)
         records.append({
             "family": "chi2", "g_name": gname, "value": est.value, "method": est.method,
-            "diagnostics": {
-                "top_singular_value": est.top_eigenvalue_check,
-                **{k: v for k, v in est.diagnostics.items()
-                   if k in ("fixed_point_error", "top_overlap", "warning")},
-            },
+            "diagnostics": {"top_singular_value": est.top_eigenvalue_check,
+                            "top_overlap": est.diagnostics["top_overlap"]},
         })
     if config.families:
         specs = _family_specs(config)
@@ -433,8 +430,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command, fmt=args.fmt, out=args.out, **values)
     if not 1 <= config.n_max <= 32:
         raise InputError(f"--n-max must be in [1, 32], got {config.n_max}")
-    if config.restarts < 1:
-        raise InputError(f"--restarts must be >= 1, got {config.restarts}")
     return config
 
 

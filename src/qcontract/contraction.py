@@ -42,7 +42,6 @@ from .catalog import (
 )
 from .channels import (
     QuantumChannel,
-    _fixed_point_error,
     _primitivity,
     apply,
     channel_power,
@@ -70,12 +69,10 @@ from .errors import (
     InputError,
     NotPrimitive,
     NumericalError,
-    SingularReference,
 )
 from .linalg import (
     DensityMatrix,
     _integer,
-    _real,
     stack_valid,
     validate_density,
     validate_stack,
@@ -115,15 +112,15 @@ _FROBENIUS_CLEAR = math.sqrt(2.0) * EXCLUSION * (1.0 + 1e-8)
 INIT_STEP = 0.25
 #: Armijo constant of the line search on log R
 ARMIJO = 1e-4
+#: line-search step floor of every search: no trial is shorter than this
+STEP_TOL = 1e-6
 #: a restart has converged when ||x|| ||grad log R|| falls below GRAD_TOL, or
 #: when no line-search trial passes while it is below STALL_TOL: at the
-#: experiment's step floor 1e-6 that gradient would raise log R by about
-#: 1e-10, the rounding of the petz and matsumoto ratios near the exclusion
-#: ball, so larger gradients with no passing trial are a stall, not rounding
+#: step floor STEP_TOL that gradient would raise log R by about 1e-10, the
+#: rounding of the petz and matsumoto ratios near the exclusion ball, so
+#: larger gradients with no passing trial are a stall, not rounding
 GRAD_TOL = 1e-9
 STALL_TOL = 1e-4
-#: line-search step floor of the experiment's searches
-EXPERIMENT_STEP_TOL = 1e-6
 #: slack of the experiment's rate and tightness verdicts
 SLACK = 0.02
 #: the tightness verdict's power equality eta(E^n) = eta(E)^n is judged on
@@ -173,6 +170,15 @@ def _eigenbasis(channel: QuantumChannel, sigma):
     return s, channel.superop.in_basis(s.eigenvectors)
 
 
+def _frame(channel: QuantumChannel, sigma) -> tuple[DensityMatrix, DensityMatrix]:
+    """The validated full-rank sigma of a channel entry point and E(sigma), the
+    reference of every SDPI numerator, full rank too (:class:`SingularReference`)."""
+    s = _channel_sigma(channel, sigma)
+    e_s = apply(channel, s)
+    _require_full_rank(e_s, "E(sigma)")
+    return s, e_s
+
+
 def _db_residual(mt: np.ndarray, w: np.ndarray) -> float:
     """||D Mt^dag - Mt D||_F / ||D||_F with D = diag(1/vec(w)), w = omega(s, g)."""
     inv = 1.0 / vectorize(w)
@@ -192,55 +198,42 @@ class SdpiEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sdpi_chi2(s: DensityMatrix, mt: np.ndarray, w: np.ndarray,
-               fix_err: float) -> SdpiEstimate:
-    """sdpi_chi2 for the validated sigma ``s`` and ``mt`` from ``_eigenbasis``,
-    the weights w = omega(s, g) and the channel's ||E(s) - s||_1."""
-    sw = np.sqrt(vectorize(w))
-    u_l, svals, v_r = np.linalg.svd(sw[:, None] * mt / sw[None, :])
+def _sdpi_chi2(s: DensityMatrix, nt: np.ndarray, w_in: np.ndarray,
+               w_out: np.ndarray) -> SdpiEstimate:
+    """sdpi_chi2 for the validated sigma ``s``, the channel's matrix ``nt`` from the
+    s eigenbasis to the E(s) one, and the weights omega(s, g) and omega(E(s), g)."""
+    _, svals, v_h = np.linalg.svd(
+        np.sqrt(vectorize(w_out))[:, None] * nt / np.sqrt(vectorize(w_in))[None, :])
     top = float(svals[0])
-    second = float(svals[1])
-    diag = {"fixed_point_error": fix_err, "singular_values": svals.copy()}
-    if fix_err <= 1e-7:
-        # the fixed point must carry the top singular subspace
-        target = vectorize(np.diag(np.sqrt(s.eigenvalues)))
-        top_space = v_r.conj().T[:, svals >= svals[0] - 1e-7]
-        overlap = float(np.linalg.norm(top_space.conj().T @ target))
-        diag["top_overlap"] = overlap
-        if abs(top - 1.0) > 1e-7 or overlap < 0.99:
-            raise NumericalError(
-                f"top singular value {top:.12f} (overlap {overlap:.3f}) does not "
-                "witness the fixed point"
-            )
-    else:
-        diag["warning"] = (
-            f"sigma is not fixed by the channel (||E(sigma)-sigma||_1 = "
-            f"{fix_err:.3e}); top-singular-value check skipped"
-        )
-    value = min(max(second**2, 0.0), 1.0)
-    return SdpiEstimate(
-        value=value,
-        method="exact_lambda2",
-        argmax_state=None,
-        top_eigenvalue_check=top,
-        restarts_used=0,
-        diagnostics=diag,
-    )
+    # vec(s^(1/2)) must carry the top singular subspace
+    target = vectorize(np.diag(np.sqrt(s.eigenvalues)))
+    overlap = float(np.linalg.norm(v_h[svals >= top - 1e-7] @ target))
+    if abs(top - 1.0) > 1e-7 or overlap < 0.99:
+        raise NumericalError(f"top singular value {top:.12f} (overlap {overlap:.3f}) "
+                             "is not witnessed by sigma^(1/2)")
+    return SdpiEstimate(value=min(max(float(svals[1]) ** 2, 0.0), 1.0),
+                        method="exact_lambda2", top_eigenvalue_check=top,
+                        diagnostics={"singular_values": svals.copy(), "top_overlap": overlap})
 
 
 def sdpi_chi2(channel: QuantumChannel, sigma, g: SpectralWeight) -> SdpiEstimate:
-    """Exact chi-square SDPI constant via the Hermitized operator.
+    """Exact chi-square SDPI constant, at any full-rank sigma whose E(sigma)
+    is full rank too (else :class:`SingularReference`):
+    eta = sup_rho chi2_g(E(rho) || E(sigma)) / chi2_g(rho || sigma), the
+    supremum that the chi-square search bounds from below.
 
-    Forms N = sqrt(Omega) E inv_sqrt(Omega) in the sigma eigenbasis, where
-    Omega is diagonal: the rotated superoperator with its rows scaled by
-    sqrt(w) and its columns by 1/sqrt(w).  eta is the square of the
-    second-largest singular value.  When sigma is fixed by the channel the
-    top singular value must be 1 (witnessed by vec(sigma^(1/2)), which is
-    vec(diag(sqrt(mu))) in the eigenbasis); for non-fixed sigma the sanity
-    check is skipped and a warning recorded.
+    Forms N = sqrt(Omega_E(sigma)) E inv_sqrt(Omega_sigma), with E written
+    from the sigma eigenbasis to the E(sigma) eigenbasis, where both Omegas
+    are diagonal: rows scaled by sqrt(omega(E(sigma), g)), columns by
+    1/sqrt(omega(sigma, g)).  eta is the square of the second-largest
+    singular value.  The standard monotone chi-square forms contract under
+    every channel, so the top singular value is 1, witnessed by
+    vec(sigma^(1/2)) = vec(diag(sqrt(mu))) in the eigenbasis; otherwise
+    :class:`NumericalError` is raised.
     """
-    s, mt = _eigenbasis(channel, sigma)
-    return _sdpi_chi2(s, mt, omega(s, g), _fixed_point_error(channel, s.entries))
+    s, e_s = _frame(channel, sigma)
+    nt = channel.superop.in_basis(s.eigenvectors, e_s.eigenvectors)
+    return _sdpi_chi2(s, nt, _sigma_weights(s, g), _sigma_weights(e_s, g))
 
 
 def _seed(x) -> int:
@@ -261,21 +254,17 @@ def _store(options, **values) -> None:
 
 @dataclass(frozen=True)
 class VariationalOptions:
-    """Settings of the multi-start variational SDPI search: restarts (>= 1),
-    max_iters (>= 1) and step_tol (finite, > 0) of each restart, and the
-    seed (an integer >= 0 or a tuple of them)."""
+    """Settings of the multi-start variational SDPI search: restarts (>= 1)
+    and max_iters (>= 1) of each restart, and the seed (an integer >= 0 or
+    a tuple of them)."""
 
     restarts: int = 32
     max_iters: int = 150
-    step_tol: float = 1e-7
     seed: object = DEFAULT_SEED
 
     def __post_init__(self):
-        tol = _real(self.step_tol, "step_tol")
-        if tol <= 0.0:
-            raise InputError(f"step_tol must be finite and > 0, got {tol!r}")
         seeds = _seed_list(self.seed)
-        _store(self, step_tol=tol, restarts=_integer(self.restarts, "restarts", 1),
+        _store(self, restarts=_integer(self.restarts, "restarts", 1),
                max_iters=_integer(self.max_iters, "max_iters", 1),
                seed=tuple(seeds) if isinstance(self.seed, (tuple, list)) else seeds[0])
 
@@ -332,9 +321,7 @@ def _objective(evaluators, channel: QuantumChannel, sigma: DensityMatrix):
                 "evaluator must be a SpectralWeight or an FDivergenceSpec with family, "
                 f"got {type(evaluator).__name__}"
             )
-    e_sigma = apply(channel, sigma)
-    if not e_sigma.full_rank:
-        raise SingularReference("E(sigma) must be full rank for the search objective")
+    sigma, e_sigma = _frame(channel, sigma)
 
     adjoint = channel.superop.adjoint()
 
@@ -510,7 +497,7 @@ def _ascend(x0: np.ndarray, d: int, opts: VariationalOptions, counts: dict):
     The line search passes a trial whose log R rises by at least
     ARMIJO alpha (grad log R . p); a trial whose ratio is not finite and
     positive is rejected.  Its trials go two per yield while
-    ||alpha p|| >= ``step_tol``, each pair formed when the previous one
+    ||alpha p|| >= STEP_TOL, each pair formed when the previous one
     fails; the log is taken only of a rise.  The pairs are (1, 1/2), then
     (1/4, 1/8) and so on, and the first passing trial, in order, is taken.
     After an iteration that took alpha >= 1, the quasi-Newton step may be
@@ -572,10 +559,10 @@ def _ascend(x0: np.ndarray, d: int, opts: VariationalOptions, counts: dict):
         slope = grad.dot(p)
         p_norm = math.sqrt(p.dot(p))
         accepted, valid = None, True
-        alpha = 2.0 if full and p_norm >= opts.step_tol else 1.0
-        while accepted is None and alpha * p_norm >= opts.step_tol:
+        alpha = 2.0 if full and p_norm >= STEP_TOL else 1.0
+        while accepted is None and alpha * p_norm >= STEP_TOL:
             half = 0.5 * alpha
-            a = [alpha, half] if half * p_norm >= opts.step_tol else [alpha]
+            a = [alpha, half] if half * p_norm >= STEP_TOL else [alpha]
             x_try = x + np.array(a)[:, None] * p
             f_try, g_try = yield x_try
             valid = valid and bool(np.isfinite(f_try).all())
@@ -789,7 +776,11 @@ def carlen_maas_check(channel: QuantumChannel, sigma) -> dict:
 
 def sdpi_submultiplicativity_check(channel: QuantumChannel, sigma,
                                    g: SpectralWeight, n: int) -> bool:
-    """True iff eta_{chi2_g}(E^n) <= eta_{chi2_g}(E)^n + 1e-8."""
+    """True iff eta_{chi2_g}(E^n, sigma) <= eta_{chi2_g}(E, sigma)^n + 1e-8.
+
+    sigma must be fixed by the channel: the bound follows from
+    eta(E o F, sigma) <= eta(E, F(sigma)) eta(F, sigma) only when
+    F(sigma) = sigma."""
     base = sdpi_chi2(channel, sigma, g).value
     power = sdpi_chi2(channel_power(channel, n), sigma, g).value
     return bool(power <= base**n + 1e-8)
@@ -880,8 +871,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     n_max = _integer(n_max, "n_max", 1)
     if n_max > 32:
         raise InputError(f"n_max must be in [1, 32], got {n_max}")
-    families = list(families)
-    gs = list(gs)
+    families, gs = list(families), list(gs)
     if not families or not gs:
         raise InputError("need at least one family spec and one g weight")
     for spec in families:
@@ -899,14 +889,16 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     specs = dict(zip(family_labels, families))
     kappas = {label: local_weight(spec.family, spec) for label, spec in specs.items()}
     powers = [channel_power(channel, n) for n in range(1, n_max + 1)]
-    # one omega per distinct weight, and one exact constant and one residual per
-    # weight and power: kappa_ht is the catalog kmb weight, kappa_matsumoto max
+    # one omega at pi per distinct weight, and one exact constant (output side at
+    # E^n(pi)) and one residual per weight and power: kappa_ht is kmb, kappa_matsumoto max
     omegas = {g: _sigma_weights(pi, g) for g in dict.fromkeys([*gs, *kappas.values()])}
     chi2_eta, db_res = [], []
     for e_n in powers:
+        e_pi = _frame(e_n, pi)[1]
+        nt = e_n.superop.in_basis(pi.eigenvectors, e_pi.eigenvectors)
+        chi2_eta.append({g: _sdpi_chi2(pi, nt, w, _sigma_weights(e_pi, g)).value
+                         for g, w in omegas.items()})
         mt = e_n.superop.in_basis(pi.eigenvectors)
-        fix_err = _fixed_point_error(e_n, pi.entries)
-        chi2_eta.append({g: _sdpi_chi2(pi, mt, w, fix_err).value for g, w in omegas.items()})
         db_res.append({g: _db_residual(mt, w) for g, w in omegas.items()})
     # powers[0] is the channel itself
     base_eta = {g.name: chi2_eta[0][g] for g in gs}
@@ -917,8 +909,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     rows, waves = [], []
     for n, e_n in enumerate(powers, start=1):
         estimates, wave = _kernel_searches(specs, e_n, pi, lambda idx: VariationalOptions(
-            restarts=opts.restarts, max_iters=opts.max_iters, step_tol=EXPERIMENT_STEP_TOL,
-            seed=(opts.seed, n, idx)))
+            restarts=opts.restarts, max_iters=opts.max_iters, seed=(opts.seed, n, idx)))
         waves.append(wave)
         eta_f = {label: est.value for label, est in estimates.items()}
         row = {
@@ -994,7 +985,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
         options={
             "restarts": opts.restarts,
             "max_iters": opts.max_iters,
-            "step_tol": EXPERIMENT_STEP_TOL,
+            "step_tol": STEP_TOL,
             "seed": opts.seed,
             "slack": SLACK,
         },

@@ -378,11 +378,13 @@ class Superoperator:
         vecs = arr.swapaxes(-1, -2).reshape(-1, d * d, 1)
         return (self.matrix @ vecs).reshape(arr.shape).swapaxes(-1, -2)
 
-    def in_basis(self, v: np.ndarray) -> np.ndarray:
-        """The matrix U^dag M U, U = kron(conj(v), v): the map written on the
-        matrix units |v_i><v_j| of the orthonormal columns of v."""
+    def in_basis(self, v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+        """The matrix U_w^dag M U_v, U_v = kron(conj(v), v): the map written
+        from the matrix units |v_i><v_j| of the orthonormal columns of v to
+        those of w (default v)."""
         u = np.kron(v.conj(), v)
-        return u.conj().T @ self.matrix @ u
+        out = u if w is None else np.kron(w.conj(), w)
+        return out.conj().T @ self.matrix @ u
 
     def adjoint(self) -> "Superoperator":
         """Adjoint with respect to the Hilbert-Schmidt inner product."""

@@ -59,6 +59,23 @@ class TestFCatalog:
             qc.fdivergence_spec("bad", kl.f, lambda x: 2 * kl.f1(x), kl.f2,
                                kl.f3)
 
+    @np.errstate(divide="ignore")
+    @pytest.mark.parametrize("f, f1, f2, message", [
+        (lambda x: x * np.log(x) - x + 2, lambda x: np.log(x), lambda x: 1 / x,
+         r"f\(1\) must be 0"),
+        (lambda x: -(x - 1) ** 2, lambda x: -2 * (x - 1), lambda x: -2 + 0 * x,
+         r"f''\(1\) must be positive"),
+        (lambda x: (x - 1) ** 2 - (x - 1) ** 3, lambda x: 2 * (x - 1) - 3 * (x - 1) ** 2,
+         lambda x: 2 - 6 * (x - 1), r"f'' must be positive on \(0, inf\)"),
+        (lambda x: x - 1 - np.log(x), lambda x: 1 - 1 / x, lambda x: 1 / x**2,
+         "finite limit at 0"),
+    ], ids=["f-at-one", "curvature-at-one", "curvature-on-grid", "infinite-at-zero"])
+    def test_factory_rejects_each_generator_rule(self, f, f1, f2, message):
+        with pytest.raises(qc.InputError, match=message) as info:
+            qc.fdivergence_spec("bad", f, f1, f2, lambda x: 0 * x)
+        assert type(info.value) is qc.InputError
+        assert info.value.exit_code == 2
+
     def test_with_family(self, f_cat):
         spec = f_cat["kl"].with_family("petz")
         assert spec.family == "petz"
@@ -109,6 +126,16 @@ class TestGCatalog:
             qc.standard_monotone(
                 "bad", lambda x: np.exp(-(x - 1)), (1.0, -1.0, 0.5), 1e-6
             )
+
+    @pytest.mark.parametrize("fn, message", [
+        (lambda x: 2.0 / (1.0 + x) + 1.0, r"g\(1\) must be 1"),
+        (lambda x: 2.0 - x, "g must be positive"),
+        (lambda x: (1.0 + x) / 2.0, "g must be non-increasing"),
+    ], ids=["not-normalized", "not-positive", "increasing"])
+    def test_factory_rejects_each_weight_rule(self, fn, message):
+        with pytest.raises(qc.NotStandardMonotone, match=message) as info:
+            qc.standard_monotone("bad", fn, (1.0, -0.5, 0.5))
+        assert info.value.exit_code == 2
 
     def test_gns_weight_is_flat(self):
         g = qc.gns_weight()

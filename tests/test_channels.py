@@ -60,6 +60,12 @@ class TestConstruction:
         assert type(info.value) is error
         assert info.value.exit_code == 2
 
+    def test_non_trace_preserving_superop_rejected(self):
+        # 0.5 * id is completely positive; the Choi partial trace is I / 2
+        with pytest.raises(qc.NotTracePreserving) as info:
+            qc.channel_from_superop(0.5 * np.eye(4))
+        assert info.value.exit_code == 2
+
     def test_non_completely_positive_superop_rejected(self):
         # the transpose map is positive but not completely positive
         transpose = np.array(

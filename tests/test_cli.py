@@ -183,7 +183,7 @@ class TestSdpi:
         assert set(env["diagnostics"]["searches"]) == {"ht[kl]"}
         assert env["diagnostics"]["shared_searches"] == {"petz[kl]": "ht[kl]"}
         assert env["payload_sha256"] == (
-            "8c038f22134fd05768fedf980c4c1fbe063f4dd569488d6f5786f260376711ca"
+            "6a4200140a1bc276698dc90ae0cc86961c6cd82af103cc50592eea9934cd9b6b"
         )
 
     def test_text_and_csv_formats(self, capsys):
@@ -217,10 +217,31 @@ class TestSdpi:
         )
         assert code == 0
         assert env["payload"]["sigma_source"] == "explicit"
-        # the explicit sigma is not fixed, so a warning is recorded
-        assert any(
-            "warning" in r["diagnostics"] for r in env["payload"]["results"]
-        )
+        # the explicit sigma is not fixed; its exact value is the library's,
+        # witnessed by sigma^(1/2)
+        for rec in env["payload"]["results"]:
+            exact = qc.sdpi_chi2(qc.depolarizing(0.5), [[0.7, 0], [0, 0.3]],
+                                 qc.g_catalog()[rec["g_name"]])
+            assert rec["value"] == exact.value
+            assert rec["diagnostics"]["top_overlap"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_value_is_the_search_supremum_at_an_explicit_sigma(self, capsys):
+        # petz[chi2] is chi2_max, so its search bounds the exact chi2_max
+        # constant, which weights its output by E(sigma) as the search does
+        argv = ["sdpi", "--channel", '{"kind":"random","dim":3,"seed":1}',
+                "--sigma", "[[0.5,0,0],[0,0.3,0],[0,0,0.2]]", "--family", "petz",
+                "--f", "chi2", "--g", "max", "--restarts", "8", "--format", "csv"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[2] for row in rows] == ["exact_lambda2", "variational"]
+        assert rows[0][3] == rows[1][3]
+
+    def test_rank_deficient_output_reference_is_precondition_error(self, capsys):
+        reset = '{"kind": "kraus", "operators": [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]}'
+        code = main(["sdpi", "--channel", reset, "--sigma", "[[0.5, 0], [0, 0.5]]"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "error[SingularReference]: E(sigma) must be full rank")
 
     def test_unitary_channel_not_primitive(self, capsys):
         code = main(
@@ -238,6 +259,11 @@ class TestSdpi:
         assert code == 2
         assert "error[InputError]: seed must be a nonnegative integer" in \
             capsys.readouterr().err
+
+    def test_zero_restarts_is_the_library_error(self, capsys):
+        assert main(["sdpi", "--channel", DEPOL, "--family", "petz", "--restarts", "0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error[InputError]: restarts must be >= 1, got 0")
 
     @pytest.mark.parametrize("spec", [
         '{"kind": "depolarizing", "p": 0.5, "dim": "x"}',
@@ -361,6 +387,11 @@ class TestExperiment:
         code = main(["experiment", "--channel", DEPOL, "--n-max", "1", "--seed", "-3"])
         assert code == 2
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_zero_restarts_is_the_library_error(self, capsys):
+        assert main(["experiment", "--channel", DEPOL, "--restarts", "0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error[InputError]: restarts must be >= 1, got 0")
 
     def test_payload_hash_pinned(self, capsys):
         # a refactor must reproduce the depolarizing experiment bit for bit
@@ -492,14 +523,14 @@ class TestEnvelope:
         (["divergence", "--rho", GOLDEN_RHO, "--sigma", GOLDEN_SIGMA],
          "1a0f9d3184c496e864f332d3a1e508dbd52d070b09dbda3f91bb43d16452a7da"),
         (["sdpi", "--channel", DEPOL],
-         "878b6f875466671d6b688204a44d792399b1c83e0aec55bcaa230719c2bbc068"),
+         "95bcb21eaed251e46c3646102095257a5c83b1246d98225eef17c0a784fa223e"),
         (["db-check", "--channel", PAULI],
          "3894e2031e5c8cb92410ef74c6c656823ce66f1d54921da9e7fd30320f7d5d86"),
         # searches that end inside the d = 3 state space, off the ball's edge
         # (one petz restart stops at max_iters, the other five converge)
         (["sdpi", "--channel", '{"kind":"random","dim":3,"seed":1}', "--family", "ht",
           "--family", "petz", "--family", "matsumoto", "--restarts", "2", "--g", "max"],
-         "954c23ef95978c287bbc56cfb90d43b3e7297af7e1ab08e1e1e020e70a70ddfb"),
+         "46bde9fed3f6514d0cde87728d12d563d021a95f8a89cb3c2825c24cba73fa8d"),
     ], ids=["divergence", "sdpi", "db-check", "sdpi-variational-d3"])
     def test_payload_hash_pinned(self, capsys, argv, digest):
         # a refactor must reproduce each command's payload bit for bit

@@ -225,12 +225,35 @@ class TestExactSdpi:
                 assert np.all(svals >= -1e-9)
                 assert np.all(svals <= 1 + 1e-9)
 
-    def test_non_fixed_sigma_warns_and_skips_check(self, gs, rng):
-        ch = qc.amplitude_damping(0.3, 0.25)
-        sig = qc.validate_density(np.diag([0.5, 0.5]))
-        est = qc.sdpi_chi2(ch, sig, gs["max"])
-        assert "warning" in est.diagnostics
-        assert 0.0 <= est.value <= 1.0
+    @pytest.mark.parametrize("channel", [
+        lambda: qc.random_channel(2, seed=1),
+        lambda: qc.random_channel(3, seed=1),
+        lambda: qc.amplitude_damping(0.3, 0.25),
+    ], ids=["random-d2", "random-d3", "amplitude-damping"])
+    def test_non_fixed_sigma_is_the_search_supremum(self, gs, channel):
+        # the search's objective chi2_g(E(rho) || E(sigma)) / chi2_g(rho || sigma)
+        # has the exact value as its supremum at every sigma, not only at
+        # the fixed point, and vec(sigma^(1/2)) witnesses the top singular value
+        ch = channel()
+        for seed in range(3):
+            sig = qc.random_density(ch.dim, np.random.default_rng(seed))
+            assert qc.trace_distance(qc.apply(ch, sig), sig) > 0.1
+            for name in ("max", "kmb"):
+                exact = qc.sdpi_chi2(ch, sig, gs[name])
+                est = qc.sdpi_variational(gs[name], ch, sig,
+                                          qc.VariationalOptions(restarts=8))
+                assert exact.value == pytest.approx(est.value, rel=1e-9, abs=0.0)
+                assert abs(exact.top_eigenvalue_check - 1.0) <= 1e-12
+                assert exact.diagnostics["top_overlap"] > 0.99
+
+    def test_rank_deficient_output_reference_raises(self, gs):
+        # the reset channel sends every sigma to |0><0|
+        reset = qc.channel_from_kraus([np.array([[1.0, 0.0], [0.0, 0.0]]),
+                                       np.array([[0.0, 1.0], [0.0, 0.0]])])
+        for call in (lambda: qc.sdpi_chi2(reset, np.eye(2) / 2, gs["max"]),
+                     lambda: qc.sdpi_variational(gs["max"], reset, np.eye(2) / 2)):
+            with pytest.raises(qc.SingularReference, match=r"E\(sigma\) must be full rank"):
+                call()
 
     def test_completely_depolarizing_gives_zero(self, gs):
         kraus = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
@@ -353,18 +376,11 @@ class TestVariationalSdpi:
             options(**kwargs)
 
     @pytest.mark.parametrize("options, kwargs", [
-        (qc.VariationalOptions, {"step_tol": 0.0}),
-        (qc.VariationalOptions, {"step_tol": -1e-7}),
-        (qc.VariationalOptions, {"step_tol": float("nan")}),
-        (qc.VariationalOptions, {"step_tol": float("inf")}),
-        (qc.VariationalOptions, {"step_tol": "x"}),
-        (qc.VariationalOptions, {"step_tol": None}),
         (qc.VariationalOptions, {"max_iters": 0}),
         (qc.ExperimentOptions, {"max_iters": 0}),
     ])
     def test_invalid_search_length_rejected(self, options, kwargs):
-        # step_tol = 0 would never end the line search, NaN would skip it,
-        # and max_iters < 1 would return the start point unsearched
+        # max_iters < 1 would return the start point unsearched
         with pytest.raises(qc.InputError, match=next(iter(kwargs))):
             options(**kwargs)
 
@@ -572,9 +588,9 @@ def _sequential_ascend(ratios, x0, d, opts, stencil=False):
         slope, p_norm = grad.dot(p), np.linalg.norm(p)
         # after a full step, try alpha = 2 before 1 and keep the higher of
         # the two if both pass, but neither if the full step is invalid
-        alpha = 2.0 if full and p_norm >= opts.step_tol else 1.0
+        alpha = 2.0 if full and p_norm >= contraction.STEP_TOL else 1.0
         best, valid = None, True
-        while alpha * p_norm >= opts.step_tol:
+        while alpha * p_norm >= contraction.STEP_TOL:
             x_new = x + alpha * p
             f_new, g_new = (v[0] for v in call(x_new[None]))
             valid = valid and np.isfinite(f_new)
@@ -639,7 +655,7 @@ class TestStackedIterations:
         ch = qc.channel_power(qc.random_channel(2, seed=1), n)
         pi = qc.fixed_point(ch)
         ratios, _ = _objective(f_cat["kl"].with_family(fam), ch, pi)
-        opts = qc.VariationalOptions(max_iters=100, step_tol=contraction.EXPERIMENT_STEP_TOL)
+        opts = qc.VariationalOptions(max_iters=100)
         x0 = contraction._init_params(np.random.default_rng([qc.DEFAULT_SEED, n, restart]),
                                       pi, restart)
         counts = contraction._new_counts()
@@ -732,7 +748,7 @@ class TestWaves:
         ch = qc.channel_power(qc.random_channel(2, seed=1), n)
         pi = qc.fixed_point(ch)
         spec = f_cat["kl"].with_family(fam)
-        opts = qc.VariationalOptions(max_iters=100, step_tol=contraction.EXPERIMENT_STEP_TOL)
+        opts = qc.VariationalOptions(max_iters=100)
         x0s = [contraction._init_params(np.random.default_rng([qc.DEFAULT_SEED, n, k]), pi, k)
                for k in range(32)]
         counts = [contraction._new_counts() for _ in x0s]
@@ -885,16 +901,16 @@ class TestSearchLength:
 #: search's path, not only of its cost.  ht[kl] runs petz[kl]'s kernel, so
 #: their rows are equal; ht[hellinger] pins a search through the quadrature
 PINNED_SEARCHES = [
-    ("ht[kl]", 2, 0.5259382528935248, (59, 116, 2, 0, 0, 0, 20), [28, 22], (2, 0, 0)),
-    ("ht[kl]", 3, 0.3211421220991879, (74, 146, 0, 0, 0, 0, 22), [29, 30], (1, 0, 1)),
-    ("ht[hellinger]", 2, 0.5309016919245196, (48, 94, 0, 0, 0, 0, 16), [24, 19], (2, 0, 0)),
-    ("ht[hellinger]", 3, 0.3234610824971005, (80, 158, 0, 0, 0, 0, 17), [25, 30], (1, 0, 1)),
-    ("petz[kl]", 2, 0.5259382528935248, (59, 116, 2, 0, 0, 0, 20), [28, 22], (2, 0, 0)),
-    ("petz[kl]", 3, 0.3211421220991879, (74, 146, 0, 0, 0, 0, 22), [29, 30], (1, 0, 1)),
-    ("matsumoto[kl]", 2, 0.5180237234850273, (52, 102, 1, 0, 0, 0, 19), [20, 26], (2, 0, 0)),
-    ("matsumoto[kl]", 3, 0.3342328344688003, (79, 156, 0, 0, 0, 0, 23), [29, 30], (1, 0, 1)),
-    ("chi2[kmb]", 2, 0.505023885645471, (17, 32, 0, 0, 0, 0, 2), [7, 8], (2, 0, 0)),
-    ("chi2[kmb]", 3, 0.3139992141422138, (45, 88, 0, 0, 0, 0, 21), [27, 18], (2, 0, 0)),
+    ("ht[kl]", 2, 0.5259382528935244, (58, 114, 2, 0, 0, 0, 20), [28, 21], (2, 0, 0)),
+    ("ht[kl]", 3, 0.3211421220991798, (73, 144, 0, 0, 0, 0, 22), [28, 30], (1, 0, 1)),
+    ("ht[hellinger]", 2, 0.530901691924517, (47, 92, 0, 0, 0, 0, 16), [23, 19], (2, 0, 0)),
+    ("ht[hellinger]", 3, 0.32346108249041305, (77, 152, 0, 0, 0, 0, 16), [22, 30], (1, 0, 1)),
+    ("petz[kl]", 2, 0.5259382528935244, (58, 114, 2, 0, 0, 0, 20), [28, 21], (2, 0, 0)),
+    ("petz[kl]", 3, 0.3211421220991798, (73, 144, 0, 0, 0, 0, 22), [28, 30], (1, 0, 1)),
+    ("matsumoto[kl]", 2, 0.5180237234850273, (51, 100, 1, 0, 0, 0, 19), [20, 25], (2, 0, 0)),
+    ("matsumoto[kl]", 3, 0.33423283446772156, (76, 150, 0, 0, 0, 0, 21), [26, 30], (1, 0, 1)),
+    ("chi2[kmb]", 2, 0.5050238856448318, (24, 46, 0, 0, 0, 1, 2), [7, 7], (1, 1, 0)),
+    ("chi2[kmb]", 3, 0.3139992141422123, (41, 80, 0, 0, 0, 0, 19), [23, 18], (2, 0, 0)),
 ]
 
 
@@ -1559,6 +1575,15 @@ class TestExperiment:
         with pytest.raises(qc.InputError, match=match):
             qc.contraction_experiment(qc.depolarizing(0.5), families, weights, n_max=1)
 
+    @pytest.mark.parametrize("which", ["families", "gs"])
+    def test_empty_label_list_is_input_error(self, f_cat, gs, which):
+        families = [] if which == "families" else [f_cat["kl"].with_family("petz")]
+        weights = [] if which == "gs" else [gs["max"]]
+        with pytest.raises(qc.InputError, match="need at least one") as info:
+            qc.contraction_experiment(qc.depolarizing(0.5), families, weights, n_max=1)
+        assert type(info.value) is qc.InputError
+        assert info.value.exit_code == 2
+
     def test_n_max_range_enforced(self, f_cat, gs):
         fam = [f_cat["kl"].with_family("petz")]
         with pytest.raises(qc.InputError):
@@ -1610,7 +1635,6 @@ class TestSharedSearches:
                                             qc.VariationalOptions(
                                                 restarts=self.OPTS.restarts,
                                                 max_iters=self.OPTS.max_iters,
-                                                step_tol=contraction.EXPERIMENT_STEP_TOL,
                                                 seed=(self.OPTS.seed, n, idx)))
                 assert row["eta_f"][f"{spec.family}[kl]"] == alone.value
                 calls += alone.diagnostics["ratio_calls"]

@@ -495,6 +495,19 @@ class TestStackedKernels:
         assert np.isfinite(values[1]).all()
 
     @np.errstate(all="ignore")
+    def test_ht_stack_of_rank_deficient_states_is_all_nan(self, f_cat, rng):
+        # sigma rides in place of each rho; at sigma = I/2 its pencil spectrum
+        # is degenerate, so every panel has zero width and the quadrature
+        # returns no gradient rider
+        spec = f_cat["hellinger"].with_family("ht")
+        sig = qc.validate_density(np.eye(2) / 2)
+        raw = np.array([qc.random_density(2, rng, rank=1).entries for _ in range(3)])
+        lam, phi, *_ = validate_stack(raw)
+        values, grads = divergences._divergence_stacks(spec, lam, phi, divergences._reference(sig))
+        assert values.shape == (3,) and grads.shape == (3, 2, 2)
+        assert np.isnan(values).all() and np.isnan(grads).all()
+
+    @np.errstate(all="ignore")
     def test_matsumoto_marks_only_the_row_where_f_is_not_finite(self, rng):
         spec = REVERSE_KL.with_family("matsumoto")
         sig = qc.validate_density(np.diag([0.7, 0.3]))

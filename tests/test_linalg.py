@@ -156,6 +156,11 @@ class TestSuperoperator:
             qc.vectorize(s.apply(x)), m @ qc.vectorize(x), atol=1e-12
         )
 
+    def test_shape_must_match_dim(self):
+        with pytest.raises(qc.DimensionMismatch, match="does not match dim 3") as info:
+            qc.Superoperator(np.eye(4), 3)
+        assert info.value.exit_code == 2
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_apply_on_stack_matches_each_matrix(self, dim, rng):
         x = rng.normal(size=(7, dim, dim)) + 1j * rng.normal(size=(7, dim, dim))
@@ -197,6 +202,19 @@ class TestSuperoperator:
             v.conj().T @ s.apply(v @ x @ v.conj().T) @ v,
             qc.devectorize(mt @ qc.vectorize(x)), atol=1e-12,
         )
+
+    def test_in_basis_with_an_output_basis(self, rng):
+        s = qc.random_channel(3, seed=2).superop
+        v, w = (np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+                for _ in range(2))
+        nt = s.in_basis(v, w)
+        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        # E(V X V^dag) = W Y W^dag with vec(Y) = Nt vec(X)
+        np.testing.assert_allclose(
+            w.conj().T @ s.apply(v @ x @ v.conj().T) @ w,
+            qc.devectorize(nt @ qc.vectorize(x)), atol=1e-12,
+        )
+        np.testing.assert_array_equal(s.in_basis(v, v), s.in_basis(v))
 
     def test_adjoint_is_conjugate_transpose(self, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

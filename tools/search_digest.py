@@ -22,7 +22,9 @@ extracted with ``git archive``.  The sections are:
   random_channel(3, seed=1) (kl under ht, petz and matsumoto, g max,
   4 restarts) and on random_channel(2, seed=1) (hellinger and chi2 under
   ht, g max, 4 restarts), the one run whose searches go through the ht
-  quadrature;
+  quadrature, and on random_channel(3, seed=1) at the explicit sigma
+  diag(0.5, 0.3, 0.2), which that channel does not fix (chi2 under petz,
+  g max, 4 restarts);
 * ``library_calls``: one round of that benchmark workload's single public
   calls (evaluate, chi2_g, fixed_point, is_primitive, sdpi_chi2,
   carlen_maas_check), made the same way, each recorded with its label and
@@ -47,7 +49,7 @@ another label's search, which no search digest shows.
 The digest also records the wall seconds of each ``cli`` fixture run under
 ``cli_wall_s``, outside the sections, so no comparison of values reads them;
 ``--compare`` prints them side by side, which makes a pair of digests of
-two trees a paired timing of the four CLI runs.  Under ``payloads`` it
+two trees a paired timing of the CLI runs.  Under ``payloads`` it
 records, per ``cli`` and ``experiment_qubit`` section, each envelope the
 CLI built: its command, channel and payload SHA-256, and for an
 experiment its ``n0`` and the ``sample_max_dev`` of each row.
@@ -88,6 +90,11 @@ SDPI_FIXTURES = (
     ({"kind": "random", "dim": 3, "seed": 1}, [*KL_FAMILIES, "--g", "max", "--restarts", "4"]),
     ({"kind": "random", "dim": 2, "seed": 1},
      ["--family", "ht", "--f", "hellinger", "--f", "chi2", "--g", "max", "--restarts", "4"]),
+    # the exact chi2_max constant at a sigma the channel does not fix, beside
+    # the petz[chi2] search that bounds it
+    ({"kind": "random", "dim": 3, "seed": 1},
+     ["--sigma", "[[0.5,0,0],[0,0.3,0],[0,0,0.2]]", "--family", "petz", "--f", "chi2",
+      "--g", "max", "--restarts", "4"]),
 )
 
 
