@@ -41,7 +41,9 @@ from .catalog import (
     local_weight,
 )
 from .channels import (
+    SPECTRAL_TOL,
     QuantumChannel,
+    _fixed_point_error,
     _primitivity,
     apply,
     channel_power,
@@ -69,6 +71,7 @@ from .errors import (
     InputError,
     NotPrimitive,
     NumericalError,
+    PreconditionError,
 )
 from .linalg import (
     DensityMatrix,
@@ -229,7 +232,11 @@ def sdpi_chi2(channel: QuantumChannel, sigma, g: SpectralWeight) -> SdpiEstimate
     singular value.  The standard monotone chi-square forms contract under
     every channel, so the top singular value is 1, witnessed by
     vec(sigma^(1/2)) = vec(diag(sqrt(mu))) in the eigenbasis; otherwise
-    :class:`NumericalError` is raised.
+    :class:`NumericalError` is raised.  For a weight that is not symmetric
+    under X -> X^dag, such as ``gns``, the SVD bounds the supremum over all
+    complex X, not the Hermitian ones that states span: on
+    random_channel(2, seed=1) at its fixed point that gives 0.3469, against
+    0.2522 from the state-space search.
     """
     s, e_s = _frame(channel, sigma)
     nt = channel.superop.in_basis(s.eigenvectors, e_s.eigenvectors)
@@ -294,21 +301,23 @@ def _objective(evaluators, channel: QuantumChannel, sigma: DensityMatrix):
     Hermitian gradients in rho, in one call; ``parts`` lists pairs
     (i, stop), in row order: the rows up to stop, from the previous stop,
     are points of ``evaluators[i]``.  The evaluators are FDivergenceSpecs
-    with family set, each resolved here to its kernel (:func:`_kernel_spec`),
-    or one SpectralWeight (chi-square objective, computed on differences by
-    linearity); anything else raises :class:`InputError`.  NaN marks an
-    invalid point: within trace distance EXCLUSION of sigma, a denominator
-    that is not positive or a numerator that is not finite, rho or E(rho)
-    rejected by state validation, or outside an evaluator's domain; its
-    gradient is NaN too.
+    with family set and SpectralWeights, each spec resolved here to its
+    kernel (:func:`_kernel_spec`), so a spec on chi2's generator is the
+    chi-square objective of its weight; anything else raises
+    :class:`InputError`.  NaN marks an invalid point: within trace distance
+    EXCLUSION of sigma, a denominator that is not positive or a numerator
+    that is not finite, rho or E(rho) rejected by state validation (family
+    kernels only), or outside an evaluator's domain; its gradient is NaN too.
 
-    E acts on the whole stack, and the denominators and numerators are one
-    (2, B, d, d) stack: group 0 is rho against sigma, group 1 is E(rho)
-    against E(sigma).  sigma's and E(sigma)'s eigen-data are computed
-    here, once per wave, as (2, 1, ...) references.  A call makes one
-    :func:`validate_stack` call on that stack (none for chi-square) and one
-    family kernel call per part, so ht with f other than kl integrates both
-    groups in one quadrature loop.  The gradients are exact:
+    The denominators and numerators of a part are one (2, k, d, d) stack:
+    group 0 against sigma, group 1 against E(sigma), whose eigen-data and
+    weights are computed here, once per wave.  A chi-square part measures
+    the differences X = rho - sigma and E(X), with no validation.  When
+    the wave holds a family kernel, the stack and its image under E are
+    validated in one :func:`validate_stack` call, whose verdicts only the
+    family rows read, and each family part takes one kernel call, so ht
+    with f other than kl and chi2 integrates both groups in one quadrature
+    loop.  The gradients are exact:
     G = (E*(grad N) - R grad D) / D with grad N and grad D the kernel's
     gradients at E(rho) and rho, and E* the adjoint channel, built here
     once.  E and E* act through ``Superoperator._apply``, with no input
@@ -316,7 +325,9 @@ def _objective(evaluators, channel: QuantumChannel, sigma: DensityMatrix):
     when every point is valid.
     """
     for evaluator in evaluators:
-        if not isinstance(evaluator, (SpectralWeight, FDivergenceSpec)):
+        if isinstance(evaluator, FDivergenceSpec):
+            _require_family(evaluator)
+        elif not isinstance(evaluator, SpectralWeight):
             raise InputError(
                 "evaluator must be a SpectralWeight or an FDivergenceSpec with family, "
                 f"got {type(evaluator).__name__}"
@@ -341,42 +352,49 @@ def _objective(evaluators, channel: QuantumChannel, sigma: DensityMatrix):
             return r, g
         return np.where(ok, r, np.nan), np.where(fin & ok[:, None, None], g, np.nan)
 
-    if isinstance(evaluators[0], SpectralWeight):
-        weight = evaluators[0]
-        v = np.stack([sigma.eigenvectors, e_sigma.eigenvectors])[:, None]
-        w = np.stack([_sigma_weights(sigma, weight),
-                      _sigma_weights(e_sigma, weight)])[:, None]
+    kernels = [_kernel_spec(e) if isinstance(e, FDivergenceSpec) else e for e in evaluators]
+    chi2 = [isinstance(kernel, SpectralWeight) for kernel in kernels]
+    v = np.stack([sigma.eigenvectors, e_sigma.eigenvectors])[:, None]
+    w = [np.stack([_sigma_weights(sigma, k), _sigma_weights(e_sigma, k)])[:, None] if c else None
+         for k, c in zip(kernels, chi2)]
+    ref = None if all(chi2) else _references(sigma, e_sigma)
+    mixed = ref is not None and any(chi2)
 
-        def ratios(rho, parts):
-            keep, x = _outside_ball(rho, sigma.entries)
-            ex = channel.superop._apply(x)
-            pair = np.concatenate([x, 0.5 * (ex + ex.conj().transpose(0, 2, 1))])
-            forms, xt = _rotated_forms(pair.reshape((2,) + x.shape), v, w)
-            with np.errstate(all="ignore"):
-                return ratio_gradients(keep, forms, _chi2_gradients(xt, v, w))
-
-        return ratios, [f"chi2[{weight.name}]"]
-
-    for spec in evaluators:
-        _require_family(spec)
-    kernels = [_kernel_spec(spec) for spec in evaluators]
-    ref = _references(sigma, e_sigma)
+    def chi2_forms(i, x):
+        # both groups' forms of the differences x under kernel i's weight, and
+        # their gradients: E(rho) - E(sigma) = E(x) by linearity
+        ex = channel.superop._apply(x)
+        pair = np.concatenate([x, 0.5 * (ex + ex.conj().transpose(0, 2, 1))])
+        forms, xt = _rotated_forms(pair.reshape((2,) + x.shape), v, w[i])
+        return forms, _chi2_gradients(xt, v, w[i])
 
     def ratios(rho, parts):
-        keep, _ = _outside_ball(rho, sigma.entries)
-        pair = np.concatenate([rho, channel.superop._apply(rho)]).reshape((2,) + rho.shape)
-        lam, phi, *checks = validate_stack(pair)
-        valid = stack_valid(*checks)
+        keep, x = _outside_ball(rho, sigma.entries)
+        if len(parts) == 1:
+            spans = [(parts[0][0], slice(None))]
+        else:
+            spans = [(i, slice(a, b)) for (i, b), a in zip(parts, [0] + [b for _, b in parts])]
+        if ref is not None:
+            # one validation of the whole stack; a chi-square row's verdict
+            # is not read, so each search gives what it gives alone
+            pair = np.concatenate([rho, channel.superop._apply(rho)]).reshape((2,) + rho.shape)
+            lam, phi, *checks = validate_stack(pair)
+            valid = stack_valid(*checks)
+            ok = valid[0] & valid[1]
+            if mixed:
+                for i, rows in spans:
+                    ok[rows] |= chi2[i]
+            keep = keep & ok
         with np.errstate(all="ignore"):
-            if len(parts) == 1:
-                values, grads = _divergence_stacks(kernels[parts[0][0]], lam, phi, ref)
-            else:
-                out = [_divergence_stacks(kernels[i], lam[:, a:b], phi[:, a:b], ref)
-                       for (i, b), a in zip(parts, [0] + [stop for _, stop in parts])]
-                values, grads = (np.concatenate(z, axis=1) for z in zip(*out))
-            return ratio_gradients(keep & valid[0] & valid[1], values, grads)
+            out = [chi2_forms(i, x[rows]) if chi2[i]
+                   else _divergence_stacks(kernels[i], lam[:, rows], phi[:, rows], ref)
+                   for i, rows in spans]
+            values, grads = out[0] if len(out) == 1 else (np.concatenate(z, axis=1)
+                                                          for z in zip(*out))
+            return ratio_gradients(keep, values, grads)
 
-    return ratios, [_label(spec) for spec in evaluators]
+    return ratios, [_label(e) if isinstance(e, FDivergenceSpec) else f"chi2[{e.name}]"
+                    for e in evaluators]
 
 
 def _param_states(x: np.ndarray, d: int):
@@ -436,16 +454,18 @@ def _total_counts(diagnostics) -> dict:
 
 def _kernel_searches(specs_by_label: dict, channel: QuantumChannel, sigma,
                      options) -> tuple[dict, dict]:
-    """Run one search per distinct kernel spec (:func:`_kernel_spec`) on
+    """Run one search per distinct kernel (:func:`_kernel_spec`) on
     channel and sigma, all in one wave (:func:`_sdpi_searches`), in label
     order, with the options ``options(idx)``, idx the position of the first
     label of that kernel, and give its estimate to every label of the
-    kernel, so ht[kl] and petz[kl] run one search.  Returns the estimates
-    by label and the summary of the wave, the one home of what its searches
-    did: ``searches``, the counters of each search that ran, keyed by its
-    label; ``shared_searches``, the map from each label that reused a
-    search to the label that ran it; and ``stacked_calls``, the wave's
-    rounds.  ``qcontract sdpi`` reports this summary as is and
+    kernel, so ht[kl] and petz[kl] run one search, and under chi2's
+    generator one search runs per weight (kmb for ht, max for petz and
+    matsumoto).  Returns the estimates by label and the summary of the
+    wave, the one home of what its searches did: ``searches``, the
+    counters of each search that ran, keyed by its label;
+    ``shared_searches``, the map from each label that reused a search to
+    the label that ran it; and ``stacked_calls``, the wave's rounds.
+    ``qcontract sdpi`` reports this summary as is and
     :func:`contraction_experiment` folds one per power."""
     owners, runs, shared = {}, {}, {}
     for idx, (label, spec) in enumerate(specs_by_label.items()):
@@ -660,8 +680,8 @@ def _lockstep(ratios, d: int, restarts: list) -> tuple[list, int]:
 def _sdpi_searches(channel: QuantumChannel, sigma, searches: list) -> list:
     """The estimates of the searches (evaluator, VariationalOptions) on one
     channel and sigma, whose restarts (restart k seeded seed + [k]) run as
-    one wave (:func:`_lockstep`); the evaluators are family specs of
-    distinct kernels or one SpectralWeight.  A point's ratio does not depend
+    one wave (:func:`_lockstep`); the evaluators are family specs and
+    SpectralWeights of distinct kernels.  A point's ratio does not depend
     on its stack, so each search gives, bit for bit, what it gives alone."""
     s = _channel_sigma(channel, sigma)
     ratios, labels = _objective([evaluator for evaluator, _ in searches], channel, s)
@@ -780,7 +800,15 @@ def sdpi_submultiplicativity_check(channel: QuantumChannel, sigma,
 
     sigma must be fixed by the channel: the bound follows from
     eta(E o F, sigma) <= eta(E, F(sigma)) eta(F, sigma) only when
-    F(sigma) = sigma."""
+    F(sigma) = sigma, so a sigma with ||E(sigma) - sigma||_1 above
+    SPECTRAL_TOL, the residual :func:`fixed_point` accepts, raises
+    :class:`PreconditionError`."""
+    sigma = _channel_sigma(channel, sigma)
+    residual = _fixed_point_error(channel, sigma.entries)
+    if residual > SPECTRAL_TOL:
+        raise PreconditionError(
+            f"sigma is not fixed by the channel: ||E(sigma) - sigma||_1 = {residual:.3e} "
+            f"exceeds {SPECTRAL_TOL:.0e}")
     base = sdpi_chi2(channel, sigma, g).value
     power = sdpi_chi2(channel_power(channel, n), sigma, g).value
     return bool(power <= base**n + 1e-8)
@@ -862,10 +890,11 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
         variational eta_f(E^n) stays above eta_{chi2_kappa}(E)^n - SLACK.
 
     Each power's searches go through :func:`_kernel_searches`: one search
-    per distinct kernel spec (:func:`_kernel_spec`, so ht[kl] and petz[kl]
-    share one), with the seed (seed, n, index) of the first label of that
-    kernel, and every label of the kernel takes its value.  A power's
-    searches run as one wave (:func:`_sdpi_searches`).
+    per distinct kernel (:func:`_kernel_spec`, so ht[kl] and petz[kl]
+    share one, as do petz[chi2] and matsumoto[chi2]), with the seed
+    (seed, n, index) of the first label of that kernel, and every label of
+    the kernel takes its value.  A power's searches run as one wave
+    (:func:`_sdpi_searches`).
     """
     opts = opts or ExperimentOptions()
     n_max = _integer(n_max, "n_max", 1)

@@ -19,7 +19,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import FAMILIES, FDivergenceSpec, SpectralWeight, _kl_f, _require_spec
+from .catalog import (
+    _G_CATALOG,
+    FAMILIES,
+    FDivergenceSpec,
+    SpectralWeight,
+    _chi2_f,
+    _kl_f,
+    _require_spec,
+)
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -349,15 +357,42 @@ def _petz_values(f, lam: np.ndarray, phi: np.ndarray, mu: np.ndarray,
     return values, phi @ h @ phi.conj().swapaxes(-1, -2)
 
 
-def _kernel_spec(spec: FDivergenceSpec) -> FDivergenceSpec:
-    """The spec whose kernel evaluates spec: its petz twin for an ht spec
-    with kl's generator, else spec itself.  That ht divergence is the
-    Umegaki relative entropy, as petz[kl] is (Frenkel, Quantum 7, 1102,
-    2023), so both take petz's closed form.  The generator decides, not the
-    name.  Specs are frozen and hashable, so two labels with equal kernel
-    specs can share one search; the key keeps the family, since
-    matsumoto[kl] is another kernel."""
+def _kernel_spec(spec: FDivergenceSpec) -> FDivergenceSpec | SpectralWeight:
+    """The kernel that evaluates spec.  Two rules, in which the generator
+    decides, not the name:
+
+    * under chi2's generator f = (x - 1)^2, every family is the chi-square
+      form of its local weight, globally: ht[chi2] is chi2_kmb and petz[chi2]
+      = matsumoto[chi2] is chi2_max (kappa_chi2(x) = (1 + 1/x)/2 is max's
+      weight), so the kernel is that :class:`SpectralWeight`, evaluated as
+      :func:`chi2_g` is, with no quadrature;
+    * an ht spec with kl's generator is the Umegaki relative entropy, as
+      petz[kl] is (Frenkel, Quantum 7, 1102, 2023), so its kernel is its
+      petz twin's closed form.
+
+    Every other spec is its own kernel.  Specs and weights are frozen and
+    hashable, so two labels with equal kernels can share one search; a
+    spec kernel keeps the family, since matsumoto[kl] is another kernel."""
+    if spec.f is _chi2_f:
+        return _G_CATALOG["kmb" if spec.family == "ht" else "max"]
     return spec.with_family("petz") if spec.family == "ht" and spec.f is _kl_f else spec
+
+
+def _closed_form(spec: FDivergenceSpec, family: str, r: DensityMatrix,
+                 s: DensityMatrix) -> DivergenceValue | None:
+    """spec's divergence under ``family`` on validated states, when the
+    kernel of that spec (:func:`_kernel_spec`) is a closed form: the
+    chi-square form of a weight on rho - sigma, as :func:`chi2_g` computes
+    it, or petz's double sum; None for the ht quadrature and matsumoto."""
+    kernel = _kernel_spec(spec if spec.family == family else spec.with_family(family))
+    if isinstance(kernel, SpectralWeight):
+        value = chi2_quadratic_form(r.entries - s.entries, s, kernel)
+        return DivergenceValue(value, {"family": family, "f": spec.name, "g": kernel.name})
+    if kernel.family != "petz":
+        return None
+    value = float(_petz_values(kernel.f, r.eigenvalues[None], r.eigenvectors[None],
+                               s.eigenvalues, s.eigenvectors)[0])
+    return DivergenceValue(value, {"family": family, "f": spec.name})
 
 
 def _divergence_stacks(spec: FDivergenceSpec, lam: np.ndarray, phi: np.ndarray,
@@ -378,12 +413,15 @@ def _divergence_stacks(spec: FDivergenceSpec, lam: np.ndarray, phi: np.ndarray,
     form; the other ht values and gradients are integrated in one stacked
     quadrature loop, in which the reference rides in place of a
     rank-deficient rho.  The spec must have a family, and an operator convex
-    generator for petz.
+    generator for petz; its kernel must be a spec, not the weight of chi2's
+    generator, whose forms the search takes on differences instead
+    (``contraction._objective``).
     """
-    if spec.family == "matsumoto":
+    kernel = _kernel_spec(spec)
+    if kernel.family == "matsumoto":
         return _matsumoto_values(spec.f, stack_states(lam, phi), ref, spec.f1)[::2]
     full = stack_full_rank(lam)
-    if _kernel_spec(spec).family == "petz":
+    if kernel.family == "petz":
         values, grads = _petz_values(spec.f, lam, phi, ref.mu, ref.psi, spec.f1)
     else:
         rho = np.where(full[..., None, None], stack_states(lam, phi), ref.entries)
@@ -438,15 +476,18 @@ def ht_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     of one in the stacked quadrature loop that the variational search runs
     on whole stacks (:func:`_ht_integrals`), so it gives bit for bit the
     value a state gets inside any stack; ``quad_evals`` counts the
-    integrand nodes of this integral.  For kl's generator the integral is the
-    Umegaki relative entropy, and the value is petz[kl]'s closed form, bit for
-    bit, with no quadrature diagnostics; :func:`_kernel_spec`, read for the
-    spec as an ht spec whatever family it carries, states that rule.
+    integrand nodes of this integral.  The quadrature serves every f but
+    two, with no quadrature diagnostics: for kl's generator the integral is
+    the Umegaki relative entropy, and the value is petz[kl]'s closed form,
+    bit for bit; for chi2's it is chi2_kmb, as :func:`chi2_g` computes it.
+    :func:`_kernel_spec`, read for the spec as an ht spec whatever family
+    it carries, states both rules.  rho must be full rank either way.
     """
-    if _kernel_spec(spec.with_family("ht")).family == "petz":
-        return DivergenceValue(_petz_value(spec, rho, sigma), {"family": "ht", "f": spec.name})
     r, s = _pair(rho, sigma)
     _require_full_rank(r, "rho")
+    closed = _closed_form(spec, "ht", r, s)
+    if closed is not None:
+        return closed
     ref = _reference(s)
     rho1 = r.entries[None]
     t = eigvalsh_stack(_pencil(rho1, ref))
@@ -465,9 +506,14 @@ def matsumoto_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     """Maximal f-divergence tr[sigma f(sigma^-1/2 rho sigma^-1/2)].
 
     sigma must be full rank; a rank-deficient rho is admitted only when f
-    has a finite limit at 0 (otherwise :class:`DomainError`).
+    has a finite limit at 0 (otherwise :class:`DomainError`).  Under chi2's
+    generator the value is chi2_max, as :func:`chi2_g` computes it
+    (:func:`_kernel_spec`), with no pencil diagnostics.
     """
     r, s = _pair(rho, sigma)
+    closed = _closed_form(spec, "matsumoto", r, s)
+    if closed is not None:
+        return closed
     values, tvals, _ = _matsumoto_values(spec.f, r.entries[None], _reference(s))
     lo, hi = float(tvals[0, 0]), float(tvals[0, -1])
     if np.isnan(values[0]):
@@ -484,16 +530,13 @@ def petz_divergence(spec: FDivergenceSpec, rho, sigma) -> DivergenceValue:
     Evaluated by the spectral double sum
     sum_ij f(lambda_i/mu_j) mu_j |<phi_i|psi_j>|^2.  Requires an operator
     convex generator (data processing fails otherwise) and full-rank states.
+    Under chi2's generator the value is chi2_max, as :func:`chi2_g` computes
+    it (:func:`_kernel_spec`).
     """
     _require_operator_convex(spec)
-    return DivergenceValue(_petz_value(spec, rho, sigma), {"family": "petz", "f": spec.name})
-
-
-def _petz_value(spec: FDivergenceSpec, rho, sigma) -> float:
     r, s = _pair(rho, sigma)
     _require_full_rank(r, "rho")
-    return float(_petz_values(spec.f, r.eigenvalues[None], r.eigenvectors[None],
-                              s.eigenvalues, s.eigenvectors)[0])
+    return _closed_form(spec, "petz", r, s)
 
 
 _FAMILY_FN = {

@@ -398,12 +398,14 @@ def _scalar_ratio(obj, ch, sig, rho):
     if qc.trace_distance(rho, sig.entries) < contraction.EXCLUSION:
         return None
     # the family objectives apply E to rho as given, then validate rho and
-    # E(rho); chi-square needs no validation and measures rho - sigma
+    # E(rho); chi-square, also the kernel of every family under chi2's
+    # generator, needs no validation and measures rho - sigma
     r = qc.validate_density(rho)
-    chi2 = isinstance(obj, qc.SpectralWeight)
+    kernel = divergences._kernel_spec(obj) if isinstance(obj, qc.FDivergenceSpec) else obj
+    chi2 = isinstance(kernel, qc.SpectralWeight)
     e_r, e_sig = qc.apply(ch, r if chi2 else rho), qc.apply(ch, sig)
     if chi2:
-        fn = lambda a, b: qc.chi2_g(a, b, obj).value
+        fn = lambda a, b: qc.chi2_g(a, b, kernel).value
     else:
         fn = lambda a, b: qc.evaluate(obj, a, b).value
     try:
@@ -479,10 +481,17 @@ class TestStackedSearch:
         rng = np.random.default_rng([9, dim])
         rho = contraction._rho_from_params(rng.normal(size=(4, 2 * dim * dim)), dim)
         # every built-in f under every family: the stacked dispatch
-        # (_divergence_stacks) and the public one (evaluate) agree bit for bit
+        # (_divergence_stacks) and the public one (evaluate) agree bit for bit;
+        # under chi2's generator the search takes its weight's objective, on
+        # rho - sigma, bit for bit, values and gradients
         for spec in (f_cat[f].with_family(fam) for f in ("kl", "chi2", "hellinger")
                      for fam in qc.FAMILIES):
             ratios, _ = _objective(spec, ch, pi)
+            kernel = divergences._kernel_spec(spec)
+            if isinstance(kernel, qc.SpectralWeight):
+                for got, want in zip(ratios(rho), _objective(kernel, ch, pi)[0](rho)):
+                    np.testing.assert_array_equal(got, want)
+                continue
             for r in rho:
                 want = (qc.evaluate(spec, qc.apply(ch, r), qc.apply(ch, pi)).value
                         / qc.evaluate(spec, r, pi).value)
@@ -731,6 +740,28 @@ class TestWaves:
         assert len(rounds) == 1
         assert rounds.pop() <= min(sum(est.diagnostics["ratio_calls"] for est in wave),
                                    max(est.diagnostics["ratio_calls"] for est in wave))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_family_and_chi2_kernels_share_one_wave(self, f_cat, gs, dim):
+        # parts alternate family kernels and chi2 kernels (ht[chi2] is kmb,
+        # matsumoto[chi2] max): still one stacked call per round, and each
+        # search as alone
+        ch = qc.random_channel(dim, seed=dim)
+        pi = qc.fixed_point(ch)
+        specs = [f_cat["kl"].with_family("ht"), f_cat["chi2"].with_family("ht"),
+                 f_cat["hellinger"].with_family("matsumoto"),
+                 f_cat["chi2"].with_family("matsumoto")]
+        opts = [qc.VariationalOptions(restarts=3, max_iters=30, seed=(6, i))
+                for i in range(len(specs))]
+        wave = contraction._sdpi_searches(ch, pi, list(zip(specs, opts)))
+        for est, spec, o in zip(wave, specs, opts):
+            self._assert_alone(est, spec, ch, pi, o)
+        rounds = {est.diagnostics["stacked_calls"] for est in wave}
+        assert len(rounds) == 1
+        assert rounds.pop() <= min(sum(est.diagnostics["ratio_calls"] for est in wave),
+                                   max(est.diagnostics["ratio_calls"] for est in wave))
+        assert [est.diagnostics["objective"] for est in wave] == [
+            "ht[kl]", "ht[chi2]", "matsumoto[hellinger]", "matsumoto[chi2]"]
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_chi2_wave_searches_as_alone(self, gs, dim):
@@ -1269,10 +1300,11 @@ class TestSearchFallbacks:
 
     def test_zero_ratio_is_a_converged_restart(self, f_cat, gs):
         # depolarizing(1.0) maps every state to I/2, so every ratio is 0, where
-        # log R is undefined; for the chi2 weights and two matsumoto objectives
-        # the rounding of E(rho) - E(sigma) leaves ratios of about 1e-31
-        rounding = {"chi2[max]", "chi2[kmb]", "chi2[gns]", "matsumoto[chi2]",
-                    "matsumoto[hellinger]"}
+        # log R is undefined; for the chi2 weights (and so every family under
+        # chi2's generator) and matsumoto[hellinger] the rounding of
+        # E(rho) - E(sigma) leaves ratios of about 1e-31
+        rounding = {"chi2[max]", "chi2[kmb]", "chi2[gns]", "ht[chi2]", "petz[chi2]",
+                    "matsumoto[chi2]", "matsumoto[hellinger]"}
         ch = qc.depolarizing(1.0)
         pi = qc.fixed_point(ch)
         opts = qc.VariationalOptions(restarts=2, max_iters=20, seed=1)
@@ -1375,6 +1407,17 @@ class TestSubmultiplicativity:
         assert power == pytest.approx(0.0405319846137040, abs=1e-10)
         assert power < base**3 - 0.02
         assert qc.sdpi_submultiplicativity_check(ch, pi, g, 3)
+
+    def test_sigma_not_fixed_is_precondition_error(self, gs):
+        # at this sigma, which random_channel(2, seed=0) does not fix, the
+        # bound fails (eta(E^3) = 0.0737 > eta(E)^3 = 0.0691), since it holds
+        # only at a fixed sigma; the check raises instead of returning False
+        ch = qc.random_channel(2, seed=0)
+        sig = qc.random_density(2, np.random.default_rng([2, 0]))
+        base = qc.sdpi_chi2(ch, sig, gs["max"]).value
+        assert qc.sdpi_chi2(qc.channel_power(ch, 3), sig, gs["max"]).value > base**3 + 1e-3
+        with pytest.raises(qc.PreconditionError, match="sigma is not fixed by the channel"):
+            qc.sdpi_submultiplicativity_check(ch, sig, gs["max"], 3)
 
     def test_equality_for_detailed_balanced_channel(self, gs):
         ch = qc.pauli_channel([0.7, 0.1, 0.1, 0.1])
@@ -1673,3 +1716,46 @@ class TestSharedSearches:
                                         [gs["max"]], n_max=1, opts=opts)
         assert rep.diagnostics["shared_searches"] == {}
         assert sum(rep.diagnostics["search_totals"]["stop_reasons"].values()) == 2
+
+
+class TestChi2Kernels:
+    """Under chi2's generator every family searches the chi-square objective
+    of its local weight: kmb for ht, max for petz and matsumoto."""
+
+    PAIRS = (("ht", "kmb"), ("petz", "max"), ("matsumoto", "max"))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_family_search_is_its_weight_search(self, f_cat, gs, dim):
+        ch = qc.random_channel(dim, seed=dim)
+        pi = qc.fixed_point(ch)
+        opts = qc.VariationalOptions(restarts=3, max_iters=30, seed=5)
+        for fam, weight in self.PAIRS:
+            est = qc.sdpi_variational(f_cat["chi2"].with_family(fam), ch, pi, opts)
+            want = qc.sdpi_variational(gs[weight], ch, pi, opts)
+            assert est.value == want.value, fam
+            assert np.array_equal(est.argmax_state.entries, want.argmax_state.entries)
+            assert est.diagnostics["objective"] == f"{fam}[chi2]"
+            for key in (*contraction.COUNTERS, "stop_reasons", "restart_iterations",
+                        "restart_values", "stacked_calls"):
+                assert est.diagnostics[key] == want.diagnostics[key], (fam, key)
+
+    def test_petz_and_matsumoto_share_one_search(self, f_cat, gs):
+        # two searches per power instead of three: ht[chi2] on kmb, and
+        # petz[chi2] on max, whose value matsumoto[chi2] takes
+        ch = qc.random_channel(2, seed=1)
+        pi = qc.fixed_point(ch)
+        families = [f_cat["chi2"].with_family(fam) for fam, _ in self.PAIRS]
+        opts = qc.ExperimentOptions(restarts=2, max_iters=40, seed=7)
+        rep = qc.contraction_experiment(ch, families, [gs["max"]], n_max=2, opts=opts)
+        assert rep.diagnostics["shared_searches"] == {"matsumoto[chi2]": "petz[chi2]"}
+        assert sum(rep.diagnostics["search_totals"]["stop_reasons"].values()) == 2 * 2 * 2
+        for row in rep.rows:
+            n = row["n"]
+            assert row["eta_f"]["matsumoto[chi2]"] == row["eta_f"]["petz[chi2]"]
+            for idx, (fam, weight) in enumerate(self.PAIRS[:2]):
+                alone = qc.sdpi_variational(gs[weight], qc.channel_power(ch, n), pi,
+                                            qc.VariationalOptions(
+                                                restarts=opts.restarts,
+                                                max_iters=opts.max_iters,
+                                                seed=(opts.seed, n, idx)))
+                assert row["eta_f"][f"{fam}[chi2]"] == alone.value

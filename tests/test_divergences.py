@@ -183,8 +183,18 @@ class TestHtIntegral:
     def test_stack_values_are_the_lone_values(self, f_cat, dim, f_name):
         # stacks of 1 to 20 states, half against a near-singular sigma, so that
         # the integrals of one stack close at different depths; sigma itself
-        # (all panels of zero width or nearly so) rides in the last stack
+        # (all panels of zero width or nearly so) rides in the last stack.
+        # ht[hellinger] is the quadrature's stack of one; ht[chi2] is chi2_kmb,
+        # so its quadrature, kept as the reference, is compared alone
         spec = f_cat[f_name].with_family("ht")
+
+        def lone(r, sig):
+            if f_name == "hellinger":
+                return qc.ht_divergence(spec, r, sig)
+            one = ht_stack(spec, r.entries[None], sig)
+            return divergences.DivergenceValue(float(one.value[0]), {
+                "quad_error": one.error_estimate[0], "quad_evals": one.n_evals[0]})
+
         rng = np.random.default_rng([dim, len(f_name)])
         mixed = 0
         for trial, size in enumerate([1, 2, 7, 20, 13, 20]):
@@ -194,7 +204,7 @@ class TestHtIntegral:
             states = [qc.random_density(dim, rng) for _ in range(size - 1)] + [sig]
             res = ht_stack(spec, np.array([r.entries for r in states]), sig)
             for k, r in enumerate(states):
-                one = qc.ht_divergence(spec, r, sig)
+                one = lone(r, sig)
                 assert res.value[k] == one.value, (trial, k)
                 assert res.error_estimate[k] == one.diagnostics["quad_error"], (trial, k)
                 assert res.n_evals[k] == one.diagnostics["quad_evals"], (trial, k)
@@ -204,11 +214,14 @@ class TestHtIntegral:
         assert mixed > 0
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_chi2_against_a_near_singular_sigma(self, f_cat, dim):
-        # sigma's smallest eigenvalue between 1e-7 and 1e-4: every integral
-        # closes within the interval budget, below the maximal divergence
-        # (further down, to 1e-9, the quadrature can exceed its budget)
-        ht, mats = (f_cat["chi2"].with_family(fam) for fam in ("ht", "matsumoto"))
+    def test_chi2_against_a_near_singular_sigma(self, f_cat, g_cat, dim):
+        # the chi2 quadrature, the reference for the chi2_kmb form that
+        # ht[chi2] takes, with sigma's smallest eigenvalue between 1e-7 and
+        # 1e-4: every integral closes within the interval budget, at chi2_kmb
+        # and below the maximal divergence (further down, to 1e-9, the
+        # quadrature can exceed its budget; the public ht[chi2] does not
+        # integrate, see TestChi2Oracle)
+        chi2, mats = f_cat["chi2"], f_cat["chi2"].with_family("matsumoto")
         rng = np.random.default_rng([31, dim])
         for trial in range(40):
             rho = qc.random_density(dim, rng)
@@ -217,9 +230,11 @@ class TestHtIntegral:
             v = qc.random_density(dim, rng).eigenvectors
             sig = qc.validate_density((v * mu) @ v.conj().T)
             assert 1e-7 <= sig.min_eigenvalue <= 1e-4, trial
-            got = qc.ht_divergence(ht, rho, sig).value
+            got = ht_stack(chi2, rho.entries[None], sig).value[0]
             assert np.isfinite(got) and got >= 0.0, trial
             assert got <= qc.matsumoto_divergence(mats, rho, sig).value, trial
+            assert got == pytest.approx(qc.chi2_g(rho, sig, g_cat["kmb"]).value,
+                                        rel=1e-8), trial
 
     def test_nan_in_integrand_raises(self, f_cat):
         # the closed-form eigensolve at d = 2 passes a NaN entry on as NaN
@@ -242,6 +257,10 @@ class TestHtIntegral:
     def test_diagnostics_present(self, f_cat, golden_pair, f_name):
         rho, sig = golden_pair
         got = qc.ht_divergence(f_cat[f_name].with_family("ht"), rho, sig)
+        if f_name == "chi2":
+            # no quadrature: the diagnostics name the weight of the closed form
+            assert got.diagnostics == {"family": "ht", "f": "chi2", "g": "kmb"}
+            return
         assert got.diagnostics["quad_error"] < 1e-8
         assert got.diagnostics["quad_evals"] > 0
         lo, hi = got.diagnostics["pencil_range"]
@@ -460,13 +479,14 @@ class TestStackedKernels:
     # the kernels mark the rows they cannot evaluate NaN, under the caller's errstate
     @np.errstate(all="ignore")
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("f_name", ["kl", "chi2", "hellinger"])
+    @pytest.mark.parametrize("f_name", ["kl", "hellinger"])
     @pytest.mark.parametrize("family", qc.FAMILIES)
     def test_mixed_reference_stack_gives_the_lone_values_and_gradients(self, f_cat, family,
                                                                        f_name, dim):
         # the search's call: a (2, k) stack of states against sigma and of
         # their images against E(sigma), one kernel call; a pure state has no
-        # petz or ht value
+        # petz or ht value.  Under chi2's generator the kernel is a weight,
+        # which the search evaluates on differences (TestChi2Oracle)
         spec = f_cat[f_name].with_family(family)
         rng = np.random.default_rng([dim, 5, len(f_name)])
         ch = qc.random_channel(dim, seed=3)
@@ -616,10 +636,11 @@ class TestChi2Oracle:
     """Under f = chi2 each family is the chi2 form of its local weight:
     ht[chi2] = chi2_kmb and petz[chi2] = matsumoto[chi2] = chi2_max."""
 
-    #: ht's quadrature works to rtol 1e-8; petz and matsumoto are closed
-    #: forms, and matsumoto's sigma^(-1/2) adds rounding of order eps / mu_min
+    #: every family takes the chi2 form of its weight (divergences._kernel_spec),
+    #: so ht is held to petz's closed-form level; matsumoto's bound keeps
+    #: room for the rounding of order eps / mu_min of its sigma^(-1/2) kernel
     #: (0.74 eps / mu_min at most over these pairs)
-    RTOL = {"ht": lambda mu_min: 1e-9, "petz": lambda mu_min: 1e-12,
+    RTOL = {"ht": lambda mu_min: 1e-12, "petz": lambda mu_min: 1e-12,
             "matsumoto": lambda mu_min: 1e-12 + 2 * np.finfo(float).eps / mu_min}
 
     def test_each_family_is_the_chi2_form_of_its_weight(self, f_cat, g_cat):
@@ -636,6 +657,58 @@ class TestChi2Oracle:
                 exact = qc.chi2_g(rho, sig, g_cat["kmb" if fam == "ht" else "max"]).value
                 value = qc.evaluate(f_cat["chi2"].with_family(fam), rho, sig).value
                 assert value == pytest.approx(exact, rel=rtol(mu[0] / mu.sum())), (k, fam)
+
+    def test_lone_evaluators_are_chi2_g_of_the_weight(self, f_cat, g_cat):
+        # bit for bit, and each family keeps its typed errors: ht and petz
+        # reject a rank-deficient rho, matsumoto admits it
+        rng = np.random.default_rng(29)
+        for d in (2, 3):
+            rho, sig = qc.random_density(d, rng), qc.random_density(d, rng)
+            pure = qc.random_density(d, rng, rank=1)
+            for fam in qc.FAMILIES:
+                spec = f_cat["chi2"].with_family(fam)
+                g = g_cat["kmb" if fam == "ht" else "max"]
+                assert divergences._kernel_spec(spec) is g
+                for fn in (qc.evaluate, FAMILY_FN[fam]):
+                    got = fn(spec, rho, sig)
+                    assert got.value == qc.chi2_g(rho, sig, g).value, (d, fam)
+                    assert got.diagnostics == {"family": fam, "f": "chi2", "g": g.name}
+                if fam == "matsumoto":
+                    assert qc.evaluate(spec, pure, sig).value == qc.chi2_g(pure, sig, g).value
+                else:
+                    with pytest.raises(qc.SingularReference, match="rho must be full rank"):
+                        qc.evaluate(spec, pure, sig)
+
+    def test_the_generator_decides_not_the_name(self, f_cat, g_cat, golden_pair):
+        # chi2's generator under another name takes the closed form; a spec
+        # named "chi2" on another function still integrates
+        rho, sig = golden_pair
+        chi2 = f_cat["chi2"]
+        renamed = qc.fdivergence_spec("pearson", chi2.f, chi2.f1, chi2.f2, chi2.f3)
+        assert qc.ht_divergence(renamed.with_family("ht"), rho, sig).value == \
+            qc.chi2_g(rho, sig, g_cat["kmb"]).value
+        named = qc.fdivergence_spec("chi2", lambda x: chi2.f(x), chi2.f1, chi2.f2, chi2.f3)
+        integrated = qc.ht_divergence(named.with_family("ht"), rho, sig)
+        assert integrated.diagnostics["quad_evals"] > 0
+        assert integrated.value == ht_stack(chi2, rho.entries[None], sig).value[0]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ht_at_a_nearly_singular_sigma(self, f_cat, g_cat, dim):
+        # sigma's smallest eigenvalue down to 1e-9, where the chi2 quadrature
+        # can exceed its interval budget: the public ht[chi2] raises no
+        # QuadratureFailure, is chi2_kmb and stays below matsumoto[chi2]
+        ht, mats = (f_cat["chi2"].with_family(fam) for fam in ("ht", "matsumoto"))
+        rng = np.random.default_rng([32, dim])
+        for trial in range(40):
+            rho = qc.random_density(dim, rng)
+            low = 10 ** rng.uniform(-9, -4)
+            mu = np.concatenate([[low], (1 - low) * rng.dirichlet(np.ones(dim - 1))])
+            v = qc.random_density(dim, rng).eigenvectors
+            sig = qc.validate_density((v * mu) @ v.conj().T)
+            assert 1e-9 <= sig.min_eigenvalue <= 1e-4, trial
+            got = qc.ht_divergence(ht, rho, sig).value
+            assert got == qc.chi2_g(rho, sig, g_cat["kmb"]).value, trial
+            assert 0.0 <= got <= qc.matsumoto_divergence(mats, rho, sig).value, trial
 
 
 class TestHockeyStick:

@@ -18,7 +18,10 @@ extracted with ``git archive``.  The sections are:
 * ``cli``: ``qcontract experiment`` at its defaults (kl under ht, petz and
   matsumoto, g max and kmb, n_max 6, 32 restarts) on depolarizing(0.5),
   random_channel(2, seed=1) and random_channel(3, seed=1), the last taking
-  about 5-10 s on a 2-core x86 host; then ``qcontract sdpi`` on
+  about 5-10 s on a 2-core x86 host, and with chi2 under ht, petz and
+  matsumoto (g max, n_max 3) on random_channel(3, seed=1), whose searches
+  run on the chi-square forms of the families' weights; then
+  ``qcontract sdpi`` on
   random_channel(3, seed=1) (kl under ht, petz and matsumoto, g max,
   4 restarts) and on random_channel(2, seed=1) (hellinger and chi2 under
   ht, g max, 4 restarts), the one run whose searches go through the ht
@@ -84,7 +87,15 @@ CLI_FIXTURES = (
     {"kind": "random", "dim": 2, "seed": 1},
     {"kind": "random", "dim": 3, "seed": 1},
 )
-KL_FAMILIES = ["--f", "kl", "--family", "ht", "--family", "petz", "--family", "matsumoto"]
+FAMILIES = ["--family", "ht", "--family", "petz", "--family", "matsumoto"]
+KL_FAMILIES = ["--f", "kl", *FAMILIES]
+#: the ``qcontract experiment`` runs of the ``cli`` section: kl at the
+#: defaults on each CLI fixture, then chi2 under every family on the qutrit one
+EXPERIMENT_FIXTURES = tuple((spec, [*KL_FAMILIES, "--g", "max", "--g", "kmb"])
+                            for spec in CLI_FIXTURES) + (
+    ({"kind": "random", "dim": 3, "seed": 1},
+     [*FAMILIES, "--f", "chi2", "--g", "max", "--n-max", "3"]),
+)
 #: the ``qcontract sdpi`` runs of the ``cli`` section, after the experiments
 SDPI_FIXTURES = (
     ({"kind": "random", "dim": 3, "seed": 1}, [*KL_FAMILIES, "--g", "max", "--restarts", "4"]),
@@ -172,12 +183,12 @@ def _numbers(out) -> list:
 
 
 def _cli(cli, workdir: str) -> tuple:
-    """Run the CLI experiment on each fixture, then the ``sdpi`` fixtures;
-    returns the wall seconds of each run and the eta_f of each experiment
-    payload, per label and n."""
+    """Run the ``experiment`` fixtures, then the ``sdpi`` fixtures; returns
+    the wall seconds of each run and the eta_f of each experiment payload,
+    per label and n."""
     out = os.path.join(workdir, "payload.json")
-    runs = [("experiment", spec, [*KL_FAMILIES, "--g", "max", "--g", "kmb"])
-            for spec in CLI_FIXTURES] + [("sdpi", *run) for run in SDPI_FIXTURES]
+    runs = ([("experiment", *run) for run in EXPERIMENT_FIXTURES]
+            + [("sdpi", *run) for run in SDPI_FIXTURES])
     walls, etas = [], []
     for command, spec, args in runs:
         argv = [command, "--channel", json.dumps(spec), *args, "--format", "json", "--out", out]
