@@ -20,17 +20,17 @@ ch = qc.pauli_channel([0.7, 0.1, 0.1, 0.1])
 families = [qc.f_catalog()["kl"].with_family(fam) for fam in qc.FAMILIES]
 gs = list(qc.g_catalog().values())
 
-report = qc.contraction_experiment(
+report, _ = qc.contraction_experiment(
     ch, families, gs, n_max=5,
-    opts=qc.ExperimentOptions(restarts=8, max_iters=80, seed=42),
+    opts=qc.VariationalOptions(restarts=8, max_iters=80, seed=42),
 )
 
-print(f"channel: {report.channel_label}  dim={report.dim}")
-print(f"convergence index n0 = {report.n0} "
+print(f"channel: {report['channel']}  dim={report['dim']}")
+print(f"convergence index n0 = {report['n0']} "
       f"(first power whose certified deviation bound is inside the radius)\n")
 print(qc.report_csv(report))
 
-rate = report.verdicts["theorem_rate"]
+rate = report["verdicts"]["theorem_rate"]
 print(f"rate-bound verdict: {'PASS' if rate['pass'] else 'FAIL'}"
       + (" (vacuous)" if rate["vacuous"] else ""))
 for label, per_g in rate["per_family"].items():
@@ -38,7 +38,7 @@ for label, per_g in rate["per_family"].items():
         print(f"  {label} vs chi2[{gname}]: "
               f"max excess {entry['max_excess']:+.2e} at powers n={entry['n_checked']}")
 
-tight = report.verdicts["tightness"]
+tight = report["verdicts"]["tightness"]
 print(f"\ntightness verdict: {'PASS' if tight['pass'] else 'FAIL'}")
 for label, entry in tight["per_family"].items():
     print(f"  {label}: kappa-residual {entry['db_residual']:.2e}, "
@@ -47,9 +47,9 @@ for label, entry in tight["per_family"].items():
 
 print("\nrows also carry the n-th roots eta_f^(1/n), which should level")
 print("off at the one-step chi-square constant for this balanced channel:")
-for row in report.rows:
+for row in report["rows"]:
     roots = "  ".join(
-        f"{lab}={row['eta_f_root'][lab]:.6f}" for lab in report.family_labels
+        f"{lab}={row['eta_f_root'][lab]:.6f}" for lab in report["family_labels"]
     )
     print(f"  n={row['n']}: {roots}")
 print(f"  one-step chi-square constant: "

@@ -2,8 +2,10 @@
 
 A channel is stored as a :class:`~qcontract.linalg.Superoperator`, in the
 vectorization convention stated in the :mod:`qcontract.linalg` docstring,
-and acts through its ``apply``.  Complete positivity and trace
-preservation are verified at construction through the Choi matrix.
+and acts through its ``apply``.  A channel built from a superoperator is
+verified completely positive and trace preserving through its Choi
+matrix; a Kraus sum is completely positive by construction, so only
+its trace preservation is checked.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     Superoperator,
+    _as_matrix,
     _integer,
     _numeric_array,
     _real,
@@ -101,33 +104,31 @@ class PrimitivityReport:
 
 def _kraus_operators(kraus) -> tuple:
     """The operators of a Kraus list as read-only complex arrays: the one
-    home of its rules, a nonempty list of numeric square matrices of one
-    dimension d >= 2."""
+    home of its rules, a nonempty list of finite square matrices
+    (:func:`~qcontract.linalg._as_matrix`) of one dimension d >= 2."""
     if not np.iterable(kraus):
         raise InputError(f"Kraus list must be a sequence of matrices, got {kraus!r}")
-    mats = tuple(_numeric_array(k, "Kraus operator").copy() for k in kraus)
+    mats = tuple(_as_matrix(k, name="Kraus operator").copy() for k in kraus)
     if not mats:
         raise InputError("empty Kraus list")
     for arr in mats:
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NotSquare(f"Kraus operator has shape {arr.shape}")
         if arr.shape != mats[0].shape:
             raise DimensionMismatch("Kraus operators have mixed dimensions")
         arr.setflags(write=False)
-    if mats[0].shape[0] < 2:
-        raise DimensionMismatch(f"channel dimension must be >= 2, got {mats[0].shape[0]}")
     return mats
+
+
+def _kron_sum(k: np.ndarray) -> np.ndarray:
+    """sum_K kron(conj(K), K) over a (n, d, d) stack of operators, as one
+    broadcast product."""
+    d = k.shape[-1]
+    return (k.conj()[:, :, None, :, None] * k[:, None, :, None, :]).sum(0).reshape(d * d, d * d)
 
 
 def kraus_to_superop(kraus) -> np.ndarray:
     """Superoperator matrix sum_K kron(conj(K), K) of a Kraus list (see
     :func:`_kraus_operators` for its rules)."""
-    mats = _kraus_operators(kraus)
-    d = mats[0].shape[0]
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for k in mats:
-        m += np.kron(k.conj(), k)
-    return m
+    return _kron_sum(np.array(_kraus_operators(kraus)))
 
 
 def choi_matrix(superop) -> np.ndarray:
@@ -168,18 +169,17 @@ def _check_cptp(m: np.ndarray) -> int:
 
 
 def channel_from_kraus(kraus, label: str = "kraus") -> QuantumChannel:
-    """Build a channel from Kraus operators, verifying sum K^dag K = I."""
+    """Build a channel from Kraus operators, verifying sum K^dag K = I; a
+    Kraus sum is completely positive by construction."""
     mats = _kraus_operators(kraus)
-    d = mats[0].shape[0]
-    acc = sum(k.conj().T @ k for k in mats)
-    tp_err = float(np.linalg.norm(acc - np.eye(d)))
+    k = np.array(mats)
+    d = k.shape[-1]
+    tp_err = float(np.linalg.norm((k.conj().swapaxes(1, 2) @ k).sum(0) - np.eye(d)))
     if tp_err > CPTP_TOL * d:
         raise NotTracePreserving(
             f"sum K^dag K deviates from identity by {tp_err:.3e} (atol {CPTP_TOL:.0e})"
         )
-    m = kraus_to_superop(mats)
-    _check_cptp(m)
-    return QuantumChannel(dim=d, superop=Superoperator(m, d), kraus=mats, label=label)
+    return QuantumChannel(dim=d, superop=Superoperator(_kron_sum(k), d), kraus=mats, label=label)
 
 
 def channel_from_superop(matrix, label: str = "superop") -> QuantumChannel:

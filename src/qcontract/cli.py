@@ -16,7 +16,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -27,13 +27,12 @@ from .contraction import (
     CSV_SCHEMA_VERSION,
     DB_TOL,
     DEFAULT_SEED,
-    ExperimentOptions,
+    EXPERIMENT_OPTIONS,
     VariationalOptions,
     _kernel_searches,
     carlen_maas_check,
     contraction_experiment,
     report_csv,
-    report_payload,
     sdpi_chi2,
     # not called here: the benchmark's tracer patches this name on this module
     sdpi_variational,  # noqa: F401
@@ -240,13 +239,10 @@ def cmd_experiment(config: RunConfig) -> tuple:
     channel = _load_channel(config)
     families = list(_family_specs(config).values())
     gs = list(_resolve("g", config.g_names, g_catalog()).values())
-    opts = ExperimentOptions(restarts=config.restarts, seed=config.seed)
-    report = contraction_experiment(
-        channel, families, gs, n_max=config.n_max, opts=opts
-    )
-    payload = report_payload(report)
-    payload["csv"] = report_csv(report)
-    return payload, report.diagnostics
+    opts = replace(EXPERIMENT_OPTIONS, restarts=config.restarts, seed=config.seed)
+    payload, diagnostics = contraction_experiment(channel, families, gs, config.n_max, opts)
+    payload["csv"] = report_csv(payload)
+    return payload, diagnostics
 
 
 def _experiment_csv(payload: dict) -> str:
@@ -323,15 +319,16 @@ _FLAGS = {
 @dataclass(frozen=True)
 class _Command:
     """One subcommand.  ``flags`` maps each flag it reads to the value used
-    when the flag is not given: None keeps the RunConfig default.  ``run`` returns the payload and the
-    diagnostics it adds to the envelope (outside the payload hash): the
-    summary of its variational searches that ``contraction._kernel_searches``
-    returns, as is for ``sdpi`` and folded over the channel powers
-    (``ExperimentReport``) for ``experiment``.  ``csv`` renders the payload
-    as one CSV table; ``--format text`` prints the ``head`` lines, that
-    table and the ``tail`` lines.
-    ``family_only`` names the flags the command reads only when --family is
-    given; any of them without it is an InputError."""
+    when the flag is not given: None keeps the RunConfig default.  ``run``
+    returns the payload and the diagnostics it adds to the envelope
+    (outside the payload hash): the summary of its variational searches
+    that ``contraction._kernel_searches`` returns, as is for ``sdpi``, and
+    for ``experiment`` the payload and diagnostics that
+    ``contraction_experiment`` returns, the summaries folded over the
+    channel powers.  ``csv`` renders the payload as one CSV table;
+    ``--format text`` prints the ``head`` lines, that table and the
+    ``tail`` lines.  ``family_only`` names the flags the command reads only
+    when --family is given; any of them without it is an InputError."""
 
     help: str
     flags: dict

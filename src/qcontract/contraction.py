@@ -22,13 +22,12 @@
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,8 +84,7 @@ from .linalg import (
 __all__ = [
     "SdpiEstimate",
     "VariationalOptions",
-    "ExperimentOptions",
-    "ExperimentReport",
+    "EXPERIMENT_OPTIONS",
     "omega",
     "sdpi_chi2",
     "sdpi_variational",
@@ -94,7 +92,6 @@ __all__ = [
     "carlen_maas_check",
     "sdpi_submultiplicativity_check",
     "contraction_experiment",
-    "report_payload",
     "report_csv",
     "CSV_SCHEMA_VERSION",
     "DB_TOL",
@@ -201,10 +198,14 @@ class SdpiEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sdpi_chi2(s: DensityMatrix, nt: np.ndarray, w_in: np.ndarray,
+def _sdpi_chi2(s: DensityMatrix, nt: np.ndarray, g: SpectralWeight, w_in: np.ndarray,
                w_out: np.ndarray) -> SdpiEstimate:
     """sdpi_chi2 for the validated sigma ``s``, the channel's matrix ``nt`` from the
     s eigenbasis to the E(s) one, and the weights omega(s, g) and omega(E(s), g)."""
+    if not g.standard_monotone:
+        # states span the Hermitian X, on which only the Hermitian part of a
+        # weight acts; a standard monotone weight is symmetric already
+        w_in, w_out = 0.5 * (w_in + w_in.T), 0.5 * (w_out + w_out.T)
     _, svals, v_h = np.linalg.svd(
         np.sqrt(vectorize(w_out))[:, None] * nt / np.sqrt(vectorize(w_in))[None, :])
     top = float(svals[0])
@@ -232,31 +233,25 @@ def sdpi_chi2(channel: QuantumChannel, sigma, g: SpectralWeight) -> SdpiEstimate
     singular value.  The standard monotone chi-square forms contract under
     every channel, so the top singular value is 1, witnessed by
     vec(sigma^(1/2)) = vec(diag(sqrt(mu))) in the eigenbasis; otherwise
-    :class:`NumericalError` is raised.  For a weight that is not symmetric
-    under X -> X^dag, such as ``gns``, the SVD bounds the supremum over all
-    complex X, not the Hermitian ones that states span: on
-    random_channel(2, seed=1) at its fixed point that gives 0.3469, against
-    0.2522 from the state-space search.
+    :class:`NumericalError` is raised.  The states span the Hermitian X,
+    on which only the Hermitian part (w + w^T)/2 of a weight acts, so a
+    weight that is not standard monotone, such as ``gns``, enters through
+    that part (a standard monotone weight is symmetric, by
+    g(1/x) = x g(x), and is used as it is).  Then N commutes with
+    X -> X^dag, as E does, and its SVD gives the supremum over the states.
     """
     s, e_s = _frame(channel, sigma)
     nt = channel.superop.in_basis(s.eigenvectors, e_s.eigenvectors)
-    return _sdpi_chi2(s, nt, _sigma_weights(s, g), _sigma_weights(e_s, g))
-
-
-def _seed(x) -> int:
-    if isinstance(x, bool) or not (isinstance(x, numbers.Integral) and x >= 0):
-        raise InputError(f"seed must be a nonnegative integer, got {x!r}")
-    return int(x)
+    return _sdpi_chi2(s, nt, g, _sigma_weights(s, g), _sigma_weights(e_s, g))
 
 
 def _seed_list(seed) -> list:
-    return [_seed(x) for x in (seed if isinstance(seed, (tuple, list)) else [seed])]
-
-
-def _store(options, **values) -> None:
-    """Replace fields of a frozen options instance by their checked values."""
-    for name, value in values.items():
-        object.__setattr__(options, name, value)
+    """The integers of a seed, an integer >= 0 or a tuple or list of them."""
+    seeds = list(seed) if isinstance(seed, (tuple, list)) else [seed]
+    for x in seeds:
+        if isinstance(x, bool) or not (isinstance(x, numbers.Integral) and x >= 0):
+            raise InputError(f"seed must be a nonnegative integer, got {x!r}")
+    return [int(x) for x in seeds]
 
 
 @dataclass(frozen=True)
@@ -271,9 +266,15 @@ class VariationalOptions:
 
     def __post_init__(self):
         seeds = _seed_list(self.seed)
-        _store(self, restarts=_integer(self.restarts, "restarts", 1),
-               max_iters=_integer(self.max_iters, "max_iters", 1),
-               seed=tuple(seeds) if isinstance(self.seed, (tuple, list)) else seeds[0])
+        # frozen: the checked values are stored in place
+        object.__setattr__(self, "restarts", _integer(self.restarts, "restarts", 1))
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters", 1))
+        object.__setattr__(self, "seed", tuple(seeds) if isinstance(self.seed, (tuple, list))
+                           else seeds[0])
+
+
+#: the options of the experiment's searches when none are given
+EXPERIMENT_OPTIONS = VariationalOptions(restarts=12, max_iters=100)
 
 
 def _outside_ball(rho: np.ndarray, sigma: np.ndarray):
@@ -814,49 +815,13 @@ def sdpi_submultiplicativity_check(channel: QuantumChannel, sigma,
     return bool(power <= base**n + 1e-8)
 
 
-@dataclass(frozen=True)
-class ExperimentOptions:
-    """Configuration for the contraction-rate experiment: restarts (>= 1),
-    max_iters (>= 1) and seed (an integer >= 0) of each search."""
-
-    restarts: int = 12
-    max_iters: int = 100
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        _store(self, restarts=_integer(self.restarts, "restarts", 1),
-               max_iters=_integer(self.max_iters, "max_iters", 1), seed=_seed(self.seed))
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """Per-n contraction data for one channel plus the two verdicts;
-    ``diagnostics`` (outside ``report_payload``) folds the summaries of the
-    waves, one per power, that :func:`_kernel_searches` returns: their
-    ``searches`` summed into ``search_totals``, their ``shared_searches``
-    and the sum of their ``stacked_calls``."""
-
-    channel_label: str
-    dim: int
-    fixed_point: DensityMatrix
-    family_labels: tuple
-    g_names: tuple
-    n_max: int
-    n0: int | None
-    base_eta: dict
-    rows: tuple
-    verdicts: dict
-    options: dict
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _distinct(kind: str, labels: list) -> tuple:
-    """The labels as a tuple; the experiment keys its rows, CSV columns and
-    verdicts by them, so a repeated one raises :class:`InputError`."""
+def _distinct(kind: str, labels: list) -> list:
+    """The labels; the experiment keys its rows, CSV columns and verdicts by
+    them, so a repeated one raises :class:`InputError`."""
     for label in labels:
         if labels.count(label) > 1:
             raise InputError(f"two {kind}s share the label {label!r}")
-    return tuple(labels)
+    return labels
 
 
 def _deviation_bounds(pi: DensityMatrix, powers: list) -> list:
@@ -874,7 +839,7 @@ def _deviation_bounds(pi: DensityMatrix, powers: list) -> list:
 
 
 def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6,
-                           opts: ExperimentOptions | None = None) -> ExperimentReport:
+                           opts: VariationalOptions = EXPERIMENT_OPTIONS) -> tuple[dict, dict]:
     """Run the contraction-rate experiment on a primitive channel.
 
     For n = 1..n_max, estimates the variational SDPI constant of each
@@ -891,12 +856,17 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
 
     Each power's searches go through :func:`_kernel_searches`: one search
     per distinct kernel (:func:`_kernel_spec`, so ht[kl] and petz[kl]
-    share one, as do petz[chi2] and matsumoto[chi2]), with the seed
-    (seed, n, index) of the first label of that kernel, and every label of
-    the kernel takes its value.  A power's searches run as one wave
-    (:func:`_sdpi_searches`).
+    share one, as do petz[chi2] and matsumoto[chi2]), with the restarts
+    and max_iters of ``opts`` and the seed (*seed, n, index), index that of
+    the first label of the kernel, and every label of the kernel takes its
+    value.  A power's searches run as one wave (:func:`_sdpi_searches`).
+
+    Returns the JSON-ready payload (the record that ``qcontract experiment``
+    hashes, and :func:`report_csv` reads) and the diagnostics, which fold
+    the summaries of the waves, one per power, that :func:`_kernel_searches`
+    returns: their ``searches`` summed into ``search_totals``, their
+    ``shared_searches`` and the sum of their ``stacked_calls``.
     """
-    opts = opts or ExperimentOptions()
     n_max = _integer(n_max, "n_max", 1)
     if n_max > 32:
         raise InputError(f"n_max must be in [1, 32], got {n_max}")
@@ -925,7 +895,7 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     for e_n in powers:
         e_pi = _frame(e_n, pi)[1]
         nt = e_n.superop.in_basis(pi.eigenvectors, e_pi.eigenvectors)
-        chi2_eta.append({g: _sdpi_chi2(pi, nt, w, _sigma_weights(e_pi, g)).value
+        chi2_eta.append({g: _sdpi_chi2(pi, nt, g, w, _sigma_weights(e_pi, g)).value
                          for g, w in omegas.items()})
         mt = e_n.superop.in_basis(pi.eigenvectors)
         db_res.append({g: _db_residual(mt, w) for g, w in omegas.items()})
@@ -935,10 +905,11 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     bounds = _deviation_bounds(pi, powers)
     n0 = next((n for n, b in enumerate(bounds, start=1) if b < pi.min_eigenvalue / 2.0), None)
 
+    seeds = _seed_list(opts.seed)
     rows, waves = [], []
     for n, e_n in enumerate(powers, start=1):
-        estimates, wave = _kernel_searches(specs, e_n, pi, lambda idx: VariationalOptions(
-            restarts=opts.restarts, max_iters=opts.max_iters, seed=(opts.seed, n, idx)))
+        estimates, wave = _kernel_searches(specs, e_n, pi,
+                                           lambda idx: replace(opts, seed=(*seeds, n, idx)))
         waves.append(wave)
         eta_f = {label: est.value for label, est in estimates.items()}
         row = {
@@ -1000,62 +971,39 @@ def contraction_experiment(channel: QuantumChannel, families, gs, n_max: int = 6
     tightness["pass"] = all(entry["pass"] for entry in tightness["per_family"].values()
                             if entry["applicable"])
 
-    return ExperimentReport(
-        channel_label=channel.label,
-        dim=channel.dim,
-        fixed_point=pi,
-        family_labels=family_labels,
-        g_names=g_names,
-        n_max=n_max,
-        n0=n0,
-        base_eta=base_eta,
-        rows=tuple(rows),
-        verdicts={"theorem_rate": theorem_rate, "tightness": tightness},
-        options={
-            "restarts": opts.restarts,
-            "max_iters": opts.max_iters,
-            "step_tol": STEP_TOL,
-            "seed": opts.seed,
-            "slack": SLACK,
-        },
-        diagnostics={
-            "search_totals": _total_counts(c for w in waves for c in w["searches"].values()),
-            "shared_searches": {k: v for w in waves for k, v in w["shared_searches"].items()},
-            "stacked_calls": sum(w["stacked_calls"] for w in waves),
-        },
-    )
-
-
-def report_payload(report: ExperimentReport) -> dict:
-    """JSON-ready dict of the full experiment report."""
     return {
-        "channel": report.channel_label,
-        "dim": report.dim,
-        "fixed_point_eigenvalues": [float(x) for x in report.fixed_point.eigenvalues],
-        "family_labels": list(report.family_labels),
-        "g_names": list(report.g_names),
-        "n_max": report.n_max,
-        "n0": report.n0,
-        "base_eta": dict(report.base_eta),
-        "rows": copy.deepcopy(list(report.rows)),
-        "verdicts": report.verdicts,
-        "options": report.options,
+        "channel": channel.label,
+        "dim": channel.dim,
+        "fixed_point_eigenvalues": [float(x) for x in pi.eigenvalues],
+        "family_labels": family_labels,
+        "g_names": g_names,
+        "n_max": n_max,
+        "n0": n0,
+        "base_eta": base_eta,
+        "rows": rows,
+        "verdicts": {"theorem_rate": theorem_rate, "tightness": tightness},
+        "options": {"restarts": opts.restarts, "max_iters": opts.max_iters,
+                    "step_tol": STEP_TOL, "seed": opts.seed, "slack": SLACK},
         "csv_schema": CSV_SCHEMA_VERSION,
+    }, {
+        "search_totals": _total_counts(c for w in waves for c in w["searches"].values()),
+        "shared_searches": {k: v for w in waves for k, v in w["shared_searches"].items()},
+        "stacked_calls": sum(w["stacked_calls"] for w in waves),
     }
 
 
-def report_csv(report: ExperimentReport) -> str:
-    """Frozen per-n CSV table (schema v1):
+def report_csv(payload: dict) -> str:
+    """Frozen per-n CSV table (schema v1) of an experiment's payload:
     n, eta[label]..., eta_root[label]..., chi2_bound[g]..., db_residual[g]...
     """
-    labels, g_names = report.family_labels, report.g_names
+    labels, g_names = payload["family_labels"], payload["g_names"]
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
     out.writerow(["n", *(f"eta[{lab}]" for lab in labels),
                   *(f"eta_root[{lab}]" for lab in labels),
                   *(f"chi2_bound[{g}]" for g in g_names),
                   *(f"db_residual[{g}]" for g in g_names)])
-    for row in report.rows:
+    for row in payload["rows"]:
         out.writerow([row["n"], *(f"{row['eta_f'][lab]:.12g}" for lab in labels),
                       *(f"{row['eta_f_root'][lab]:.12g}" for lab in labels),
                       *(f"{row['chi2_eta_bound'][g]:.12g}" for g in g_names),

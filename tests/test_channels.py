@@ -60,6 +60,30 @@ class TestConstruction:
         assert type(info.value) is error
         assert info.value.exit_code == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imaginary-inf"])
+    def test_non_finite_kraus_entry_is_input_error(self, entry):
+        # a NaN compares False, so it would pass the sum K^dag K test
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = entry
+        for make in (qc.channel_from_kraus, qc.kraus_to_superop):
+            with pytest.raises(qc.QcontractError,
+                               match="Kraus operator contains non-finite entries") as info:
+                make([k, np.eye(2)])
+            assert type(info.value) is qc.InputError
+
+    def test_superop_is_the_kron_sum_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            d, count = 2 + trial % 2, 1 + trial % 16
+            kraus = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+            kraus[rng.random(kraus.shape) < 0.3] = 0.0
+            want = np.zeros((d * d, d * d), dtype=complex)
+            for k in kraus:
+                want += np.kron(k.conj(), k)
+            assert qc.kraus_to_superop(list(kraus)).tobytes() == want.tobytes()
+
     def test_non_trace_preserving_superop_rejected(self):
         # 0.5 * id is completely positive; the Choi partial trace is I / 2
         with pytest.raises(qc.NotTracePreserving) as info:

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, formats, determinism."""
 
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -406,6 +408,23 @@ class TestExperiment:
             "cf66df23d2032d30e0d415012abdb34824d0ee32f6ed7dbf7e4e14e686c69268"
         )
 
+    def test_library_payload_is_the_cli_payload(self, capsys):
+        # the pinned experiment through the library: the CLI adds only its CSV
+        # table, and the envelope hashes the library's payload with that table
+        _, env = run_json(capsys, ["experiment", "--channel", DEPOL, "--n-max", "2",
+                                   "--restarts", "2"])
+        payload, diagnostics = qc.contraction_experiment(
+            qc.depolarizing(0.5), [qc.f_catalog()["kl"].with_family(fam) for fam in qc.FAMILIES],
+            [qc.g_catalog()[name] for name in sorted(qc.g_catalog())], 2,
+            dataclasses.replace(qc.EXPERIMENT_OPTIONS, restarts=2))
+        cli_payload = dict(env["payload"])
+        assert cli_payload.pop("csv") == qc.report_csv(payload)
+        assert cli_payload == json.loads(json.dumps(payload))
+        hashed = json.dumps({**payload, "csv": qc.report_csv(payload)}, sort_keys=True)
+        assert hashlib.sha256(hashed.encode()).hexdigest() == env["payload_sha256"] == (
+            "cf66df23d2032d30e0d415012abdb34824d0ee32f6ed7dbf7e4e14e686c69268")
+        assert diagnostics["search_totals"] == env["diagnostics"]["search_totals"]
+
     def test_search_counters_in_envelope_diagnostics(self, capsys):
         code, env = run_json(capsys, self.ARGS)
         assert code == 0
@@ -503,8 +522,6 @@ class TestEnvelope:
         assert a["payload"] == b["payload"]
 
     def test_hash_matches_payload_bytes(self, capsys):
-        import hashlib
-
         _, env = run_json(capsys, ["catalog"])
         digest = hashlib.sha256(
             json.dumps(env["payload"], sort_keys=True).encode()

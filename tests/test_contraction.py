@@ -2,6 +2,7 @@
 detailed balance, and the experiment harness."""
 
 import csv
+import dataclasses
 import functools
 import importlib.util
 import io
@@ -49,11 +50,14 @@ def _apply_weights(sig, w, x):
     return v @ (w * (v.conj().T @ x @ v)) @ v.conj().T
 
 
-def _dense_omega(sig, g, power):
+def _dense_omega(sig, g, power, hermitian=False):
     """Dense d^2 x d^2 superoperator of Omega_sigma^power, built independently
-    of the library as kron(conj(V), V) diag(w^power) kron(conj(V), V)^dag."""
+    of the library as kron(conj(V), V) diag(w^power) kron(conj(V), V)^dag;
+    with ``hermitian``, of the Hermitian part (w + w^T)/2 of the weights."""
     mu, v = sig.eigenvalues, sig.eigenvectors
     w = np.asarray(g(mu[:, None] / mu[None, :]), float) / mu[None, :]
+    if hermitian:
+        w = 0.5 * (w + w.T)
     u = np.kron(v.conj(), v)
     return u @ np.diag((w**power).ravel(order="F")) @ u.conj().T
 
@@ -124,7 +128,10 @@ class TestDenseOmegaReference:
             pi = qc.fixed_point(ch)
             m = ch.superop.matrix
             for g in weights:
-                n_mat = _dense_omega(pi, g, 0.5) @ m @ _dense_omega(pi, g, -0.5)
+                # the chi-square constant reads the Hermitian part of a weight
+                # that is not standard monotone (gns), the residual all of it
+                sym = not g.standard_monotone
+                n_mat = _dense_omega(pi, g, 0.5, sym) @ m @ _dense_omega(pi, g, -0.5, sym)
                 eta = np.linalg.svd(n_mat, compute_uv=False)[1] ** 2
                 assert qc.sdpi_chi2(ch, pi, g).value == pytest.approx(eta, abs=1e-12)
                 inv = _dense_omega(pi, g, -1.0)
@@ -238,13 +245,24 @@ class TestExactSdpi:
         for seed in range(3):
             sig = qc.random_density(ch.dim, np.random.default_rng(seed))
             assert qc.trace_distance(qc.apply(ch, sig), sig) > 0.1
-            for name in ("max", "kmb"):
-                exact = qc.sdpi_chi2(ch, sig, gs[name])
-                est = qc.sdpi_variational(gs[name], ch, sig,
-                                          qc.VariationalOptions(restarts=8))
+            for g in (gs["max"], gs["kmb"], qc.gns_weight()):
+                exact = qc.sdpi_chi2(ch, sig, g)
+                est = qc.sdpi_variational(g, ch, sig, qc.VariationalOptions(restarts=8))
                 assert exact.value == pytest.approx(est.value, rel=1e-9, abs=0.0)
                 assert abs(exact.top_eigenvalue_check - 1.0) <= 1e-12
                 assert exact.diagnostics["top_overlap"] > 0.99
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gns_is_the_search_supremum_at_the_fixed_point(self, gs, dim):
+        # on the Hermitian X that states span, gns acts as its Hermitian part,
+        # which is max's form: the complex-space SVD read 0.3469 at d = 2
+        ch = qc.random_channel(dim, seed=1)
+        pi = qc.fixed_point(ch)
+        exact = qc.sdpi_chi2(ch, pi, qc.gns_weight())
+        est = qc.sdpi_variational(qc.gns_weight(), ch, pi, qc.VariationalOptions(restarts=8))
+        assert exact.value == pytest.approx(est.value, rel=1e-9, abs=0.0)
+        assert exact.value == pytest.approx(qc.sdpi_chi2(ch, pi, gs["max"]).value, rel=1e-12)
+        assert exact.value == pytest.approx({2: 0.252225, 3: 0.202813}[dim], abs=1e-6)
 
     def test_rank_deficient_output_reference_raises(self, gs):
         # the reset channel sends every sigma to |0><0|
@@ -263,6 +281,10 @@ class TestExactSdpi:
         pi = qc.fixed_point(ch)
         for g in gs.values():
             assert qc.sdpi_chi2(ch, pi, g).value == pytest.approx(0.0, abs=1e-9)
+
+
+#: the experiment's options as ``qcontract experiment`` builds them, from its defaults
+_EXPERIMENT_OPTIONS = functools.partial(dataclasses.replace, qc.EXPERIMENT_OPTIONS)
 
 
 class TestVariationalSdpi:
@@ -356,16 +378,15 @@ class TestVariationalSdpi:
             qc.sdpi_variational(gs["max"], ch, sig)
 
     @pytest.mark.parametrize("options, kwargs", [
-        *[(cls, kw) for cls in (qc.VariationalOptions, qc.ExperimentOptions)
+        *[(cls, kw) for cls in (qc.VariationalOptions, _EXPERIMENT_OPTIONS)
           for kw in ({"seed": -1}, {"seed": 1.5}, {"restarts": 0})],
         (qc.VariationalOptions, {"seed": (1729, -2)}),
-        (qc.ExperimentOptions, {"seed": (1729, 2)}),
         (qc.VariationalOptions, {"seed": True}),
         (qc.VariationalOptions, {"seed": (True, 3)}),
-        (qc.ExperimentOptions, {"seed": False}),
+        (_EXPERIMENT_OPTIONS, {"seed": False}),
         (qc.VariationalOptions, {"restarts": 2.5}),
         (qc.VariationalOptions, {"restarts": True}),
-        (qc.ExperimentOptions, {"max_iters": 1.5}),
+        (_EXPERIMENT_OPTIONS, {"max_iters": 1.5}),
         (functools.partial(qc.contraction_experiment, qc.depolarizing(0.5),
                            [qc.f_catalog()["kl"].with_family("petz")],
                            [qc.g_catalog()["max"]]), {"n_max": 2.5}),
@@ -377,7 +398,7 @@ class TestVariationalSdpi:
 
     @pytest.mark.parametrize("options, kwargs", [
         (qc.VariationalOptions, {"max_iters": 0}),
-        (qc.ExperimentOptions, {"max_iters": 0}),
+        (_EXPERIMENT_OPTIONS, {"max_iters": 0}),
     ])
     def test_invalid_search_length_rejected(self, options, kwargs):
         # max_iters < 1 would return the start point unsearched
@@ -804,12 +825,11 @@ class TestWaves:
                     restarts=restarts, max_iters=20, seed=2)).diagnostics
                 assert 0 < diag["stacked_calls"] <= diag["ratio_calls"]
                 assert (diag["stacked_calls"] == diag["ratio_calls"]) == (restarts == 1)
-        rep = qc.contraction_experiment(
+        _, diag = qc.contraction_experiment(
             ch, [f_cat["kl"].with_family(fam) for fam in qc.FAMILIES], [gs["max"]], n_max=2,
-            opts=qc.ExperimentOptions(restarts=2, max_iters=20, seed=7))
-        assert 0 < rep.diagnostics["stacked_calls"] \
-            < rep.diagnostics["search_totals"]["ratio_calls"]
-        assert "stacked_calls" not in rep.diagnostics["search_totals"]
+            opts=qc.VariationalOptions(restarts=2, max_iters=20, seed=7))
+        assert 0 < diag["stacked_calls"] < diag["search_totals"]["ratio_calls"]
+        assert "stacked_calls" not in diag["search_totals"]
         assert "stacked_calls" not in contraction.COUNTERS
 
 
@@ -1434,45 +1454,44 @@ def depol_report(f_cat, gs):
     families = [f_cat["kl"].with_family(fam) for fam in qc.FAMILIES]
     return qc.contraction_experiment(
         qc.depolarizing(0.4), families, list(gs.values()), n_max=3,
-        opts=qc.ExperimentOptions(restarts=6, max_iters=60, seed=9),
-    )
+        opts=qc.VariationalOptions(restarts=6, max_iters=60, seed=9),
+    )[0]
 
 
 class TestExperiment:
     def test_verdicts_pass_for_depolarizing(self, depol_report):
         rep = depol_report
-        assert rep.verdicts["theorem_rate"]["pass"]
-        assert not rep.verdicts["theorem_rate"]["vacuous"]
-        assert rep.verdicts["tightness"]["pass"]
-        for entry in rep.verdicts["tightness"]["per_family"].values():
+        assert rep["verdicts"]["theorem_rate"]["pass"]
+        assert not rep["verdicts"]["theorem_rate"]["vacuous"]
+        assert rep["verdicts"]["tightness"]["pass"]
+        for entry in rep["verdicts"]["tightness"]["per_family"].values():
             assert entry["applicable"]
             assert entry["power_equality_max_excess"] <= 0.0
 
     def test_rows_contain_expected_quantities(self, depol_report):
         rep = depol_report
-        assert [row["n"] for row in rep.rows] == [1, 2, 3]
-        for row in rep.rows:
+        assert [row["n"] for row in rep["rows"]] == [1, 2, 3]
+        for row in rep["rows"]:
             n = row["n"]
-            for g in rep.g_names:
+            for g in rep["g_names"]:
                 assert row["chi2_eta_power"][g] == \
                     pytest.approx(0.36**n, rel=1e-9)
                 assert row["chi2_eta_bound"][g] == pytest.approx(0.36, rel=1e-9)
                 assert row["db_residual"][g] <= 1e-12
-            for lab in rep.family_labels:
+            for lab in rep["family_labels"]:
                 assert row["eta_f"][lab] == pytest.approx(0.36**n, abs=1e-6)
 
     def test_payload_and_csv_schema(self, depol_report):
-        payload = qc.report_payload(depol_report)
-        json.dumps(payload)  # must be JSON-clean
+        json.dumps(depol_report)  # must be JSON-clean
         csv_text = qc.report_csv(depol_report)
         header = csv_text.splitlines()[0].split(",")
-        labels = list(depol_report.family_labels)
+        labels = list(depol_report["family_labels"])
         expect = (
             ["n"]
             + [f"eta[{lab}]" for lab in labels]
             + [f"eta_root[{lab}]" for lab in labels]
-            + [f"chi2_bound[{g}]" for g in depol_report.g_names]
-            + [f"db_residual[{g}]" for g in depol_report.g_names]
+            + [f"chi2_bound[{g}]" for g in depol_report["g_names"]]
+            + [f"db_residual[{g}]" for g in depol_report["g_names"]]
         )
         assert header == expect
         assert len(csv_text.splitlines()) == 1 + 3
@@ -1480,18 +1499,18 @@ class TestExperiment:
     def test_csv_quotes_a_label_with_a_comma(self, f_cat, gs):
         kl = f_cat["kl"]
         odd = qc.fdivergence_spec('kl,"x"', kl.f, kl.f1, kl.f2, kl.f3, operator_convex=True)
-        rep = qc.contraction_experiment(qc.depolarizing(0.5), [odd.with_family("petz")],
-                                        [gs["max"]], n_max=2,
-                                        opts=qc.ExperimentOptions(restarts=1, max_iters=2))
+        rep, _ = qc.contraction_experiment(qc.depolarizing(0.5), [odd.with_family("petz")],
+                                           [gs["max"]], n_max=2,
+                                           opts=qc.VariationalOptions(restarts=1, max_iters=2))
         header, *rows = csv.reader(io.StringIO(qc.report_csv(rep)))
         assert header[1] == 'eta[petz[kl,"x"]]'
         assert len(header) == 5 and [len(row) for row in rows] == [5, 5]
 
     def test_numpy_integers_give_a_json_ready_payload(self, f_cat, gs):
-        opts = qc.ExperimentOptions(restarts=np.int64(1), max_iters=2, seed=np.int64(3))
-        rep = qc.contraction_experiment(qc.depolarizing(0.5), [f_cat["kl"].with_family("petz")],
-                                        [gs["max"]], n_max=np.int64(1), opts=opts)
-        payload = json.loads(json.dumps(qc.report_payload(rep)))
+        opts = qc.VariationalOptions(restarts=np.int64(1), max_iters=2, seed=np.int64(3))
+        rep, _ = qc.contraction_experiment(qc.depolarizing(0.5), [f_cat["kl"].with_family("petz")],
+                                           [gs["max"]], n_max=np.int64(1), opts=opts)
+        payload = json.loads(json.dumps(rep))
         assert payload["n_max"] == 1 and payload["options"]["seed"] == 3
         vopts = qc.VariationalOptions(restarts=np.int64(2), seed=[np.int64(1), 2])
         assert type(vopts.restarts) is int and vopts.seed == (1, 2)
@@ -1525,25 +1544,25 @@ class TestExperiment:
 
     def test_rate_verdict_reports_signed_margin(self, f_cat, gs):
         # the depolarizing roots sit at the bound, so the margin is about -SLACK
-        rep = qc.contraction_experiment(
+        rep, _ = qc.contraction_experiment(
             qc.depolarizing(0.5), [f_cat["kl"].with_family("petz")], [gs["max"]], n_max=3,
-            opts=qc.ExperimentOptions(restarts=2, max_iters=40, seed=3))
-        entry = rep.verdicts["theorem_rate"]["per_family"]["petz[kl]"]["max"]
-        assert rep.n0 == 2 and entry["n_checked"] == [2, 3]
-        assert entry["max_excess"] == max(row["eta_f_root"]["petz[kl]"] for row in rep.rows[1:]) \
-            - rep.base_eta["max"] - contraction.SLACK
+            opts=qc.VariationalOptions(restarts=2, max_iters=40, seed=3))
+        entry = rep["verdicts"]["theorem_rate"]["per_family"]["petz[kl]"]["max"]
+        assert rep["n0"] == 2 and entry["n_checked"] == [2, 3]
+        assert entry["max_excess"] == max(row["eta_f_root"]["petz[kl]"]
+                                          for row in rep["rows"][1:]) \
+            - rep["base_eta"]["max"] - contraction.SLACK
         assert -contraction.SLACK - 1e-5 < entry["max_excess"] < 0.0 and entry["pass"]
 
     def test_deterministic_reports_bit_identical(self, f_cat, gs):
         families = [f_cat["kl"].with_family("petz")]
         kwargs = dict(
-            n_max=2, opts=qc.ExperimentOptions(restarts=4, max_iters=40, seed=3)
+            n_max=2, opts=qc.VariationalOptions(restarts=4, max_iters=40, seed=3)
         )
         ch = qc.embedded_classical(np.array([[0.8, 0.2], [0.2, 0.8]]))
         a = qc.contraction_experiment(ch, families, [gs["max"]], **kwargs)
         b = qc.contraction_experiment(ch, families, [gs["max"]], **kwargs)
-        assert json.dumps(qc.report_payload(a), sort_keys=True) == \
-            json.dumps(qc.report_payload(b), sort_keys=True)
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_chi2_quantities_equal_public_calls(self, f_cat, gs):
         # each weight is asked once per power; the rows and verdicts must
@@ -1551,15 +1570,15 @@ class TestExperiment:
         ch = qc.random_channel(2, seed=1)
         pi = qc.fixed_point(ch)
         families = [f_cat["kl"].with_family(fam) for fam in qc.FAMILIES]
-        rep = qc.contraction_experiment(
+        rep, _ = qc.contraction_experiment(
             ch, families, [gs["max"], gs["kmb"]], n_max=2,
-            opts=qc.ExperimentOptions(restarts=1, max_iters=2, seed=3),
+            opts=qc.VariationalOptions(restarts=1, max_iters=2, seed=3),
         )
         kappas = {
             lab: qc.local_weight(spec.family, spec)
-            for lab, spec in zip(rep.family_labels, families)
+            for lab, spec in zip(rep["family_labels"], families)
         }
-        for row in rep.rows:
+        for row in rep["rows"]:
             e_n = qc.channel_power(ch, row["n"])
             for name in ("max", "kmb"):
                 g = gs[name]
@@ -1570,7 +1589,7 @@ class TestExperiment:
             for lab, k in kappas.items():
                 assert row["kappa_eta_power"][lab] == qc.sdpi_chi2(e_n, pi, k).value
         for lab, k in kappas.items():
-            entry = rep.verdicts["tightness"]["per_family"][lab]
+            entry = rep["verdicts"]["tightness"]["per_family"][lab]
             assert entry["db_residual"] == qc.detailed_balance_residual(ch, pi, k)
 
     def test_not_primitive_rejected(self, f_cat, gs):
@@ -1593,15 +1612,15 @@ class TestExperiment:
         # values sqrt(eta) to rounding of the top one, 1, so eta(E^n) and
         # eta(E)^n differ by far more than 1e-7 relative, but not sqrt(eta)
         families = [f_cat["kl"].with_family(fam) for fam in qc.FAMILIES]
-        rep = qc.contraction_experiment(
+        rep, _ = qc.contraction_experiment(
             qc.depolarizing(p), families, list(gs.values()), n_max=3,
-            opts=qc.ExperimentOptions(restarts=2),
+            opts=qc.VariationalOptions(restarts=2, max_iters=100),
         )
-        tight = rep.verdicts["tightness"]
+        tight = rep["verdicts"]["tightness"]
         for label, entry in tight["per_family"].items():
             assert entry["applicable"] and entry["power_equality_pass"]
             assert entry["power_equality_max_excess"] <= 0.0
-            eta = [row["kappa_eta_power"][label] for row in rep.rows]
+            eta = [row["kappa_eta_power"][label] for row in rep["rows"]]
             assert max(abs(got - eta[0] ** n) / max(eta[0] ** n, 1e-300)
                        for n, got in enumerate(eta, 1)) > 1e-7
         assert tight["pass"]
@@ -1642,20 +1661,21 @@ class TestExperiment:
         # a barely-contracting channel cannot reach the convergence radius in
         # one step, so the rate verdict is vacuous but still reported PASS
         ch = qc.depolarizing(0.02)
-        rep = qc.contraction_experiment(
+        rep, _ = qc.contraction_experiment(
             ch, [f_cat["kl"].with_family("petz")], [gs["max"]], n_max=1,
-            opts=qc.ExperimentOptions(restarts=4, max_iters=40, seed=3),
+            opts=qc.VariationalOptions(restarts=4, max_iters=40, seed=3),
         )
-        assert rep.n0 is None
-        assert rep.verdicts["theorem_rate"]["vacuous"]
-        assert rep.verdicts["theorem_rate"]["pass"]
-        assert rep.verdicts["theorem_rate"]["per_family"]["petz[kl]"]["max"]["max_excess"] is None
+        assert rep["n0"] is None
+        assert rep["verdicts"]["theorem_rate"]["vacuous"]
+        assert rep["verdicts"]["theorem_rate"]["pass"]
+        rate = rep["verdicts"]["theorem_rate"]
+        assert rate["per_family"]["petz[kl]"]["max"]["max_excess"] is None
 
 
 class TestSharedSearches:
     """Labels whose specs evaluate with one kernel share one search per power."""
 
-    OPTS = qc.ExperimentOptions(restarts=2, max_iters=40, seed=7)
+    OPTS = qc.VariationalOptions(restarts=2, max_iters=40, seed=7)
 
     def test_ht_and_petz_kl_share_one_search(self, f_cat, gs):
         # petz[kl] takes ht[kl]'s rows; ht[kl] and matsumoto[kl] are the lone
@@ -1665,10 +1685,10 @@ class TestSharedSearches:
         pi = qc.fixed_point(ch)
         kl = f_cat["kl"]
         families = [kl.with_family(fam) for fam in qc.FAMILIES]
-        rep = qc.contraction_experiment(ch, families, [gs["max"]], n_max=2, opts=self.OPTS)
-        assert rep.diagnostics["shared_searches"] == {"petz[kl]": "ht[kl]"}
+        rep, diag = qc.contraction_experiment(ch, families, [gs["max"]], n_max=2, opts=self.OPTS)
+        assert diag["shared_searches"] == {"petz[kl]": "ht[kl]"}
         calls = 0
-        for row in rep.rows:
+        for row in rep["rows"]:
             n = row["n"]
             assert row["eta_f"]["petz[kl]"] == row["eta_f"]["ht[kl]"]
             for idx, spec in enumerate(families):
@@ -1682,9 +1702,30 @@ class TestSharedSearches:
                 assert row["eta_f"][f"{spec.family}[kl]"] == alone.value
                 calls += alone.diagnostics["ratio_calls"]
         # search_totals count the four searches that ran, each once
-        totals = rep.diagnostics["search_totals"]
+        totals = diag["search_totals"]
         assert sum(totals["stop_reasons"].values()) == 2 * 2 * self.OPTS.restarts
         assert totals["ratio_calls"] == calls
+
+    def test_tuple_seed_prefixes_each_search_seed(self, f_cat, gs):
+        # the search of power n and kernel index idx is seeded (*seed, n, idx),
+        # so each runs, counters included, as a lone search with that seed
+        ch = qc.random_channel(2, seed=1)
+        pi = qc.fixed_point(ch)
+        families = [f_cat["kl"].with_family(fam) for fam in qc.FAMILIES]
+        opts = qc.VariationalOptions(restarts=2, max_iters=40, seed=(7, 3))
+        rep, diag = qc.contraction_experiment(ch, families, [gs["max"]], n_max=2, opts=opts)
+        assert rep["options"]["seed"] == (7, 3)
+        alone = []
+        for row in rep["rows"]:
+            n = row["n"]
+            for idx, spec in enumerate(families):
+                if spec.family == "petz":
+                    continue  # petz[kl] takes ht[kl]'s search
+                est = qc.sdpi_variational(spec, qc.channel_power(ch, n), pi,
+                                          dataclasses.replace(opts, seed=(7, 3, n, idx)))
+                assert row["eta_f"][f"{spec.family}[kl]"] == est.value
+                alone.append(est.diagnostics)
+        assert diag["search_totals"] == contraction._total_counts(alone)
 
     def test_wave_summary_counts_each_search_that_ran(self, f_cat):
         ch = qc.random_channel(2, seed=1)
@@ -1711,11 +1752,11 @@ class TestSharedSearches:
                                        operator_convex=True)
         families = [spec.with_family("ht"), spec.with_family("petz")]
         assert divergences._kernel_spec(families[0]) == families[0]
-        opts = qc.ExperimentOptions(restarts=1, max_iters=5, seed=7)
-        rep = qc.contraction_experiment(qc.random_channel(2, seed=1), families,
-                                        [gs["max"]], n_max=1, opts=opts)
-        assert rep.diagnostics["shared_searches"] == {}
-        assert sum(rep.diagnostics["search_totals"]["stop_reasons"].values()) == 2
+        opts = qc.VariationalOptions(restarts=1, max_iters=5, seed=7)
+        _, diag = qc.contraction_experiment(qc.random_channel(2, seed=1), families,
+                                            [gs["max"]], n_max=1, opts=opts)
+        assert diag["shared_searches"] == {}
+        assert sum(diag["search_totals"]["stop_reasons"].values()) == 2
 
 
 class TestChi2Kernels:
@@ -1745,11 +1786,11 @@ class TestChi2Kernels:
         ch = qc.random_channel(2, seed=1)
         pi = qc.fixed_point(ch)
         families = [f_cat["chi2"].with_family(fam) for fam, _ in self.PAIRS]
-        opts = qc.ExperimentOptions(restarts=2, max_iters=40, seed=7)
-        rep = qc.contraction_experiment(ch, families, [gs["max"]], n_max=2, opts=opts)
-        assert rep.diagnostics["shared_searches"] == {"matsumoto[chi2]": "petz[chi2]"}
-        assert sum(rep.diagnostics["search_totals"]["stop_reasons"].values()) == 2 * 2 * 2
-        for row in rep.rows:
+        opts = qc.VariationalOptions(restarts=2, max_iters=40, seed=7)
+        rep, diag = qc.contraction_experiment(ch, families, [gs["max"]], n_max=2, opts=opts)
+        assert diag["shared_searches"] == {"matsumoto[chi2]": "petz[chi2]"}
+        assert sum(diag["search_totals"]["stop_reasons"].values()) == 2 * 2 * 2
+        for row in rep["rows"]:
             n = row["n"]
             assert row["eta_f"]["matsumoto[chi2]"] == row["eta_f"]["petz[chi2]"]
             for idx, (fam, weight) in enumerate(self.PAIRS[:2]):

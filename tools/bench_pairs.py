@@ -19,11 +19,14 @@ adds one traced run (``--trace 1``) per side and workload.
 
 The output has the schema of the committed BENCH_*.json files: ``what``,
 ``command``, ``parent_commit``, ``sides`` (every result record, per side)
-and ``summary``.  Per workload, the summary gives each end-to-end metric's
-median, quartiles and count on both sides and ``change_wins``, the number
-of seeds on which the change was better (direction from BENCHMARK.json),
-plus the failed-op totals; a traced workload ``W`` gets ``W_trace`` with
-the per-layer metrics of both traced runs.  Each metric also states the
+and ``summary``, written one key per line with no indentation.  A record
+is the benchmark's result without its per-round arrays ``round_times_s``
+and ``cal_moments_s``, which no summary reads (``perfbench/run.py``'s own
+result files keep them).  Per workload, the summary gives each end-to-end
+metric's median, quartiles and count on both sides and ``change_wins``,
+the number of seeds on which the change was better (direction from
+BENCHMARK.json), plus the failed-op totals; a traced workload ``W`` gets
+``W_trace`` with the per-layer metrics of both traced runs.  Each metric also states the
 acceptance rule of a performance change:
 
 * ``gain_rule``: the change was better on at least nine tenths of the
@@ -50,6 +53,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: per-round arrays of a benchmark result that no summary reads
+PER_ROUND = ("round_times_s", "cal_moments_s")
 
 
 def git(*args) -> bytes:
@@ -84,7 +89,10 @@ def run_once(command: list, seconds: str, tree: str, workload: str, seed: int,
     path = os.path.join(tree, "perfbench", "results",
                         f"{workload}-seed{seed}-trace{trace}.json")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        record = json.load(fh)
+    for key in PER_ROUND:
+        record.pop(key, None)
+    return record
 
 
 def parse_seeds(text: str) -> list:
@@ -186,7 +194,7 @@ def main(argv=None) -> int:
     }
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=1)
+        json.dump(out, fh, indent=0)
         fh.write("\n")
     print(f"wrote {path}")
     return 0
